@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, GimbalLockError
-from .kinematics import GIMBAL_GUARD, EulerAngles321, euler_to_rotmat
+from .kinematics import GIMBAL_GUARD, EulerAngles321
 from .vehicle import VehicleParams, Wrench, hover_thrust
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "SimState",
     "UnmodeledTerms",
     "state_derivative",
+    "rk4_packed",
     "rk4_step",
     "hover_equilibrium",
 ]
@@ -201,6 +202,9 @@ def _derivative_packed(
 
 
 def _pack_inputs(p, w, unmodeled, ext_force_w):
+    """Flat input tuple for the packed derivative and stepper; thrust must be >= 0."""
+    if w.thrust < 0.0:
+        raise ValueError("thrust must be non-negative (clamp upstream)")
     un = unmodeled if unmodeled is not None else UnmodeledTerms()
     if ext_force_w is None:
         fx = fy = fz = 0.0
@@ -231,24 +235,24 @@ def state_derivative(
     Thrust below zero is not accepted here; clamping belongs to the
     actuator map.
     """
-    if w.thrust < 0.0:
-        raise ValueError("thrust must be non-negative (clamp upstream)")
     args = _pack_inputs(p, w, unmodeled, ext_force_w)
     return np.array(_derivative_packed(s.as_vector(), *args, legacy_coriolis))
 
 
-def _rk4_packed(y: np.ndarray, dt: float, args, legacy: bool) -> np.ndarray:
+def rk4_packed(y, dt: float, args, legacy: bool) -> list:
+    """The package's one RK4 step: 12 floats in, a new list of 12 out.
+
+    ``args`` comes from ``_pack_inputs``. Stages are formed element-wise
+    as ``y + (h * k)``, the operation order numpy uses on arrays.
+    """
+    h = 0.5 * dt
     k1 = _derivative_packed(y, *args, legacy)
-    y1 = y + (0.5 * dt) * np.asarray(k1)
-    k2 = _derivative_packed(y1, *args, legacy)
-    y2 = y + (0.5 * dt) * np.asarray(k2)
-    k3 = _derivative_packed(y2, *args, legacy)
-    y3 = y + dt * np.asarray(k3)
-    k4 = _derivative_packed(y3, *args, legacy)
-    out = y + (dt / 6.0) * (
-        np.asarray(k1) + 2.0 * np.asarray(k2) + 2.0 * np.asarray(k3) + np.asarray(k4)
-    )
-    return out
+    k2 = _derivative_packed([a + h * b for a, b in zip(y, k1)], *args, legacy)
+    k3 = _derivative_packed([a + h * b for a, b in zip(y, k2)], *args, legacy)
+    k4 = _derivative_packed([a + dt * b for a, b in zip(y, k3)], *args, legacy)
+    c = dt / 6.0
+    return [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 def rk4_step(
@@ -268,11 +272,9 @@ def rk4_step(
     """
     if not (0.0 < dt <= MAX_DT):
         raise ValueError(f"dt must be in (0, {MAX_DT}]; got {dt}")
-    if w.thrust < 0.0:
-        raise ValueError("thrust must be non-negative (clamp upstream)")
     args = _pack_inputs(p, w, unmodeled, ext_force_w)
-    out = _rk4_packed(s.as_vector(), dt, args, legacy_coriolis)
-    if not np.all(np.isfinite(out)):
+    out = rk4_packed(s.as_vector().tolist(), dt, args, legacy_coriolis)
+    if not all(map(math.isfinite, out)):
         raise DivergenceError("non-finite state after RK4 step")
     return SimState.from_vector(out)
 

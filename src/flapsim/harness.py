@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -29,7 +29,7 @@ from .controller import (
     assemble_ctrl_state,
     control_step,
 )
-from .dynamics import MAX_DT, SimState, _rk4_packed
+from .dynamics import MAX_DT, SimState, rk4_packed as _rk4_packed  # bench/spans.py times this name
 from .errors import ConfigError, DivergenceError, SchemaError
 from .ioutil import atomic_write_text, fmt
 from .kinematics import EulerAngles321, euler_to_quat, euler_to_rotmat, quat_from_rotvec, quat_multiply
@@ -442,6 +442,17 @@ def _slice_log(store: dict, n: int, sc: Scenario, final_state=None) -> RunLog:
     )
 
 
+def _tripped_guard(y, k: int, t_end: float) -> str | None:
+    """The sanity guard the state after tick k trips, as message text, or None."""
+    if not all(map(math.isfinite, y)):
+        return f"non-finite state after tick {k} (t={t_end:.4f} s)"
+    if y[0] * y[0] + y[1] * y[1] + y[2] * y[2] > POSITION_GUARD**2:
+        return f"position left the {POSITION_GUARD} m envelope after tick {k}"
+    if max(abs(y[9]), abs(y[10]), abs(y[11])) > RATE_GUARD:
+        return f"body rate exceeded {RATE_GUARD:g} rad/s after tick {k}"
+    return None
+
+
 def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     """Run one closed-loop scenario to completion.
 
@@ -465,7 +476,7 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
 
     mt, (Jx, Jy, Jz), g = p.total_mass, p.J, p.g
     legacy = sc.legacy_coriolis
-    pulses = [(d.t_start, d.t_end, d.force_w) for d in sc.disturbances]
+    pulses = [(d.t_start, d.t_end, d.force_w.tolist()) for d in sc.disturbances]
 
     store = {
         "t": np.empty(n_ticks),
@@ -481,7 +492,7 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
         "sat": np.zeros(n_ticks, dtype=np.int64),
     }
 
-    y = sc.initial.as_vector()
+    y = sc.initial.as_vector().tolist()
     prev_ctrl = None
 
     for k in range(n_ticks):
@@ -494,7 +505,7 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
             meas_pos = y[0:3] + rng.normal(0.0, noise.pos_sigma, 3)
             q_meas = quat_multiply(q_true, quat_from_rotvec(rng.normal(0.0, noise.att_sigma, 3)))
         else:
-            meas_pos = y[0:3].copy()
+            meas_pos = y[0:3]
             q_meas = q_true
         vel_override = None
         if sc.use_truth_velocity:
@@ -520,26 +531,20 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
         store["sat"][k] = int(out.saturated)
 
         # --- integrate one control period ------------------------------
-        thrust, tau_r, tau_p = out.wrench.thrust, out.wrench.tau_r, out.wrench.tau_p
+        w = out.wrench
+        tick_args = (mt, Jx, Jy, Jz, g, float(w.thrust), float(w.tau_r), float(w.tau_p),
+                     0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         tick_pulses = [pl for pl in pulses if pl[0] < t_k + T and pl[1] > t_k]
         try:
-            if not tick_pulses:
-                args = (mt, Jx, Jy, Jz, g, thrust, tau_r, tau_p,
-                        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-                for i in range(substeps):
-                    y = _rk4_packed(y, dt, args, legacy)
-            else:
-                for i in range(substeps):
-                    t_sub = t_k + i * dt
-                    fx = fy = fz = 0.0
-                    for (t0, t1, f) in tick_pulses:
-                        if t0 <= t_sub < t1:
-                            fx += f[0]
-                            fy += f[1]
-                            fz += f[2]
-                    args = (mt, Jx, Jy, Jz, g, thrust, tau_r, tau_p,
-                            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, fx, fy, fz)
-                    y = _rk4_packed(y, dt, args, legacy)
+            for i in range(substeps):
+                t_sub = t_k + i * dt
+                fx = fy = fz = 0.0
+                for (t0, t1, f) in tick_pulses:
+                    if t0 <= t_sub < t1:
+                        fx += f[0]
+                        fy += f[1]
+                        fz += f[2]
+                y = _rk4_packed(y, dt, (*tick_args, fx, fy, fz), legacy)
         except (ValueError, OverflowError) as exc:
             # gimbal guard or float overflow inside the integrator
             raise DivergenceError(
@@ -547,21 +552,9 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
                 partial_log=_slice_log(store, k + 1, sc),
             ) from exc
 
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(
-                f"{sc.name}: non-finite state after tick {k} (t={t_k + T:.4f} s)",
-                partial_log=_slice_log(store, k + 1, sc),
-            )
-        if y[0] * y[0] + y[1] * y[1] + y[2] * y[2] > POSITION_GUARD**2:
-            raise DivergenceError(
-                f"{sc.name}: position left the {POSITION_GUARD} m envelope after tick {k}",
-                partial_log=_slice_log(store, k + 1, sc),
-            )
-        if max(abs(y[9]), abs(y[10]), abs(y[11])) > RATE_GUARD:
-            raise DivergenceError(
-                f"{sc.name}: body rate exceeded {RATE_GUARD:g} rad/s after tick {k}",
-                partial_log=_slice_log(store, k + 1, sc),
-            )
+        tripped = _tripped_guard(y, k, t_k + T)
+        if tripped is not None:
+            raise DivergenceError(f"{sc.name}: {tripped}", partial_log=_slice_log(store, k + 1, sc))
         prev_ctrl = ctrl
 
     return _slice_log(store, n_ticks, sc, final_state=SimState.from_vector(y))
