@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from .errors import ConfigError, SchemaError
 from .ioutil import atomic_write_text, fmt
@@ -381,6 +380,7 @@ def reconstruct(tr: MocapTrajectory, cfg: FilterConfig | None = None) -> Reconst
             raise ConfigError(
                 f"cutoff {cfg.cutoff_hz:g} Hz is not below Nyquist ({0.5 * fs:g} Hz)"
             )
+        from scipy.signal import butter, filtfilt  # deferred: slow to import, only needed here
         b, a = butter(cfg.order, cfg.cutoff_hz / (0.5 * fs))
         padlen = min(3 * max(len(a), len(b)), n - 1)
         pos = filtfilt(b, a, pos, axis=0, padlen=padlen)

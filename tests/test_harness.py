@@ -346,6 +346,28 @@ def test_offset_hover_diverges_with_partial_log(params, unstable_gain):
     assert "envelope" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "initial, guard",
+    [
+        ({"omega_b": [0.0, 0.0, 2e4]}, "body rate exceeded"),
+        ({"vel_b": [1e308, 0.0, 0.0], "omega_b": [0.0, 0.0, 10.0]}, "non-finite state"),
+        ({"pos": [9.99, 0.0, 0.0], "vel_b": [10.0, 0.0, 0.0]}, "m envelope"),
+        ({"euler": [0.0, 1.5707, 0.0], "omega_b": [0.0, 50.0, 0.0]}, "gimbal guard"),
+    ],
+    ids=["rate", "non-finite", "envelope", "gimbal"],
+)
+def test_every_guard_aborts_with_partial_log(params, gain, initial, guard):
+    sc = scenario_from_dict(
+        {"name": "trip", "duration": 0.5, "initial": initial, "setpoint": {"kind": "constant"}},
+        params,
+    )
+    with pytest.raises(DivergenceError, match=guard) as info:
+        run_scenario(sc, params, gain)
+    partial = info.value.partial_log
+    assert partial is not None and len(partial) > 0
+    assert partial.t[0] == 0.0
+
+
 def test_run_scenario_rejects_bad_gain(params):
     sc = Scenario(name="x", duration=0.1, initial=hover_state(), schedule=HOLD_ORIGIN)
     with pytest.raises(ValueError, match="3x10"):

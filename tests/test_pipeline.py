@@ -1,6 +1,8 @@
 """Offline pipeline tests: mocap I/O, reconstruction, validation, envelope."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +36,14 @@ def constant_trajectory(n=120, pos=(0.1, 0.2, 0.3), euler=(0.0, 0.0, 0.0), rate=
     q = euler_to_quat(EulerAngles321(*euler)).canonical()
     quat = np.tile([q.w, q.x, q.y, q.z], (n, 1))
     return MocapTrajectory(t, np.tile(pos, (n, 1)), quat, source="synthetic")
+
+
+def test_import_flapsim_leaves_scipy_signal_unloaded():
+    # scipy.signal is slow to import and only the filtered reconstruction uses it
+    code = "import sys, flapsim, flapsim.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
