@@ -45,7 +45,9 @@ GIMBAL_GUARD = math.pi / 2 - 1e-6
 
 
 def wrap_angle(angle: float) -> float:
-    """Wrap an angle to the half-open interval (-pi, pi]."""
+    """Wrap an angle to the half-open interval (-pi, pi]; angles inside pass unchanged."""
+    if -math.pi < angle <= math.pi:  # the shift by pi below would round off low bits
+        return float(angle)
     a = math.fmod(angle + math.pi, 2.0 * math.pi)
     if a <= 0.0:
         a += 2.0 * math.pi

@@ -12,6 +12,7 @@ from flapsim.dynamics import (
     SimState,
     UnmodeledTerms,
     hover_equilibrium,
+    rk4_packed,
     rk4_step,
     state_derivative,
 )
@@ -206,6 +207,23 @@ def test_rk4_fourth_order_convergence(params):
     assert err_fine > 0.0
     ratio = err_coarse / err_fine
     assert 10.0 < ratio < 24.0
+
+
+@pytest.mark.parametrize("legacy", [False, True])
+def test_chained_rk4_step_equals_chained_rk4_packed(params, legacy):
+    # rk4_step rebuilds a SimState (and its Euler angles) every step; the
+    # runner keeps the packed list. Both must follow the same trajectory.
+    s = SimState((0.01, -0.02, 0.03), (0.1, -0.05, 0.02),
+                 EulerAngles321(0.2, -0.1, 1.0), (1.0, -2.0, 3.0))
+    w = Wrench(1.1 * hover_thrust(params), 2e-8, -1e-8)
+    dt = 1.0 / (240.0 * 42)
+    args = (params.total_mass, *params.J, params.g, w.thrust, w.tau_r, w.tau_p,
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    y = s.as_vector().tolist()
+    for _ in range(420):
+        s = rk4_step(params, s, w, dt=dt, legacy_coriolis=legacy)
+        y = rk4_packed(y, dt, args, legacy)
+    assert s.as_vector().tobytes() == np.array(y).tobytes()
 
 
 def test_divergence_error_on_overflow(params):

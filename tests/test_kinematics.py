@@ -43,6 +43,14 @@ def test_wrap_angle_half_open_interval():
     assert wrap_angle(-1.5 * math.pi) == pytest.approx(0.5 * math.pi)
 
 
+def test_wrap_angle_passes_in_range_angles_bit_for_bit():
+    rng = np.random.default_rng(5)
+    angles = [1e-17, 1e-9, -1e-9, 5e-324, 0.0, -0.0, 0.3, -2.5, math.pi,
+              math.nextafter(-math.pi, 0.0), *rng.uniform(-math.pi, math.pi, 200)]
+    for a in angles:
+        assert wrap_angle(a).hex() == float(a).hex()
+
+
 def test_euler_angles_normalize_roll_and_yaw():
     e = EulerAngles321(3 * math.pi, 0.1, -7.0)
     assert e.roll == pytest.approx(math.pi)
