@@ -62,7 +62,6 @@ from .controller import (
     CtrlState,
     Setpoint,
     assemble_ctrl_state,
-    circle_reference,
     control_step,
 )
 from .harness import (

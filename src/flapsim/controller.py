@@ -41,7 +41,6 @@ __all__ = [
     "ControlOutput",
     "assemble_ctrl_state",
     "control_step",
-    "circle_reference",
     "ConstantSchedule",
     "CircleSchedule",
     "CsvSchedule",
@@ -84,10 +83,10 @@ class CtrlState:
 
     Carries the measured pose, the derived velocity/rate estimates, and
     the raw (pre-smoothing) velocity needed to continue the two-sample
-    moving average on the next tick.
+    moving average on the next tick. A plain record: build it with
+    :func:`assemble_ctrl_state`, which checks the inputs.
     """
 
-    t: float
     pos_w: np.ndarray
     vel_w: np.ndarray
     raw_vel_w: np.ndarray
@@ -95,17 +94,6 @@ class CtrlState:
     euler: EulerAngles321
     R: np.ndarray
     omega_b: np.ndarray
-    source: str = "sim"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pos_w", _vec3(self.pos_w, "pos_w"))
-        object.__setattr__(self, "vel_w", _vec3(self.vel_w, "vel_w"))
-        object.__setattr__(self, "raw_vel_w", _vec3(self.raw_vel_w, "raw_vel_w"))
-        object.__setattr__(self, "omega_b", _vec3(self.omega_b, "omega_b"))
-        R = np.asarray(self.R, dtype=float).reshape(3, 3)
-        object.__setattr__(self, "R", R)
-        if self.source not in ("sim", "mocap"):
-            raise ValueError("source must be 'sim' or 'mocap'")
 
     def sigma(self) -> np.ndarray:
         """10-entry design-state vector (d, V_b, roll, pitch, p, q)."""
@@ -125,9 +113,12 @@ def assemble_ctrl_state(
     dt: float | None = None,
     *,
     vel_w=None,
-    source: str = "sim",
 ) -> CtrlState:
     """Build the controller state from a position + quaternion sample.
+
+    The validated constructor of :class:`CtrlState`: the position must be
+    finite, the quaternion within 1e-3 of unit length, ``dt`` positive
+    when ``prev`` is given, and a ``vel_w`` override finite.
 
     With no ``prev`` sample, velocity and body rates start at zero. With
     one, world velocity is the first difference averaged with the previous
@@ -144,7 +135,6 @@ def assemble_ctrl_state(
     euler = rotmat_to_euler(R)
 
     if prev is None:
-        t = 0.0
         omega = np.zeros(3)
         if vel_w is not None:
             raw = vel = _vec3(vel_w, "vel_w")
@@ -153,7 +143,6 @@ def assemble_ctrl_state(
     else:
         if dt is None or not (dt > 0.0):
             raise ValueError("dt must be positive when a previous sample is given")
-        t = prev.t + dt
         dq = quat_multiply(prev.quat.conjugate(), q).canonical()
         omega = quat_to_rotvec(dq) / dt
         if vel_w is not None:
@@ -162,10 +151,7 @@ def assemble_ctrl_state(
             raw = (pos - prev.pos_w) / dt
             vel = 0.5 * (raw + prev.raw_vel_w)
 
-    return CtrlState(
-        t=t, pos_w=pos, vel_w=vel, raw_vel_w=raw,
-        quat=q, euler=euler, R=R, omega_b=omega, source=source,
-    )
+    return CtrlState(pos_w=pos, vel_w=vel, raw_vel_w=raw, quat=q, euler=euler, R=R, omega_b=omega)
 
 
 @dataclass(frozen=True)
@@ -201,24 +187,6 @@ def control_step(K, s: CtrlState, sp: Setpoint, p: VehicleParams) -> ControlOutp
     return ControlOutput(cmd=cmd, wrench=applied, saturated=saturated)
 
 
-def circle_reference(radius: float, speed: float, center_w, t: float) -> Setpoint:
-    """Point moving on a horizontal circle, with tangential velocity.
-
-    Phase rate is speed/radius; at t = 0 the point sits at
-    center + (radius, 0, 0) heading +y.
-    """
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
-    if speed < 0.0:
-        raise ValueError("speed must be non-negative")
-    center = _vec3(center_w, "center_w")
-    w = speed / radius
-    a = w * t
-    pos = center + radius * np.array([np.cos(a), np.sin(a), 0.0])
-    vel = speed * np.array([-np.sin(a), np.cos(a), 0.0])
-    return Setpoint(pos, vel)
-
-
 # ---------------------------------------------------------------------------
 # setpoint schedules
 # ---------------------------------------------------------------------------
@@ -235,7 +203,11 @@ class ConstantSchedule:
 
 
 class CircleSchedule:
-    """Horizontal-circle reference (see :func:`circle_reference`)."""
+    """Point moving on a horizontal circle, with tangential velocity.
+
+    Phase rate is speed/radius; at t = 0 the point sits at
+    center + (radius, 0, 0) heading +y.
+    """
 
     def __init__(self, radius: float, speed: float, center_w=(0.0, 0.0, 0.0)):
         if not radius > 0.0:
@@ -247,7 +219,10 @@ class CircleSchedule:
         self.center_w = _vec3(center_w, "center_w")
 
     def __call__(self, t: float) -> Setpoint:
-        return circle_reference(self.radius, self.speed, self.center_w, t)
+        a = self.speed / self.radius * t
+        pos = self.center_w + self.radius * np.array([np.cos(a), np.sin(a), 0.0])
+        vel = self.speed * np.array([-np.sin(a), np.cos(a), 0.0])
+        return Setpoint(pos, vel)
 
 
 class CsvSchedule:

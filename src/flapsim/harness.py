@@ -44,6 +44,7 @@ __all__ = [
     "scenario_from_dict",
     "load_scenario",
     "RunLog",
+    "RUNLOG_FIELDS",
     "RUNLOG_COLUMNS",
     "run_scenario",
     "RunMetrics",
@@ -167,6 +168,14 @@ def _check_keys(section: dict, allowed, where: str) -> None:
     unknown = set(section) - set(allowed)
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _integer(cfg: dict, key: str, default: int) -> int:
+    """An integer-valued scenario key; a float must be integral (4.0, not 4.5)."""
+    v = cfg.get(key, default)
+    if isinstance(v, float) and not v.is_integer():
+        raise SchemaError(f"scenario: {key} must be an integer, got {v!r}")
+    return int(v)
 
 
 def _initial_from_dict(cfg: dict) -> SimState:
@@ -299,7 +308,7 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
                 f"scenario: dt={dt:g} does not divide the control period 1/{control_rate:g}"
             )
     else:
-        substeps = int(cfg.get("physics_substeps", 42))
+        substeps = _integer(cfg, "physics_substeps", 42)
 
     initial_cfg = cfg.get("initial", {})
     if not isinstance(initial_cfg, dict):
@@ -323,7 +332,7 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
         noise=_noise_from_dict(noise_cfg),
         control_rate=control_rate,
         physics_substeps=substeps,
-        seed=int(cfg.get("seed", 0)),
+        seed=_integer(cfg, "seed", 0),
         use_truth_velocity=bool(cfg.get("use_truth_velocity", False)),
         legacy_coriolis=bool(cfg.get("legacy_coriolis", False)),
     )
@@ -350,17 +359,23 @@ def load_scenario(path, p: VehicleParams | None = None) -> Scenario:
 # run log
 # ---------------------------------------------------------------------------
 
-RUNLOG_COLUMNS = (
-    "t",
-    "x", "y", "z", "roll", "pitch", "yaw",
-    "u", "v", "w", "p", "q", "r",
-    "sig_dx", "sig_dy", "sig_dz", "sig_u", "sig_v", "sig_w",
-    "sig_phi", "sig_theta", "sig_p", "sig_q",
-    "sp_x", "sp_y", "sp_z", "sp_vx", "sp_vy", "sp_vz",
-    "cmd_A", "cmd_dA", "cmd_Vo",
-    "thrust", "tau_r", "tau_p",
-    "saturated",
+# (RunLog field, its CSV columns), in file order: the one definition of the
+# run-log layout, shared by the runner, RunLog.from_rows and the CSV writer
+RUNLOG_FIELDS = (
+    ("t", ("t",)),
+    ("pos_w", ("x", "y", "z")),
+    ("euler", ("roll", "pitch", "yaw")),
+    ("vel_b", ("u", "v", "w")),
+    ("omega_b", ("p", "q", "r")),
+    ("sigma", ("sig_dx", "sig_dy", "sig_dz", "sig_u", "sig_v", "sig_w",
+               "sig_phi", "sig_theta", "sig_p", "sig_q")),
+    ("sp_pos", ("sp_x", "sp_y", "sp_z")),
+    ("sp_vel", ("sp_vx", "sp_vy", "sp_vz")),
+    ("cmd", ("cmd_A", "cmd_dA", "cmd_Vo")),
+    ("wrench", ("thrust", "tau_r", "tau_p")),
+    ("saturated", ("saturated",)),
 )
+RUNLOG_COLUMNS = tuple(col for _, cols in RUNLOG_FIELDS for col in cols)
 
 
 @dataclass(frozen=True)
@@ -390,27 +405,30 @@ class RunLog:
         if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("log timestamps must be strictly increasing")
 
+    @classmethod
+    def from_rows(cls, rows, **meta) -> "RunLog":
+        """Split an (n, 36) array laid out as RUNLOG_FIELDS into a RunLog.
+
+        Every field gets its own copy; ``saturated`` becomes int64.
+        ``meta`` passes the scalar fields (scenario_name, seed, ...).
+        """
+        fields, i = {}, 0
+        for name, cols in RUNLOG_FIELDS:
+            block = rows[:, i] if len(cols) == 1 else rows[:, i:i + len(cols)]
+            fields[name] = np.array(block)
+            i += len(cols)
+        fields["saturated"] = fields["saturated"].astype(np.int64)
+        return cls(**fields, **meta)
+
     def __len__(self) -> int:
         return len(self.t)
 
     def to_csv_text(self) -> str:
+        rows = np.column_stack([getattr(self, name) for name, _ in RUNLOG_FIELDS])
         buf = io.StringIO()
         buf.write(",".join(RUNLOG_COLUMNS) + "\n")
-        for k in range(len(self.t)):
-            vals = [
-                fmt(self.t[k]),
-                *(fmt(v) for v in self.pos_w[k]),
-                *(fmt(v) for v in self.euler[k]),
-                *(fmt(v) for v in self.vel_b[k]),
-                *(fmt(v) for v in self.omega_b[k]),
-                *(fmt(v) for v in self.sigma[k]),
-                *(fmt(v) for v in self.sp_pos[k]),
-                *(fmt(v) for v in self.sp_vel[k]),
-                *(fmt(v) for v in self.cmd[k]),
-                *(fmt(v) for v in self.wrench[k]),
-                str(int(self.saturated[k])),
-            ]
-            buf.write(",".join(vals) + "\n")
+        for *vals, sat in rows.tolist():  # saturated, the last column, is the integer one
+            buf.write(f"{','.join(map(fmt, vals))},{int(sat)}\n")
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
@@ -420,26 +438,6 @@ class RunLog:
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
-
-
-def _slice_log(store: dict, n: int, sc: Scenario, final_state=None) -> RunLog:
-    return RunLog(
-        t=store["t"][:n].copy(),
-        pos_w=store["pos"][:n].copy(),
-        euler=store["eul"][:n].copy(),
-        vel_b=store["vel"][:n].copy(),
-        omega_b=store["om"][:n].copy(),
-        sigma=store["sig"][:n].copy(),
-        sp_pos=store["sp_p"][:n].copy(),
-        sp_vel=store["sp_v"][:n].copy(),
-        cmd=store["cmd"][:n].copy(),
-        wrench=store["wr"][:n].copy(),
-        saturated=store["sat"][:n].copy(),
-        scenario_name=sc.name,
-        seed=sc.seed,
-        control_rate=sc.control_rate,
-        final_state=final_state,
-    )
 
 
 def _tripped_guard(y, k: int, t_end: float) -> str | None:
@@ -478,19 +476,8 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     legacy = sc.legacy_coriolis
     pulses = [(d.t_start, d.t_end, d.force_w.tolist()) for d in sc.disturbances]
 
-    store = {
-        "t": np.empty(n_ticks),
-        "pos": np.empty((n_ticks, 3)),
-        "eul": np.empty((n_ticks, 3)),
-        "vel": np.empty((n_ticks, 3)),
-        "om": np.empty((n_ticks, 3)),
-        "sig": np.empty((n_ticks, 10)),
-        "sp_p": np.empty((n_ticks, 3)),
-        "sp_v": np.empty((n_ticks, 3)),
-        "cmd": np.empty((n_ticks, 3)),
-        "wr": np.empty((n_ticks, 3)),
-        "sat": np.zeros(n_ticks, dtype=np.int64),
-    }
+    rows = np.empty((n_ticks, len(RUNLOG_COLUMNS)))  # laid out as RUNLOG_FIELDS
+    meta = {"scenario_name": sc.name, "seed": sc.seed, "control_rate": sc.control_rate}
 
     y = sc.initial.as_vector().tolist()
     prev_ctrl = None
@@ -510,28 +497,19 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
         vel_override = None
         if sc.use_truth_velocity:
             vel_override = euler_to_rotmat(att) @ y[3:6]
-        ctrl = assemble_ctrl_state(
-            meas_pos, q_meas, prev_ctrl, T, vel_w=vel_override, source="sim"
-        )
+        ctrl = assemble_ctrl_state(meas_pos, q_meas, prev_ctrl, T, vel_w=vel_override)
 
         # --- decide --------------------------------------------------
         sp = sc.schedule(t_k)
         out = control_step(K, ctrl, sp, p)
 
-        store["t"][k] = t_k
-        store["pos"][k] = y[0:3]
-        store["eul"][k] = y[6:9]
-        store["vel"][k] = y[3:6]
-        store["om"][k] = y[9:12]
-        store["sig"][k] = ctrl.sigma()
-        store["sp_p"][k] = sp.pos_w
-        store["sp_v"][k] = sp.vel_w
-        store["cmd"][k] = (out.cmd.A, out.cmd.dA, out.cmd.Vo)
-        store["wr"][k] = (out.wrench.thrust, out.wrench.tau_r, out.wrench.tau_p)
-        store["sat"][k] = int(out.saturated)
+        # --- log ------------------------------------------------------
+        c, w = out.cmd, out.wrench
+        rows[k] = (t_k, *y[0:3], *y[6:9], *y[3:6], *y[9:12], *ctrl.sigma().tolist(),
+                   *sp.pos_w.tolist(), *sp.vel_w.tolist(),
+                   c.A, c.dA, c.Vo, w.thrust, w.tau_r, w.tau_p, out.saturated)
 
         # --- integrate one control period ------------------------------
-        w = out.wrench
         tick_args = (mt, Jx, Jy, Jz, g, float(w.thrust), float(w.tau_r), float(w.tau_p),
                      0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         tick_pulses = [pl for pl in pulses if pl[0] < t_k + T and pl[1] > t_k]
@@ -549,15 +527,16 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
             # gimbal guard or float overflow inside the integrator
             raise DivergenceError(
                 f"{sc.name}: integration aborted during tick {k} (t={t_k:.4f} s): {exc}",
-                partial_log=_slice_log(store, k + 1, sc),
+                partial_log=RunLog.from_rows(rows[:k + 1], **meta),
             ) from exc
 
         tripped = _tripped_guard(y, k, t_k + T)
         if tripped is not None:
-            raise DivergenceError(f"{sc.name}: {tripped}", partial_log=_slice_log(store, k + 1, sc))
+            raise DivergenceError(f"{sc.name}: {tripped}",
+                                  partial_log=RunLog.from_rows(rows[:k + 1], **meta))
         prev_ctrl = ctrl
 
-    return _slice_log(store, n_ticks, sc, final_state=SimState.from_vector(y))
+    return RunLog.from_rows(rows, **meta, final_state=SimState.from_vector(y))
 
 
 # ---------------------------------------------------------------------------

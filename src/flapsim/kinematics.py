@@ -115,11 +115,6 @@ class Quaternion:
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
-    @classmethod
-    def from_array(cls, a) -> "Quaternion":
-        w, x, y, z = (float(v) for v in a)
-        return cls(w, x, y, z)
-
 
 def quat_multiply(a: Quaternion, b: Quaternion) -> Quaternion:
     """Hamilton product a*b (compose rotations: apply b in a's body frame)."""

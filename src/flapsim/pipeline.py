@@ -195,28 +195,13 @@ def load_runlog_csv(path) -> RunLog:
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     a = np.asarray(rows)
-    t = a[:, 0]
-    dt = np.diff(t)
+    dt = np.diff(a[:, 0])
     if len(dt) and np.any(dt <= 0):
         raise SchemaError(f"{path}: timestamps not strictly increasing")
-    rate = 1.0 / float(np.median(dt)) if len(dt) else 240.0
+    # a one-row log keeps RunLog's default rate
+    meta = {"control_rate": 1.0 / float(np.median(dt))} if len(dt) else {}
     try:
-        return RunLog(
-            t=t,
-            pos_w=a[:, 1:4],
-            euler=a[:, 4:7],
-            vel_b=a[:, 7:10],
-            omega_b=a[:, 10:13],
-            sigma=a[:, 13:23],
-            sp_pos=a[:, 23:26],
-            sp_vel=a[:, 26:29],
-            cmd=a[:, 29:32],
-            wrench=a[:, 32:35],
-            saturated=a[:, 35].astype(np.int64),
-            scenario_name="",
-            seed=None,
-            control_rate=rate,
-        )
+        return RunLog.from_rows(a, **meta)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 

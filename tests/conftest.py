@@ -14,6 +14,8 @@ and acceptance tests:
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,15 @@ from flapsim.kinematics import euler_to_quat
 from flapsim.lqr import LqrWeights, linearize_hover, lqr_gain, solve_care
 from flapsim.pipeline import MocapTrajectory
 from flapsim.vehicle import Wrench, default_robofly_params, hover_thrust, wrench_to_cmd
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env() -> dict:
+    """Environment for a subprocess that imports flapsim from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture(scope="session")

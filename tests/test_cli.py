@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import UNSTABLE_WEIGHTS
+from conftest import UNSTABLE_WEIGHTS, src_env
 from flapsim.cli import main
 from flapsim.ioutil import fmt
 from flapsim.lqr import default_weights, read_gain_csv, write_gain_csv
@@ -297,6 +297,7 @@ def test_console_script_smoke(tmp_path):
          "--quiet"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "gains.csv").exists()

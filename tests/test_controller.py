@@ -13,7 +13,6 @@ from flapsim.controller import (
     CtrlState,
     Setpoint,
     assemble_ctrl_state,
-    circle_reference,
     control_step,
 )
 from flapsim.errors import SchemaError
@@ -31,7 +30,6 @@ def make_ctrl_state(pos=(0, 0, 0), vel=(0, 0, 0), euler=(0, 0, 0), omega=(0, 0, 
     """CtrlState with consistent quat/euler/R, bypassing the estimator."""
     e = EulerAngles321(*euler)
     return CtrlState(
-        t=0.0,
         pos_w=np.asarray(pos, dtype=float),
         vel_w=np.asarray(vel, dtype=float),
         raw_vel_w=np.asarray(vel, dtype=float),
@@ -109,7 +107,6 @@ def test_command_invariant_under_world_yaw(params, gain):
         from flapsim.kinematics import rotmat_to_euler
 
         s2 = CtrlState(
-            t=0.0,
             pos_w=Rz @ s0.pos_w,
             vel_w=Rz @ s0.vel_w,
             raw_vel_w=Rz @ s0.raw_vel_w,
@@ -146,7 +143,6 @@ def test_large_error_sets_saturation_flag(params, gain):
 
 def test_assemble_first_sample_is_stationary():
     s = assemble_ctrl_state((0.1, 0.2, 0.3), Quaternion(1.0, 0.0, 0.0, 0.0))
-    assert s.t == 0.0
     np.testing.assert_array_equal(s.vel_w, 0.0)
     np.testing.assert_array_equal(s.omega_b, 0.0)
     np.testing.assert_allclose(s.pos_w, [0.1, 0.2, 0.3])
@@ -162,7 +158,6 @@ def test_assemble_constant_velocity_settles_after_two_samples():
     assert s.vel_w[0] == pytest.approx(0.5, rel=1e-12)
     s = assemble_ctrl_state((2.0 * dt, 0.0, 0.0), q, prev=s, dt=dt)
     assert s.vel_w[0] == pytest.approx(1.0, rel=1e-12)
-    assert s.t == pytest.approx(2.0 * dt, rel=1e-12)
 
 
 def test_assemble_recovers_constant_roll_rate():
@@ -198,21 +193,8 @@ def test_assemble_input_validation():
             assemble_ctrl_state((0.0, 0.0, 0.0), q, prev=prev, dt=bad_dt)
     with pytest.raises(ValueError):
         assemble_ctrl_state((np.nan, 0.0, 0.0), q)
-
-
-def test_ctrl_state_source_validation():
-    with pytest.raises(ValueError, match="source"):
-        make_ctrl_state().__class__(
-            t=0.0,
-            pos_w=np.zeros(3),
-            vel_w=np.zeros(3),
-            raw_vel_w=np.zeros(3),
-            quat=Quaternion(1.0, 0.0, 0.0, 0.0),
-            euler=EulerAngles321(0.0, 0.0, 0.0),
-            R=np.eye(3),
-            omega_b=np.zeros(3),
-            source="guess",
-        )
+    with pytest.raises(ValueError, match="vel_w"):
+        assemble_ctrl_state((0.0, 0.0, 0.0), q, prev=prev, dt=0.1, vel_w=(0.0, np.inf, 0.0))
 
 
 def test_sigma_layout():
@@ -248,34 +230,35 @@ def test_setpoint_hold_and_validation():
 
 def test_circle_reference_geometry():
     center = np.array([0.1, -0.2, 0.5])
-    sp = circle_reference(0.1, 0.25, center, 0.0)
+    circle = CircleSchedule(0.1, 0.25, center)
+    sp = circle(0.0)
     np.testing.assert_allclose(sp.pos_w, center + [0.1, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(sp.vel_w, [0.0, 0.25, 0.0], atol=1e-15)
     period = 2.0 * math.pi * 0.1 / 0.25
     assert period == pytest.approx(2.513274, abs=1e-6)
-    back = circle_reference(0.1, 0.25, center, period)
+    back = circle(period)
     np.testing.assert_allclose(back.pos_w, sp.pos_w, atol=1e-12)
-    quarter = circle_reference(0.1, 0.25, center, period / 4.0)
+    quarter = circle(period / 4.0)
     np.testing.assert_allclose(quarter.pos_w, center + [0.0, 0.1, 0.0], atol=1e-12)
     np.testing.assert_allclose(quarter.vel_w, [-0.25, 0.0, 0.0], atol=1e-12)
 
 
 def test_circle_reference_zero_speed_is_stationary():
-    a = circle_reference(0.1, 0.0, (0.0, 0.0, 0.0), 0.0)
-    b = circle_reference(0.1, 0.0, (0.0, 0.0, 0.0), 123.4)
+    circle = CircleSchedule(0.1, 0.0)
+    a, b = circle(0.0), circle(123.4)
     np.testing.assert_array_equal(a.pos_w, b.pos_w)
     np.testing.assert_array_equal(a.vel_w, 0.0)
 
 
 def test_circle_reference_validation():
     with pytest.raises(ValueError, match="radius"):
-        circle_reference(0.0, 0.25, (0.0, 0.0, 0.0), 0.0)
+        CircleSchedule(0.0, 0.25)
     with pytest.raises(ValueError, match="radius"):
-        circle_reference(-0.1, 0.25, (0.0, 0.0, 0.0), 0.0)
+        CircleSchedule(-0.1, 0.25)
     with pytest.raises(ValueError, match="speed"):
-        circle_reference(0.1, -0.1, (0.0, 0.0, 0.0), 0.0)
-    with pytest.raises(ValueError):
-        circle_reference(0.1, 0.1, (np.nan, 0.0, 0.0), 0.0)
+        CircleSchedule(0.1, -0.1)
+    with pytest.raises(ValueError, match="center_w"):
+        CircleSchedule(0.1, 0.1, (np.nan, 0.0, 0.0))
 
 
 def test_constant_schedule():
@@ -286,16 +269,15 @@ def test_constant_schedule():
 
 
 def test_circle_schedule_matches_reference():
+    # closed form: phase 2.5 rad/s from (r, 0) about the center, speed 0.25 m/s
     sched = CircleSchedule(0.1, 0.25, (0.0, 0.0, 0.4))
     for t in (0.0, 0.7, 2.2):
-        ref = circle_reference(0.1, 0.25, (0.0, 0.0, 0.4), t)
+        a = 2.5 * t
         got = sched(t)
-        np.testing.assert_array_equal(got.pos_w, ref.pos_w)
-        np.testing.assert_array_equal(got.vel_w, ref.vel_w)
-    with pytest.raises(ValueError):
-        CircleSchedule(0.0, 0.25)
-    with pytest.raises(ValueError):
-        CircleSchedule(0.1, -1.0)
+        np.testing.assert_allclose(got.pos_w, [0.1 * math.cos(a), 0.1 * math.sin(a), 0.4],
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(got.vel_w, [-0.25 * math.sin(a), 0.25 * math.cos(a), 0.0],
+                                   rtol=0.0, atol=1e-15)
 
 
 def test_csv_schedule_interpolates_and_holds_ends(tmp_path):

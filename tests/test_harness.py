@@ -1,5 +1,6 @@
 """Scenario runner tests: config parsing, closed loop, logs, metrics."""
 
+import dataclasses
 import math
 from importlib import resources
 
@@ -13,6 +14,7 @@ from flapsim.harness import (
     DisturbancePulse,
     NoiseConfig,
     RUNLOG_COLUMNS,
+    RUNLOG_FIELDS,
     RunLog,
     Scenario,
     disturbance_pulse,
@@ -117,6 +119,8 @@ def test_scenario_from_dict_full(tmp_path):
         ({"disturbances": ["pulse"]}, "expected a mapping"),
         ({"initial": 7}, "expected a mapping"),
         ({"setpoint": None}, "expected a mapping"),
+        ({"physics_substeps": 4.5}, "physics_substeps must be an integer"),
+        ({"seed": 1.9}, "seed must be an integer"),
     ],
 )
 def test_scenario_from_dict_rejects(patch, match):
@@ -128,6 +132,13 @@ def test_scenario_from_dict_rejects(patch, match):
     cfg.update(patch)
     with pytest.raises(SchemaError, match=match):
         scenario_from_dict(cfg)
+
+
+def test_scenario_from_dict_accepts_integral_floats():
+    cfg = {"name": "x", "duration": 1.0, "setpoint": {"kind": "constant"},
+           "physics_substeps": 4.0, "seed": 7.0}
+    sc = scenario_from_dict(cfg)
+    assert sc.physics_substeps == 4 and sc.seed == 7
 
 
 def test_scenario_from_dict_missing_required():
@@ -394,12 +405,16 @@ def test_runlog_csv_round_trip(tmp_path, params, gain):
     text = f.read_text()
     assert text.splitlines()[0] == ",".join(RUNLOG_COLUMNS)
     back = load_runlog_csv(f)
-    np.testing.assert_array_equal(back.t, log.t)
-    np.testing.assert_array_equal(back.pos_w, log.pos_w)
-    np.testing.assert_array_equal(back.sigma, log.sigma)
-    np.testing.assert_array_equal(back.wrench, log.wrench)
-    np.testing.assert_array_equal(back.saturated, log.saturated)
+    for name, _ in RUNLOG_FIELDS:
+        np.testing.assert_array_equal(getattr(back, name), getattr(log, name), err_msg=name)
+    assert back.saturated.dtype == np.int64
     assert back.control_rate == pytest.approx(240.0, rel=1e-6)
+    again = tmp_path / "again.csv"
+    back.write_csv(again)
+    assert again.read_bytes() == f.read_bytes()
+    # the table names every array field of RunLog, in declaration order
+    arrays = [fl.name for fl in dataclasses.fields(RunLog) if fl.type == "np.ndarray"]
+    assert arrays == [name for name, _ in RUNLOG_FIELDS]
 
 
 def test_runlog_validation():

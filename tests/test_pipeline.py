@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import make_trim_flight
+from conftest import make_trim_flight, src_env
 from flapsim.errors import ConfigError, SchemaError
 from flapsim.harness import Scenario, run_scenario
 from flapsim.controller import ConstantSchedule, Setpoint
@@ -41,7 +41,8 @@ def constant_trajectory(n=120, pos=(0.1, 0.2, 0.3), euler=(0.0, 0.0, 0.0), rate=
 def test_import_flapsim_leaves_scipy_signal_unloaded():
     # scipy.signal is slow to import and only the filtered reconstruction uses it
     code = "import sys, flapsim, flapsim.cli; print('scipy.signal' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
