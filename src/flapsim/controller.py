@@ -19,12 +19,11 @@ velocity via the ``vel_w`` override.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError
+from .ioutil import read_table
 from .kinematics import (
     EulerAngles321,
     Quaternion,
@@ -56,21 +55,14 @@ def _vec3(x, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Setpoint:
-    """World-frame reference: position [m], velocity [m/s], yaw [rad].
+    """World-frame reference: position [m] and velocity [m/s].
 
-    yaw_ref is carried for logging symmetry but never acted on — the
-    vehicle has no yaw actuation.
+    A plain record: the schedules check what they build it from once, at
+    construction, not on every tick.
     """
 
     pos_w: np.ndarray
     vel_w: np.ndarray = (0.0, 0.0, 0.0)
-    yaw_ref: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pos_w", _vec3(self.pos_w, "pos_w"))
-        object.__setattr__(self, "vel_w", _vec3(self.vel_w, "vel_w"))
-        if not np.isfinite(self.yaw_ref):
-            raise ValueError("yaw_ref must be finite")
 
     @classmethod
     def hold(cls, pos_w) -> "Setpoint":
@@ -196,7 +188,7 @@ class ConstantSchedule:
     """Fixed setpoint for the whole run."""
 
     def __init__(self, setpoint: Setpoint):
-        self._sp = setpoint
+        self._sp = Setpoint(_vec3(setpoint.pos_w, "pos_w"), _vec3(setpoint.vel_w, "vel_w"))
 
     def __call__(self, t: float) -> Setpoint:
         return self._sp
@@ -210,10 +202,10 @@ class CircleSchedule:
     """
 
     def __init__(self, radius: float, speed: float, center_w=(0.0, 0.0, 0.0)):
-        if not radius > 0.0:
-            raise ValueError("radius must be positive")
-        if speed < 0.0:
-            raise ValueError("speed must be non-negative")
+        if not 0.0 < radius < np.inf:
+            raise ValueError("radius must be positive and finite")
+        if not 0.0 <= speed < np.inf:
+            raise ValueError("speed must be finite and non-negative")
         self.radius = float(radius)
         self.speed = float(speed)
         self.center_w = _vec3(center_w, "center_w")
@@ -249,33 +241,8 @@ class CsvSchedule:
 
     @classmethod
     def from_csv(cls, path) -> "CsvSchedule":
-        rows = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty schedule file") from None
-            if tuple(h.strip() for h in header) != cls.COLUMNS:
-                raise SchemaError(
-                    f"{path}: schedule header must be {','.join(cls.COLUMNS)}"
-                )
-            for i, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 7:
-                    raise SchemaError(f"{path}: line {i}: expected 7 columns, got {len(row)}")
-                try:
-                    rows.append([float(tok) for tok in row])
-                except ValueError as exc:
-                    raise SchemaError(f"{path}: line {i}: {exc}") from None
-        if not rows:
-            raise SchemaError(f"{path}: schedule has no data rows")
-        arr = np.array(rows)
-        try:
-            return cls(arr[:, 0], arr[:, 1:4], arr[:, 4:7])
-        except ValueError as exc:
-            raise SchemaError(f"{path}: {exc}") from None
+        _, a = read_table(path, cls.COLUMNS)
+        return cls(a[:, 0], a[:, 1:4], a[:, 4:7])
 
     def __call__(self, t: float) -> Setpoint:
         pos = np.array([np.interp(t, self.t, self.pos[:, k]) for k in range(3)])

@@ -13,7 +13,6 @@ Runs are deterministic for a fixed seed; the log records one row per tick.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -30,9 +29,11 @@ from .controller import (
     control_step,
 )
 from .dynamics import MAX_DT, SimState, rk4_packed as _rk4_packed  # bench/spans.py times this name
-from .errors import ConfigError, DivergenceError, SchemaError
-from .ioutil import atomic_write_text, fmt
-from .kinematics import EulerAngles321, euler_to_quat, euler_to_rotmat, quat_from_rotvec, quat_multiply
+from .errors import ConfigError, DivergenceError, GimbalLockError, SchemaError
+from .ioutil import atomic_write_text, table_text
+from .kinematics import (
+    GIMBAL_GUARD, EulerAngles321, euler_to_quat, euler_to_rotmat, quat_from_rotvec, quat_multiply,
+)
 from .lqr import CONTROL_RATE
 from .vehicle import VehicleParams
 
@@ -64,8 +65,8 @@ class NoiseConfig:
     att_sigma: float = math.radians(0.2)  # [rad]
 
     def __post_init__(self) -> None:
-        if self.pos_sigma < 0.0 or self.att_sigma < 0.0:
-            raise ConfigError("noise sigmas must be non-negative")
+        if not all(0.0 <= s < math.inf for s in (self.pos_sigma, self.att_sigma)):
+            raise ConfigError("noise sigmas must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -132,10 +133,10 @@ class Scenario:
     legacy_coriolis: bool = False
 
     def __post_init__(self) -> None:
-        if not self.duration > 0.0:
-            raise ConfigError("duration must be positive")
-        if not self.control_rate > 0.0:
-            raise ConfigError("control_rate must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ConfigError("duration must be positive and finite")
+        if not 0.0 < self.control_rate < math.inf:
+            raise ConfigError("control_rate must be positive and finite")
         if int(self.physics_substeps) != self.physics_substeps or self.physics_substeps < 1:
             raise ConfigError("physics_substeps must be a positive integer")
         object.__setattr__(self, "physics_substeps", int(self.physics_substeps))
@@ -196,12 +197,11 @@ def _initial_from_dict(cfg: dict) -> SimState:
 def _schedule_from_dict(cfg: dict, base_dir) -> object:
     kind = cfg.get("kind")
     if kind == "constant":
-        _check_keys(cfg, {"kind", "pos", "vel", "yaw"}, "setpoint")
+        _check_keys(cfg, {"kind", "pos", "vel"}, "setpoint")
         return ConstantSchedule(
             Setpoint(
                 np.asarray(cfg.get("pos", (0.0, 0.0, 0.0)), dtype=float),
                 np.asarray(cfg.get("vel", (0.0, 0.0, 0.0)), dtype=float),
-                float(cfg.get("yaw", 0.0)),
             )
         )
     if kind == "circle":
@@ -295,6 +295,8 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
             raise SchemaError(f"scenario: missing required key '{req}'")
 
     control_rate = float(cfg.get("control_rate", CONTROL_RATE))
+    if not 0.0 < control_rate < math.inf:  # dt below divides by it
+        raise SchemaError("scenario: control_rate must be positive and finite")
     if "physics_substeps" in cfg and "dt" in cfg:
         raise SchemaError("scenario: give physics_substeps or dt, not both")
     if "dt" in cfg:
@@ -424,12 +426,11 @@ class RunLog:
         return len(self.t)
 
     def to_csv_text(self) -> str:
-        rows = np.column_stack([getattr(self, name) for name, _ in RUNLOG_FIELDS])
-        buf = io.StringIO()
-        buf.write(",".join(RUNLOG_COLUMNS) + "\n")
-        for *vals, sat in rows.tolist():  # saturated, the last column, is the integer one
-            buf.write(f"{','.join(map(fmt, vals))},{int(sat)}\n")
-        return buf.getvalue()
+        # saturated, the last column, is the integer one
+        rows = np.column_stack([getattr(self, name) for name, _ in RUNLOG_FIELDS[:-1]]).tolist()
+        for row, sat in zip(rows, self.saturated.astype(np.int64).tolist()):
+            row.append(sat)
+        return table_text(RUNLOG_COLUMNS, rows)
 
     def write_csv(self, path) -> None:
         atomic_write_text(path, self.to_csv_text())
@@ -448,6 +449,8 @@ def _tripped_guard(y, k: int, t_end: float) -> str | None:
         return f"position left the {POSITION_GUARD} m envelope after tick {k}"
     if max(abs(y[9]), abs(y[10]), abs(y[11])) > RATE_GUARD:
         return f"body rate exceeded {RATE_GUARD:g} rad/s after tick {k}"
+    if abs(y[7]) >= GIMBAL_GUARD:
+        return f"pitch {y[7]:.6f} rad reached the gimbal guard after tick {k}"
     return None
 
 
@@ -456,8 +459,8 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
 
     Deterministic for a fixed seed. Aborts with :class:`DivergenceError`
     (carrying the partial log) if the state leaves the sanity envelope:
-    position beyond 10 m, body rates beyond 1e4 rad/s, or a non-finite
-    integrator result.
+    position beyond 10 m, body rates beyond 1e4 rad/s, pitch at the gimbal
+    guard, or a non-finite integrator result.
     """
     K = np.asarray(K, dtype=float)
     if K.shape != (3, 10):
@@ -497,7 +500,14 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
         vel_override = None
         if sc.use_truth_velocity:
             vel_override = euler_to_rotmat(att) @ y[3:6]
-        ctrl = assemble_ctrl_state(meas_pos, q_meas, prev_ctrl, T, vel_w=vel_override)
+        try:
+            ctrl = assemble_ctrl_state(meas_pos, q_meas, prev_ctrl, T, vel_w=vel_override)
+        except GimbalLockError as exc:
+            # the measured attitude, noise included, can sit nearer 90 deg than the truth
+            raise DivergenceError(
+                f"{sc.name}: sensing aborted at tick {k} (t={t_k:.4f} s): {exc}",
+                partial_log=RunLog.from_rows(rows[:k], **meta) if k else None,
+            ) from exc
 
         # --- decide --------------------------------------------------
         sp = sc.schedule(t_k)

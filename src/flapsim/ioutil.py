@@ -1,16 +1,74 @@
-"""Small file-output helpers shared by the CSV writers and the CLI."""
+"""The CSV table format (README "File formats") and atomic file writes.
+
+The gain CSV, a headerless matrix, is not such a table (``lqr.read_gain_csv``).
+"""
 
 from __future__ import annotations
 
 import os
 import tempfile
 
-__all__ = ["atomic_write_text", "fmt"]
+import numpy as np
+
+from .errors import SchemaError
+
+__all__ = ["atomic_write_text", "fmt", "read_table", "table_text"]
 
 
 def fmt(x: float) -> str:
     """Full-precision decimal for a float (round-trips exactly)."""
     return repr(float(x))
+
+
+def read_table(path, columns, *, alternatives=(), min_rows=1):
+    """Read a table file as ``(header, rows)``, rows an (n >= min_rows, width) float array.
+
+    The header is ``columns`` or one of ``alternatives``, returned so the
+    caller can reorder columns. Failures raise SchemaError ``path:line: ...``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise SchemaError(f"{path}: empty file")
+    header = tuple(h.strip() for h in lines[0].split(","))
+    if header != tuple(columns) and header not in alternatives:
+        raise SchemaError(
+            f"{path}:1: header {','.join(header)!r} does not match {','.join(columns)!r}"
+        )
+    width = len(header)
+    rows, linenos = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise SchemaError(f"{path}:{lineno}: expected {width} columns, got {len(parts)}")
+        try:
+            rows.append(list(map(float, parts)))
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        linenos.append(lineno)
+    if len(rows) < min_rows:
+        what = "no data rows" if not rows else f"needs at least {min_rows} data rows"
+        raise SchemaError(f"{path}: {what}")
+    rows = np.array(rows)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        k, j = (int(i[0]) for i in np.nonzero(~finite))
+        raise SchemaError(f"{path}:{linenos[k]}: {header[j]} is not finite ({fmt(rows[k, j])})")
+    late = np.nonzero(np.diff(rows[:, 0]) <= 0.0)[0]
+    if len(late):
+        k = int(late[0]) + 1
+        raise SchemaError(f"{path}:{linenos[k]}: timestamps not strictly increasing")
+    return header, rows
+
+
+def table_text(columns, rows) -> str:
+    """Table file text from rows of Python floats and ints (``ndarray.tolist()``).
+
+    Floats are written as :func:`fmt` writes them, ints as integers.
+    """
+    return "\n".join([",".join(columns), *(",".join(map(repr, row)) for row in rows), ""])
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -141,10 +141,8 @@ def euler_to_rotmat(e: EulerAngles321) -> np.ndarray:
 
 
 def rotmat_to_euler(R: np.ndarray) -> EulerAngles321:
-    """Invert :func:`euler_to_rotmat`. Raises GimbalLockError near |pitch|=pi/2."""
-    r20 = float(R[2, 0])
-    if abs(r20) >= 1.0 - 1e-9:
-        raise GimbalLockError("rotation matrix pitch is within 1e-9 of +/-pi/2")
+    """Invert :func:`euler_to_rotmat`. Raises GimbalLockError as EulerAngles321 does."""
+    r20 = min(1.0, max(-1.0, float(R[2, 0])))  # rounding can carry |R[2, 0]| past 1
     pitch = -math.asin(r20)
     roll = math.atan2(float(R[2, 1]), float(R[2, 2]))
     yaw = math.atan2(float(R[1, 0]), float(R[0, 0]))

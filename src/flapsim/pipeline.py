@@ -12,14 +12,13 @@ which makes them directly comparable with the rigid-body model's
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .ioutil import atomic_write_text, fmt
+from .ioutil import atomic_write_text, read_table, table_text
 from .kinematics import (
     Quaternion,
     quat_from_rotvec,
@@ -52,7 +51,9 @@ __all__ = [
 ]
 
 MOCAP_COLUMNS = ("t", "x", "y", "z", "qw", "qx", "qy", "qz")
+MOCAP_SCALAR_LAST = ("t", "x", "y", "z", "qx", "qy", "qz", "qw")
 COMMAND_COLUMNS = ("t", "A", "dA", "Vo")
+ENVELOPE_COLUMNS = ("tilt_lo_deg", "tilt_hi_deg", "speed_lo", "speed_hi", "count")
 ACCEL_AXES = ("u_dot", "v_dot", "w_dot", "p_dot", "q_dot", "r_dot")
 GAP_FACTOR = 2.0          # dt > GAP_FACTOR * median dt counts as a gap
 MAX_OFFSET_TILT = math.radians(30.0)
@@ -111,47 +112,16 @@ class MocapTrajectory:
         return len(self.t)
 
 
-def _parse_float_row(parts, n_cols, path, lineno):
-    if len(parts) != n_cols:
-        raise SchemaError(
-            f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}"
-        )
-    try:
-        return [float(v) for v in parts]
-    except ValueError as exc:
-        raise SchemaError(f"{path}:{lineno}: {exc}") from None
-
-
 def load_mocap_csv(path, source: str | None = None) -> MocapTrajectory:
     """Read a pose CSV with header ``t,x,y,z,qw,qx,qy,qz``.
 
     A scalar-last header (``...,qx,qy,qz,qw``) is accepted and reordered.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError(f"{path}: empty file")
-    header = tuple(h.strip() for h in lines[0].split(","))
-    if header == MOCAP_COLUMNS:
-        order = (4, 5, 6, 7)
-    elif header == ("t", "x", "y", "z", "qx", "qy", "qz", "qw"):
-        order = (7, 4, 5, 6)
-    else:
-        raise SchemaError(
-            f"{path}:1: header {','.join(header)!r} does not match "
-            f"{','.join(MOCAP_COLUMNS)!r}"
-        )
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        rows.append(_parse_float_row(line.split(","), 8, path, lineno))
-    if len(rows) < 2:
-        raise SchemaError(f"{path}: needs at least 2 data rows")
-    arr = np.asarray(rows)
+    header, a = read_table(path, MOCAP_COLUMNS, alternatives=(MOCAP_SCALAR_LAST,), min_rows=2)
+    quat = [4, 5, 6, 7] if header == MOCAP_COLUMNS else [7, 4, 5, 6]
     try:
         return MocapTrajectory(
-            arr[:, 0], arr[:, 1:4], arr[:, list(order)],
+            a[:, 0], a[:, 1:4], a[:, quat],
             source=str(path) if source is None else source,
         )
     except ValueError as exc:
@@ -159,12 +129,8 @@ def load_mocap_csv(path, source: str | None = None) -> MocapTrajectory:
 
 
 def write_mocap_csv(path, tr: MocapTrajectory) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(MOCAP_COLUMNS) + "\n")
-    for i in range(len(tr)):
-        vals = [fmt(tr.t[i]), *(fmt(v) for v in tr.pos_w[i]), *(fmt(v) for v in tr.quat[i])]
-        buf.write(",".join(vals) + "\n")
-    atomic_write_text(path, buf.getvalue())
+    rows = np.column_stack([tr.t, tr.pos_w, tr.quat]).tolist()
+    atomic_write_text(path, table_text(MOCAP_COLUMNS, rows))
 
 
 def trajectory_from_runlog(log: RunLog) -> MocapTrajectory:
@@ -180,54 +146,16 @@ def trajectory_from_runlog(log: RunLog) -> MocapTrajectory:
 
 def load_runlog_csv(path) -> RunLog:
     """Read back a RunLog CSV (header must match the documented order)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError(f"{path}: empty file")
-    header = tuple(h.strip() for h in lines[0].split(","))
-    if header != RUNLOG_COLUMNS:
-        raise SchemaError(f"{path}:1: header does not match the run-log column order")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        rows.append(_parse_float_row(line.split(","), len(RUNLOG_COLUMNS), path, lineno))
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
-    a = np.asarray(rows)
+    _, a = read_table(path, RUNLOG_COLUMNS)
     dt = np.diff(a[:, 0])
-    if len(dt) and np.any(dt <= 0):
-        raise SchemaError(f"{path}: timestamps not strictly increasing")
     # a one-row log keeps RunLog's default rate
     meta = {"control_rate": 1.0 / float(np.median(dt))} if len(dt) else {}
-    try:
-        return RunLog.from_rows(a, **meta)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return RunLog.from_rows(a, **meta)
 
 
 def load_command_csv(path):
     """Read an actuator-command CSV (t, A, dA, Vo) -> (t, cmds (n,3))."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError(f"{path}: empty file")
-    header = tuple(h.strip() for h in lines[0].split(","))
-    if header != COMMAND_COLUMNS:
-        raise SchemaError(
-            f"{path}:1: header {','.join(header)!r} does not match "
-            f"{','.join(COMMAND_COLUMNS)!r}"
-        )
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        rows.append(_parse_float_row(line.split(","), 4, path, lineno))
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
-    a = np.asarray(rows)
-    if np.any(np.diff(a[:, 0]) <= 0):
-        raise SchemaError(f"{path}: timestamps not strictly increasing")
+    _, a = read_table(path, COMMAND_COLUMNS)
     return a[:, 0], a[:, 1:4]
 
 
@@ -527,17 +455,10 @@ class ValidationReport:
         return "\n".join(lines)
 
     def write_series_csv(self, path) -> None:
-        buf = io.StringIO()
-        cols = ["t"]
-        for ax in self.axes:
-            cols += [f"meas_{ax}", f"pred_{ax}"]
-        buf.write(",".join(cols) + "\n")
-        for k in range(len(self.t)):
-            vals = [fmt(self.t[k])]
-            for i in range(len(self.axes)):
-                vals += [fmt(self.measured[k, i]), fmt(self.predicted[k, i])]
-            buf.write(",".join(vals) + "\n")
-        atomic_write_text(path, buf.getvalue())
+        cols = ["t", *(f"{kind}_{ax}" for ax in self.axes for kind in ("meas", "pred"))]
+        pairs = np.stack([self.measured, self.predicted], axis=2).reshape(len(self.t), -1)
+        rows = np.column_stack([self.t, pairs]).tolist()
+        atomic_write_text(path, table_text(cols, rows))
 
 
 def validate_model(
@@ -618,16 +539,11 @@ class EnvelopeGrid:
         return EnvelopeGrid(self.tilt_edges_deg, self.speed_edges, self.counts + other.counts)
 
     def write_csv(self, path) -> None:
-        buf = io.StringIO()
-        buf.write("tilt_lo_deg,tilt_hi_deg,speed_lo,speed_hi,count\n")
-        te, se = self.tilt_edges_deg, self.speed_edges
-        for i in range(len(te) - 1):
-            for j in range(len(se) - 1):
-                buf.write(
-                    f"{fmt(te[i])},{fmt(te[i + 1])},{fmt(se[j])},{fmt(se[j + 1])},"
-                    f"{int(self.counts[i, j])}\n"
-                )
-        atomic_write_text(path, buf.getvalue())
+        te, se = self.tilt_edges_deg.tolist(), self.speed_edges.tolist()
+        rows = [(t0, t1, s0, s1, int(n))
+                for t0, t1, counts in zip(te, te[1:], self.counts)
+                for s0, s1, n in zip(se, se[1:], counts)]
+        atomic_write_text(path, table_text(ENVELOPE_COLUMNS, rows))
 
 
 def flight_envelope(

@@ -206,22 +206,36 @@ def test_validate_stacks_multiple_files(tmp_path):
     assert len(series) == 1 + 2 * (120 - 48)
 
 
+def command_rows(log) -> list:
+    rows = ["t,A,dA,Vo"]
+    for k in range(len(log)):
+        rows.append(",".join([fmt(log.t[k]), *(fmt(v) for v in log.cmd[k])]))
+    return rows
+
+
 def test_validate_mocap_with_commands(tmp_path, params, openloop_log):
     mocap = tmp_path / "flight.csv"
     write_mocap_csv(mocap, trajectory_from_runlog(openloop_log))
     cmd = tmp_path / "cmd.csv"
-    rows = ["t,A,dA,Vo"]
-    for k in range(len(openloop_log)):
-        rows.append(
-            ",".join([fmt(openloop_log.t[k]), *(fmt(v) for v in openloop_log.cmd[k])])
-        )
-    cmd.write_text("\n".join(rows) + "\n")
+    cmd.write_text("\n".join(command_rows(openloop_log)) + "\n")
     assert (
         main(["validate", str(mocap), "--commands", str(cmd), "--out", str(tmp_path),
               "--quiet"])
         == 0
     )
     assert (tmp_path / "validation_report.txt").exists()
+
+
+def test_validate_nan_command_exits_1(tmp_path, capsys, openloop_log):
+    mocap = tmp_path / "flight.csv"
+    write_mocap_csv(mocap, trajectory_from_runlog(openloop_log))
+    rows = command_rows(openloop_log)
+    rows[41] = rows[41].rsplit(",", 1)[0] + ",nan"  # line 42
+    cmd = tmp_path / "cmd.csv"
+    cmd.write_text("\n".join(rows) + "\n")
+    assert main(["validate", str(mocap), "--commands", str(cmd), "--out", str(tmp_path)]) == 1
+    assert f"{cmd}:42: Vo is not finite (nan)" in capsys.readouterr().err
+    assert not (tmp_path / "validation_report.txt").exists()
 
 
 def test_validate_mocap_without_commands_exits_1(tmp_path, capsys, openloop_log):

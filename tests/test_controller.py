@@ -217,10 +217,10 @@ def test_setpoint_hold_and_validation():
     sp = Setpoint.hold((1.0, 2.0, 3.0))
     np.testing.assert_array_equal(sp.vel_w, 0.0)
     np.testing.assert_allclose(sp.pos_w, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        Setpoint(pos_w=(np.inf, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        Setpoint(pos_w=(0.0, 0.0, 0.0), yaw_ref=np.nan)
+    with pytest.raises(ValueError, match="pos_w"):
+        ConstantSchedule(Setpoint(pos_w=(np.inf, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="vel_w"):
+        ConstantSchedule(Setpoint(pos_w=(0.0, 0.0, 0.0), vel_w=(0.0, np.nan, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +257,10 @@ def test_circle_reference_validation():
         CircleSchedule(-0.1, 0.25)
     with pytest.raises(ValueError, match="speed"):
         CircleSchedule(0.1, -0.1)
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        CircleSchedule(np.inf, 0.25)
+    with pytest.raises(ValueError, match="speed must be finite"):
+        CircleSchedule(0.1, np.nan)
     with pytest.raises(ValueError, match="center_w"):
         CircleSchedule(0.1, 0.1, (np.nan, 0.0, 0.0))
 
@@ -264,8 +268,9 @@ def test_circle_reference_validation():
 def test_constant_schedule():
     sp = Setpoint.hold((0.0, 0.0, 0.1))
     sched = ConstantSchedule(sp)
-    assert sched(0.0) is sp
-    assert sched(99.0) is sp
+    assert sched(0.0) is sched(99.0)
+    np.testing.assert_array_equal(sched(0.0).pos_w, sp.pos_w)
+    np.testing.assert_array_equal(sched(0.0).vel_w, sp.vel_w)
 
 
 def test_circle_schedule_matches_reference():
@@ -285,6 +290,7 @@ def test_csv_schedule_interpolates_and_holds_ends(tmp_path):
     f.write_text(
         "t,x,y,z,vx,vy,vz\n"
         "0.0,0.0,0.0,0.0,0.0,0.0,0.0\n"
+        "\n"
         "1.0,0.1,0.0,0.2,0.1,0.0,0.0\n"
     )
     sched = CsvSchedule.from_csv(f)
@@ -307,12 +313,14 @@ def test_csv_schedule_single_row_is_constant(tmp_path):
 @pytest.mark.parametrize(
     "text,match",
     [
-        ("", "empty schedule"),
+        ("", "empty file"),
         ("time,x,y,z,vx,vy,vz\n0,0,0,0,0,0,0\n", "header"),
         ("t,x,y,z,vx,vy,vz\n0,0,0,0,0,0\n", "expected 7 columns"),
-        ("t,x,y,z,vx,vy,vz\n0,zero,0,0,0,0,0\n", "line 2"),
+        ("t,x,y,z,vx,vy,vz\n0,zero,0,0,0,0,0\n", ":2:"),
         ("t,x,y,z,vx,vy,vz\n", "no data rows"),
         ("t,x,y,z,vx,vy,vz\n1,0,0,0,0,0,0\n1,1,0,0,0,0,0\n", "increasing"),
+        ("t,x,y,z,vx,vy,vz\n0,0,0,0,0,0,0\n\n1,0,0,0,inf,0,0\n", ":4: vx is not finite"),
+        ("t,x,y,z,vx,vy,vz\n1,0,0,0,0,0,0\n\n0,0,0,0,0,0,0\n", ":4: timestamps not strictly"),
     ],
 )
 def test_csv_schedule_schema_errors(tmp_path, text, match):

@@ -23,7 +23,7 @@ from flapsim.harness import (
     run_scenario,
     scenario_from_dict,
 )
-from flapsim.kinematics import EulerAngles321
+from flapsim.kinematics import GIMBAL_GUARD, EulerAngles321
 from flapsim.pipeline import load_runlog_csv
 from flapsim.vehicle import hover_cmd
 
@@ -121,6 +121,8 @@ def test_scenario_from_dict_full(tmp_path):
         ({"setpoint": None}, "expected a mapping"),
         ({"physics_substeps": 4.5}, "physics_substeps must be an integer"),
         ({"seed": 1.9}, "seed must be an integer"),
+        ({"setpoint": {"kind": "constant", "yaw": 0.3}}, "unknown keys"),
+        ({"control_rate": math.nan, "dt": 1e-4}, "control_rate must be positive and finite"),
     ],
 )
 def test_scenario_from_dict_rejects(patch, match):
@@ -218,6 +220,14 @@ def test_scenario_validation():
     with pytest.raises(ConfigError, match="DisturbancePulse"):
         Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN,
                  disturbances=({"force": [0, 0, 1]},))
+    with pytest.raises(ConfigError, match="duration must be positive and finite"):
+        Scenario(name="x", duration=math.inf, initial=hover_state(), schedule=HOLD_ORIGIN)
+    with pytest.raises(ConfigError, match="control_rate must be positive and finite"):
+        Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN,
+                 control_rate=math.inf)
+    for sigmas in ({"pos_sigma": math.nan}, {"att_sigma": math.inf}, {"pos_sigma": -1e-3}):
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            NoiseConfig(enabled=True, **sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +387,44 @@ def test_every_guard_aborts_with_partial_log(params, gain, initial, guard):
     partial = info.value.partial_log
     assert partial is not None and len(partial) > 0
     assert partial.t[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        # one RK4 step carries pitch past the guard with no stage evaluated there
+        (
+            {"control_rate": 9120, "physics_substeps": 1, "duration": 0.01,
+             "initial": {"euler": [2.2390674293442743, 1.5668255279469046, 0.0],
+                         "omega_b": [-83.93822750679978, -28.457002030434595,
+                                     -49.433307103055554]}},
+            "reached the gimbal guard after tick 0",
+        ),
+        # the truth stays inside the guard; the noisy measurement does not
+        (
+            {"physics_substeps": 1, "duration": 0.02, "seed": 3,
+             "initial": {"euler": [0.0, GIMBAL_GUARD - 1e-7, 0.0]},
+             "noise": {"enabled": True, "pos_sigma": 0.0, "att_sigma": 1e-6}},
+            "sensing aborted at tick 1",
+        ),
+    ],
+    ids=["integrator", "sensing"],
+)
+def test_gimbal_trips_are_divergence_errors(params, cfg, message):
+    sc = scenario_from_dict({"name": "trip", "setpoint": {"kind": "constant"}, **cfg}, params)
+    with pytest.raises(DivergenceError, match=message) as info:
+        run_scenario(sc, params, np.zeros((3, 10)))
+    assert len(info.value.partial_log) == 1
+
+
+def test_run_starts_next_to_the_gimbal_guard(params, gain):
+    # |R[2, 0]| of this attitude is within 1e-9 of 1; EulerAngles321 accepts it
+    sc = scenario_from_dict(
+        {"name": "steep", "duration": 0.1, "setpoint": {"kind": "constant"},
+         "initial": {"euler": [0.0, 1.5707930935643026, 0.0]}},
+        params,
+    )
+    assert len(run_scenario(sc, params, gain)) == 24
 
 
 def test_run_scenario_rejects_bad_gain(params):

@@ -123,6 +123,11 @@ def test_rotmat_to_euler_identity_and_example():
 def test_rotmat_to_euler_gimbal_guard():
     with pytest.raises(GimbalLockError):
         rotmat_to_euler(oracles.rot_y(math.pi / 2))
+    # 2.2e-6 rad from 90 deg: |R[2, 0]| is within 1e-9 of 1, yet the pitch is
+    # one EulerAngles321 accepts, so the matrix converts too
+    pitch = 1.5707930935643026
+    e = rotmat_to_euler(euler_to_rotmat(EulerAngles321(0.0, pitch, 0.0)))
+    assert e.pitch == pytest.approx(pitch, abs=1e-7)
 
 
 def test_euler_rotmat_round_trip():

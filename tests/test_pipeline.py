@@ -9,6 +9,7 @@ import pytest
 
 from conftest import make_trim_flight, src_env
 from flapsim.errors import ConfigError, SchemaError
+from flapsim.ioutil import read_table, table_text
 from flapsim.harness import Scenario, run_scenario
 from flapsim.controller import ConstantSchedule, Setpoint
 from flapsim.dynamics import SimState
@@ -57,6 +58,7 @@ def test_load_mocap_minimal(tmp_path):
     f.write_text(
         "t,x,y,z,qw,qx,qy,qz\n"
         "0.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0\n"
+        "  \n"
         "0.01,0.001,0.0,0.0,1.0,0.0,0.0,0.0\n"
     )
     tr = load_mocap_csv(f)
@@ -109,6 +111,11 @@ def test_load_mocap_scalar_last_header(tmp_path):
             "t,x,y,z,qw,qx,qy,qz\n0,0,0,0,1,0,0,0\n0.01,0,0,0,0.5,0,0,0\n",
             "not unit",
         ),
+        ("t,x,y,z,qw,qx,qy,qz\n0,0,0,0,1,0,0,0\n0.01,0,nan,0,1,0,0,0\n", ":3: y is not finite"),
+        (
+            "t,x,y,z,qw,qx,qy,qz\n0,0,0,0,1,0,0,0\n\n0.02,0,0,0,1,0,0,0\n0.01,0,0,0,1,0,0,0\n",
+            ":5: timestamps not strictly increasing",
+        ),
     ],
 )
 def test_load_mocap_rejects(tmp_path, text, match):
@@ -133,6 +140,12 @@ def test_mocap_round_trip(tmp_path):
     np.testing.assert_array_equal(back.pos_w, tr.pos_w)
     # quaternions are re-normalized on load; only ulp-level drift allowed
     np.testing.assert_allclose(back.quat, tr.quat, atol=1e-15)
+    # with quaternions of exactly unit norm, read -> write gives the same bytes
+    unit = np.array([[0.5, 0.5, 0.5, 0.5], [1.0, 0.0, 0.0, 0.0], [0.6, 0.0, 0.0, -0.8]])
+    write_mocap_csv(f, MocapTrajectory(t, pos, unit[np.arange(n) % 3]))
+    again = tmp_path / "again.csv"
+    write_mocap_csv(again, load_mocap_csv(f))
+    assert again.read_bytes() == f.read_bytes()
 
 
 def test_mocap_gap_detection():
@@ -161,7 +174,7 @@ def test_trajectory_from_runlog_matches_truth(params, gain):
 def test_load_runlog_csv_rejects(tmp_path):
     f = tmp_path / "r.csv"
     f.write_text("t,x,y\n")
-    with pytest.raises(SchemaError, match="column order"):
+    with pytest.raises(SchemaError, match=":1: header 't,x,y' does not match"):
         load_runlog_csv(f)
     from flapsim.harness import RUNLOG_COLUMNS
 
@@ -171,13 +184,17 @@ def test_load_runlog_csv_rejects(tmp_path):
         load_runlog_csv(f)
     row = ",".join(["0.0"] * len(RUNLOG_COLUMNS))
     f.write_text(header + "\n" + row + "\n" + row + "\n")
-    with pytest.raises(SchemaError, match="not strictly increasing"):
+    with pytest.raises(SchemaError, match=":3: timestamps not strictly increasing"):
+        load_runlog_csv(f)
+    bad = ",".join(["1.0"] * (len(RUNLOG_COLUMNS) - 1) + ["nan"])
+    f.write_text(header + "\n" + row + "\n\n" + bad + "\n")
+    with pytest.raises(SchemaError, match=":4: saturated is not finite"):
         load_runlog_csv(f)
 
 
 def test_load_command_csv(tmp_path):
     f = tmp_path / "c.csv"
-    f.write_text("t,A,dA,Vo\n0.0,129.0,0.0,0.0\n0.5,130.0,1.0,-2.0\n")
+    f.write_text("t,A,dA,Vo\n0.0,129.0,0.0,0.0\n\n0.5,130.0,1.0,-2.0\n")
     t, cmds = load_command_csv(f)
     np.testing.assert_array_equal(t, [0.0, 0.5])
     np.testing.assert_array_equal(cmds[1], [130.0, 1.0, -2.0])
@@ -185,7 +202,10 @@ def test_load_command_csv(tmp_path):
     with pytest.raises(SchemaError, match="does not match"):
         load_command_csv(f)
     f.write_text("t,A,dA,Vo\n0.5,129,0,0\n0.1,129,0,0\n")
-    with pytest.raises(SchemaError, match="increasing"):
+    with pytest.raises(SchemaError, match=":3: timestamps not strictly increasing"):
+        load_command_csv(f)
+    f.write_text("t,A,dA,Vo\n0.0,129,0,0\n0.5,129,nan,0\n")
+    with pytest.raises(SchemaError, match=":3: dA is not finite"):
         load_command_csv(f)
     f.write_text("t,A,dA,Vo\n")
     with pytest.raises(SchemaError, match="no data rows"):
@@ -390,6 +410,9 @@ def test_validation_series_csv(tmp_path, params, openloop_log):
     lines = f.read_text().splitlines()
     assert lines[0].startswith("t,meas_u_dot,pred_u_dot")
     assert len(lines) == len(rep.t) + 1
+    columns = tuple(lines[0].split(","))
+    header, rows = read_table(f, columns)
+    assert table_text(header, rows.tolist()) == f.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +475,16 @@ def test_envelope_merge_and_csv(tmp_path):
     assert len(lines) == 1 + 12 * 16
     total = sum(int(ln.split(",")[-1]) for ln in lines[1:])
     assert total == merged.total()
+    # read -> write gives the same bytes, the counts written as integers
+    rows = np.loadtxt(f, delimiter=",", skiprows=1)
+    back = EnvelopeGrid(
+        np.append(rows[::16, 0], rows[-1, 1]),
+        np.append(rows[:16, 2], rows[15, 3]),
+        rows[:, 4].astype(np.int64).reshape(12, 16),
+    )
+    again = tmp_path / "again.csv"
+    back.write_csv(again)
+    assert again.read_bytes() == f.read_bytes()
 
 
 def test_envelope_validation():
