@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, SynthesisError
 from .harness import RUNLOG_COLUMNS, load_scenario, metrics, run_scenario
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_header
 from .lqr import (
     INPUT_LABELS,
     SIGMA_LABELS,
@@ -201,9 +201,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _is_runlog_file(path: str) -> bool:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-    return header == ",".join(RUNLOG_COLUMNS)
+    return read_header(path) == RUNLOG_COLUMNS
 
 
 def _reconstruct_any(path: str, commands, cfg: FilterConfig, p):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import SchemaError
 
-__all__ = ["atomic_write_text", "fmt", "read_table", "table_text"]
+__all__ = ["atomic_write_text", "fmt", "read_header", "read_table", "table_text"]
 
 
 def fmt(x: float) -> str:
@@ -20,17 +20,28 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def read_table(path, columns, *, alternatives=(), min_rows=1):
+def _header(line: str) -> tuple:
+    return tuple(h.strip() for h in line.split(","))
+
+
+def read_header(path) -> tuple:
+    """The column names of a table file, parsed as :func:`read_table` parses them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _header(fh.readline())
+
+
+def read_table(path, columns, *, alternatives=(), min_rows=1, binary=()):
     """Read a table file as ``(header, rows)``, rows an (n >= min_rows, width) float array.
 
     The header is ``columns`` or one of ``alternatives``, returned so the
-    caller can reorder columns. Failures raise SchemaError ``path:line: ...``.
+    caller can reorder columns. Values in the ``binary`` columns must be 0
+    or 1. Failures raise SchemaError ``path:line: ...``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty file")
-    header = tuple(h.strip() for h in lines[0].split(","))
+    header = _header(lines[0])
     if header != tuple(columns) and header not in alternatives:
         raise SchemaError(
             f"{path}:1: header {','.join(header)!r} does not match {','.join(columns)!r}"
@@ -60,6 +71,12 @@ def read_table(path, columns, *, alternatives=(), min_rows=1):
     if len(late):
         k = int(late[0]) + 1
         raise SchemaError(f"{path}:{linenos[k]}: timestamps not strictly increasing")
+    for name in binary:
+        j = header.index(name)
+        bad = np.nonzero((rows[:, j] != 0.0) & (rows[:, j] != 1.0))[0]
+        if len(bad):
+            k = int(bad[0])
+            raise SchemaError(f"{path}:{linenos[k]}: {name} must be 0 or 1 ({fmt(rows[k, j])})")
     return header, rows
 
 

@@ -17,19 +17,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, GimbalLockError, SchemaError
 from .ioutil import atomic_write_text, read_table, table_text
-from .kinematics import (
-    Quaternion,
-    quat_from_rotvec,
-    quat_multiply,
-    quat_to_rotmat,
-    quat_to_rotvec,
-    rotmat_to_euler,
-)
-from .vehicle import VehicleParams, Wrench, ActuatorCmd, cmd_to_wrench
-from .dynamics import SimState, state_derivative
+from .kinematics import GIMBAL_GUARD, quat_from_rotvec, quat_to_rotmat
+from .vehicle import VehicleParams, Wrench
+from .dynamics import _derivative_packed, _pack_inputs
 from .harness import RunLog, RUNLOG_COLUMNS
+
+# bench/spans.py times these per-sample names; the array code below reproduces their formulas
+from .kinematics import quat_multiply, quat_to_rotvec, rotmat_to_euler  # noqa: F401
+from .vehicle import cmd_to_wrench  # noqa: F401
+from .dynamics import state_derivative  # noqa: F401
 
 __all__ = [
     "MocapTrajectory",
@@ -57,6 +55,75 @@ ENVELOPE_COLUMNS = ("tilt_lo_deg", "tilt_hi_deg", "speed_lo", "speed_hi", "count
 ACCEL_AXES = ("u_dot", "v_dot", "w_dot", "p_dot", "q_dot", "r_dot")
 GAP_FACTOR = 2.0          # dt > GAP_FACTOR * median dt counts as a gap
 MAX_OFFSET_TILT = math.radians(30.0)
+
+
+# ---------------------------------------------------------------------------
+# whole-array kinematics: the formulas of the scalar kinematics functions,
+# applied to (n, k) arrays of samples
+# ---------------------------------------------------------------------------
+
+
+def _wrap(a: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` on an array: angles already in (-pi, pi] pass unchanged."""
+    inside = (a > -math.pi) & (a <= math.pi)
+    if inside.all():
+        return a
+    w = np.fmod(a + math.pi, 2.0 * math.pi)
+    return np.where(inside, a, np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi)
+
+
+def _check_pitch(pitch: np.ndarray, t: np.ndarray) -> None:
+    """Raise GimbalLockError, as EulerAngles321 does, naming the first sample at the guard."""
+    bad = np.nonzero(np.abs(pitch) >= GIMBAL_GUARD)[0]
+    if len(bad):
+        i = int(bad[0])
+        raise GimbalLockError(
+            f"sample {i} (t = {t[i]:.6g} s): pitch {pitch[i]:.9f} rad is within 1e-6 "
+            "of the +/-pi/2 singularity"
+        )
+
+
+def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``quat_multiply`` row by row: the Hamilton products a[i] * b[i]."""
+    aw, ax, ay, az = a.T
+    bw, bx, by, bz = b.T
+    return np.column_stack([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ])
+
+
+def _normalized(q: np.ndarray) -> np.ndarray:
+    """``Quaternion.normalized`` row by row."""
+    w, x, y, z = q.T
+    return q / np.sqrt(w * w + x * x + y * y + z * z)[:, None]
+
+
+def _rotmats(quat: np.ndarray) -> np.ndarray:
+    """``quat_to_rotmat`` row by row: an (n, 3, 3) body-to-world stack."""
+    w, x, y, z = _normalized(quat).T
+    R = np.empty((len(w), 3, 3))
+    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    R[:, 0, 1] = 2 * (x * y - w * z)
+    R[:, 0, 2] = 2 * (x * z + w * y)
+    R[:, 1, 0] = 2 * (x * y + w * z)
+    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    R[:, 1, 2] = 2 * (y * z - w * x)
+    R[:, 2, 0] = 2 * (x * z - w * y)
+    R[:, 2, 1] = 2 * (y * z + w * x)
+    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return R
+
+
+def _euler(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``rotmat_to_euler`` on an (n, 3, 3) stack: (n, 3) roll, pitch, yaw."""
+    pitch = -np.arcsin(np.clip(R[:, 2, 0], -1.0, 1.0))
+    _check_pitch(pitch, t)
+    roll = _wrap(np.arctan2(R[:, 2, 1], R[:, 2, 2]))
+    yaw = _wrap(np.arctan2(R[:, 1, 0], R[:, 0, 0]))
+    return np.column_stack([roll, pitch, yaw])
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +202,22 @@ def write_mocap_csv(path, tr: MocapTrajectory) -> None:
 
 def trajectory_from_runlog(log: RunLog) -> MocapTrajectory:
     """Treat a simulator log's truth pose series as ideal mocap samples."""
-    from .kinematics import EulerAngles321, euler_to_quat
-
-    quat = np.empty((len(log), 4))
-    for i in range(len(log)):
-        q = euler_to_quat(EulerAngles321(*log.euler[i])).canonical()
-        quat[i] = (q.w, q.x, q.y, q.z)
+    # euler_to_quat on columns: qz(yaw) * qy(pitch) * qx(roll) from half angles;
+    # MocapTrajectory canonicalizes the signs
+    roll, pitch, yaw = _wrap(log.euler[:, 0]), log.euler[:, 1], _wrap(log.euler[:, 2])
+    _check_pitch(pitch, log.t)
+    hr, hp, hy = 0.5 * roll, 0.5 * pitch, 0.5 * yaw
+    zero = np.zeros(len(log))
+    qz = np.column_stack([np.cos(hy), zero, zero, np.sin(hy)])
+    qy = np.column_stack([np.cos(hp), zero, np.sin(hp), zero])
+    qx = np.column_stack([np.cos(hr), np.sin(hr), zero, zero])
+    quat = _quat_mul(_quat_mul(qz, qy), qx)
     return MocapTrajectory(log.t, log.pos_w, quat, source=log.scenario_name or "runlog")
 
 
 def load_runlog_csv(path) -> RunLog:
     """Read back a RunLog CSV (header must match the documented order)."""
-    _, a = read_table(path, RUNLOG_COLUMNS)
+    _, a = read_table(path, RUNLOG_COLUMNS, binary=("saturated",))
     dt = np.diff(a[:, 0])
     # a one-row log keeps RunLog's default rate
     meta = {"control_rate": 1.0 / float(np.median(dt))} if len(dt) else {}
@@ -212,55 +283,73 @@ class ReconstructedStates:
 
     def attach_wrench(self, t_src, wrench_src) -> "ReconstructedStates":
         """Attach zero-order-hold wrench samples aligned to this time base."""
-        t_src = np.asarray(t_src, dtype=float).reshape(-1)
-        w = np.asarray(wrench_src, dtype=float).reshape(-1, 3)
-        if len(t_src) != len(w) or len(t_src) == 0:
-            raise ValueError("wrench series is empty or mismatched")
-        idx = np.clip(np.searchsorted(t_src, self.t, side="right") - 1, 0, len(t_src) - 1)
-        return replace(self, wrench=w[idx])
+        return replace(self, wrench=_held(t_src, wrench_src, self.t, "wrench"))
 
     def attach_commands(self, t_src, cmd_src, p: VehicleParams) -> "ReconstructedStates":
         """Attach actuator commands and their wrench image (ZOH aligned)."""
-        t_src = np.asarray(t_src, dtype=float).reshape(-1)
-        c = np.asarray(cmd_src, dtype=float).reshape(-1, 3)
-        if len(t_src) != len(c) or len(t_src) == 0:
-            raise ValueError("command series is empty or mismatched")
-        idx = np.clip(np.searchsorted(t_src, self.t, side="right") - 1, 0, len(t_src) - 1)
-        cmds = c[idx]
-        wr = np.empty_like(cmds)
-        for i, (A, dA, Vo) in enumerate(cmds):
-            w = cmd_to_wrench(p, ActuatorCmd(A, dA, Vo))
-            wr[i] = (w.thrust, w.tau_r, w.tau_p)
-        return replace(self, cmd=cmds, wrench=wr)
+        cmd = _held(t_src, cmd_src, self.t, "command")
+        A, dA, Vo = cmd.T
+        # cmd_to_wrench's affine fits on columns; thrust clamps at zero
+        wrench = np.column_stack([
+            np.maximum(0.0, p.thrust_slope * A + p.thrust_intercept),
+            p.roll_slope * dA,
+            p.pitch_slope * Vo,
+        ])
+        return replace(self, cmd=cmd, wrench=wrench)
+
+
+def _held(t_src, values, t: np.ndarray, what: str) -> np.ndarray:
+    """Rows of ``values`` (n_src, 3) held from the last ``t_src`` at or before each ``t``.
+
+    Times before the first source sample take the first row. ``t_src``
+    must be strictly increasing, and it and ``values`` finite.
+    """
+    t_src = np.asarray(t_src, dtype=float).reshape(-1)
+    v = np.asarray(values, dtype=float).reshape(-1, 3)
+    if len(t_src) != len(v) or len(t_src) == 0:
+        raise ValueError(f"{what} series is empty or mismatched")
+    if not np.all(np.isfinite(t_src)):
+        raise ValueError(f"{what} times must be finite")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} series has non-finite values")
+    late = np.nonzero(np.diff(t_src) <= 0.0)[0]
+    if len(late):
+        raise ValueError(f"{what} times not strictly increasing at sample {int(late[0]) + 1}")
+    return v[np.clip(np.searchsorted(t_src, t, side="right") - 1, 0, len(t_src) - 1)]
 
 
 def _stitch_hemisphere(quat: np.ndarray) -> np.ndarray:
     """Flip signs so consecutive quaternions sit on the same hemisphere."""
-    out = quat.copy()
-    for i in range(1, len(out)):
-        if np.dot(out[i - 1], out[i]) < 0.0:
-            out[i] *= -1.0
-    return out
+    dots = np.einsum("ij,ij->i", quat[:-1], quat[1:]).tolist()
+    # sample i is flipped when its dot with sample i-1, as stitched, is
+    # negative; a flipped sample i-1 flips the sign of that dot
+    sign, signs = 1.0, [1.0]
+    for d in dots:
+        sign = -1.0 if sign * d < 0.0 else 1.0
+        signs.append(sign)
+    return quat * np.array(signs)[:, None]
 
 
 def _quat_rates(t: np.ndarray, quat: np.ndarray) -> np.ndarray:
-    """Body rates from relative-rotation differencing (central in time)."""
+    """Body rates from relative-rotation differencing (central in time).
+
+    The first and last samples use one-sided differences. Per pair this
+    is ``quat_to_rotvec((conj(qa) * qb).normalized()) / dt`` with the
+    relative quaternion taken to w >= 0.
+    """
     n = len(t)
-    om = np.empty((n, 3))
-
-    def rate(i0, i1):
-        qa = Quaternion(*quat[i0])
-        qb = Quaternion(*quat[i1])
-        dq = quat_multiply(qa.conjugate(), qb)
-        if dq.w < 0.0:
-            dq = Quaternion(-dq.w, -dq.x, -dq.y, -dq.z)
-        return quat_to_rotvec(dq.normalized()) / (t[i1] - t[i0])
-
-    om[0] = rate(0, 1)
-    om[-1] = rate(n - 2, n - 1)
-    for i in range(1, n - 1):
-        om[i] = rate(i - 1, i + 1)
-    return om
+    i0 = np.r_[0, 0:n - 2, n - 2]
+    i1 = np.r_[1, 2:n, n - 1]
+    dq = _quat_mul(quat[i0] * [1.0, -1.0, -1.0, -1.0], quat[i1])
+    dq = np.where(dq[:, :1] < 0.0, -dq, dq)
+    # quat_to_rotvec normalizes its (already unit, w >= 0) argument again
+    q = _normalized(_normalized(dq))
+    w, x, y, z = q.T
+    vec_norm = np.sqrt(x * x + y * y + z * z)
+    small = vec_norm < 1e-9  # the log map's series branch: 2 * vector part
+    angle = 2.0 * np.arctan2(vec_norm, w)
+    k = np.where(small, 2.0, angle / np.where(small, 1.0, vec_norm))
+    return q[:, 1:] * k[:, None] / (t[i1] - t[i0])[:, None]
 
 
 def reconstruct(tr: MocapTrajectory, cfg: FilterConfig | None = None) -> ReconstructedStates:
@@ -303,13 +392,9 @@ def reconstruct(tr: MocapTrajectory, cfg: FilterConfig | None = None) -> Reconst
     vel_w = np.gradient(pos, t, axis=0)
     accel_w = np.gradient(vel_w, t, axis=0)
 
-    vel_b = np.empty_like(vel_w)
-    euler = np.empty((n, 3))
-    for i in range(n):
-        R = quat_to_rotmat(Quaternion(*quat[i]))
-        vel_b[i] = R.T @ vel_w[i]
-        e = rotmat_to_euler(R)
-        euler[i] = (e.roll, e.pitch, e.yaw)
+    R = _rotmats(quat)
+    euler = _euler(R, t)
+    vel_b = (R.transpose(0, 2, 1) @ vel_w[:, :, None])[:, :, 0]  # R^T v per sample
 
     omega_b = _quat_rates(t, quat)
     accel_body = np.gradient(vel_b, t, axis=0)
@@ -403,10 +488,7 @@ def estimate_body_offset(
     t_dir_w = f_w / f_norm
 
     # average the thrust direction seen from the recorded body frame
-    acc = np.zeros(3)
-    for i in np.nonzero(mask)[0]:
-        R = quat_to_rotmat(Quaternion(*rs.quat[i]))
-        acc += R.T @ t_dir_w
+    acc = (_rotmats(rs.quat[mask]).transpose(0, 2, 1) @ t_dir_w).sum(axis=0)
     t_dir_b = acc / np.linalg.norm(acc)
 
     axis = np.cross([0.0, 0.0, 1.0], t_dir_b)
@@ -485,23 +567,23 @@ def validate_model(
         if len(idx) == 0:
             raise ValueError("validation window contains no samples")
 
-    from .kinematics import EulerAngles321
-
-    meas = np.empty((len(idx), 6))
-    pred = np.empty((len(idx), 6))
-    for row, i in enumerate(idx):
-        meas[row, 0:3] = rs.accel_body[i]
-        meas[row, 3:6] = rs.alpha_body[i]
-        s = SimState(
-            rs.pos_w[i],
-            rs.vel_b[i],
-            EulerAngles321(*rs.euler[i]),
-            rs.omega_b[i],
-        )
-        w = Wrench(max(0.0, rs.wrench[i, 0]), rs.wrench[i, 1], rs.wrench[i, 2])
-        ydot = state_derivative(p, s, w, legacy_coriolis=legacy_coriolis)
-        pred[row, 0:3] = ydot[3:6]
-        pred[row, 3:6] = ydot[9:12]
+    # the packed 12-state rows that SimState.as_vector gives, angles wrapped as
+    # EulerAngles321 wraps them
+    states = np.column_stack([rs.pos_w[idx], rs.vel_b[idx], rs.euler[idx], rs.omega_b[idx]])
+    if not np.all(np.isfinite(states)):
+        raise ValueError("state entries must be finite")
+    states[:, 6] = _wrap(states[:, 6])
+    states[:, 8] = _wrap(states[:, 8])
+    _check_pitch(states[:, 7], rs.t[idx])
+    # state_derivative's inputs with the wrench (entries 5:8) filled in per row
+    fixed = _pack_inputs(p, Wrench(0.0, 0.0, 0.0), None, None)
+    head, tail = fixed[:5], fixed[8:]
+    ydot = np.array([
+        _derivative_packed(y, *head, max(0.0, thrust), tau_r, tau_p, *tail, legacy_coriolis)
+        for y, (thrust, tau_r, tau_p) in zip(states.tolist(), rs.wrench[idx].tolist())
+    ])
+    meas = np.column_stack([rs.accel_body[idx], rs.alpha_body[idx]])
+    pred = ydot[:, [3, 4, 5, 9, 10, 11]]
 
     err = meas - pred
     return ValidationReport(
@@ -570,10 +652,7 @@ def flight_envelope(
 
     # body z in world coordinates is the third column of R; its z component
     # is cos(tilt) regardless of yaw
-    cz = np.empty(len(rs))
-    for i in range(len(rs)):
-        R = quat_to_rotmat(Quaternion(*rs.quat[i]))
-        cz[i] = R[2, 2]
+    cz = _rotmats(rs.quat)[:, 2, 2]
     tilt = np.degrees(np.arccos(np.clip(cz, -1.0, 1.0)))
     if speed_mode == "total":
         speed = np.linalg.norm(rs.vel_b, axis=1)

@@ -194,6 +194,21 @@ def test_validate_runlog_writes_report(tmp_path, capsys):
     assert "series written to" in capsys.readouterr().out
 
 
+def test_validate_runlog_with_spaced_header(tmp_path):
+    # the header is parsed as the table reader parses it, names stripped
+    scn = write_offset_scenario(tmp_path / "o.scenario")
+    assert main(["simulate", str(scn), "--out", str(tmp_path), "--quiet"]) == 0
+    runlog = tmp_path / "offset_runlog.csv"
+    header, rest = runlog.read_text().split("\n", 1)
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text(header.replace(",", ", ") + "\n" + rest)
+    out = tmp_path / "out"
+    assert main(["validate", str(spaced), "--out", str(out), "--quiet"]) == 0
+    assert main(["validate", str(runlog), "--out", str(tmp_path), "--quiet"]) == 0
+    assert ((out / "validation_series.csv").read_bytes()
+            == (tmp_path / "validation_series.csv").read_bytes())
+
+
 def test_validate_stacks_multiple_files(tmp_path):
     scn = write_offset_scenario(tmp_path / "o.scenario")
     a, b = tmp_path / "a", tmp_path / "b"

@@ -3,17 +3,30 @@
 import math
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_trim_flight, src_env
-from flapsim.errors import ConfigError, SchemaError
+from flapsim.errors import ConfigError, GimbalLockError, SchemaError
 from flapsim.ioutil import read_table, table_text
 from flapsim.harness import Scenario, run_scenario
 from flapsim.controller import ConstantSchedule, Setpoint
-from flapsim.dynamics import SimState
-from flapsim.kinematics import EulerAngles321, euler_to_quat, euler_to_rotmat
+from flapsim.dynamics import SimState, state_derivative
+from flapsim.kinematics import (
+    EulerAngles321,
+    Quaternion,
+    euler_to_quat,
+    euler_to_rotmat,
+    quat_from_rotvec,
+    quat_multiply,
+    quat_to_rotmat,
+    quat_to_rotvec,
+    rotmat_to_euler,
+)
 from flapsim.pipeline import (
     EnvelopeGrid,
     FilterConfig,
@@ -29,7 +42,7 @@ from flapsim.pipeline import (
     validate_model,
     write_mocap_csv,
 )
-from flapsim.vehicle import hover_cmd, hover_thrust
+from flapsim.vehicle import ActuatorCmd, Wrench, cmd_to_wrench, hover_cmd, hover_thrust
 
 
 def constant_trajectory(n=120, pos=(0.1, 0.2, 0.3), euler=(0.0, 0.0, 0.0), rate=240.0):
@@ -192,6 +205,18 @@ def test_load_runlog_csv_rejects(tmp_path):
         load_runlog_csv(f)
 
 
+@pytest.mark.parametrize("flag", ["0.7", "-3"])
+def test_load_runlog_csv_rejects_saturated_other_than_0_and_1(tmp_path, flag):
+    from flapsim.harness import RUNLOG_COLUMNS
+
+    row = ",".join(["0.0"] * len(RUNLOG_COLUMNS))
+    bad = ",".join(["1.0"] * (len(RUNLOG_COLUMNS) - 1) + [flag])
+    f = tmp_path / "r.csv"
+    f.write_text(",".join(RUNLOG_COLUMNS) + "\n" + row + "\n" + bad + "\n")
+    with pytest.raises(SchemaError, match=rf":3: saturated must be 0 or 1 \({float(flag)!r}\)"):
+        load_runlog_csv(f)
+
+
 def test_load_command_csv(tmp_path):
     f = tmp_path / "c.csv"
     f.write_text("t,A,dA,Vo\n0.0,129.0,0.0,0.0\n\n0.5,130.0,1.0,-2.0\n")
@@ -295,6 +320,9 @@ def test_attach_wrench_zero_order_hold():
     assert np.all(after[:, 0] == 2e-3)
     with pytest.raises(ValueError, match="empty or mismatched"):
         rs.attach_wrench(np.array([0.0]), w_src)
+    # validate_model would clamp a NaN thrust to 0 and report a -g error
+    with pytest.raises(ValueError, match="wrench series has non-finite values"):
+        rs.attach_wrench(t_src, [[np.nan, 0.0, 0.0], [2e-3, 0.0, 0.0]])
 
 
 def test_attach_commands_maps_through_actuator_fits(params):
@@ -306,6 +334,23 @@ def test_attach_commands_maps_through_actuator_fits(params):
     np.testing.assert_allclose(rs2.cmd[:, 0], ref.A)
     with pytest.raises(ValueError, match="empty or mismatched"):
         rs.attach_commands([], np.zeros((0, 3)), params)
+    with pytest.raises(ValueError, match="command series has non-finite values"):
+        rs.attach_commands([0.0], [[ref.A, np.inf, ref.Vo]], params)
+
+
+@pytest.mark.parametrize(
+    "t_src, match",
+    [([0.0, 1.0, 0.5], "times not strictly increasing at sample 2"),
+     ([0.0, 0.0, 0.5], "times not strictly increasing at sample 1"),
+     ([0.0, np.nan, 0.5], "times must be finite")],
+    ids=["unsorted", "repeated", "nan"],
+)
+def test_attach_rejects_bad_source_times(params, t_src, match):
+    rs = reconstruct(constant_trajectory(n=120))
+    with pytest.raises(ValueError, match="wrench " + match):
+        rs.attach_wrench(t_src, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="command " + match):
+        rs.attach_commands(t_src, np.zeros((3, 3)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -495,3 +540,209 @@ def test_envelope_validation():
         flight_envelope(rs, tilt_edges_deg=[10.0, 5.0])
     with pytest.raises(ValueError, match="edges"):
         flight_envelope(rs, speed_edges=[0.0])
+
+
+# ---------------------------------------------------------------------------
+# whole-array stages against the scalar kinematics, row by row
+# ---------------------------------------------------------------------------
+
+
+def scalar_reconstruction(tr):
+    """Hemisphere-stitched quaternions, Euler angles, body velocity and body
+    rates of an unfiltered ``reconstruct``, one sample at a time with the
+    scalar kinematics functions (untrimmed)."""
+    quat = tr.quat.copy()
+    for i in range(1, len(quat)):
+        if np.dot(quat[i - 1], quat[i]) < 0.0:
+            quat[i] *= -1.0
+    vel_w = np.gradient(tr.pos_w, tr.t, axis=0)
+    euler, vel_b = [], []
+    for q, v in zip(quat, vel_w):
+        R = quat_to_rotmat(Quaternion(*q))
+        e = rotmat_to_euler(R)
+        euler.append((e.roll, e.pitch, e.yaw))
+        vel_b.append(R.T @ v)
+
+    def rate(i0, i1):
+        dq = quat_multiply(Quaternion(*quat[i0]).conjugate(), Quaternion(*quat[i1]))
+        return quat_to_rotvec(dq.canonical().normalized()) / (tr.t[i1] - tr.t[i0])
+
+    n = len(quat)
+    omega = [rate(0, 1), *(rate(i - 1, i + 1) for i in range(1, n - 1)), rate(n - 2, n - 1)]
+    return quat, np.array(euler), np.array(vel_b), np.array(omega)
+
+
+def assert_matches_scalar(tr):
+    """An unfiltered reconstruction agrees with the scalar oracle within 1e-12."""
+    rs = reconstruct(tr, FilterConfig(enabled=False))  # trims 2 samples per end
+    quat, euler, vel_b, omega = (a[2:-2] for a in scalar_reconstruction(tr))
+    np.testing.assert_array_equal(rs.quat, quat)
+    np.testing.assert_allclose(rs.euler, euler, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rs.vel_b, vel_b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rs.omega_b, omega, rtol=0, atol=1e-12)
+    return rs
+
+
+def spinning_trajectory(euler0, omega_b, n, rate=240.0, pos_rate=(0.3, -0.2, 0.1)):
+    """Constant body rate from a 321 attitude: q_k = q0 * exp(omega_b t_k)."""
+    t = np.arange(n) / rate
+    q0 = euler_to_quat(EulerAngles321(*euler0))
+    quat = []
+    for tk in t:
+        q = quat_multiply(q0, quat_from_rotvec(np.asarray(omega_b) * tk))
+        quat.append((q.w, q.x, q.y, q.z))
+    return MocapTrajectory(t, np.outer(t, pos_rate), np.array(quat))
+
+
+angles = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    euler0=st.tuples(angles, st.floats(-1.4, 1.4), angles),
+    axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+    speed=st.floats(100.0, 200.0),
+    n=st.integers(24, 40),
+)
+def test_reconstruct_matches_scalar_kinematics_through_sign_flips(euler0, axis, speed, n):
+    # over (n - 1) / 240 s at >= 100 rad/s the attitude turns by more than
+    # 2 pi, so the canonical (w >= 0) samples change sign along the way
+    tr = spinning_trajectory(euler0, speed * np.asarray(axis) / np.linalg.norm(axis), n)
+    dots = np.einsum("ij,ij->i", tr.quat[:-1], tr.quat[1:])
+    assert np.any(dots < 0.0)
+    try:
+        scalar_reconstruction(tr)
+    except GimbalLockError:
+        with pytest.raises(GimbalLockError):
+            reconstruct(tr, FilterConfig(enabled=False))
+        return
+    assert_matches_scalar(tr)
+
+
+def test_reconstruct_rates_through_the_small_rotation_branch():
+    # a still first half (zero relative rotation) and a 1e-8 rad/s drift,
+    # both below the log map's 1e-9 switch, then a fast turn above it
+    still = spinning_trajectory((0.3, -0.2, 2.0), (0.0, 0.0, 0.0), 20)
+    drift = spinning_trajectory((0.3, -0.2, 2.0), (1e-8, -2e-8, 1e-8), 20)
+    turn = spinning_trajectory((0.3, -0.2, 2.0), (1.0, 2.0, -3.0), 20)
+    quat = np.vstack([still.quat, drift.quat[1:], turn.quat[1:]])
+    tr = MocapTrajectory(np.arange(len(quat)) / 240.0, np.zeros((len(quat), 3)), quat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 0/0 must not be evaluated on the still samples
+        rs = assert_matches_scalar(tr)
+    assert np.all(rs.omega_b[:16] == 0.0)
+    assert 0.0 < np.max(np.abs(rs.omega_b[20:34])) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "quat, angle",
+    [((0.0, 1.0, 0.0, 0.0), 0), ((-0.0, 1.0, 0.0, -0.0), 0),
+     ((0.0, 0.0, 0.0, 1.0), 2), ((-0.0, -0.0, 0.0, 1.0), 2)],
+    ids=["roll+pi", "roll-pi", "yaw+pi", "yaw-pi"],
+)
+def test_reconstruct_maps_minus_pi_to_pi(quat, angle):
+    # signed zeros steer atan2 onto exactly +pi or -pi; wrap_angle maps -pi to +pi
+    tr = MocapTrajectory(np.arange(12) / 240.0, np.zeros((12, 3)), np.tile(quat, (12, 1)))
+    rs = assert_matches_scalar(tr)
+    assert np.all(rs.euler[:, angle] == math.pi)
+
+
+@pytest.mark.parametrize("roll, yaw", [(math.pi, -math.pi), (-math.pi, math.pi), (4.0, -3.5)])
+def test_trajectory_from_runlog_and_validate_model_match_scalar_at_pi(params, openloop_log, roll, yaw):
+    def at(euler):
+        euler = euler.copy()
+        euler[::7, 0] = roll
+        euler[3::7, 2] = yaw
+        return euler
+
+    euler = at(openloop_log.euler)
+    tr = trajectory_from_runlog(replace(openloop_log, euler=euler))
+    for i in (0, 3, 5, 7):
+        q = euler_to_quat(EulerAngles321(*euler[i])).canonical()
+        np.testing.assert_allclose(tr.quat[i], [q.w, q.x, q.y, q.z], rtol=0, atol=1e-12)
+    # validate_model evaluates the derivative code of state_derivative, bit for bit
+    rs = reconstruct_runlog(openloop_log)
+    rs = replace(rs, euler=at(rs.euler))
+    rep = validate_model(rs, params)
+    for i in (0, 3, 5, 7, 100):
+        s = SimState(rs.pos_w[i], rs.vel_b[i], EulerAngles321(*rs.euler[i]), rs.omega_b[i])
+        w = Wrench(max(0.0, rs.wrench[i, 0]), rs.wrench[i, 1], rs.wrench[i, 2])
+        ydot = state_derivative(params, s, w)
+        np.testing.assert_array_equal(rep.predicted[i], ydot[[3, 4, 5, 9, 10, 11]])
+
+
+def test_attach_commands_and_envelope_match_scalar(params, openloop_log):
+    rs = reconstruct_runlog(openloop_log)
+    cmds = openloop_log.cmd.copy()
+    cmds[5, 0] = 10.0  # thrust fit below zero: clamps
+    rs = rs.attach_commands(openloop_log.t, cmds, params)
+    for i in range(0, len(rs), 37):
+        k = np.searchsorted(openloop_log.t, rs.t[i], side="right") - 1
+        w = cmd_to_wrench(params, ActuatorCmd(*cmds[k]))
+        np.testing.assert_array_equal(rs.cmd[i], cmds[k])
+        np.testing.assert_array_equal(rs.wrench[i], [w.thrust, w.tau_r, w.tau_p])
+    direct = reconstruct(trajectory_from_runlog(openloop_log)).attach_commands([0.0, 0.02], cmds[4:6], params)
+    assert direct.wrench[0, 0] == 0.0
+    # envelope tilt comes from R[2, 2] of each sample's rotation matrix
+    tilt = [math.degrees(math.acos(quat_to_rotmat(Quaternion(*q))[2, 2])) for q in rs.quat]
+    speed = np.linalg.norm(rs.vel_b, axis=1)
+    edges = ([0.0, 5.0, 10.0, 90.0], [0.0, 0.5, 1.0, 100.0])
+    grid = flight_envelope(rs, *edges)
+    expected, _, _ = np.histogram2d(tilt, speed, bins=edges)
+    np.testing.assert_array_equal(grid.counts, expected)
+
+
+def pitch_up_to_vertical(n=120, k90=60, rate=240.0):
+    """Pitch ramps from level to exactly 90 deg at sample ``k90``, then holds."""
+    pitch = np.minimum(np.arange(n), k90) * (0.5 * math.pi / k90)
+    quat = np.column_stack([np.cos(0.5 * pitch), np.zeros(n), np.sin(0.5 * pitch), np.zeros(n)])
+    return MocapTrajectory(np.arange(n) / rate, np.zeros((n, 3)), quat)
+
+
+def test_reconstruct_names_the_first_sample_at_the_gimbal_guard():
+    tr = pitch_up_to_vertical()
+    with pytest.raises(GimbalLockError, match=r"sample 60 \(t = 0\.25 s\): pitch 1\.5707"):
+        reconstruct(tr, FilterConfig(enabled=False))
+    with pytest.raises(GimbalLockError, match="singularity"):
+        reconstruct(tr)
+
+
+def test_validate_at_the_gimbal_guard_exits_1(tmp_path, capsys):
+    from flapsim.cli import main
+
+    tr = pitch_up_to_vertical()
+    mocap, cmd = tmp_path / "vertical.csv", tmp_path / "cmd.csv"
+    write_mocap_csv(mocap, tr)
+    cmd.write_text("t,A,dA,Vo\n0.0,130.0,0.0,0.0\n")
+    assert main(["validate", str(mocap), "--commands", str(cmd), "--out", str(tmp_path)]) == 1
+    assert "of the +/-pi/2 singularity" in capsys.readouterr().err
+    assert not (tmp_path / "validation_report.txt").exists()
+
+
+PER_SAMPLE_NAMES = ("quat_from_rotvec", "quat_multiply", "quat_to_rotmat", "quat_to_rotvec",
+                    "rotmat_to_euler", "cmd_to_wrench", "state_derivative")
+
+
+def test_pipeline_stage_calls_do_not_grow_with_samples(monkeypatch, params, openloop_log):
+    import flapsim.pipeline as pipeline
+
+    calls = dict.fromkeys(PER_SAMPLE_NAMES, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in PER_SAMPLE_NAMES:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    full = trajectory_from_runlog(openloop_log)
+    counts = []
+    for n in (300, 600):
+        calls.update(dict.fromkeys(calls, 0))
+        tr = MocapTrajectory(full.t[:n], full.pos_w[:n], full.quat[:n])
+        rs = pipeline.reconstruct(tr).attach_commands(openloop_log.t[:n], openloop_log.cmd[:n], params)
+        pipeline.validate_model(rs, params)
+        pipeline.flight_envelope(rs)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
