@@ -9,6 +9,7 @@ output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from importlib import resources
@@ -55,6 +56,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache  # the tree never changes; parse_args keeps no state in it
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -224,16 +226,11 @@ def _stack_reports(reports) -> ValidationReport:
         ts.append(r.t - r.t[0] + offset)
         span = r.t[-1] - r.t[0]
         offset += span + (span / max(len(r.t) - 1, 1))  # one nominal gap sample
-    meas = np.vstack([r.measured for r in reports])
-    pred = np.vstack([r.predicted for r in reports])
-    err = meas - pred
     return ValidationReport(
         axes=reports[0].axes,
-        rms_error=np.sqrt(np.mean(err**2, axis=0)),
-        signal_rms=np.sqrt(np.mean(meas**2, axis=0)),
         t=np.concatenate(ts),
-        measured=meas,
-        predicted=pred,
+        measured=np.vstack([r.measured for r in reports]),
+        predicted=np.vstack([r.predicted for r in reports]),
     )
 
 

@@ -19,7 +19,7 @@ class SchemaError(ConfigError):
 
 class SynthesisError(FlapsimError, RuntimeError):
     """Gain synthesis failed (unstabilizable system, indefinite weights,
-    imaginary-axis Hamiltonian eigenvalues, or non-convergence)."""
+    no isolable stable Riccati subspace, or non-convergence)."""
 
 
 class DivergenceError(FlapsimError, RuntimeError):

@@ -140,6 +140,8 @@ class Scenario:
         if int(self.physics_substeps) != self.physics_substeps or self.physics_substeps < 1:
             raise ConfigError("physics_substeps must be a positive integer")
         object.__setattr__(self, "physics_substeps", int(self.physics_substeps))
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not callable(self.schedule):
             raise ConfigError("schedule must be callable t -> Setpoint")
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
@@ -177,6 +179,14 @@ def _integer(cfg: dict, key: str, default: int) -> int:
     if isinstance(v, float) and not v.is_integer():
         raise SchemaError(f"scenario: {key} must be an integer, got {v!r}")
     return int(v)
+
+
+def _flag(cfg: dict, key: str, where: str) -> bool:
+    """A boolean key; only YAML true/false, so a quoted "false" is an error."""
+    v = cfg.get(key, False)
+    if not isinstance(v, bool):
+        raise SchemaError(f"{where}: {key} must be true or false, got {v!r}")
+    return v
 
 
 def _initial_from_dict(cfg: dict) -> SimState:
@@ -235,7 +245,7 @@ def _noise_from_dict(cfg: dict) -> NoiseConfig:
     if att is None:
         att = math.radians(float(cfg.get("att_sigma_deg", 0.2)))
     return NoiseConfig(
-        enabled=bool(cfg.get("enabled", False)),
+        enabled=_flag(cfg, "enabled", "noise"),
         pos_sigma=float(cfg.get("pos_sigma", 0.5e-3)),
         att_sigma=float(att),
     )
@@ -335,8 +345,8 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
         control_rate=control_rate,
         physics_substeps=substeps,
         seed=_integer(cfg, "seed", 0),
-        use_truth_velocity=bool(cfg.get("use_truth_velocity", False)),
-        legacy_coriolis=bool(cfg.get("legacy_coriolis", False)),
+        use_truth_velocity=_flag(cfg, "use_truth_velocity", "scenario"),
+        legacy_coriolis=_flag(cfg, "legacy_coriolis", "scenario"),
     )
 
 

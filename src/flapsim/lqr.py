@@ -17,9 +17,11 @@ remaining dynamics are yaw-symmetric.
 
     A'P + PA - P B R^-1 B' P + Q = 0
 
-from the stable invariant subspace of the Hamiltonian matrix, using a
-symplectic diagonal balancing and an ordered real Schur form, followed by
-Newton/Lyapunov refinement. The gain is stored positive,
+with ``scipy.linalg.solve_continuous_are`` (ordered QZ of the balanced
+extended Hamiltonian pencil; Laub 1979, Van Dooren 1981, Benner 2001),
+then polishes P by Newton/Lyapunov refinement until the relative residual
+stops falling, and raises unless it is at most 1e-8. The gain is stored
+positive,
 
     K = R^-1 B' P,   u = K (sigma_des - sigma).
 
@@ -263,57 +265,18 @@ def _check_stabilizable_detectable(A, B, Q):
             raise SynthesisError("(A, Q^1/2) is not detectable: Q has no range")
 
 
-def _symplectic_balance(H: np.ndarray, n: int) -> np.ndarray:
-    """Diagonal similarity d (length n) that balances the Hamiltonian.
-
-    The full 2n scaling is diag(d, 1/d), which preserves Hamiltonian
-    structure. Entries are integer powers of two (lossless in floating
-    point).
-    """
-    M = np.abs(H)
-    np.fill_diagonal(M, 0.0)
-    _, (sca, _) = linalg.matrix_balance(M, permute=False, separate=True)
-    logs = np.log2(sca)
-    return 2.0 ** np.round((logs[:n] - logs[n:]) / 2.0)
-
-
 def _care(A, B, Q, R):
-    """Stabilizing CARE solution via the Hamiltonian stable subspace."""
-    n = A.shape[0]
+    """Stabilizing CARE solution: scipy's ordered-QZ solve, then Newton polish."""
     try:
         R_fac = linalg.cho_factor(R)
     except linalg.LinAlgError as exc:
         raise SynthesisError(f"R is not positive definite: {exc}") from exc
     G = B @ linalg.cho_solve(R_fac, B.T)
     G = 0.5 * (G + G.T)
-
-    H = np.block([[A, -G], [-Q, -A.T]])
-
-    ham_eigs = np.linalg.eigvals(H)
-    if np.min(np.abs(ham_eigs.real)) < 1e-9:
-        raise SynthesisError(
-            "Hamiltonian eigenvalue within 1e-9 of the imaginary axis; "
-            "no well-separated stabilizing solution"
-        )
-
-    d = _symplectic_balance(H, n)
-    Dv = np.concatenate([d, 1.0 / d])
-    Hb = H * np.outer(1.0 / Dv, Dv)
-
     try:
-        _, Z, sdim = linalg.schur(Hb, output="real", sort="lhp")
-    except linalg.LinAlgError as exc:
-        raise SynthesisError(f"Schur factorization failed: {exc}") from exc
-    if sdim != n:
-        raise SynthesisError(
-            f"Hamiltonian split produced {sdim} stable eigenvalues (expected {n})"
-        )
-    U = Dv[:, None] * Z[:, :n]
-    U1, U2 = U[:n], U[n:]
-    try:
-        P = np.linalg.solve(U1.T, U2.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SynthesisError(f"singular subspace basis: {exc}") from exc
+        P = linalg.solve_continuous_are(A, B, Q, R)
+    except (linalg.LinAlgError, ValueError) as exc:
+        raise SynthesisError(f"CARE solve failed: {exc}") from exc
     P = 0.5 * (P + P.T)
 
     # Newton/Lyapunov refinement; also serves as the convergence certificate.
@@ -368,7 +331,7 @@ def solve_care(model: LinearModel, weights: LqrWeights) -> LqrSolution:
     """Solve the CARE for the given model/weights and package the gain.
 
     Weights are jointly normalized by max(diag(R)) before solving (a
-    mathematical no-op for K that conditions the Hamiltonian); P is scaled
+    mathematical no-op for K that conditions the Riccati solve); P is scaled
     back. A joint Q/R rescaling by a power of two is therefore an exact
     no-op numerically; any other factor changes K only by rounding.
     """

@@ -516,11 +516,17 @@ class ValidationReport:
     """Measured vs model-predicted accelerations, per axis."""
 
     axes: tuple
-    rms_error: np.ndarray     # (6,)
-    signal_rms: np.ndarray    # (6,)
     t: np.ndarray             # (n,)
     measured: np.ndarray      # (n, 6)
     predicted: np.ndarray     # (n, 6)
+
+    @property
+    def rms_error(self) -> np.ndarray:
+        return np.sqrt(np.mean((self.measured - self.predicted) ** 2, axis=0))
+
+    @property
+    def signal_rms(self) -> np.ndarray:
+        return np.sqrt(np.mean(self.measured**2, axis=0))
 
     @property
     def ratio(self) -> np.ndarray:
@@ -529,11 +535,8 @@ class ValidationReport:
 
     def to_text(self) -> str:
         lines = ["axis       rms error      signal rms     error/signal"]
-        for i, ax in enumerate(self.axes):
-            lines.append(
-                f"{ax:<8s} {self.rms_error[i]:>12.6g} {self.signal_rms[i]:>14.6g}"
-                f" {self.ratio[i]:>14.4%}"
-            )
+        for ax, e, s, r in zip(self.axes, self.rms_error, self.signal_rms, self.ratio):
+            lines.append(f"{ax:<8s} {e:>12.6g} {s:>14.6g} {r:>14.4%}")
         return "\n".join(lines)
 
     def write_series_csv(self, path) -> None:
@@ -584,12 +587,8 @@ def validate_model(
     ])
     meas = np.column_stack([rs.accel_body[idx], rs.alpha_body[idx]])
     pred = ydot[:, [3, 4, 5, 9, 10, 11]]
-
-    err = meas - pred
     return ValidationReport(
         axes=ACCEL_AXES,
-        rms_error=np.sqrt(np.mean(err**2, axis=0)),
-        signal_rms=np.sqrt(np.mean(meas**2, axis=0)),
         t=rs.t[idx].copy(),
         measured=meas,
         predicted=pred,

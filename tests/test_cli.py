@@ -164,6 +164,25 @@ def test_simulate_seed_and_noise_overrides(tmp_path):
     assert (c / "n_runlog.csv").read_bytes() == (d / "n_runlog.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "extra,args,message",
+    [
+        ("", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        ("seed: -3\n", [], "s.scenario: seed must be a non-negative integer, got -3"),
+        ('noise: {enabled: "false"}\n', [], "s.scenario: noise: enabled must be true or false"),
+        ('use_truth_velocity: "no"\n', [],
+         "s.scenario: scenario: use_truth_velocity must be true or false"),
+        ("legacy_coriolis: 0\n", [],
+         "s.scenario: scenario: legacy_coriolis must be true or false"),
+    ],
+)
+def test_simulate_rejects_bad_seed_and_flags_exits_1(tmp_path, capsys, extra, args, message):
+    scn = write_offset_scenario(tmp_path / "s.scenario", extra=extra)
+    assert main(["simulate", str(scn), "--out", str(tmp_path), "--quiet", *args]) == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_runlog*.csv"))
+
+
 def test_simulate_divergence_exits_2_with_partial_log(tmp_path, capsys, unstable_gain):
     gains = tmp_path / "unstable.csv"
     write_gain_csv(str(gains), unstable_gain)
@@ -258,6 +277,22 @@ def test_validate_mocap_without_commands_exits_1(tmp_path, capsys, openloop_log)
     write_mocap_csv(mocap, trajectory_from_runlog(openloop_log))
     assert main(["validate", str(mocap), "--out", str(tmp_path)]) == 1
     assert "--commands" in capsys.readouterr().err
+
+
+def test_successive_main_calls_share_no_state(tmp_path, capsys, openloop_log):
+    # the parser is built once per process; --commands of one call must not
+    # reach the next
+    mocap = tmp_path / "flight.csv"
+    write_mocap_csv(mocap, trajectory_from_runlog(openloop_log))
+    cmd = tmp_path / "cmd.csv"
+    cmd.write_text("\n".join(command_rows(openloop_log)) + "\n")
+    args = ["validate", str(mocap), "--out", str(tmp_path), "--quiet"]
+    assert main([*args, "--commands", str(cmd), "--legacy-coriolis"]) == 0
+    legacy = (tmp_path / "validation_report.txt").read_bytes()
+    assert main(args) == 1
+    assert "--commands" in capsys.readouterr().err
+    assert main([*args, "--commands", str(cmd)]) == 0
+    assert (tmp_path / "validation_report.txt").read_bytes() != legacy
 
 
 def test_validate_truncated_runlog_exits_1(tmp_path, capsys):

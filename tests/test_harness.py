@@ -123,6 +123,9 @@ def test_scenario_from_dict_full(tmp_path):
         ({"seed": 1.9}, "seed must be an integer"),
         ({"setpoint": {"kind": "constant", "yaw": 0.3}}, "unknown keys"),
         ({"control_rate": math.nan, "dt": 1e-4}, "control_rate must be positive and finite"),
+        ({"noise": {"enabled": "false"}}, "noise: enabled must be true or false"),
+        ({"use_truth_velocity": "false"}, "use_truth_velocity must be true or false"),
+        ({"legacy_coriolis": 1}, "legacy_coriolis must be true or false"),
     ],
 )
 def test_scenario_from_dict_rejects(patch, match):
@@ -214,6 +217,8 @@ def test_scenario_validation():
                  physics_substeps=0)
     with pytest.raises(ConfigError, match="callable"):
         Scenario(name="x", duration=1.0, initial=hover_state(), schedule="origin")
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN, seed=-1)
     with pytest.raises(ConfigError, match="integrator limit"):
         Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN,
                  control_rate=100.0, physics_substeps=1)

@@ -2,7 +2,8 @@
 
 The synthesized P is cross-checked against a sampled-data route (exact
 zero-order-hold discretization + Van Loan cost integrals + doubling
-iteration) that shares no machinery with the Hamiltonian/Schur solver.
+iteration) that shares no machinery with the solver (scipy's ordered-QZ
+Riccati solve followed by Newton/Lyapunov polish).
 """
 
 import math
@@ -10,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import UNSTABLE_WEIGHTS
@@ -161,6 +163,22 @@ def test_robofly_solution_invariants(params, gain_solution):
     assert care_residual(m.A, m.B, w.Q, w.R, sol.P) <= 1e-8
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    q_exp=st.lists(st.floats(-3.0, 3.0), min_size=10, max_size=10),
+    r_exp=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+)
+def test_care_hover_model_with_scaled_default_weights(params, q_exp, r_exp):
+    # each diagonal entry of the default weights scaled by 10^U(-3, 3)
+    m = linearize_hover(params)
+    w = default_weights(params)
+    Q = np.diag(np.diag(w.Q) * 10.0 ** np.asarray(q_exp))
+    R = np.diag(np.diag(w.R) * 10.0 ** np.asarray(r_exp))
+    sol = solve_care(m, LqrWeights(Q, R))
+    assert care_residual(m.A, m.B, Q, R, sol.P) <= 1e-8
+    assert np.max(np.linalg.eigvals(m.A - m.B @ sol.K).real) < 0.0
+
+
 def test_gain_decoupling_sparsity(gain):
     for row, idx in ((0, THRUST_IDX), (1, ROLL_IDX), (2, PITCH_IDX)):
         mask = np.ones(10, dtype=bool)
@@ -259,6 +277,14 @@ def test_undetectable_cost_rejected():
     A = np.diag([1.0, -1.0])
     with pytest.raises(SynthesisError, match="detectable"):
         solve_care(LinearModel(A, np.eye(2)), LqrWeights(np.zeros((2, 2)), np.eye(2)))
+
+
+def test_hamiltonian_near_imaginary_axis_rejected():
+    # an undamped oscillator barely reached by the input passes the PBH
+    # tests, but its Hamiltonian has eigenvalues next to the imaginary axis
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(SynthesisError, match="CARE solve failed"):
+        solve_care(LinearModel(A, [[0.0], [1e-12]]), LqrWeights(np.eye(2), [[1.0]]))
 
 
 def test_mismatched_weight_shapes_rejected():
