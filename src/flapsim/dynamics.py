@@ -20,6 +20,10 @@ residuals (L, M, N). A ``legacy_coriolis`` switch reproduces a
 nonstandard published variant of the lateral Coriolis term,
 -(r v - p w) in v_dot, for comparison studies; the default is the
 standard cross-product form.
+
+The equations of motion are written once, on floats, in ``_eom``;
+``state_derivative``, ``rk4_packed`` and the pipeline's model check all
+evaluate that body.
 """
 
 from __future__ import annotations
@@ -121,36 +125,13 @@ class UnmodeledTerms:
         object.__setattr__(self, "angular_accel", aa)
 
 
-def _derivative_packed(
-    y,
-    mt: float,
-    Jx: float,
-    Jy: float,
-    Jz: float,
-    g: float,
-    thrust: float,
-    tau_r: float,
-    tau_p: float,
-    fa1: float,
-    fa2: float,
-    fa3: float,
-    La: float,
-    Ma: float,
-    Na: float,
-    fx: float,
-    fy: float,
-    fz: float,
-    legacy_coriolis: bool,
-):
-    """Scalar-math core of the state derivative (hot path for the integrator).
+def _eom(u, v, w, phi, theta, psi, p, q, r, at: float, ap: float, aq: float, c: tuple) -> tuple:
+    """The 12 state derivatives from body velocity, Euler angles and rates (floats).
 
-    y is any indexable of 12 floats; returns a list of 12 floats.
-    External force (fx, fy, fz) is given in the world frame [N].
+    Position does not enter. ``at, ap, aq, c`` come from :func:`_constants`;
+    the world force (fx, fy, fz) in ``c`` is in newtons.
     """
-    u, v, w = y[3], y[4], y[5]
-    phi, theta, psi = y[6], y[7], y[8]
-    p, q, r = y[9], y[10], y[11]
-
+    mt, g, fa1, fa2, fa3, Na, ix, iy, iz, fx, fy, fz, legacy_coriolis = c
     if abs(theta) >= GIMBAL_GUARD:
         raise GimbalLockError(f"pitch {theta:.6f} rad reached the gimbal guard")
 
@@ -187,18 +168,27 @@ def _derivative_packed(
 
     ud = g * sp + fa1 - cor_u + ebx
     vd = -g * cp * sr + fa2 - cor_v + eby
-    wd = -g * cp * cr + fa3 - cor_w + thrust / mt + ebz
+    wd = -g * cp * cr + fa3 - cor_w + at + ebz
 
     tp = sp / cp
     phid = p + sr * tp * q + cr * tp * r
     thetad = cr * q - sr * r
     psid = (sr * q + cr * r) / cp
 
-    pd = La + tau_r / Jx - ((Jz - Jy) / Jx) * q * r
-    qd = Ma + tau_p / Jy - ((Jx - Jz) / Jy) * r * p
-    rd = Na - ((Jy - Jx) / Jz) * p * q
+    return (xd, yd, zd, ud, vd, wd, phid, thetad, psid,
+            ap - ix * q * r, aq - iy * r * p, Na - iz * p * q)
 
-    return [xd, yd, zd, ud, vd, wd, phid, thetad, psid, pd, qd, rd]
+
+def _constants(args, legacy_coriolis: bool) -> tuple:
+    """``(at, ap, aq, c)`` for :func:`_eom` from a ``_pack_inputs`` tuple, once per step.
+
+    at = thrust/mt, ap = La + tau_r/Jx, aq = Ma + tau_p/Jy; ``c`` holds the
+    inertia ratios. The wrench entries may be arrays.
+    """
+    mt, Jx, Jy, Jz, g, thrust, tau_r, tau_p, fa1, fa2, fa3, La, Ma, Na, fx, fy, fz = args
+    c = (mt, g, fa1, fa2, fa3, Na, (Jz - Jy) / Jx, (Jx - Jz) / Jy, (Jy - Jx) / Jz,
+         fx, fy, fz, legacy_coriolis)
+    return thrust / mt, La + tau_r / Jx, Ma + tau_p / Jy, c
 
 
 def _pack_inputs(p, w, unmodeled, ext_force_w):
@@ -235,24 +225,30 @@ def state_derivative(
     Thrust below zero is not accepted here; clamping belongs to the
     actuator map.
     """
-    args = _pack_inputs(p, w, unmodeled, ext_force_w)
-    return np.array(_derivative_packed(s.as_vector(), *args, legacy_coriolis))
+    at, ap, aq, c = _constants(_pack_inputs(p, w, unmodeled, ext_force_w), legacy_coriolis)
+    return np.array(_eom(*s.as_vector()[3:].tolist(), at, ap, aq, c))
 
 
 def rk4_packed(y, dt: float, args, legacy: bool) -> list:
     """The package's one RK4 step: 12 floats in, a new list of 12 out.
 
-    ``args`` comes from ``_pack_inputs``. Stages are formed element-wise
-    as ``y + (h * k)``, the operation order numpy uses on arrays.
+    ``args`` comes from ``_pack_inputs``; its quotients are taken once per
+    step (:func:`_constants`). Stages are formed entry by entry as
+    ``y + (h * k)``, the operation order numpy uses on arrays, so the step
+    is bit for bit the textbook RK4 over :func:`state_derivative`.
     """
+    at, ap, aq, c = _constants(args, legacy)
     h = 0.5 * dt
-    k1 = _derivative_packed(y, *args, legacy)
-    k2 = _derivative_packed([a + h * b for a, b in zip(y, k1)], *args, legacy)
-    k3 = _derivative_packed([a + h * b for a, b in zip(y, k2)], *args, legacy)
-    k4 = _derivative_packed([a + dt * b for a, b in zip(y, k3)], *args, legacy)
-    c = dt / 6.0
-    return [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    _, _, _, u, v, w, ph, th, ps, p, q, r = y
+    a = _eom(u, v, w, ph, th, ps, p, q, r, at, ap, aq, c)
+    b = _eom(u + h * a[3], v + h * a[4], w + h * a[5], ph + h * a[6], th + h * a[7],
+             ps + h * a[8], p + h * a[9], q + h * a[10], r + h * a[11], at, ap, aq, c)
+    d = _eom(u + h * b[3], v + h * b[4], w + h * b[5], ph + h * b[6], th + h * b[7],
+             ps + h * b[8], p + h * b[9], q + h * b[10], r + h * b[11], at, ap, aq, c)
+    e = _eom(u + dt * d[3], v + dt * d[4], w + dt * d[5], ph + dt * d[6], th + dt * d[7],
+             ps + dt * d[8], p + dt * d[9], q + dt * d[10], r + dt * d[11], at, ap, aq, c)
+    s = dt / 6.0
+    return [x + s * (k1 + 2.0 * k2 + 2.0 * k3 + k4) for x, k1, k2, k3, k4 in zip(y, a, b, d, e)]
 
 
 def rk4_step(

@@ -9,6 +9,10 @@ the physics step always divides the control period exactly.
 Timing convention: the state is sampled (and logged) at the start of each
 tick; the command computed from that sample is held through the tick.
 Runs are deterministic for a fixed seed; the log records one row per tick.
+
+A tick runs on plain floats: the state is a list of 12 and the
+controller's cores take and return tuples. Dataclasses stay at the edges,
+the Scenario going in and the RunLog coming out.
 """
 
 from __future__ import annotations
@@ -20,19 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .controller import (
-    CircleSchedule,
-    ConstantSchedule,
-    CsvSchedule,
-    Setpoint,
-    assemble_ctrl_state,
-    control_step,
-)
+from .controller import CircleSchedule, ConstantSchedule, CsvSchedule, Setpoint
+from .controller import _decide as control_step  # bench/spans.py times this name
+from .controller import _sense_truth as assemble_ctrl_state  # bench/spans.py times this name
 from .dynamics import MAX_DT, SimState, rk4_packed as _rk4_packed  # bench/spans.py times this name
 from .errors import ConfigError, DivergenceError, GimbalLockError, SchemaError
 from .ioutil import atomic_write_text, table_text
-from .kinematics import (
-    GIMBAL_GUARD, EulerAngles321, euler_to_quat, euler_to_rotmat, quat_from_rotvec, quat_multiply,
+from .kinematics import GIMBAL_GUARD, EulerAngles321
+from .kinematics import (  # noqa: F401  bench/spans.py times these names
+    euler_to_quat, euler_to_rotmat, quat_from_rotvec, quat_multiply,
 )
 from .lqr import CONTROL_RATE
 from .vehicle import VehicleParams
@@ -137,10 +137,12 @@ class Scenario:
             raise ConfigError("duration must be positive and finite")
         if not 0.0 < self.control_rate < math.inf:
             raise ConfigError("control_rate must be positive and finite")
-        if int(self.physics_substeps) != self.physics_substeps or self.physics_substeps < 1:
-            raise ConfigError("physics_substeps must be a positive integer")
-        object.__setattr__(self, "physics_substeps", int(self.physics_substeps))
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        n = self.physics_substeps
+        if isinstance(n, bool) or int(n) != n or n < 1:
+            raise ConfigError(f"physics_substeps must be a positive integer, got {n!r}")
+        object.__setattr__(self, "physics_substeps", int(n))
+        seed = self.seed
+        if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not callable(self.schedule):
             raise ConfigError("schedule must be callable t -> Setpoint")
@@ -174,11 +176,23 @@ def _check_keys(section: dict, allowed, where: str) -> None:
 
 
 def _integer(cfg: dict, key: str, default: int) -> int:
-    """An integer-valued scenario key; a float must be integral (4.0, not 4.5)."""
+    """An integer-valued scenario key: an integral float (4.0, not 4.5) passes, a bool does not."""
     v = cfg.get(key, default)
-    if isinstance(v, float) and not v.is_integer():
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
         raise SchemaError(f"scenario: {key} must be an integer, got {v!r}")
     return int(v)
+
+
+def _triple(cfg: dict, key: str, where: str) -> np.ndarray:
+    """A 3-vector key, zeros when absent; anything but 3 numbers is a SchemaError."""
+    v = cfg.get(key, (0.0, 0.0, 0.0))
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != (3,):
+        raise SchemaError(f"{where}: {key} must be 3 numbers, got {v!r}")
+    return a
 
 
 def _flag(cfg: dict, key: str, where: str) -> bool:
@@ -193,35 +207,25 @@ def _initial_from_dict(cfg: dict) -> SimState:
     _check_keys(cfg, {"pos", "vel_b", "euler", "euler_deg", "omega_b"}, "initial")
     if "euler" in cfg and "euler_deg" in cfg:
         raise SchemaError("initial: give euler or euler_deg, not both")
-    eul = cfg.get("euler")
-    if eul is None:
-        eul = [math.radians(float(v)) for v in cfg.get("euler_deg", (0.0, 0.0, 0.0))]
-    return SimState(
-        np.asarray(cfg.get("pos", (0.0, 0.0, 0.0)), dtype=float),
-        np.asarray(cfg.get("vel_b", (0.0, 0.0, 0.0)), dtype=float),
-        EulerAngles321(*(float(v) for v in eul)),
-        np.asarray(cfg.get("omega_b", (0.0, 0.0, 0.0)), dtype=float),
-    )
+    if "euler" in cfg:
+        eul = _triple(cfg, "euler", "initial").tolist()
+    else:
+        eul = [math.radians(v) for v in _triple(cfg, "euler_deg", "initial").tolist()]
+    return SimState(_triple(cfg, "pos", "initial"), _triple(cfg, "vel_b", "initial"),
+                    EulerAngles321(*eul), _triple(cfg, "omega_b", "initial"))
 
 
 def _schedule_from_dict(cfg: dict, base_dir) -> object:
     kind = cfg.get("kind")
     if kind == "constant":
         _check_keys(cfg, {"kind", "pos", "vel"}, "setpoint")
-        return ConstantSchedule(
-            Setpoint(
-                np.asarray(cfg.get("pos", (0.0, 0.0, 0.0)), dtype=float),
-                np.asarray(cfg.get("vel", (0.0, 0.0, 0.0)), dtype=float),
-            )
-        )
+        sp = Setpoint(_triple(cfg, "pos", "setpoint"), _triple(cfg, "vel", "setpoint"))
+        return ConstantSchedule(sp)
     if kind == "circle":
         _check_keys(cfg, {"kind", "radius", "speed", "center"}, "setpoint")
         try:
-            return CircleSchedule(
-                float(cfg["radius"]),
-                float(cfg["speed"]),
-                np.asarray(cfg.get("center", (0.0, 0.0, 0.0)), dtype=float),
-            )
+            return CircleSchedule(float(cfg["radius"]), float(cfg["speed"]),
+                                  _triple(cfg, "center", "setpoint"))
         except KeyError as exc:
             raise SchemaError(f"setpoint: circle needs {exc.args[0]}") from None
     if kind == "schedule":
@@ -267,14 +271,13 @@ def _pulses_from_list(entries, p: VehicleParams) -> tuple:
                 raise SchemaError(f"{where}: give force or magnitude_g+direction, not both")
             if not dur > 0.0:
                 raise SchemaError(f"{where}: duration must be positive")
-            pulses.append(DisturbancePulse(t0, t0 + dur, np.asarray(ent["force"], dtype=float)))
+            pulses.append(DisturbancePulse(t0, t0 + dur, _triple(ent, "force", where)))
         else:
             if "magnitude_g" not in ent or "direction" not in ent:
                 raise SchemaError(f"{where}: needs magnitude_g and direction (or force)")
+            direction = _triple(ent, "direction", where)
             try:
-                pulses.append(
-                    disturbance_pulse(p, float(ent["magnitude_g"]), dur, ent["direction"], t0)
-                )
+                pulses.append(disturbance_pulse(p, float(ent["magnitude_g"]), dur, direction, t0))
             except ValueError as exc:
                 raise SchemaError(f"{where}: {exc}") from None
     return tuple(pulses)
@@ -488,30 +491,24 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     mt, (Jx, Jy, Jz), g = p.total_mass, p.J, p.g
     legacy = sc.legacy_coriolis
     pulses = [(d.t_start, d.t_end, d.force_w.tolist()) for d in sc.disturbances]
+    gain = K.tolist()
 
     rows = np.empty((n_ticks, len(RUNLOG_COLUMNS)))  # laid out as RUNLOG_FIELDS
     meta = {"scenario_name": sc.name, "seed": sc.seed, "control_rate": sc.control_rate}
 
     y = sc.initial.as_vector().tolist()
-    prev_ctrl = None
+    carry = None  # the previous sample, as controller._sense carries it
 
     for k in range(n_ticks):
         t_k = k * T
-        att = EulerAngles321(y[6], y[7], y[8])
-        q_true = euler_to_quat(att)
 
         # --- sense ---------------------------------------------------
+        draws = None  # 3 position, then 3 attitude noise samples
         if noise.enabled:
-            meas_pos = y[0:3] + rng.normal(0.0, noise.pos_sigma, 3)
-            q_meas = quat_multiply(q_true, quat_from_rotvec(rng.normal(0.0, noise.att_sigma, 3)))
-        else:
-            meas_pos = y[0:3]
-            q_meas = q_true
-        vel_override = None
-        if sc.use_truth_velocity:
-            vel_override = euler_to_rotmat(att) @ y[3:6]
+            draws = [*rng.normal(0.0, noise.pos_sigma, 3).tolist(),
+                     *rng.normal(0.0, noise.att_sigma, 3).tolist()]
         try:
-            ctrl = assemble_ctrl_state(meas_pos, q_meas, prev_ctrl, T, vel_w=vel_override)
+            est, sigma, carry = assemble_ctrl_state(y, carry, T, draws, sc.use_truth_velocity)
         except GimbalLockError as exc:
             # the measured attitude, noise included, can sit nearer 90 deg than the truth
             raise DivergenceError(
@@ -521,28 +518,27 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
 
         # --- decide --------------------------------------------------
         sp = sc.schedule(t_k)
-        out = control_step(K, ctrl, sp, p)
+        sp_pos, sp_vel = sp.pos_w.tolist(), sp.vel_w.tolist()
+        # A, dA, Vo, thrust, tau_r, tau_p, saturated
+        out = control_step(gain, est, sp_pos, sp_vel, p)
 
         # --- log ------------------------------------------------------
-        c, w = out.cmd, out.wrench
-        rows[k] = (t_k, *y[0:3], *y[6:9], *y[3:6], *y[9:12], *ctrl.sigma().tolist(),
-                   *sp.pos_w.tolist(), *sp.vel_w.tolist(),
-                   c.A, c.dA, c.Vo, w.thrust, w.tau_r, w.tau_p, out.saturated)
+        rows[k] = (t_k, *y[0:3], *y[6:9], *y[3:6], *y[9:12], *sigma, *sp_pos, *sp_vel, *out)
 
         # --- integrate one control period ------------------------------
-        tick_args = (mt, Jx, Jy, Jz, g, float(w.thrust), float(w.tau_r), float(w.tau_p),
-                     0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        tick_args = (mt, Jx, Jy, Jz, g, *out[3:6], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        args = (*tick_args, 0.0, 0.0, 0.0)  # built once per tick unless a pulse acts in it
         tick_pulses = [pl for pl in pulses if pl[0] < t_k + T and pl[1] > t_k]
         try:
             for i in range(substeps):
-                t_sub = t_k + i * dt
-                fx = fy = fz = 0.0
-                for (t0, t1, f) in tick_pulses:
-                    if t0 <= t_sub < t1:
-                        fx += f[0]
-                        fy += f[1]
-                        fz += f[2]
-                y = _rk4_packed(y, dt, (*tick_args, fx, fy, fz), legacy)
+                if tick_pulses:
+                    t_sub = t_k + i * dt
+                    fx = fy = fz = 0.0
+                    for (t0, t1, f) in tick_pulses:
+                        if t0 <= t_sub < t1:
+                            fx, fy, fz = fx + f[0], fy + f[1], fz + f[2]
+                    args = (*tick_args, fx, fy, fz)
+                y = _rk4_packed(y, dt, args, legacy)
         except (ValueError, OverflowError) as exc:
             # gimbal guard or float overflow inside the integrator
             raise DivergenceError(
@@ -554,7 +550,6 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
         if tripped is not None:
             raise DivergenceError(f"{sc.name}: {tripped}",
                                   partial_log=RunLog.from_rows(rows[:k + 1], **meta))
-        prev_ctrl = ctrl
 
     return RunLog.from_rows(rows, **meta, final_state=SimState.from_vector(y))
 

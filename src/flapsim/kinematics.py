@@ -10,6 +10,9 @@ Conventions used throughout the package:
 * Angular velocity ``(p, q, r)`` is expressed in the body frame.
 
 All functions are pure and operate on small numpy arrays / float scalars.
+The private ``_``-prefixed cores do the quaternion math on plain tuples
+(``(w, x, y, z)``, row-major 9-tuples for R); the public functions wrap
+them, and the control tick calls them directly.
 """
 
 from __future__ import annotations
@@ -98,10 +101,7 @@ class Quaternion:
         return abs(self.norm() - 1.0) <= tol
 
     def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n < 1e-12:
-            raise ValueError("cannot normalize a near-zero quaternion")
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
+        return Quaternion(*_normalized((self.w, self.x, self.y, self.z)))
 
     def canonical(self) -> "Quaternion":
         """Flip sign so w >= 0 (q and -q encode the same rotation)."""
@@ -116,14 +116,63 @@ class Quaternion:
         return np.array([self.w, self.x, self.y, self.z])
 
 
+def _normalized(q: tuple) -> tuple:
+    w, x, y, z = q
+    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    if n < 1e-12:
+        raise ValueError("cannot normalize a near-zero quaternion")
+    return (w / n, x / n, y / n, z / n)
+
+
+def _qmul(a: tuple, b: tuple) -> tuple:
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz, aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx, aw * bz + ax * by - ay * bx + az * bw)
+
+
+def _rotmat_euler(R: tuple) -> tuple:
+    """Unwrapped (roll, pitch, yaw); rounding can carry |R[6]| past 1."""
+    return (math.atan2(R[7], R[8]), -math.asin(min(1.0, max(-1.0, R[6]))), math.atan2(R[3], R[0]))
+
+
+def _quat_rotmat(q: tuple) -> tuple:
+    w, x, y, z = _normalized(q)
+    return (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
+
+
+def _euler_quat(roll: float, pitch: float, yaw: float) -> tuple:
+    hr, hp, hy = 0.5 * roll, 0.5 * pitch, 0.5 * yaw
+    w, x, y, z = _qmul(_qmul((math.cos(hy), 0.0, 0.0, math.sin(hy)),
+                             (math.cos(hp), 0.0, math.sin(hp), 0.0)),
+                       (math.cos(hr), math.sin(hr), 0.0, 0.0))
+    return (-w, -x, -y, -z) if w < 0.0 else (w, x, y, z)
+
+
+def _rotvec_quat(vx: float, vy: float, vz: float) -> tuple:
+    angle = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if angle < 1e-9:
+        # second-order series of sin(a/2)/a keeps this smooth through zero
+        k = 0.5 - angle * angle / 48.0
+        return _normalized((1.0 - angle * angle / 8.0, k * vx, k * vy, k * vz))
+    k = math.sin(0.5 * angle) / angle
+    return (math.cos(0.5 * angle), k * vx, k * vy, k * vz)
+
+
+def _quat_rotvec(q: tuple) -> tuple:
+    w, x, y, z = _normalized(q)
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    vec_norm = math.sqrt(x * x + y * y + z * z)
+    k = 2.0 if vec_norm < 1e-9 else 2.0 * math.atan2(vec_norm, w) / vec_norm
+    return (k * x, k * y, k * z)
+
+
 def quat_multiply(a: Quaternion, b: Quaternion) -> Quaternion:
     """Hamilton product a*b (compose rotations: apply b in a's body frame)."""
-    return Quaternion(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-    )
+    return Quaternion(*_qmul((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
 
 
 def euler_to_rotmat(e: EulerAngles321) -> np.ndarray:
@@ -142,24 +191,12 @@ def euler_to_rotmat(e: EulerAngles321) -> np.ndarray:
 
 def rotmat_to_euler(R: np.ndarray) -> EulerAngles321:
     """Invert :func:`euler_to_rotmat`. Raises GimbalLockError as EulerAngles321 does."""
-    r20 = min(1.0, max(-1.0, float(R[2, 0])))  # rounding can carry |R[2, 0]| past 1
-    pitch = -math.asin(r20)
-    roll = math.atan2(float(R[2, 1]), float(R[2, 2]))
-    yaw = math.atan2(float(R[1, 0]), float(R[0, 0]))
-    return EulerAngles321(roll, pitch, yaw)
+    return EulerAngles321(*_rotmat_euler(np.asarray(R, dtype=float).ravel().tolist()))
 
 
 def quat_to_rotmat(q: Quaternion) -> np.ndarray:
     """Body-to-world rotation matrix of a (not necessarily unit) quaternion."""
-    q = q.normalized()
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return np.array(_quat_rotmat((q.w, q.x, q.y, q.z))).reshape(3, 3)
 
 
 def rotmat_to_quat(R: np.ndarray) -> Quaternion:
@@ -185,11 +222,7 @@ def rotmat_to_quat(R: np.ndarray) -> Quaternion:
 
 def euler_to_quat(e: EulerAngles321) -> Quaternion:
     """321 Euler angles to canonical unit quaternion."""
-    hr, hp, hy = 0.5 * e.roll, 0.5 * e.pitch, 0.5 * e.yaw
-    qz = Quaternion(math.cos(hy), 0.0, 0.0, math.sin(hy))
-    qy = Quaternion(math.cos(hp), 0.0, math.sin(hp), 0.0)
-    qx = Quaternion(math.cos(hr), math.sin(hr), 0.0, 0.0)
-    return quat_multiply(quat_multiply(qz, qy), qx).canonical()
+    return Quaternion(*_euler_quat(e.roll, e.pitch, e.yaw))
 
 
 def quat_to_euler(q: Quaternion) -> EulerAngles321:
@@ -199,25 +232,12 @@ def quat_to_euler(q: Quaternion) -> EulerAngles321:
 
 def quat_from_rotvec(v) -> Quaternion:
     """Exponential map: rotation vector (axis * angle, rad) to quaternion."""
-    vx, vy, vz = (float(c) for c in v)
-    angle = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if angle < 1e-9:
-        # second-order series of sin(a/2)/a keeps this smooth through zero
-        k = 0.5 - angle * angle / 48.0
-        return Quaternion(1.0 - angle * angle / 8.0, k * vx, k * vy, k * vz).normalized()
-    k = math.sin(0.5 * angle) / angle
-    return Quaternion(math.cos(0.5 * angle), k * vx, k * vy, k * vz)
+    return Quaternion(*_rotvec_quat(*(float(c) for c in v)))
 
 
 def quat_to_rotvec(q: Quaternion) -> np.ndarray:
     """Logarithmic map: quaternion to rotation vector (radians)."""
-    q = q.normalized().canonical()
-    vec_norm = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
-    if vec_norm < 1e-9:
-        return np.array([2.0 * q.x, 2.0 * q.y, 2.0 * q.z])
-    angle = 2.0 * math.atan2(vec_norm, q.w)
-    k = angle / vec_norm
-    return np.array([k * q.x, k * q.y, k * q.z])
+    return np.array(_quat_rotvec((q.w, q.x, q.y, q.z)))
 
 
 def euler_rate_matrix(e: EulerAngles321) -> np.ndarray:

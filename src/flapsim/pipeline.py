@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import ConfigError, GimbalLockError, SchemaError
 from .ioutil import atomic_write_text, read_table, table_text
-from .kinematics import GIMBAL_GUARD, quat_from_rotvec, quat_to_rotmat
+from .kinematics import GIMBAL_GUARD, _qmul, quat_from_rotvec, quat_to_rotmat
 from .vehicle import VehicleParams, Wrench
-from .dynamics import _derivative_packed, _pack_inputs
+from .dynamics import _constants, _eom, _pack_inputs
 from .harness import RunLog, RUNLOG_COLUMNS
 
 # bench/spans.py times these per-sample names; the array code below reproduces their formulas
@@ -85,14 +85,7 @@ def _check_pitch(pitch: np.ndarray, t: np.ndarray) -> None:
 
 def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``quat_multiply`` row by row: the Hamilton products a[i] * b[i]."""
-    aw, ax, ay, az = a.T
-    bw, bx, by, bz = b.T
-    return np.column_stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    return np.column_stack(_qmul(a.T, b.T))
 
 
 def _normalized(q: np.ndarray) -> np.ndarray:
@@ -578,13 +571,13 @@ def validate_model(
     states[:, 6] = _wrap(states[:, 6])
     states[:, 8] = _wrap(states[:, 8])
     _check_pitch(states[:, 7], rs.t[idx])
-    # state_derivative's inputs with the wrench (entries 5:8) filled in per row
+    # state_derivative's inputs with the wrench columns (entries 5:8) in place
     fixed = _pack_inputs(p, Wrench(0.0, 0.0, 0.0), None, None)
-    head, tail = fixed[:5], fixed[8:]
-    ydot = np.array([
-        _derivative_packed(y, *head, max(0.0, thrust), tau_r, tau_p, *tail, legacy_coriolis)
-        for y, (thrust, tau_r, tau_p) in zip(states.tolist(), rs.wrench[idx].tolist())
-    ])
+    thrust, tau_r, tau_p = rs.wrench[idx].T
+    thrust = np.where(thrust > 0.0, thrust, 0.0)  # max(0.0, thrust) per row
+    at, ap, aq, c = _constants((*fixed[:5], thrust, tau_r, tau_p, *fixed[8:]), legacy_coriolis)
+    ydot = np.array([_eom(*y, a, b, d, c) for y, a, b, d in zip(
+        states[:, 3:].tolist(), at.tolist(), ap.tolist(), aq.tolist())])
     meas = np.column_stack([rs.accel_body[idx], rs.alpha_body[idx]])
     pred = ydot[:, [3, 4, 5, 9, 10, 11]]
     return ValidationReport(

@@ -9,7 +9,8 @@ parameters to stroke-averaged wrench components:
 
 ``A`` is the common drive amplitude in volts, ``dA`` the left/right amplitude
 differential, ``Vo`` the shared sine offset. Commands saturate to a
-box; saturation is reported, never silently ignored.
+box; saturation is reported, never silently ignored. The ``_``-prefixed
+cores do the same maps on plain floats for the control tick.
 """
 
 from __future__ import annotations
@@ -125,10 +126,27 @@ def hover_cmd(p: VehicleParams) -> ActuatorCmd:
     return cmd
 
 
+def _cmd_to_wrench(p: VehicleParams, A: float, dA: float, Vo: float) -> tuple:
+    thrust = max(0.0, p.thrust_slope * A + p.thrust_intercept)
+    return thrust, p.roll_slope * dA, p.pitch_slope * Vo
+
+
+def _saturate(p: VehicleParams, A: float, dA: float, Vo: float) -> tuple:
+    """(A, dA, Vo, saturated) clipped to the command box."""
+    a = min(max(A, p.A_limits[0]), p.A_limits[1])
+    da = min(max(dA, -p.dA_limit), p.dA_limit)
+    vo = min(max(Vo, -p.Vo_limit), p.Vo_limit)
+    return a, da, vo, bool((a != A) or (da != dA) or (vo != Vo))
+
+
+def _wrench_to_cmd(p: VehicleParams, thrust: float, tau_r: float, tau_p: float) -> tuple:
+    return _saturate(p, (thrust - p.thrust_intercept) / p.thrust_slope,
+                     tau_r / p.roll_slope, tau_p / p.pitch_slope)
+
+
 def cmd_to_wrench(p: VehicleParams, c: ActuatorCmd) -> Wrench:
     """Affine fits from command to body wrench; thrust clamps at zero."""
-    thrust = max(0.0, p.thrust_slope * c.A + p.thrust_intercept)
-    return Wrench(thrust, p.roll_slope * c.dA, p.pitch_slope * c.Vo)
+    return Wrench(*_cmd_to_wrench(p, c.A, c.dA, c.Vo))
 
 
 def wrench_to_cmd(p: VehicleParams, w: Wrench) -> tuple[ActuatorCmd, bool]:
@@ -138,21 +156,14 @@ def wrench_to_cmd(p: VehicleParams, w: Wrench) -> tuple[ActuatorCmd, bool]:
     any axis hit a limit. Exact inverse of :func:`cmd_to_wrench` on the
     interior of the box.
     """
-    raw = ActuatorCmd(
-        (w.thrust - p.thrust_intercept) / p.thrust_slope,
-        w.tau_r / p.roll_slope,
-        w.tau_p / p.pitch_slope,
-    )
-    return saturate_cmd(p, raw)
+    *cmd, saturated = _wrench_to_cmd(p, w.thrust, w.tau_r, w.tau_p)
+    return ActuatorCmd(*cmd), saturated
 
 
 def saturate_cmd(p: VehicleParams, c: ActuatorCmd) -> tuple[ActuatorCmd, bool]:
     """Clip a command to the box limits; flag whether anything clipped."""
-    A = min(max(c.A, p.A_limits[0]), p.A_limits[1])
-    dA = min(max(c.dA, -p.dA_limit), p.dA_limit)
-    Vo = min(max(c.Vo, -p.Vo_limit), p.Vo_limit)
-    saturated = bool((A != c.A) or (dA != c.dA) or (Vo != c.Vo))
-    return ActuatorCmd(A, dA, Vo), saturated
+    *cmd, saturated = _saturate(p, c.A, c.dA, c.Vo)
+    return ActuatorCmd(*cmd), saturated
 
 
 def drive_signal(p: VehicleParams, c: ActuatorCmd, t, side: str = "left"):

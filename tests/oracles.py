@@ -171,6 +171,17 @@ def eom_reference(
     return np.concatenate([pos_dot, V_dot, eul_dot, om_dot])
 
 
+def rk4_textbook(f, y, dt: float) -> np.ndarray:
+    """One classical RK4 step of y' = f(y), written on arrays as in a textbook."""
+    y = np.asarray(y, dtype=float)
+    h = 0.5 * dt
+    k1 = f(y)
+    k2 = f(y + h * k1)
+    k3 = f(y + h * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 # ---------------------------------------------------------------------------
 # sampled-data LQR oracle (independent route to the continuous Riccati P)
 # ---------------------------------------------------------------------------

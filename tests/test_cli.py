@@ -174,12 +174,36 @@ def test_simulate_seed_and_noise_overrides(tmp_path):
          "s.scenario: scenario: use_truth_velocity must be true or false"),
         ("legacy_coriolis: 0\n", [],
          "s.scenario: scenario: legacy_coriolis must be true or false"),
+        ("seed: true\n", [], "s.scenario: scenario: seed must be an integer, got True"),
+        ("physics_substeps: true\n", [],
+         "s.scenario: scenario: physics_substeps must be an integer, got True"),
     ],
 )
 def test_simulate_rejects_bad_seed_and_flags_exits_1(tmp_path, capsys, extra, args, message):
     scn = write_offset_scenario(tmp_path / "s.scenario", extra=extra)
     assert main(["simulate", str(scn), "--out", str(tmp_path), "--quiet", *args]) == 1
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_runlog*.csv"))
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("initial:\n  euler_deg: [0, 0]\nsetpoint:\n  kind: constant\n",
+         "initial: euler_deg must be 3 numbers, got [0, 0]"),
+        ("setpoint:\n  kind: constant\ndisturbances:\n"
+         "  - {t_start: 0.0, duration: 0.05, force: [0.0, 1.0e-4]}\n",
+         "disturbances[0]: force must be 3 numbers, got [0.0, 0.0001]"),
+    ],
+    ids=["euler_deg", "force"],
+)
+def test_simulate_rejects_wrong_length_vectors_exits_1(tmp_path, capsys, body, message):
+    scn = tmp_path / "v.scenario"
+    scn.write_text("name: v\nduration: 0.1\n" + body)
+    assert main(["simulate", str(scn), "--out", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"{scn}: {message}" in err
+    assert "Traceback" not in err
     assert not list(tmp_path.glob("*_runlog*.csv"))
 
 

@@ -2,12 +2,19 @@
 
 import dataclasses
 import math
+import re
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from flapsim.controller import CircleSchedule, ConstantSchedule, Setpoint
+from flapsim.controller import (
+    CircleSchedule,
+    ConstantSchedule,
+    Setpoint,
+    assemble_ctrl_state,
+    control_step,
+)
 from flapsim.dynamics import SimState
 from flapsim.errors import ConfigError, DivergenceError, SchemaError
 from flapsim.harness import (
@@ -23,7 +30,14 @@ from flapsim.harness import (
     run_scenario,
     scenario_from_dict,
 )
-from flapsim.kinematics import GIMBAL_GUARD, EulerAngles321
+from flapsim.kinematics import (
+    GIMBAL_GUARD,
+    EulerAngles321,
+    euler_to_quat,
+    euler_to_rotmat,
+    quat_from_rotvec,
+    quat_multiply,
+)
 from flapsim.pipeline import load_runlog_csv
 from flapsim.vehicle import hover_cmd
 
@@ -126,6 +140,9 @@ def test_scenario_from_dict_full(tmp_path):
         ({"noise": {"enabled": "false"}}, "noise: enabled must be true or false"),
         ({"use_truth_velocity": "false"}, "use_truth_velocity must be true or false"),
         ({"legacy_coriolis": 1}, "legacy_coriolis must be true or false"),
+        ({"seed": True}, "scenario: seed must be an integer, got True"),
+        ({"physics_substeps": True}, "scenario: physics_substeps must be an integer, got True"),
+        ({"seed": "3"}, "scenario: seed must be an integer, got '3'"),
     ],
 )
 def test_scenario_from_dict_rejects(patch, match):
@@ -137,6 +154,48 @@ def test_scenario_from_dict_rejects(patch, match):
     cfg.update(patch)
     with pytest.raises(SchemaError, match=match):
         scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize(
+    "patch, where",
+    [
+        ({"initial": {"pos": [0.0, 0.0]}}, "initial: pos"),
+        ({"initial": {"vel_b": [0.0, 0.0]}}, "initial: vel_b"),
+        ({"initial": {"omega_b": [0.0, 0.0]}}, "initial: omega_b"),
+        ({"initial": {"euler": [0.0, 0.0]}}, "initial: euler"),
+        ({"initial": {"euler_deg": [0.0, 0.0]}}, "initial: euler_deg"),
+        ({"initial": {"pos": 5.0}}, "initial: pos"),
+        ({"initial": {"pos": [0.0, 0.0, "up"]}}, "initial: pos"),
+        ({"setpoint": {"kind": "constant", "pos": [0.0, 0.0]}}, "setpoint: pos"),
+        ({"setpoint": {"kind": "constant", "vel": [0.0, 0.0, 0.0, 0.0]}}, "setpoint: vel"),
+        ({"setpoint": {"kind": "circle", "radius": 0.1, "speed": 0.1, "center": [0.0, 0.0]}},
+         "setpoint: center"),
+        ({"disturbances": [{"t_start": 0.0, "duration": 0.1, "force": [0.0, 1e-4]}]},
+         "disturbances[0]: force"),
+        ({"disturbances": [{"t_start": 0.0, "duration": 0.1, "magnitude_g": 1.0,
+                            "direction": [0.0, 1.0]}]},
+         "disturbances[0]: direction"),
+    ],
+)
+def test_scenario_vectors_must_be_three_numbers(patch, where):
+    cfg = {"name": "x", "duration": 1.0, "setpoint": {"kind": "constant"}, **patch}
+    with pytest.raises(SchemaError, match=re.escape(f"{where} must be 3 numbers, got ")):
+        scenario_from_dict(cfg)
+
+
+def test_scenario_file_refuses_boolean_integers(tmp_path):
+    for key in ("seed", "physics_substeps"):
+        path = tmp_path / f"{key}.scenario"
+        path.write_text(f"name: b\nduration: 0.1\n{key}: true\nsetpoint: {{kind: constant}}\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: scenario: {key} must be an integer")):
+            load_scenario(path)
+
+
+@pytest.mark.parametrize("field", ["seed", "physics_substeps"])
+def test_scenario_refuses_boolean_integers(field):
+    with pytest.raises(ConfigError, match=field):
+        Scenario(name="b", duration=0.1, initial=hover_state(), schedule=HOLD_ORIGIN,
+                 **{field: True})
 
 
 def test_scenario_from_dict_accepts_integral_floats():
@@ -352,6 +411,42 @@ def test_truth_velocity_feeds_sigma(params, gain):
     derived = Scenario(name="t", duration=0.05, initial=init, schedule=HOLD_ORIGIN)
     log2 = run_scenario(derived, params, gain)
     np.testing.assert_array_equal(log2.sigma[0, 3:6], 0.0)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"setpoint": {"kind": "circle", "radius": 0.05, "speed": 0.2}},
+        {"setpoint": {"kind": "constant"}, "use_truth_velocity": True},
+    ],
+    ids=["noisy_circle", "truth_velocity"],
+)
+def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
+    # run_scenario calls the float cores of assemble_ctrl_state and
+    # control_step; replaying its sensor draws through the public API must
+    # reproduce every logged estimate and command bit for bit
+    sc = scenario_from_dict(
+        {"name": "replay", "duration": 0.5, "physics_substeps": 4, "seed": 11,
+         "initial": {"pos": [0.03, -0.01, 0.0], "euler_deg": [4.0, -3.0, 20.0]},
+         "noise": {"enabled": True}, **extra},
+        params,
+    )
+    log = run_scenario(sc, params, gain)
+    rng = np.random.default_rng(sc.seed)
+    T, prev = sc.control_period, None
+    for k in range(len(log)):
+        att = EulerAngles321(*log.euler[k])
+        pos = log.pos_w[k] + rng.normal(0.0, sc.noise.pos_sigma, 3)
+        q = quat_multiply(euler_to_quat(att),
+                          quat_from_rotvec(rng.normal(0.0, sc.noise.att_sigma, 3)))
+        vel = euler_to_rotmat(att) @ log.vel_b[k] if sc.use_truth_velocity else None
+        s = assemble_ctrl_state(pos, q, prev, T, vel_w=vel)
+        out = control_step(gain, s, sc.schedule(k * T), params)
+        assert s.sigma().tobytes() == log.sigma[k].tobytes(), k
+        assert out.cmd.as_array().tobytes() == log.cmd[k].tobytes(), k
+        assert out.wrench.as_array().tobytes() == log.wrench[k].tobytes(), k
+        assert out.saturated == bool(log.saturated[k]), k
+        prev = s
 
 
 def test_offset_hover_diverges_with_partial_log(params, unstable_gain):
