@@ -25,7 +25,7 @@ dataclasses, call the same cores and pack the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
@@ -70,7 +70,7 @@ class Setpoint:
     """
 
     pos_w: np.ndarray
-    vel_w: np.ndarray = (0.0, 0.0, 0.0)
+    vel_w: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     @classmethod
     def hold(cls, pos_w) -> "Setpoint":

@@ -23,7 +23,9 @@ standard cross-product form.
 
 The equations of motion are written once, on floats, in ``_eom``;
 ``state_derivative``, ``rk4_packed`` and the pipeline's model check all
-evaluate that body.
+evaluate that body. ``_forcing`` is the one place its held inputs (wrench,
+residuals, world force, Coriolis variant) are reduced to the quotients
+``_eom`` takes; callers build it once per step, tick or batch.
 """
 
 from __future__ import annotations
@@ -128,8 +130,7 @@ class UnmodeledTerms:
 def _eom(u, v, w, phi, theta, psi, p, q, r, at: float, ap: float, aq: float, c: tuple) -> tuple:
     """The 12 state derivatives from body velocity, Euler angles and rates (floats).
 
-    Position does not enter. ``at, ap, aq, c`` come from :func:`_constants`;
-    the world force (fx, fy, fz) in ``c`` is in newtons.
+    Position does not enter. ``at, ap, aq, c`` come from :func:`_forcing`.
     """
     mt, g, fa1, fa2, fa3, Na, ix, iy, iz, fx, fy, fz, legacy_coriolis = c
     if abs(theta) >= GIMBAL_GUARD:
@@ -179,35 +180,32 @@ def _eom(u, v, w, phi, theta, psi, p, q, r, at: float, ap: float, aq: float, c: 
             ap - ix * q * r, aq - iy * r * p, Na - iz * p * q)
 
 
-def _constants(args, legacy_coriolis: bool) -> tuple:
-    """``(at, ap, aq, c)`` for :func:`_eom` from a ``_pack_inputs`` tuple, once per step.
+def _forcing(p, thrust, tau_r, tau_p, specific_force=(0.0, 0.0, 0.0),
+             angular_accel=(0.0, 0.0, 0.0), force_w=(0.0, 0.0, 0.0), legacy=False) -> tuple:
+    """``(at, ap, aq, c)`` for :func:`_eom`: the inputs a step holds constant.
 
     at = thrust/mt, ap = La + tau_r/Jx, aq = Ma + tau_p/Jy; ``c`` holds the
-    inertia ratios. The wrench entries may be arrays.
+    inertia ratios, the residuals, the world force [N] and the Coriolis
+    variant. The wrench entries may be floats or arrays.
     """
-    mt, Jx, Jy, Jz, g, thrust, tau_r, tau_p, fa1, fa2, fa3, La, Ma, Na, fx, fy, fz = args
-    c = (mt, g, fa1, fa2, fa3, Na, (Jz - Jy) / Jx, (Jx - Jz) / Jy, (Jy - Jx) / Jz,
-         fx, fy, fz, legacy_coriolis)
+    mt, (Jx, Jy, Jz) = p.total_mass, p.J
+    fa1, fa2, fa3 = specific_force
+    La, Ma, Na = angular_accel
+    fx, fy, fz = force_w
+    c = (mt, p.g, fa1, fa2, fa3, Na, (Jz - Jy) / Jx, (Jx - Jz) / Jy, (Jy - Jx) / Jz,
+         fx, fy, fz, legacy)
     return thrust / mt, La + tau_r / Jx, Ma + tau_p / Jy, c
 
 
-def _pack_inputs(p, w, unmodeled, ext_force_w):
-    """Flat input tuple for the packed derivative and stepper; thrust must be >= 0."""
+def _forcing_of(p, w, unmodeled, ext_force_w, legacy_coriolis) -> tuple:
+    """:func:`_forcing` from the dataclass inputs; thrust must be >= 0."""
     if w.thrust < 0.0:
         raise ValueError("thrust must be non-negative (clamp upstream)")
     un = unmodeled if unmodeled is not None else UnmodeledTerms()
-    if ext_force_w is None:
-        fx = fy = fz = 0.0
-    else:
-        fx, fy, fz = (float(c) for c in ext_force_w)
-    Jx, Jy, Jz = p.J
-    return (
-        p.total_mass, Jx, Jy, Jz, p.g,
-        float(w.thrust), float(w.tau_r), float(w.tau_p),
-        float(un.specific_force[0]), float(un.specific_force[1]), float(un.specific_force[2]),
-        float(un.angular_accel[0]), float(un.angular_accel[1]), float(un.angular_accel[2]),
-        fx, fy, fz,
-    )
+    force = (0.0, 0.0, 0.0) if ext_force_w is None else [float(c) for c in ext_force_w]
+    return _forcing(p, float(w.thrust), float(w.tau_r), float(w.tau_p),
+                    un.specific_force.tolist(), un.angular_accel.tolist(), force,
+                    legacy_coriolis)
 
 
 def state_derivative(
@@ -225,19 +223,19 @@ def state_derivative(
     Thrust below zero is not accepted here; clamping belongs to the
     actuator map.
     """
-    at, ap, aq, c = _constants(_pack_inputs(p, w, unmodeled, ext_force_w), legacy_coriolis)
+    at, ap, aq, c = _forcing_of(p, w, unmodeled, ext_force_w, legacy_coriolis)
     return np.array(_eom(*s.as_vector()[3:].tolist(), at, ap, aq, c))
 
 
-def rk4_packed(y, dt: float, args, legacy: bool) -> list:
+def rk4_packed(y, dt: float, forcing) -> list:
     """The package's one RK4 step: 12 floats in, a new list of 12 out.
 
-    ``args`` comes from ``_pack_inputs``; its quotients are taken once per
-    step (:func:`_constants`). Stages are formed entry by entry as
+    ``forcing`` is what :func:`_forcing` returns, built once for as long
+    as the inputs hold. Stages are formed entry by entry as
     ``y + (h * k)``, the operation order numpy uses on arrays, so the step
     is bit for bit the textbook RK4 over :func:`state_derivative`.
     """
-    at, ap, aq, c = _constants(args, legacy)
+    at, ap, aq, c = forcing
     h = 0.5 * dt
     _, _, _, u, v, w, ph, th, ps, p, q, r = y
     a = _eom(u, v, w, ph, th, ps, p, q, r, at, ap, aq, c)
@@ -268,8 +266,8 @@ def rk4_step(
     """
     if not (0.0 < dt <= MAX_DT):
         raise ValueError(f"dt must be in (0, {MAX_DT}]; got {dt}")
-    args = _pack_inputs(p, w, unmodeled, ext_force_w)
-    out = rk4_packed(s.as_vector().tolist(), dt, args, legacy_coriolis)
+    forcing = _forcing_of(p, w, unmodeled, ext_force_w, legacy_coriolis)
+    out = rk4_packed(s.as_vector().tolist(), dt, forcing)
     if not all(map(math.isfinite, out)):
         raise DivergenceError("non-finite state after RK4 step")
     return SimState.from_vector(out)

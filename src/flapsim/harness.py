@@ -18,6 +18,7 @@ the Scenario going in and the RunLog coming out.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,7 +28,8 @@ import yaml
 from .controller import CircleSchedule, ConstantSchedule, CsvSchedule, Setpoint
 from .controller import _decide as control_step  # bench/spans.py times this name
 from .controller import _sense_truth as assemble_ctrl_state  # bench/spans.py times this name
-from .dynamics import MAX_DT, SimState, rk4_packed as _rk4_packed  # bench/spans.py times this name
+from .dynamics import MAX_DT, SimState, _forcing
+from .dynamics import rk4_packed as _rk4_packed  # bench/spans.py times this name
 from .errors import ConfigError, DivergenceError, GimbalLockError, SchemaError
 from .ioutil import atomic_write_text, table_text
 from .kinematics import GIMBAL_GUARD, EulerAngles321
@@ -175,12 +177,25 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _integer(cfg: dict, key: str, default: int) -> int:
-    """An integer-valued scenario key: an integral float (4.0, not 4.5) passes, a bool does not."""
+def _number(cfg: dict, key: str, where: str, default=None, integer: bool = False):
+    """A real-number key: an int or a float, never a bool, a string or null.
+
+    With ``integer`` it must also be integral (4.0, not 4.5) and comes back as an int.
+    """
     v = cfg.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
-        raise SchemaError(f"scenario: {key} must be an integer, got {v!r}")
-    return int(v)
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or integer and isinstance(v, float) and not v.is_integer()):
+        kind = "an integer" if integer else "a number"
+        raise SchemaError(f"{where}: {key} must be {kind}, got {v!r}")
+    try:
+        return int(v) if integer else float(v)
+    except OverflowError:  # an int beyond the float range
+        raise SchemaError(f"{where}: {key} is out of range") from None
+
+
+def _integer(cfg: dict, key: str, default: int) -> int:
+    """An integer-valued scenario key."""
+    return _number(cfg, key, "scenario", default, integer=True)
 
 
 def _triple(cfg: dict, key: str, where: str) -> np.ndarray:
@@ -223,20 +238,20 @@ def _schedule_from_dict(cfg: dict, base_dir) -> object:
         return ConstantSchedule(sp)
     if kind == "circle":
         _check_keys(cfg, {"kind", "radius", "speed", "center"}, "setpoint")
-        try:
-            return CircleSchedule(float(cfg["radius"]), float(cfg["speed"]),
-                                  _triple(cfg, "center", "setpoint"))
-        except KeyError as exc:
-            raise SchemaError(f"setpoint: circle needs {exc.args[0]}") from None
+        for key in ("radius", "speed"):
+            if key not in cfg:
+                raise SchemaError(f"setpoint: circle needs {key}")
+        return CircleSchedule(_number(cfg, "radius", "setpoint"), _number(cfg, "speed", "setpoint"),
+                              _triple(cfg, "center", "setpoint"))
     if kind == "schedule":
         _check_keys(cfg, {"kind", "path"}, "setpoint")
         if "path" not in cfg:
             raise SchemaError("setpoint: schedule needs a path")
         path = cfg["path"]
+        if not isinstance(path, str):
+            raise SchemaError(f"setpoint: path must be a string, got {path!r}")
         if base_dir is not None:
-            import os
-
-            path = os.path.join(os.fspath(base_dir), os.fspath(path)) if not os.path.isabs(path) else path
+            path = os.path.join(os.fspath(base_dir), path)  # an absolute path replaces base_dir
         return CsvSchedule.from_csv(path)
     raise SchemaError(f"setpoint: unknown kind {kind!r} (constant | circle | schedule)")
 
@@ -245,13 +260,14 @@ def _noise_from_dict(cfg: dict) -> NoiseConfig:
     _check_keys(cfg, {"enabled", "pos_sigma", "att_sigma", "att_sigma_deg"}, "noise")
     if "att_sigma" in cfg and "att_sigma_deg" in cfg:
         raise SchemaError("noise: give att_sigma or att_sigma_deg, not both")
-    att = cfg.get("att_sigma")
-    if att is None:
-        att = math.radians(float(cfg.get("att_sigma_deg", 0.2)))
+    if "att_sigma" in cfg:
+        att = _number(cfg, "att_sigma", "noise")
+    else:
+        att = math.radians(_number(cfg, "att_sigma_deg", "noise", 0.2))
     return NoiseConfig(
         enabled=_flag(cfg, "enabled", "noise"),
-        pos_sigma=float(cfg.get("pos_sigma", 0.5e-3)),
-        att_sigma=float(att),
+        pos_sigma=_number(cfg, "pos_sigma", "noise", 0.5e-3),
+        att_sigma=att,
     )
 
 
@@ -264,8 +280,8 @@ def _pulses_from_list(entries, p: VehicleParams) -> tuple:
         _check_keys(ent, {"t_start", "duration", "magnitude_g", "direction", "force"}, where)
         if "t_start" not in ent or "duration" not in ent:
             raise SchemaError(f"{where}: needs t_start and duration")
-        t0 = float(ent["t_start"])
-        dur = float(ent["duration"])
+        t0 = _number(ent, "t_start", where)
+        dur = _number(ent, "duration", where)
         if "force" in ent:
             if "magnitude_g" in ent or "direction" in ent:
                 raise SchemaError(f"{where}: give force or magnitude_g+direction, not both")
@@ -276,8 +292,9 @@ def _pulses_from_list(entries, p: VehicleParams) -> tuple:
             if "magnitude_g" not in ent or "direction" not in ent:
                 raise SchemaError(f"{where}: needs magnitude_g and direction (or force)")
             direction = _triple(ent, "direction", where)
+            magnitude = _number(ent, "magnitude_g", where)
             try:
-                pulses.append(disturbance_pulse(p, float(ent["magnitude_g"]), dur, direction, t0))
+                pulses.append(disturbance_pulse(p, magnitude, dur, direction, t0))
             except ValueError as exc:
                 raise SchemaError(f"{where}: {exc}") from None
     return tuple(pulses)
@@ -307,13 +324,16 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
         if req not in cfg:
             raise SchemaError(f"scenario: missing required key '{req}'")
 
-    control_rate = float(cfg.get("control_rate", CONTROL_RATE))
+    name = cfg["name"]  # the stem of the files written under --out
+    if not isinstance(name, str) or name != os.path.basename(name) or name in ("", ".", ".."):
+        raise SchemaError(f"scenario: name must be a bare file name, got {name!r}")
+    control_rate = _number(cfg, "control_rate", "scenario", CONTROL_RATE)
     if not 0.0 < control_rate < math.inf:  # dt below divides by it
         raise SchemaError("scenario: control_rate must be positive and finite")
     if "physics_substeps" in cfg and "dt" in cfg:
         raise SchemaError("scenario: give physics_substeps or dt, not both")
     if "dt" in cfg:
-        dt = float(cfg["dt"])
+        dt = _number(cfg, "dt", "scenario")
         if not dt > 0.0:
             raise SchemaError("scenario: dt must be positive")
         ratio = 1.0 / (control_rate * dt)
@@ -339,8 +359,8 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
         raise SchemaError("disturbances: expected a list")
 
     return Scenario(
-        name=str(cfg["name"]),
-        duration=float(cfg["duration"]),
+        name=name,
+        duration=_number(cfg, "duration", "scenario"),
         initial=_initial_from_dict(initial_cfg),
         schedule=_schedule_from_dict(setpoint_cfg, base_dir),
         disturbances=_pulses_from_list(dist_cfg, p),
@@ -355,8 +375,6 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
 
 def load_scenario(path, p: VehicleParams | None = None) -> Scenario:
     """Parse a scenario file (YAML mapping; see scenario_from_dict)."""
-    import os
-
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = yaml.safe_load(fh)
@@ -488,7 +506,6 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     rng = np.random.default_rng(sc.seed)
     noise = sc.noise
 
-    mt, (Jx, Jy, Jz), g = p.total_mass, p.J, p.g
     legacy = sc.legacy_coriolis
     pulses = [(d.t_start, d.t_end, d.force_w.tolist()) for d in sc.disturbances]
     gain = K.tolist()
@@ -526,8 +543,8 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
         rows[k] = (t_k, *y[0:3], *y[6:9], *y[3:6], *y[9:12], *sigma, *sp_pos, *sp_vel, *out)
 
         # --- integrate one control period ------------------------------
-        tick_args = (mt, Jx, Jy, Jz, g, *out[3:6], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        args = (*tick_args, 0.0, 0.0, 0.0)  # built once per tick unless a pulse acts in it
+        wrench = out[3:6]
+        forcing = _forcing(p, *wrench, legacy=legacy)  # once per tick unless a pulse acts in it
         tick_pulses = [pl for pl in pulses if pl[0] < t_k + T and pl[1] > t_k]
         try:
             for i in range(substeps):
@@ -537,8 +554,8 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
                     for (t0, t1, f) in tick_pulses:
                         if t0 <= t_sub < t1:
                             fx, fy, fz = fx + f[0], fy + f[1], fz + f[2]
-                    args = (*tick_args, fx, fy, fz)
-                y = _rk4_packed(y, dt, args, legacy)
+                    forcing = _forcing(p, *wrench, force_w=(fx, fy, fz), legacy=legacy)
+                y = _rk4_packed(y, dt, forcing)
         except (ValueError, OverflowError) as exc:
             # gimbal guard or float overflow inside the integrator
             raise DivergenceError(

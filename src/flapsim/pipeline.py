@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ConfigError, GimbalLockError, SchemaError
 from .ioutil import atomic_write_text, read_table, table_text
 from .kinematics import GIMBAL_GUARD, _qmul, quat_from_rotvec, quat_to_rotmat
-from .vehicle import VehicleParams, Wrench
-from .dynamics import _constants, _eom, _pack_inputs
+from .vehicle import VehicleParams
+from .dynamics import _eom, _forcing
 from .harness import RunLog, RUNLOG_COLUMNS
 
 # bench/spans.py times these per-sample names; the array code below reproduces their formulas
@@ -571,11 +571,10 @@ def validate_model(
     states[:, 6] = _wrap(states[:, 6])
     states[:, 8] = _wrap(states[:, 8])
     _check_pitch(states[:, 7], rs.t[idx])
-    # state_derivative's inputs with the wrench columns (entries 5:8) in place
-    fixed = _pack_inputs(p, Wrench(0.0, 0.0, 0.0), None, None)
+    # state_derivative's inputs, zero residuals and force; at, ap, aq are per row
     thrust, tau_r, tau_p = rs.wrench[idx].T
     thrust = np.where(thrust > 0.0, thrust, 0.0)  # max(0.0, thrust) per row
-    at, ap, aq, c = _constants((*fixed[:5], thrust, tau_r, tau_p, *fixed[8:]), legacy_coriolis)
+    at, ap, aq, c = _forcing(p, thrust, tau_r, tau_p, legacy=legacy_coriolis)
     ydot = np.array([_eom(*y, a, b, d, c) for y, a, b, d in zip(
         states[:, 3:].tolist(), at.tolist(), ap.tolist(), aq.tolist())])
     meas = np.column_stack([rs.accel_body[idx], rs.alpha_body[idx]])

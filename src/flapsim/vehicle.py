@@ -16,6 +16,7 @@ cores do the same maps on plain floats for the control tick.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -60,6 +61,11 @@ class VehicleParams:
     Vo_limit: float = 60.0           # |Vo| limit [V]
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            for x in v if isinstance(v, (tuple, list, np.ndarray)) else (v,):
+                if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+                    raise ConfigError(f"{f.name} must hold only finite numbers, got {v!r}")
         if self.m <= 0 or self.m_M < 0:
             raise ConfigError("masses must be positive (m) / non-negative (m_M)")
         J = tuple(float(j) for j in self.J)

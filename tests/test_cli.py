@@ -177,6 +177,12 @@ def test_simulate_seed_and_noise_overrides(tmp_path):
         ("seed: true\n", [], "s.scenario: scenario: seed must be an integer, got True"),
         ("physics_substeps: true\n", [],
          "s.scenario: scenario: physics_substeps must be an integer, got True"),
+        ("control_rate: true\n", [], "s.scenario: scenario: control_rate must be a number, got True"),
+        ('dt: "1.0e-4"\n', [], "s.scenario: scenario: dt must be a number, got '1.0e-4'"),
+        ("noise: {att_sigma_deg: true}\n", [],
+         "s.scenario: noise: att_sigma_deg must be a number, got True"),
+        ("disturbances:\n  - {t_start: null, duration: 0.1, force: [0.0, 0.0, 1.0e-4]}\n", [],
+         "s.scenario: disturbances[0]: t_start must be a number, got None"),
     ],
 )
 def test_simulate_rejects_bad_seed_and_flags_exits_1(tmp_path, capsys, extra, args, message):
@@ -194,8 +200,11 @@ def test_simulate_rejects_bad_seed_and_flags_exits_1(tmp_path, capsys, extra, ar
         ("setpoint:\n  kind: constant\ndisturbances:\n"
          "  - {t_start: 0.0, duration: 0.05, force: [0.0, 1.0e-4]}\n",
          "disturbances[0]: force must be 3 numbers, got [0.0, 0.0001]"),
+        ("setpoint:\n  kind: schedule\n  path: 5\n", "setpoint: path must be a string, got 5"),
+        ("setpoint:\n  kind: circle\n  radius: [1, 2]\n  speed: 0.1\n",
+         "setpoint: radius must be a number, got [1, 2]"),
     ],
-    ids=["euler_deg", "force"],
+    ids=["euler_deg", "force", "path", "radius"],
 )
 def test_simulate_rejects_wrong_length_vectors_exits_1(tmp_path, capsys, body, message):
     scn = tmp_path / "v.scenario"
@@ -204,6 +213,27 @@ def test_simulate_rejects_wrong_length_vectors_exits_1(tmp_path, capsys, body, m
     err = capsys.readouterr().err
     assert f"{scn}: {message}" in err
     assert "Traceback" not in err
+    assert not list(tmp_path.glob("*_runlog*.csv"))
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/inner"])
+def test_simulate_refuses_name_outside_out_exits_1(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    out.mkdir()
+    (tmp_path / "sub").mkdir()
+    scn = write_offset_scenario(tmp_path / "s.scenario", name=name)
+    assert main(["simulate", str(scn), "--out", str(out), "--quiet"]) == 1
+    assert f"scenario: name must be a bare file name, got {name!r}" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == \
+        ["out", "s.scenario", "sub"]
+
+
+def test_simulate_non_finite_params_exits_1(tmp_path, capsys):
+    veh = tmp_path / "veh.yaml"
+    veh.write_text("roll_slope: .inf\n")
+    assert main(["simulate", "hover", "--params", str(veh), "--out", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "bad parameter value" in err and "roll_slope must hold only finite numbers" in err
     assert not list(tmp_path.glob("*_runlog*.csv"))
 
 

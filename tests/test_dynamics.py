@@ -13,6 +13,7 @@ from flapsim.dynamics import (
     STATE_DIM,
     SimState,
     UnmodeledTerms,
+    _forcing,
     hover_equilibrium,
     rk4_packed,
     rk4_step,
@@ -219,12 +220,11 @@ def test_chained_rk4_step_equals_chained_rk4_packed(params, legacy):
                  EulerAngles321(0.2, -0.1, 1.0), (1.0, -2.0, 3.0))
     w = Wrench(1.1 * hover_thrust(params), 2e-8, -1e-8)
     dt = 1.0 / (240.0 * 42)
-    args = (params.total_mass, *params.J, params.g, w.thrust, w.tau_r, w.tau_p,
-            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    forcing = _forcing(params, w.thrust, w.tau_r, w.tau_p, legacy=legacy)
     y = s.as_vector().tolist()
     for _ in range(420):
         s = rk4_step(params, s, w, dt=dt, legacy_coriolis=legacy)
-        y = rk4_packed(y, dt, args, legacy)
+        y = rk4_packed(y, dt, forcing)
     assert s.as_vector().tobytes() == np.array(y).tobytes()
 
 
@@ -261,9 +261,8 @@ def test_rk4_packed_is_textbook_rk4_over_state_derivative_bit_for_bit(
         return state_derivative(params, SimState.from_vector(y), w, un, force,
                                 legacy_coriolis=legacy)
 
-    args = (params.total_mass, *params.J, params.g, thrust, *torques,
-            *specific_force, *angular_accel, *force)
-    out = rk4_packed(s.as_vector().tolist(), dt, args, legacy)
+    forcing = _forcing(params, thrust, *torques, specific_force, angular_accel, force, legacy)
+    out = rk4_packed(s.as_vector().tolist(), dt, forcing)
     assert np.array(out).tobytes() == oracles.rk4_textbook(f, s.as_vector(), dt).tobytes()
 
 

@@ -143,6 +143,33 @@ def test_scenario_from_dict_full(tmp_path):
         ({"seed": True}, "scenario: seed must be an integer, got True"),
         ({"physics_substeps": True}, "scenario: physics_substeps must be an integer, got True"),
         ({"seed": "3"}, "scenario: seed must be an integer, got '3'"),
+        ({"duration": True}, "scenario: duration must be a number, got True"),
+        ({"duration": "2.5"}, "scenario: duration must be a number, got '2.5'"),
+        ({"duration": None}, "scenario: duration must be a number, got None"),
+        ({"duration": 10**400}, "scenario: duration is out of range"),
+        ({"control_rate": True}, "scenario: control_rate must be a number, got True"),
+        ({"dt": "1e-4"}, "scenario: dt must be a number, got '1e-4'"),
+        ({"noise": {"pos_sigma": "0.001"}}, "noise: pos_sigma must be a number, got '0.001'"),
+        ({"noise": {"att_sigma": None}}, "noise: att_sigma must be a number, got None"),
+        ({"noise": {"att_sigma_deg": True}}, "noise: att_sigma_deg must be a number, got True"),
+        ({"setpoint": {"kind": "circle", "radius": True, "speed": 0.1}},
+         "setpoint: radius must be a number, got True"),
+        ({"setpoint": {"kind": "circle", "radius": [1, 2], "speed": 0.1}},
+         "setpoint: radius must be a number, got "),
+        ({"setpoint": {"kind": "circle", "radius": 0.1, "speed": "0.1"}},
+         "setpoint: speed must be a number, got '0.1'"),
+        ({"disturbances": [{"t_start": None, "duration": 0.1, "force": [0, 0, 1e-4]}]},
+         "t_start must be a number, got None"),
+        ({"disturbances": [{"t_start": 0.0, "duration": True, "force": [0, 0, 1e-4]}]},
+         "duration must be a number, got True"),
+        ({"disturbances": [{"t_start": 0.0, "duration": 0.1, "magnitude_g": "1",
+                            "direction": [0, 0, 1]}]},
+         "magnitude_g must be a number, got '1'"),
+        ({"name": "../escaped"}, "scenario: name must be a bare file name, got '../escaped'"),
+        ({"name": "sub/inner"}, "scenario: name must be a bare file name, got 'sub/inner'"),
+        ({"name": ".."}, "scenario: name must be a bare file name, got '..'"),
+        ({"name": ""}, "scenario: name must be a bare file name, got ''"),
+        ({"name": 5}, "scenario: name must be a bare file name, got 5"),
     ],
 )
 def test_scenario_from_dict_rejects(patch, match):
@@ -367,6 +394,15 @@ def test_pulse_outside_run_window_is_inert(params, gain):
                           schedule=HOLD_ORIGIN, disturbances=(late,))
     assert run_scenario(base, params, gain).to_csv_text() == \
         run_scenario(with_pulse, params, gain).to_csv_text()
+
+
+def test_schedule_returning_position_only_setpoint_runs(params, gain):
+    # Setpoint(pos) defaults vel_w to zeros, as Setpoint.hold does
+    sc = Scenario(name="a", duration=0.1, initial=hover_state(),
+                  schedule=lambda t: Setpoint(np.zeros(3)), physics_substeps=4)
+    held = dataclasses.replace(sc, schedule=HOLD_ORIGIN)
+    assert run_scenario(sc, params, gain).to_csv_text() == \
+        run_scenario(held, params, gain).to_csv_text()
 
 
 def test_runs_are_deterministic_per_seed(params, gain):

@@ -180,6 +180,40 @@ def test_params_validation_errors():
         VehicleParams(flap_freq=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("m", math.nan),
+        ("g", math.nan),
+        ("J", (3.12e-9, math.nan, 0.55e-9)),
+        ("J", [3.12e-9, True, 0.55e-9]),
+        ("roll_slope", math.inf),
+        ("thrust_intercept", -math.inf),
+        ("A_limits", (0.0, math.inf)),
+        ("m", True),
+        ("Vo_limit", False),
+    ],
+)
+def test_params_refuse_non_finite_and_boolean_values(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must hold only finite numbers"):
+        VehicleParams(**{field: value})
+
+
+def test_params_sign_rules_unchanged():
+    p = VehicleParams(thrust_intercept=-0.0024, roll_slope=-0.48e-6, pitch_slope=-0.11e-6)
+    assert p.roll_slope < 0 and p.pitch_slope < 0
+
+
+@pytest.mark.parametrize("line", ["m: .nan\n", "J: [3.12e-9, .nan, 0.55e-9]\n",
+                                  "roll_slope: .inf\n", "m: true\n"])
+def test_params_file_refuses_non_finite_and_boolean_values(tmp_path, line):
+    path = tmp_path / "veh.yaml"
+    path.write_text(line)
+    field = line.split(":")[0]
+    with pytest.raises(ConfigError, match=f"bad parameter value .*{field} must hold only finite"):
+        load_params(str(path))
+
+
 def test_params_file_round_trip(tmp_path, params):
     path = tmp_path / "veh.yaml"
     modified = VehicleParams(m=160e-6, dA_limit=35.0)
