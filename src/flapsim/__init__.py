@@ -75,6 +75,7 @@ from .harness import (
     metrics,
     run_scenario,
     scenario_from_dict,
+    step_error,
 )
 from .pipeline import (
     BodyOffset,

@@ -80,6 +80,11 @@ def _build_parser() -> _Parser:
     s.add_argument("--gains", help="gain CSV (default: synthesize with default weights)")
     s.add_argument("--seed", type=int, help="override the scenario seed")
     s.add_argument("--noise", choices=("on", "off"), help="override the scenario noise flag")
+    s.add_argument(
+        "--check-step",
+        action="store_true",
+        help="also rerun at twice the substeps and print the largest log difference",
+    )
 
     v = sub.add_parser("validate", parents=[common], help="compare flight data with the model")
     v.add_argument("data", nargs="+", help="run-log CSVs and/or mocap pose CSVs")
@@ -199,6 +204,13 @@ def _cmd_simulate(args) -> int:
     if not args.quiet:
         print(f"run log written to {path}  ({len(log)} ticks, seed {sc.seed})")
         print(metrics(log).to_text())
+    if args.check_step:
+        from .harness import step_error
+
+        n = sc.physics_substeps
+        d_pos, d_att = step_error(sc, p, K)
+        print(f"step check: {n} vs {2 * n} substeps per tick: max position difference "
+              f"{d_pos:.3e} m, max attitude difference {d_att:.3e} rad")
     return 0
 
 
@@ -295,8 +307,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
-        # covers schema errors, bad CLI values, and malformed input files
+    except (ConfigError, OSError, ValueError) as exc:
+        # covers schema errors, bad CLI values, malformed, missing or unreadable
+        # input files and output paths that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SynthesisError, DivergenceError) as exc:

@@ -1,6 +1,7 @@
 """Command-line interface tests (in-process, plus subprocess smoke tests)."""
 
 import importlib
+import re
 import shutil
 import subprocess
 import sys
@@ -226,6 +227,41 @@ def test_simulate_refuses_name_outside_out_exits_1(tmp_path, capsys, name):
     assert f"scenario: name must be a bare file name, got {name!r}" in capsys.readouterr().err
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == \
         ["out", "s.scenario", "sub"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: ["simulate", str(write_offset_scenario(
+            d / "s.scenario", extra='setpoint:\n  kind: schedule\n  path: ""\n'))],
+        lambda d: ["simulate", str(d)],
+        lambda d: ["simulate", "hover", "--gains", str(d)],
+        lambda d: ["simulate", "hover", "--params", str(d)],
+        lambda d: ["gains", "--params", str(d)],
+        lambda d: ["validate", str(d)],
+        lambda d: ["simulate", "hover", "--out", str(d / "s.scenario")],
+    ],
+    ids=["schedule_path_is_a_dir", "scenario_is_a_dir", "gains_is_a_dir",
+         "params_is_a_dir", "gains_params_is_a_dir", "validate_dir", "out_is_a_file"],
+)
+def test_os_errors_exit_1(tmp_path, capsys, argv):
+    write_offset_scenario(tmp_path / "s.scenario")
+    args = argv(tmp_path)
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args + ["--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.rglob("*_runlog*.csv"))
+
+
+def test_simulate_check_step_prints_the_doubling_line(tmp_path, capsys):
+    assert main(["simulate", "circle", "--check-step", "--quiet", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("step check: 4 vs 8 substeps per tick")
+    d_pos, d_att = (float(v) for v in re.findall(r"difference (\S+) ", out[0]))
+    assert 0.0 < d_pos <= 1e-8 and 0.0 < d_att <= 1e-6
+    assert (tmp_path / "circle_runlog.csv").exists()
 
 
 def test_simulate_non_finite_params_exits_1(tmp_path, capsys):

@@ -18,17 +18,20 @@ from flapsim.controller import (
 from flapsim.dynamics import SimState
 from flapsim.errors import ConfigError, DivergenceError, SchemaError
 from flapsim.harness import (
+    PHYSICS_STEP,
     DisturbancePulse,
     NoiseConfig,
     RUNLOG_COLUMNS,
     RUNLOG_FIELDS,
     RunLog,
     Scenario,
+    default_substeps,
     disturbance_pulse,
     load_scenario,
     metrics,
     run_scenario,
     scenario_from_dict,
+    step_error,
 )
 from flapsim.kinematics import (
     GIMBAL_GUARD,
@@ -269,9 +272,9 @@ def test_scenario_yaml_schedule_path_is_relative_to_file(tmp_path):
 def test_bundled_scenarios_load_with_pinned_fields(params):
     hover = bundled_scenario("hover")
     assert hover.name == "hover" and hover.duration == 2.0
-    assert hover.control_rate == 240.0 and hover.physics_substeps == 42
+    assert hover.control_rate == 240.0 and hover.physics_substeps == 4
     assert hover.seed == 0 and not hover.noise.enabled
-    np.testing.assert_array_equal(hover.initial.pos_w, 0.0)
+    np.testing.assert_array_equal(hover.initial.pos_w, [0.05, 0.0, 0.0])
 
     dist = bundled_scenario("disturbance")
     assert dist.duration == 3.0
@@ -290,6 +293,71 @@ def test_bundled_scenarios_load_with_pinned_fields(params):
     assert circ.schedule.radius == 0.1 and circ.schedule.speed == 0.25
     np.testing.assert_allclose(circ.initial.pos_w, [0.1, 0.0, 0.0])
     np.testing.assert_allclose(circ.initial.vel_b, [0.0, 0.25, 0.0])
+
+
+@pytest.mark.parametrize("rate, substeps", [(240.0, 4), (120.0, 8), (100.0, 10), (1000.0, 1)])
+def test_default_substeps_meet_the_physics_step(rate, substeps):
+    assert default_substeps(rate) == substeps
+    assert 1.0 / (rate * substeps) <= PHYSICS_STEP * (1.0 + 1e-9)
+    assert substeps == 1 or 1.0 / (rate * (substeps - 1)) > PHYSICS_STEP
+    sc = Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN,
+                  control_rate=rate)
+    assert sc.physics_substeps == substeps
+    cfg = {"name": "x", "duration": 1.0, "control_rate": rate,
+           "setpoint": {"kind": "constant"}}
+    assert scenario_from_dict(cfg).physics_substeps == substeps
+
+
+def test_explicit_substeps_or_dt_override_the_default():
+    cfg = {"name": "x", "duration": 1.0, "setpoint": {"kind": "constant"}}
+    assert scenario_from_dict({**cfg, "physics_substeps": 42}).physics_substeps == 42
+    assert scenario_from_dict({**cfg, "dt": 1.0 / 2400.0}).physics_substeps == 10
+    sc = Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN,
+                  physics_substeps=42)
+    assert sc.physics_substeps == 42 and sc.dt == pytest.approx(1.0 / (240.0 * 42))
+
+
+def test_direct_scenario_agrees_with_scenario_from_dict(params, gain):
+    cfg = {"name": "x", "duration": 0.2, "initial": {"pos": [0.01, 0.0, 0.0]},
+           "setpoint": {"kind": "constant"}}
+    from_dict = scenario_from_dict(cfg)
+    direct = Scenario(name="x", duration=0.2, initial=hover_state(pos=(0.01, 0.0, 0.0)),
+                      schedule=HOLD_ORIGIN)
+    assert direct.physics_substeps == from_dict.physics_substeps == 4
+    assert direct.dt == from_dict.dt
+    assert run_scenario(direct, params, gain).to_csv_text() == \
+        run_scenario(from_dict, params, gain).to_csv_text()
+
+
+@pytest.mark.parametrize("name", ["hover", "circle", "disturbance"])
+def test_bundled_scenarios_meet_the_step_tolerance(params, gain, name):
+    sc = bundled_scenario(name)
+    assert sc.physics_substeps == 4
+    d_pos, d_att = step_error(sc, params, gain)
+    assert 0.0 < d_pos <= 1e-8
+    assert 0.0 < d_att <= 1e-6
+
+
+def test_step_error_wraps_attitude_differences(params, gain, monkeypatch):
+    # yaw logged as pi - 1e-9 by one run and -pi + 1e-9 by the other is 2e-9 apart
+    t = np.arange(3) / 240.0
+    yaw = {4: np.pi - 1e-9, 8: -np.pi + 1e-9}
+    runs = []
+
+    def fake_run(sc, p, K):
+        runs.append(sc.physics_substeps)
+        euler = np.zeros((3, 3))
+        euler[1, 2] = yaw[sc.physics_substeps]
+        pos = np.zeros((3, 3))
+        pos[2] = (3e-9, 4e-9, 0.0) if sc.physics_substeps == 8 else 0.0
+        return synthetic_log(t, pos=pos, euler=euler)
+
+    monkeypatch.setattr("flapsim.harness.run_scenario", fake_run)
+    sc = Scenario(name="x", duration=0.1, initial=hover_state(), schedule=HOLD_ORIGIN)
+    d_pos, d_att = step_error(sc, params, gain)
+    assert runs == [4, 8]
+    assert d_pos == pytest.approx(5e-9, rel=1e-12)
+    assert d_att == pytest.approx(2e-9, rel=1e-6)
 
 
 def test_scenario_validation():
@@ -385,6 +453,29 @@ def test_one_g_pulse_first_tick_response(params, gain):
     assert log.vel_b[1, 2] == pytest.approx(-params.g * T, rel=1e-9)
     assert log.pos_w[1, 2] == pytest.approx(-0.5 * params.g * T * T, rel=1e-9)
     np.testing.assert_array_equal(log.euler[1], 0.0)
+
+
+def _pulse_scenario(params, t_start, substeps, duration=1.0):
+    pulse = disturbance_pulse(params, 2.5, 0.05, (0.0, 1.0, 0.0), t_start=t_start)
+    return Scenario(name="pulse", duration=duration, initial=hover_state(),
+                    schedule=HOLD_ORIGIN, disturbances=(pulse,), physics_substeps=substeps)
+
+
+def test_pulse_edges_inside_substeps_are_weighted_by_overlap(params, gain):
+    # edges 0.3 ms past a tick: inside a substep at 4 substeps per tick
+    ref = run_scenario(_pulse_scenario(params, 0.5013, 168), params, gain)
+    log = run_scenario(_pulse_scenario(params, 0.5013, 4), params, gain)
+    err = float(np.max(np.linalg.norm(log.pos_w - ref.pos_w, axis=1)))
+    assert err < 1e-5  # 7e-4 m when each substep takes the force at its start or not at all
+    assert float(np.max(np.abs(log.pos_w[:, 1]))) > 1e-3  # the pulse did push
+
+
+def test_pulse_edges_within_slack_of_the_grid_lie_on_it(params, gain):
+    dt = 1.0 / 960.0
+    on_grid = run_scenario(_pulse_scenario(params, 480 * dt, 4, 0.6), params, gain)
+    for shift in (-1e-12 * dt, 1e-12 * dt):
+        nudged = run_scenario(_pulse_scenario(params, 480 * dt + shift, 4, 0.6), params, gain)
+        assert nudged.to_csv_text() == on_grid.to_csv_text()
 
 
 def test_pulse_outside_run_window_is_inert(params, gain):
