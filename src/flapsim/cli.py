@@ -208,7 +208,7 @@ def _cmd_simulate(args) -> int:
         from .harness import step_error
 
         n = sc.physics_substeps
-        d_pos, d_att = step_error(sc, p, K)
+        d_pos, d_att = step_error(sc, p, K, coarse=log)
         print(f"step check: {n} vs {2 * n} substeps per tick: max position difference "
               f"{d_pos:.3e} m, max attitude difference {d_att:.3e} rad")
     return 0

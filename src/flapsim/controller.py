@@ -203,17 +203,17 @@ class ControlOutput:
     saturated: bool
 
 
-def _decide(K, est: tuple, sp_pos, sp_vel, p: VehicleParams) -> tuple:
+def _decide(K, est: tuple, sp_pos, sp_vel, p: VehicleParams, hover: float) -> tuple:
     """Float core of :func:`control_step`: (A, dA, Vo, thrust, tau_r, tau_p, saturated).
 
-    ``K`` is 3 rows of 10 floats, the setpoint 3 + 3 floats.
+    ``K`` is 3 rows of 10 floats, the setpoint 3 + 3 floats, ``hover`` = hover_thrust(p).
     """
     R, pos, vel, (roll, pitch, _), (wp, wq, _) = est
     e = (*_to_body(R, sp_pos[0] - pos[0], sp_pos[1] - pos[1], sp_pos[2] - pos[2]),
          *_to_body(R, sp_vel[0] - vel[0], sp_vel[1] - vel[1], sp_vel[2] - vel[2]),
          -roll, -pitch, -wp, -wq)
     d_gamma, tau_r, tau_p = [sum(map(mul, row, e)) for row in K]
-    A, dA, Vo, saturated = _wrench_to_cmd(p, hover_thrust(p) + d_gamma, tau_r, tau_p)
+    A, dA, Vo, saturated = _wrench_to_cmd(p, hover + d_gamma, tau_r, tau_p)
     return (A, dA, Vo, *_cmd_to_wrench(p, A, dA, Vo), saturated)
 
 
@@ -228,7 +228,8 @@ def control_step(K, s: CtrlState, sp: Setpoint, p: VehicleParams) -> ControlOutp
     if K.shape != (3, 10):
         raise ValueError(f"gain must be 3x10, got {K.shape}")
     A, dA, Vo, *wrench, saturated = _decide(
-        K.tolist(), _est(s), np.ravel(sp.pos_w).tolist(), np.ravel(sp.vel_w).tolist(), p)
+        K.tolist(), _est(s), np.ravel(sp.pos_w).tolist(), np.ravel(sp.vel_w).tolist(), p,
+        hover_thrust(p))
     return ControlOutput(ActuatorCmd(A, dA, Vo), Wrench(*wrench), saturated)
 
 

@@ -23,9 +23,9 @@ standard cross-product form.
 
 The equations of motion are written once, on floats, in ``_eom``;
 ``state_derivative``, ``rk4_packed`` and the pipeline's model check all
-evaluate that body. ``_forcing`` is the one place its held inputs (wrench,
-residuals, world force, Coriolis variant) are reduced to the quotients
-``_eom`` takes; callers build it once per step, tick or batch.
+evaluate that body. ``_plant`` (once per run, step or batch) and ``_forcing``
+(once per wrench) are the one place its held inputs are reduced to the
+quotients ``_eom`` takes.
 """
 
 from __future__ import annotations
@@ -180,20 +180,23 @@ def _eom(u, v, w, phi, theta, psi, p, q, r, at: float, ap: float, aq: float, c: 
             ap - ix * q * r, aq - iy * r * p, Na - iz * p * q)
 
 
-def _forcing(p, thrust, tau_r, tau_p, specific_force=(0.0, 0.0, 0.0),
-             angular_accel=(0.0, 0.0, 0.0), force_w=(0.0, 0.0, 0.0), legacy=False) -> tuple:
-    """``(at, ap, aq, c)`` for :func:`_eom`: the inputs a step holds constant.
-
-    at = thrust/mt, ap = La + tau_r/Jx, aq = Ma + tau_p/Jy; ``c`` holds the
-    inertia ratios, the residuals, the world force [N] and the Coriolis
-    variant. The wrench entries may be floats or arrays.
-    """
+def _plant(p, specific_force=(0.0, 0.0, 0.0), angular_accel=(0.0, 0.0, 0.0),
+           force_w=(0.0, 0.0, 0.0), legacy=False) -> tuple:
+    """What :func:`_forcing` takes besides the wrench; ``c`` holds the inertia
+    ratios, the residuals, the world force [N] and the Coriolis variant."""
     mt, (Jx, Jy, Jz) = p.total_mass, p.J
     fa1, fa2, fa3 = specific_force
     La, Ma, Na = angular_accel
     fx, fy, fz = force_w
     c = (mt, p.g, fa1, fa2, fa3, Na, (Jz - Jy) / Jx, (Jx - Jz) / Jy, (Jy - Jx) / Jz,
          fx, fy, fz, legacy)
+    return mt, Jx, Jy, La, Ma, c
+
+
+def _forcing(plant, thrust, tau_r, tau_p) -> tuple:
+    """``(at, ap, aq, c)`` for :func:`_eom` from :func:`_plant`: at = thrust/mt,
+    ap = La + tau_r/Jx, aq = Ma + tau_p/Jy. The wrench may be floats or arrays."""
+    mt, Jx, Jy, La, Ma, c = plant
     return thrust / mt, La + tau_r / Jx, Ma + tau_p / Jy, c
 
 
@@ -203,9 +206,8 @@ def _forcing_of(p, w, unmodeled, ext_force_w, legacy_coriolis) -> tuple:
         raise ValueError("thrust must be non-negative (clamp upstream)")
     un = unmodeled if unmodeled is not None else UnmodeledTerms()
     force = (0.0, 0.0, 0.0) if ext_force_w is None else [float(c) for c in ext_force_w]
-    return _forcing(p, float(w.thrust), float(w.tau_r), float(w.tau_p),
-                    un.specific_force.tolist(), un.angular_accel.tolist(), force,
-                    legacy_coriolis)
+    plant = _plant(p, un.specific_force.tolist(), un.angular_accel.tolist(), force, legacy_coriolis)
+    return _forcing(plant, float(w.thrust), float(w.tau_r), float(w.tau_p))
 
 
 def state_derivative(
@@ -231,22 +233,33 @@ def rk4_packed(y, dt: float, forcing) -> list:
     """The package's one RK4 step: 12 floats in, a new list of 12 out.
 
     ``forcing`` is what :func:`_forcing` returns, built once for as long
-    as the inputs hold. Stages are formed entry by entry as
-    ``y + (h * k)``, the operation order numpy uses on arrays, so the step
-    is bit for bit the textbook RK4 over :func:`state_derivative`.
+    as the inputs hold. Stages ``y + (h * k)`` and the sum ``y + s * (k1 + 2 k2
+    + 2 k3 + k4)``, left to right, are written out on locals in numpy's order
+    (cheaper than subscripts and a ``zip``; any other order changes bits), so
+    the step is bit for bit the textbook RK4 over :func:`state_derivative`.
     """
     at, ap, aq, c = forcing
     h = 0.5 * dt
-    _, _, _, u, v, w, ph, th, ps, p, q, r = y
-    a = _eom(u, v, w, ph, th, ps, p, q, r, at, ap, aq, c)
-    b = _eom(u + h * a[3], v + h * a[4], w + h * a[5], ph + h * a[6], th + h * a[7],
-             ps + h * a[8], p + h * a[9], q + h * a[10], r + h * a[11], at, ap, aq, c)
-    d = _eom(u + h * b[3], v + h * b[4], w + h * b[5], ph + h * b[6], th + h * b[7],
-             ps + h * b[8], p + h * b[9], q + h * b[10], r + h * b[11], at, ap, aq, c)
-    e = _eom(u + dt * d[3], v + dt * d[4], w + dt * d[5], ph + dt * d[6], th + dt * d[7],
-             ps + dt * d[8], p + dt * d[9], q + dt * d[10], r + dt * d[11], at, ap, aq, c)
+    xw, yw, zw, u, v, w, ph, th, ps, p, q, r = y
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = _eom(
+        u, v, w, ph, th, ps, p, q, r, at, ap, aq, c)
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = _eom(
+        u + h * a3, v + h * a4, w + h * a5, ph + h * a6, th + h * a7, ps + h * a8,
+        p + h * a9, q + h * a10, r + h * a11, at, ap, aq, c)
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11 = _eom(
+        u + h * b3, v + h * b4, w + h * b5, ph + h * b6, th + h * b7, ps + h * b8,
+        p + h * b9, q + h * b10, r + h * b11, at, ap, aq, c)
+    e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11 = _eom(
+        u + dt * d3, v + dt * d4, w + dt * d5, ph + dt * d6, th + dt * d7, ps + dt * d8,
+        p + dt * d9, q + dt * d10, r + dt * d11, at, ap, aq, c)
     s = dt / 6.0
-    return [x + s * (k1 + 2.0 * k2 + 2.0 * k3 + k4) for x, k1, k2, k3, k4 in zip(y, a, b, d, e)]
+    return [xw + s * (a0 + 2.0 * b0 + 2.0 * d0 + e0), yw + s * (a1 + 2.0 * b1 + 2.0 * d1 + e1),
+            zw + s * (a2 + 2.0 * b2 + 2.0 * d2 + e2), u + s * (a3 + 2.0 * b3 + 2.0 * d3 + e3),
+            v + s * (a4 + 2.0 * b4 + 2.0 * d4 + e4), w + s * (a5 + 2.0 * b5 + 2.0 * d5 + e5),
+            ph + s * (a6 + 2.0 * b6 + 2.0 * d6 + e6), th + s * (a7 + 2.0 * b7 + 2.0 * d7 + e7),
+            ps + s * (a8 + 2.0 * b8 + 2.0 * d8 + e8), p + s * (a9 + 2.0 * b9 + 2.0 * d9 + e9),
+            q + s * (a10 + 2.0 * b10 + 2.0 * d10 + e10),
+            r + s * (a11 + 2.0 * b11 + 2.0 * d11 + e11)]
 
 
 def rk4_step(

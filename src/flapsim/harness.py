@@ -35,7 +35,7 @@ import yaml
 from .controller import CircleSchedule, ConstantSchedule, CsvSchedule, Setpoint
 from .controller import _decide as control_step  # bench/spans.py times this name
 from .controller import _sense_truth as assemble_ctrl_state  # bench/spans.py times this name
-from .dynamics import MAX_DT, SimState, _forcing
+from .dynamics import MAX_DT, SimState, _forcing, _plant
 from .dynamics import rk4_packed as _rk4_packed  # bench/spans.py times this name
 from .errors import ConfigError, DivergenceError, GimbalLockError, SchemaError
 from .ioutil import atomic_write_text, table_text
@@ -44,7 +44,7 @@ from .kinematics import (  # noqa: F401  bench/spans.py times these names
     euler_to_quat, euler_to_rotmat, quat_from_rotvec, quat_multiply,
 )
 from .lqr import CONTROL_RATE
-from .vehicle import VehicleParams
+from .vehicle import VehicleParams, hover_thrust
 
 __all__ = [
     "NoiseConfig",
@@ -92,6 +92,15 @@ class NoiseConfig:
     def __post_init__(self) -> None:
         if not all(0.0 <= s < math.inf for s in (self.pos_sigma, self.att_sigma)):
             raise ConfigError("noise sigmas must be finite and non-negative")
+
+
+def _noise_samples(noise: NoiseConfig, seed: int, n_ticks: int):
+    """Row k: tick k's 3 position, then 3 attitude noise samples (None when off),
+    drawn at once in the order per-tick ``normal(0, sigma, 3)`` pairs draw them."""
+    if not noise.enabled:
+        return None
+    sigmas = [noise.pos_sigma] * 3 + [noise.att_sigma] * 3
+    return np.random.default_rng(seed).normal(0.0, sigmas, (n_ticks, 6))
 
 
 @dataclass(frozen=True)
@@ -530,12 +539,12 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     T = sc.control_period
     dt = sc.dt
     substeps = sc.physics_substeps
-    rng = np.random.default_rng(sc.seed)
-    noise = sc.noise
+    block = _noise_samples(sc.noise, sc.seed, n_ticks)
 
-    legacy = sc.legacy_coriolis
+    legacy, truth_vel = sc.legacy_coriolis, sc.use_truth_velocity
+    plant = _plant(p, legacy=legacy)
     pulses = [(d.t_start, d.t_end, d.force_w.tolist()) for d in sc.disturbances]
-    gain = K.tolist()
+    gain, hover = K.tolist(), hover_thrust(p)
 
     rows = np.empty((n_ticks, len(RUNLOG_COLUMNS)))  # laid out as RUNLOG_FIELDS
     meta = {"scenario_name": sc.name, "seed": sc.seed, "control_rate": sc.control_rate}
@@ -547,12 +556,9 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
         t_k = k * T
 
         # --- sense ---------------------------------------------------
-        draws = None  # 3 position, then 3 attitude noise samples
-        if noise.enabled:
-            draws = [*rng.normal(0.0, noise.pos_sigma, 3).tolist(),
-                     *rng.normal(0.0, noise.att_sigma, 3).tolist()]
+        draws = None if block is None else block[k].tolist()
         try:
-            est, sigma, carry = assemble_ctrl_state(y, carry, T, draws, sc.use_truth_velocity)
+            est, sigma, carry = assemble_ctrl_state(y, carry, T, draws, truth_vel)
         except GimbalLockError as exc:
             # the measured attitude, noise included, can sit nearer 90 deg than the truth
             raise DivergenceError(
@@ -564,15 +570,15 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
         sp = sc.schedule(t_k)
         sp_pos, sp_vel = sp.pos_w.tolist(), sp.vel_w.tolist()
         # A, dA, Vo, thrust, tau_r, tau_p, saturated
-        out = control_step(gain, est, sp_pos, sp_vel, p)
+        out = control_step(gain, est, sp_pos, sp_vel, p, hover)
 
         # --- log ------------------------------------------------------
         rows[k] = (t_k, *y[0:3], *y[6:9], *y[3:6], *y[9:12], *sigma, *sp_pos, *sp_vel, *out)
 
         # --- integrate one control period ------------------------------
         wrench = out[3:6]
-        forcing = _forcing(p, *wrench, legacy=legacy)  # once per tick unless a pulse acts in it
-        tick_pulses = [pl for pl in pulses if pl[0] < t_k + T and pl[1] > t_k]
+        forcing = _forcing(plant, *wrench)  # once per tick unless a pulse acts in it
+        tick_pulses = [pl for pl in pulses if pl[0] < t_k + T and pl[1] > t_k] if pulses else ()
         try:
             for i in range(substeps):
                 if tick_pulses:
@@ -586,7 +592,7 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
                             fx, fy, fz = fx + f[0], fy + f[1], fz + f[2]
                         elif share > 1e-9:
                             fx, fy, fz = fx + share * f[0], fy + share * f[1], fz + share * f[2]
-                    forcing = _forcing(p, *wrench, force_w=(fx, fy, fz), legacy=legacy)
+                    forcing = _forcing(_plant(p, force_w=(fx, fy, fz), legacy=legacy), *wrench)
                 y = _rk4_packed(y, dt, forcing)
         except (ValueError, OverflowError) as exc:
             # gimbal guard or float overflow inside the integrator
@@ -603,17 +609,20 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     return RunLog.from_rows(rows, **meta, final_state=SimState.from_vector(y))
 
 
-def step_error(sc: Scenario, p: VehicleParams, K) -> tuple:
+def step_error(sc: Scenario, p: VehicleParams, K, coarse: RunLog | None = None) -> tuple:
     """Step-doubling estimate of the physics step's error on one scenario.
 
     Runs ``sc`` at its substep count n and again at 2n and returns the
     largest difference over the logged ticks in position [m] and in
     attitude [rad], each Euler angle difference wrapped into [-pi, pi).
     For RK4 the n-substep run's own error is about 16/15 of these.
+    ``coarse`` is the n-substep run's log when the caller has made that
+    run already; then only the 2n run is made.
     """
     from dataclasses import replace
 
-    coarse = run_scenario(sc, p, K)
+    if coarse is None:
+        coarse = run_scenario(sc, p, K)
     fine = run_scenario(replace(sc, physics_substeps=2 * sc.physics_substeps), p, K)
     d_pos = np.linalg.norm(coarse.pos_w - fine.pos_w, axis=1)
     d_att = np.remainder(coarse.euler - fine.euler + math.pi, 2.0 * math.pi) - math.pi

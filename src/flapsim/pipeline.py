@@ -21,7 +21,7 @@ from .errors import ConfigError, GimbalLockError, SchemaError
 from .ioutil import atomic_write_text, read_table, table_text
 from .kinematics import GIMBAL_GUARD, _qmul, quat_from_rotvec, quat_to_rotmat
 from .vehicle import VehicleParams
-from .dynamics import _eom, _forcing
+from .dynamics import _eom, _forcing, _plant
 from .harness import RunLog, RUNLOG_COLUMNS
 
 # bench/spans.py times these per-sample names; the array code below reproduces their formulas
@@ -574,7 +574,7 @@ def validate_model(
     # state_derivative's inputs, zero residuals and force; at, ap, aq are per row
     thrust, tau_r, tau_p = rs.wrench[idx].T
     thrust = np.where(thrust > 0.0, thrust, 0.0)  # max(0.0, thrust) per row
-    at, ap, aq, c = _forcing(p, thrust, tau_r, tau_p, legacy=legacy_coriolis)
+    at, ap, aq, c = _forcing(_plant(p, legacy=legacy_coriolis), thrust, tau_r, tau_p)
     ydot = np.array([_eom(*y, a, b, d, c) for y, a, b, d in zip(
         states[:, 3:].tolist(), at.tolist(), ap.tolist(), aq.tolist())])
     meas = np.column_stack([rs.accel_body[idx], rs.alpha_body[idx]])

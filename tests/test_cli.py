@@ -255,13 +255,29 @@ def test_os_errors_exit_1(tmp_path, capsys, argv):
     assert not list(tmp_path.rglob("*_runlog*.csv"))
 
 
-def test_simulate_check_step_prints_the_doubling_line(tmp_path, capsys):
+def test_simulate_check_step_prints_the_doubling_line(tmp_path, capsys, monkeypatch, params, gain):
+    # the check takes the run simulate has just written as its n-substep run
+    from flapsim import cli, harness
+
+    real, runs = harness.run_scenario, []
+
+    def counted(sc, p, K):
+        runs.append(sc.physics_substeps)
+        return real(sc, p, K)
+
+    monkeypatch.setattr(cli, "run_scenario", counted)
+    monkeypatch.setattr(harness, "run_scenario", counted)
     assert main(["simulate", "circle", "--check-step", "--quiet", "--out", str(tmp_path)]) == 0
+    assert runs == [4, 8]
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1 and out[0].startswith("step check: 4 vs 8 substeps per tick")
     d_pos, d_att = (float(v) for v in re.findall(r"difference (\S+) ", out[0]))
     assert 0.0 < d_pos <= 1e-8 and 0.0 < d_att <= 1e-6
     assert (tmp_path / "circle_runlog.csv").exists()
+    monkeypatch.undo()
+    d_pos, d_att = harness.step_error(cli._resolve_scenario("circle"), params, gain)
+    assert out[0].endswith(f"max position difference {d_pos:.3e} m, "
+                           f"max attitude difference {d_att:.3e} rad")
 
 
 def test_simulate_non_finite_params_exits_1(tmp_path, capsys):

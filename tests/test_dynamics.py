@@ -14,6 +14,7 @@ from flapsim.dynamics import (
     SimState,
     UnmodeledTerms,
     _forcing,
+    _plant,
     hover_equilibrium,
     rk4_packed,
     rk4_step,
@@ -220,7 +221,7 @@ def test_chained_rk4_step_equals_chained_rk4_packed(params, legacy):
                  EulerAngles321(0.2, -0.1, 1.0), (1.0, -2.0, 3.0))
     w = Wrench(1.1 * hover_thrust(params), 2e-8, -1e-8)
     dt = 1.0 / (240.0 * 42)
-    forcing = _forcing(params, w.thrust, w.tau_r, w.tau_p, legacy=legacy)
+    forcing = _forcing(_plant(params, legacy=legacy), w.thrust, w.tau_r, w.tau_p)
     y = s.as_vector().tolist()
     for _ in range(420):
         s = rk4_step(params, s, w, dt=dt, legacy_coriolis=legacy)
@@ -261,7 +262,8 @@ def test_rk4_packed_is_textbook_rk4_over_state_derivative_bit_for_bit(
         return state_derivative(params, SimState.from_vector(y), w, un, force,
                                 legacy_coriolis=legacy)
 
-    forcing = _forcing(params, thrust, *torques, specific_force, angular_accel, force, legacy)
+    plant = _plant(params, specific_force, angular_accel, force, legacy)
+    forcing = _forcing(plant, thrust, *torques)
     out = rk4_packed(s.as_vector().tolist(), dt, forcing)
     assert np.array(out).tobytes() == oracles.rk4_textbook(f, s.as_vector(), dt).tobytes()
 

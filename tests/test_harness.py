@@ -7,7 +7,10 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from flapsim.controller import (
     CircleSchedule,
     ConstantSchedule,
@@ -15,7 +18,7 @@ from flapsim.controller import (
     assemble_ctrl_state,
     control_step,
 )
-from flapsim.dynamics import SimState
+from flapsim.dynamics import SimState, state_derivative
 from flapsim.errors import ConfigError, DivergenceError, SchemaError
 from flapsim.harness import (
     PHYSICS_STEP,
@@ -25,6 +28,7 @@ from flapsim.harness import (
     RUNLOG_FIELDS,
     RunLog,
     Scenario,
+    _noise_samples,
     default_substeps,
     disturbance_pulse,
     load_scenario,
@@ -42,7 +46,7 @@ from flapsim.kinematics import (
     quat_multiply,
 )
 from flapsim.pipeline import load_runlog_csv
-from flapsim.vehicle import hover_cmd
+from flapsim.vehicle import Wrench, hover_cmd
 
 HOLD_ORIGIN = ConstantSchedule(Setpoint.hold((0.0, 0.0, 0.0)))
 
@@ -516,6 +520,25 @@ def test_zero_sigma_noise_equals_disabled(params, gain):
         run_scenario(off, params, gain).to_csv_text()
 
 
+_SIGMA = st.one_of(st.just(0.0), st.floats(0.0, 1e300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**128), pos_sigma=_SIGMA, att_sigma=_SIGMA,
+       n_ticks=st.integers(1, 60))
+def test_noise_block_rows_are_the_per_tick_draws(seed, pos_sigma, att_sigma, n_ticks):
+    # run_scenario draws the run's noise at once; row k must be the pair of
+    # draws tick k would make from the seeded generator on its own
+    noise = NoiseConfig(enabled=True, pos_sigma=pos_sigma, att_sigma=att_sigma)
+    block = _noise_samples(noise, seed, n_ticks)
+    assert block.shape == (n_ticks, 6)
+    rng = np.random.default_rng(seed)
+    for row in block:
+        pair = np.concatenate([rng.normal(0.0, pos_sigma, 3), rng.normal(0.0, att_sigma, 3)])
+        assert row.tobytes() == pair.tobytes()
+    assert _noise_samples(NoiseConfig(enabled=False), seed, n_ticks) is None
+
+
 def test_more_position_noise_means_more_error(params, gain):
     def mean_rms(sigma):
         vals = []
@@ -574,6 +597,55 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
         assert out.wrench.as_array().tobytes() == log.wrench[k].tobytes(), k
         assert out.saturated == bool(log.saturated[k]), k
         prev = s
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"noise": {"enabled": True},
+         "initial": {"pos": [0.03, -0.01, 0.0], "euler_deg": [4.0, -3.0, 20.0]}},
+        {"legacy_coriolis": True,
+         "initial": {"vel_b": [0.05, -0.02, 0.01], "omega_b": [0.5, -0.3, 0.8]}},
+        # edges 0.3 ms into substep 1 of tick 24 and 0.2 ms into substep 2 of tick 31
+        {"disturbances": [{"t_start": 0.1013, "duration": 0.0302, "magnitude_g": 1.0,
+                           "direction": [0.0, 1.0, 0.0]}]},
+        {"physics_substeps": 42, "duration": 0.1, "noise": {"enabled": True},
+         "initial": {"pos": [0.01, 0.0, 0.0]}},
+    ],
+    ids=["noisy_hover", "legacy_coriolis", "pulse_inside_substeps", "substeps_42"],
+)
+def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
+    # the integrate half of the tick, replayed from the log: a row's truth
+    # state under its applied wrench, through textbook RK4 over
+    # state_derivative with each pulse's overlap share of a substep as the
+    # world force, must give the next row (final_state after the last) bit for bit
+    sc = scenario_from_dict(
+        {"name": "replay", "duration": 0.5, "physics_substeps": 4, "seed": 3,
+         "setpoint": {"kind": "constant"}, **extra},
+        params,
+    )
+    log = run_scenario(sc, params, gain)
+    dt = sc.dt
+    states = np.column_stack([log.pos_w, log.vel_b, log.euler, log.omega_b])
+    ends = [*states[1:], log.final_state.as_vector()]
+    for k, (y, end) in enumerate(zip(states, ends)):
+        w = Wrench(*log.wrench[k].tolist())
+        for i in range(sc.physics_substeps):
+            t_sub = float(log.t[k]) + i * dt
+            force = np.zeros(3)
+            for pulse in sc.disturbances:
+                share = (min(pulse.t_end, t_sub + dt) - max(pulse.t_start, t_sub)) / dt
+                if share >= 1.0 - 1e-9:
+                    force = force + pulse.force_w
+                elif share > 1e-9:
+                    force = force + share * pulse.force_w
+
+            def f(x, force=force):
+                return state_derivative(params, SimState.from_vector(x), w, None, force,
+                                        legacy_coriolis=sc.legacy_coriolis)
+
+            y = oracles.rk4_textbook(f, y, dt)
+        assert y.tobytes() == end.tobytes(), k
 
 
 def test_offset_hover_diverges_with_partial_log(params, unstable_gain):
