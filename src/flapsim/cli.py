@@ -122,6 +122,8 @@ def _parse_diag(text: str, n: int, what: str) -> np.ndarray:
         raise _UsageError(f"--{what}: {exc}") from None
     if vals.shape != (n,):
         raise _UsageError(f"--{what}: expected {n} comma-separated entries, got {len(vals)}")
+    if not np.all(np.isfinite(vals)):
+        raise _UsageError(f"--{what}: entries must be finite, got {text!r}")
     return vals
 
 
@@ -163,14 +165,15 @@ def _cmd_gains(args) -> int:
     return 0
 
 
-def _resolve_scenario(name: str):
+def _resolve_scenario(name: str, p):
+    """A scenario file or bundled name; ``p`` scales its g-unit pulses."""
     if os.path.exists(name):
-        return load_scenario(name)
+        return load_scenario(name, p)
     base = name[: -len(".scenario")] if name.endswith(".scenario") else name
     if os.sep not in name and base in BUNDLED_SCENARIOS:
         ref = resources.files("flapsim") / "scenarios" / f"{base}.scenario"
         with resources.as_file(ref) as path:
-            return load_scenario(path)
+            return load_scenario(path, p)
     raise FileNotFoundError(
         f"scenario {name!r} is neither a file nor one of the bundled "
         f"scenarios {BUNDLED_SCENARIOS}"
@@ -181,7 +184,7 @@ def _cmd_simulate(args) -> int:
     import dataclasses
 
     p = load_params(args.params)
-    sc = _resolve_scenario(args.scenario)
+    sc = _resolve_scenario(args.scenario, p)
     if args.seed is not None:
         sc = dataclasses.replace(sc, seed=args.seed)
     if args.noise is not None:
@@ -218,16 +221,23 @@ def _is_runlog_file(path: str) -> bool:
     return read_header(path) == RUNLOG_COLUMNS
 
 
-def _reconstruct_any(path: str, commands, cfg: FilterConfig, p):
-    """Reconstruct one input file; mocap files consume one command CSV."""
-    if _is_runlog_file(path):
-        return reconstruct_runlog(load_runlog_csv(path), cfg)
-    tr = load_mocap_csv(path)
-    rs = reconstruct(tr, cfg)
-    if commands:
-        t_c, cmds = load_command_csv(commands.pop(0))
-        rs = rs.attach_commands(t_c, cmds, p)
-    return rs
+def _reconstruct_each(paths, commands, cfg: FilterConfig, p):
+    """Reconstruct the input files one by one; mocap files take the command CSVs
+    in order, and command CSVs left over are refused before any reconstruction."""
+    is_log = [_is_runlog_file(path) for path in paths]
+    unused = commands[is_log.count(False):]
+    if unused:
+        raise _UsageError(f"--commands: no mocap input takes {', '.join(unused)}")
+    commands = iter(commands)
+    for path, log in zip(paths, is_log):
+        if log:
+            yield reconstruct_runlog(load_runlog_csv(path), cfg)
+            continue
+        rs = reconstruct(load_mocap_csv(path), cfg)
+        command_path = next(commands, None)
+        if command_path is not None:
+            rs = rs.attach_commands(*load_command_csv(command_path), p)
+        yield rs
 
 
 def _stack_reports(reports) -> ValidationReport:
@@ -249,10 +259,8 @@ def _stack_reports(reports) -> ValidationReport:
 def _cmd_validate(args) -> int:
     p = load_params(args.params)
     cfg = FilterConfig(cutoff_hz=args.cutoff)
-    commands = list(args.commands)
     reports = []
-    for path in args.data:
-        rs = _reconstruct_any(path, commands, cfg, p)
+    for path, rs in zip(args.data, _reconstruct_each(args.data, args.commands, cfg, p)):
         if rs.wrench is None:
             raise ConfigError(
                 f"{path}: no wrench available — mocap inputs need a --commands CSV"
@@ -277,9 +285,7 @@ def _cmd_envelope(args) -> int:
     speed_edges = np.linspace(0.0, args.speed_max, args.speed_bins + 1)
     mode = "horizontal" if args.horizontal else "total"
     grid = None
-    commands: list = []
-    for path in args.data:
-        rs = _reconstruct_any(path, commands, cfg, p)
+    for rs in _reconstruct_each(args.data, [], cfg, p):
         g = flight_envelope(rs, tilt_edges, speed_edges, speed_mode=mode)
         grid = g if grid is None else grid.merge(g)
     out = _ensure_outdir(args.out)

@@ -32,8 +32,8 @@ import numpy as np
 
 from .ioutil import read_table
 from .kinematics import (
-    GIMBAL_GUARD, EulerAngles321, Quaternion, _euler_quat, _normalized, _qmul, _quat_rotmat,
-    _quat_rotvec, _rotmat_euler, _rotvec_quat, euler_to_rotmat, wrap_angle,
+    GIMBAL_GUARD, EulerAngles321, Quaternion, _euler_quat, _normalized, _qmul, _quat_rotvec,
+    _rotmat, _rotmat_euler, _rotvec_quat, euler_to_rotmat, wrap_angle,
 )
 # bench/spans.py times these names
 from .kinematics import quat_multiply, quat_to_rotmat, quat_to_rotvec, rotmat_to_euler  # noqa: F401
@@ -122,12 +122,13 @@ def _sense(pos, quat, prev: tuple | None, dt: float, vel) -> tuple:
 
     ``prev`` and ``carry`` hold a sample's position, raw velocity and quaternion.
     """
-    n = math.sqrt(quat[0]**2 + quat[1]**2 + quat[2]**2 + quat[3]**2)
+    w, x, y, z = quat
+    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
     if not abs(n - 1.0) <= 1e-3:
         raise ValueError(f"measured quaternion norm {n:.6f} is off unit by more than 1e-3")
-    w, x, y, z = _normalized(quat)
+    w, x, y, z = w / n, x / n, y / n, z / n
     q = (-w, -x, -y, -z) if w < 0.0 else (w, x, y, z)
-    R = _quat_rotmat(q)
+    R = _rotmat(*_normalized(q))
     roll, pitch, yaw = _rotmat_euler(R)
     if abs(pitch) >= GIMBAL_GUARD:
         EulerAngles321(roll, pitch, yaw)  # raises the record's GimbalLockError

@@ -6,7 +6,7 @@ at a fixed rate with zero-order-hold commands; the physics integrates with
 fixed-step RK4 using an integer number of substeps per control tick, so
 the physics step always divides the control period exactly.
 
-Unless a scenario sets ``physics_substeps`` or ``dt``, the substep count
+Unless a scenario sets ``physics_substeps``, the substep count
 is the smallest whose step is at most ``PHYSICS_STEP`` (1/960 s: 4
 substeps at 240 Hz). That step keeps the bundled scenarios within 1e-8 m
 and 1e-6 rad of a run at half the step; :func:`step_error` measures this
@@ -335,9 +335,8 @@ def _pulses_from_list(entries, p: VehicleParams) -> tuple:
 
 
 _SCENARIO_KEYS = {
-    "name", "duration", "seed", "control_rate", "physics_substeps", "dt",
-    "use_truth_velocity", "legacy_coriolis", "initial", "setpoint", "noise",
-    "disturbances",
+    "name", "duration", "seed", "control_rate", "physics_substeps", "use_truth_velocity",
+    "legacy_coriolis", "initial", "setpoint", "noise", "disturbances",
 }
 
 
@@ -362,24 +361,10 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
     if not isinstance(name, str) or name != os.path.basename(name) or name in ("", ".", ".."):
         raise SchemaError(f"scenario: name must be a bare file name, got {name!r}")
     control_rate = _number(cfg, "control_rate", "scenario", CONTROL_RATE)
-    if not 0.0 < control_rate < math.inf:  # dt below divides by it
+    if not 0.0 < control_rate < math.inf:
         raise SchemaError("scenario: control_rate must be positive and finite")
-    if "physics_substeps" in cfg and "dt" in cfg:
-        raise SchemaError("scenario: give physics_substeps or dt, not both")
-    if "dt" in cfg:
-        dt = _number(cfg, "dt", "scenario")
-        if not dt > 0.0:
-            raise SchemaError("scenario: dt must be positive")
-        ratio = 1.0 / (control_rate * dt)
-        substeps = round(ratio)
-        if substeps < 1 or abs(ratio - substeps) > 1e-9 * max(1.0, ratio):
-            raise SchemaError(
-                f"scenario: dt={dt:g} does not divide the control period 1/{control_rate:g}"
-            )
-    elif "physics_substeps" in cfg:
-        substeps = _integer(cfg, "physics_substeps", None)
-    else:
-        substeps = None  # Scenario applies default_substeps
+    # None: Scenario applies default_substeps
+    substeps = _integer(cfg, "physics_substeps", None) if "physics_substeps" in cfg else None
 
     initial_cfg = cfg.get("initial", {})
     if not isinstance(initial_cfg, dict):

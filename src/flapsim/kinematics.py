@@ -136,8 +136,8 @@ def _rotmat_euler(R: tuple) -> tuple:
     return (math.atan2(R[7], R[8]), -math.asin(min(1.0, max(-1.0, R[6]))), math.atan2(R[3], R[0]))
 
 
-def _quat_rotmat(q: tuple) -> tuple:
-    w, x, y, z = _normalized(q)
+def _rotmat(w, x, y, z) -> tuple:
+    """Row-major R of a unit quaternion, from floats or from numpy columns alike."""
     return (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
             2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
             2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
@@ -196,7 +196,7 @@ def rotmat_to_euler(R: np.ndarray) -> EulerAngles321:
 
 def quat_to_rotmat(q: Quaternion) -> np.ndarray:
     """Body-to-world rotation matrix of a (not necessarily unit) quaternion."""
-    return np.array(_quat_rotmat((q.w, q.x, q.y, q.z))).reshape(3, 3)
+    return np.array(_rotmat(*_normalized((q.w, q.x, q.y, q.z)))).reshape(3, 3)
 
 
 def rotmat_to_quat(R: np.ndarray) -> Quaternion:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, GimbalLockError, SchemaError
 from .ioutil import atomic_write_text, read_table, table_text
-from .kinematics import GIMBAL_GUARD, _qmul, quat_from_rotvec, quat_to_rotmat
+from .kinematics import GIMBAL_GUARD, _qmul, _rotmat, quat_from_rotvec, quat_to_rotmat
 from .vehicle import VehicleParams
 from .dynamics import _eom, _forcing, _plant
 from .harness import RunLog, RUNLOG_COLUMNS
@@ -96,18 +96,7 @@ def _normalized(q: np.ndarray) -> np.ndarray:
 
 def _rotmats(quat: np.ndarray) -> np.ndarray:
     """``quat_to_rotmat`` row by row: an (n, 3, 3) body-to-world stack."""
-    w, x, y, z = _normalized(quat).T
-    R = np.empty((len(w), 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - w * z)
-    R[:, 0, 2] = 2 * (x * z + w * y)
-    R[:, 1, 0] = 2 * (x * y + w * z)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - w * x)
-    R[:, 2, 0] = 2 * (x * z - w * y)
-    R[:, 2, 1] = 2 * (y * z + w * x)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
+    return np.stack(_rotmat(*_normalized(quat).T), axis=-1).reshape(-1, 3, 3)
 
 
 def _euler(R: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -638,12 +627,13 @@ def flight_envelope(
         raise ValueError("speed_mode must be 'total' or 'horizontal'")
     te = np.linspace(0.0, 60.0, 13) if tilt_edges_deg is None else np.asarray(tilt_edges_deg, dtype=float)
     se = np.linspace(0.0, 0.8, 17) if speed_edges is None else np.asarray(speed_edges, dtype=float)
-    if len(te) < 2 or len(se) < 2 or np.any(np.diff(te) <= 0) or np.any(np.diff(se) <= 0):
-        raise ValueError("histogram edges must be increasing with >= 2 entries")
+    for edges in (te, se):
+        if len(edges) < 2 or not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0):
+            raise ValueError("histogram edges must be finite and increasing with >= 2 entries")
 
     # body z in world coordinates is the third column of R; its z component
     # is cos(tilt) regardless of yaw
-    cz = _rotmats(rs.quat)[:, 2, 2]
+    cz = _rotmat(*_normalized(rs.quat).T)[8]
     tilt = np.degrees(np.arccos(np.clip(cz, -1.0, 1.0)))
     if speed_mode == "total":
         speed = np.linalg.norm(rs.vel_b, axis=1)

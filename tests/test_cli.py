@@ -74,6 +74,9 @@ def test_gains_joint_weight_scaling_is_exact(tmp_path, params):
         ).read_bytes()
 
 
+NON_FINITE_WEIGHTS = (["gains", "--q", "nan,1,1,1,1,1,1,1,1,1"], ["gains", "--r", "inf,1,1"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -82,11 +85,15 @@ def test_gains_joint_weight_scaling_is_exact(tmp_path, params):
         ["gains", "--q", "1,2,three,4,5,6,7,8,9,10"],
         ["gains", "--q", "-1,1,1,1,1,1,1,1,1,1"],
         ["gains", "--params", "no-such-profile"],
+        *NON_FINITE_WEIGHTS,
     ],
 )
 def test_gains_usage_errors_exit_1(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if argv in NON_FINITE_WEIGHTS:
+        assert f"error: {argv[1]}: entries must be finite" in err
 
 
 def test_gains_degenerate_weights_exit_2(tmp_path, capsys):
@@ -179,7 +186,7 @@ def test_simulate_seed_and_noise_overrides(tmp_path):
         ("physics_substeps: true\n", [],
          "s.scenario: scenario: physics_substeps must be an integer, got True"),
         ("control_rate: true\n", [], "s.scenario: scenario: control_rate must be a number, got True"),
-        ('dt: "1.0e-4"\n', [], "s.scenario: scenario: dt must be a number, got '1.0e-4'"),
+        ("dt: 1.0e-4\n", [], "s.scenario: scenario: unknown keys ['dt']"),
         ("noise: {att_sigma_deg: true}\n", [],
          "s.scenario: noise: att_sigma_deg must be a number, got True"),
         ("disturbances:\n  - {t_start: null, duration: 0.1, force: [0.0, 0.0, 1.0e-4]}\n", [],
@@ -275,9 +282,29 @@ def test_simulate_check_step_prints_the_doubling_line(tmp_path, capsys, monkeypa
     assert 0.0 < d_pos <= 1e-8 and 0.0 < d_att <= 1e-6
     assert (tmp_path / "circle_runlog.csv").exists()
     monkeypatch.undo()
-    d_pos, d_att = harness.step_error(cli._resolve_scenario("circle"), params, gain)
+    d_pos, d_att = harness.step_error(cli._resolve_scenario("circle", params), params, gain)
     assert out[0].endswith(f"max position difference {d_pos:.3e} m, "
                            f"max attitude difference {d_att:.3e} rad")
+
+
+def test_simulate_scales_g_pulses_by_the_params_vehicle(tmp_path, monkeypatch):
+    from flapsim import cli
+    from flapsim.vehicle import load_params
+
+    veh = tmp_path / "veh.yaml"
+    veh.write_text("m: 3.0e-4\n")
+    p = load_params(str(veh))
+    real, scenarios = cli.run_scenario, []
+
+    def recorded(sc, p, K):
+        scenarios.append(sc)
+        return real(sc, p, K)
+
+    monkeypatch.setattr(cli, "run_scenario", recorded)
+    assert main(["simulate", "disturbance", "--params", str(veh), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    (pulse,) = scenarios[0].disturbances
+    assert np.linalg.norm(pulse.force_w) == pytest.approx(2.5 * p.total_mass * p.g, rel=1e-12)
 
 
 def test_simulate_non_finite_params_exits_1(tmp_path, capsys):
@@ -378,6 +405,29 @@ def test_validate_nan_command_exits_1(tmp_path, capsys, openloop_log):
     assert not (tmp_path / "validation_report.txt").exists()
 
 
+def test_validate_unused_commands_exit_1(tmp_path, capsys, monkeypatch, openloop_log):
+    from flapsim import cli
+
+    scn = write_offset_scenario(tmp_path / "o.scenario")
+    assert main(["simulate", str(scn), "--out", str(tmp_path), "--quiet"]) == 0
+    runlog = str(tmp_path / "offset_runlog.csv")
+    mocap = tmp_path / "flight.csv"
+    write_mocap_csv(mocap, trajectory_from_runlog(openloop_log))
+    cmd = tmp_path / "cmd.csv"
+    cmd.write_text("\n".join(command_rows(openloop_log)) + "\n")
+    # refused before any input is reconstructed
+    monkeypatch.setattr(cli, "reconstruct", None)
+    monkeypatch.setattr(cli, "reconstruct_runlog", None)
+    out = tmp_path / "out"
+    missing = str(tmp_path / "does_not_exist.csv")
+    assert main(["validate", runlog, "--commands", missing, "--out", str(out)]) == 1
+    assert f"error: --commands: no mocap input takes {missing}" in capsys.readouterr().err
+    assert main(["validate", runlog, str(mocap), "--commands", str(cmd), "--commands", missing,
+                 "--commands", str(cmd), "--out", str(out)]) == 1
+    assert f"no mocap input takes {missing}, {cmd}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_mocap_without_commands_exits_1(tmp_path, capsys, openloop_log):
     mocap = tmp_path / "flight.csv"
     write_mocap_csv(mocap, trajectory_from_runlog(openloop_log))
@@ -449,6 +499,11 @@ def test_envelope_bad_bins_exit_1(tmp_path, capsys):
     runlog = str(tmp_path / "offset_runlog.csv")
     assert main(["envelope", runlog, "--out", str(tmp_path), "--tilt-bins", "0"]) == 1
     assert "bin counts" in capsys.readouterr().err
+    out = tmp_path / "out"
+    for flag in (["--tilt-max", "nan"], ["--speed-max", "inf"]):
+        assert main(["envelope", runlog, "--out", str(out), *flag]) == 1
+        assert "edges must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_scenario_from_dict_full(tmp_path):
         "duration": 1.5,
         "seed": 3,
         "control_rate": 120.0,
-        "dt": 1.0 / (120.0 * 10.0),
+        "physics_substeps": 10,
         "use_truth_velocity": True,
         "initial": {"pos": [0.1, 0.0, 0.0], "euler_deg": [0.0, 5.0, 0.0]},
         "setpoint": {"kind": "constant", "pos": [0.0, 0.0, 0.2]},
@@ -121,9 +121,9 @@ def test_scenario_from_dict_full(tmp_path):
     "patch,match",
     [
         ({"extra_key": 1}, "unknown keys"),
-        ({"physics_substeps": 42, "dt": 1e-4}, "not both"),
-        ({"dt": 0.003}, "does not divide"),
-        ({"dt": -1e-4}, "dt must be positive"),
+        ({"physics_substeps": 42, "dt": 1e-4}, "unknown keys"),
+        ({"dt": 0.003}, "unknown keys"),
+        ({"dt": -1e-4}, "unknown keys"),
         ({"initial": {"euler": [0, 0, 0], "euler_deg": [0, 0, 0]}}, "not both"),
         ({"initial": {"position": [0, 0, 0]}}, "unknown keys"),
         ({"noise": {"att_sigma": 0.1, "att_sigma_deg": 5.0}}, "not both"),
@@ -143,7 +143,7 @@ def test_scenario_from_dict_full(tmp_path):
         ({"physics_substeps": 4.5}, "physics_substeps must be an integer"),
         ({"seed": 1.9}, "seed must be an integer"),
         ({"setpoint": {"kind": "constant", "yaw": 0.3}}, "unknown keys"),
-        ({"control_rate": math.nan, "dt": 1e-4}, "control_rate must be positive and finite"),
+        ({"control_rate": math.nan}, "control_rate must be positive and finite"),
         ({"noise": {"enabled": "false"}}, "noise: enabled must be true or false"),
         ({"use_truth_velocity": "false"}, "use_truth_velocity must be true or false"),
         ({"legacy_coriolis": 1}, "legacy_coriolis must be true or false"),
@@ -155,7 +155,7 @@ def test_scenario_from_dict_full(tmp_path):
         ({"duration": None}, "scenario: duration must be a number, got None"),
         ({"duration": 10**400}, "scenario: duration is out of range"),
         ({"control_rate": True}, "scenario: control_rate must be a number, got True"),
-        ({"dt": "1e-4"}, "scenario: dt must be a number, got '1e-4'"),
+        ({"dt": "1e-4"}, "scenario: unknown keys"),
         ({"noise": {"pos_sigma": "0.001"}}, "noise: pos_sigma must be a number, got '0.001'"),
         ({"noise": {"att_sigma": None}}, "noise: att_sigma must be a number, got None"),
         ({"noise": {"att_sigma_deg": True}}, "noise: att_sigma_deg must be a number, got True"),
@@ -177,6 +177,8 @@ def test_scenario_from_dict_full(tmp_path):
         ({"name": ".."}, "scenario: name must be a bare file name, got '..'"),
         ({"name": ""}, "scenario: name must be a bare file name, got ''"),
         ({"name": 5}, "scenario: name must be a bare file name, got 5"),
+        ({"control_rate": 0.0}, "scenario: control_rate must be positive and finite"),
+        ({"control_rate": -math.inf}, "scenario: control_rate must be positive and finite"),
     ],
 )
 def test_scenario_from_dict_rejects(patch, match):
@@ -312,10 +314,15 @@ def test_default_substeps_meet_the_physics_step(rate, substeps):
     assert scenario_from_dict(cfg).physics_substeps == substeps
 
 
-def test_explicit_substeps_or_dt_override_the_default():
+def test_explicit_substeps_override_the_default_and_dt_is_refused(tmp_path):
     cfg = {"name": "x", "duration": 1.0, "setpoint": {"kind": "constant"}}
     assert scenario_from_dict({**cfg, "physics_substeps": 42}).physics_substeps == 42
-    assert scenario_from_dict({**cfg, "dt": 1.0 / 2400.0}).physics_substeps == 10
+    with pytest.raises(SchemaError, match=r"^scenario: unknown keys \['dt'\]$"):
+        scenario_from_dict({**cfg, "dt": 1.0 / 2400.0})
+    path = tmp_path / "x.scenario"
+    path.write_text("name: x\nduration: 1.0\ndt: 1.0e-4\nsetpoint: {kind: constant}\n")
+    with pytest.raises(SchemaError, match=r"x\.scenario: scenario: unknown keys \['dt'\]$"):
+        load_scenario(path)
     sc = Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN,
                   physics_substeps=42)
     assert sc.physics_substeps == 42 and sc.dt == pytest.approx(1.0 / (240.0 * 42))

@@ -540,6 +540,11 @@ def test_envelope_validation():
         flight_envelope(rs, tilt_edges_deg=[10.0, 5.0])
     with pytest.raises(ValueError, match="edges"):
         flight_envelope(rs, speed_edges=[0.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="edges must be finite"):
+            flight_envelope(rs, tilt_edges_deg=[0.0, 30.0, bad])
+        with pytest.raises(ValueError, match="edges must be finite"):
+            flight_envelope(rs, speed_edges=[0.0, 0.4, bad])
 
 
 # ---------------------------------------------------------------------------
