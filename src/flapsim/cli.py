@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from importlib import resources
@@ -277,10 +278,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    p = load_params(args.params)
-    cfg = FilterConfig(cutoff_hz=args.cutoff)
     if args.tilt_bins < 1 or args.speed_bins < 1:
         raise _UsageError("bin counts must be >= 1")
+    for flag, top in (("tilt-max", args.tilt_max), ("speed-max", args.speed_max)):
+        if not (math.isfinite(top) and top > 0.0):
+            raise _UsageError(f"--{flag} must be finite and > 0 (histogram edges must be finite "
+                              f"and increasing), got {top!r}")
+    p = load_params(args.params)
+    cfg = FilterConfig(cutoff_hz=args.cutoff)
     tilt_edges = np.linspace(0.0, args.tilt_max, args.tilt_bins + 1)
     speed_edges = np.linspace(0.0, args.speed_max, args.speed_bins + 1)
     mode = "horizontal" if args.horizontal else "total"

@@ -21,9 +21,9 @@ nonstandard published variant of the lateral Coriolis term,
 -(r v - p w) in v_dot, for comparison studies; the default is the
 standard cross-product form.
 
-The equations of motion are written once, on floats, in ``_eom``;
-``state_derivative``, ``rk4_packed`` and the pipeline's model check all
-evaluate that body. ``_plant`` (once per run, step or batch) and ``_forcing``
+The equations of motion are written once, in ``_eom``: on floats for
+``state_derivative`` and ``rk4_packed``, on whole columns for the pipeline's
+model check. ``_plant`` (once per run, step or batch) and ``_forcing``
 (once per wrench) are the one place its held inputs are reduced to the
 quotients ``_eom`` takes.
 """
@@ -127,18 +127,24 @@ class UnmodeledTerms:
         object.__setattr__(self, "angular_accel", aa)
 
 
-def _eom(u, v, w, phi, theta, psi, p, q, r, at: float, ap: float, aq: float, c: tuple) -> tuple:
-    """The 12 state derivatives from body velocity, Euler angles and rates (floats).
+def _eom(u, v, w, phi, theta, psi, p, q, r, at, ap, aq, c: tuple, xp=None) -> tuple:
+    """The 12 state derivatives from body velocity, Euler angles and rates.
 
     Position does not enter. ``at, ap, aq, c`` come from :func:`_forcing`.
+    By default the arguments are floats and the pitch is checked against
+    the gimbal guard here. With ``xp=np`` all but ``c`` may be equal-length
+    arrays, one sample per entry, and the caller checks the pitches; each
+    entry then gets the same float operations as a float call.
     """
     mt, g, fa1, fa2, fa3, Na, ix, iy, iz, fx, fy, fz, legacy_coriolis = c
-    if abs(theta) >= GIMBAL_GUARD:
-        raise GimbalLockError(f"pitch {theta:.6f} rad reached the gimbal guard")
+    if xp is None:  # floats, the integrator's path: one cheap test selects it
+        if abs(theta) >= GIMBAL_GUARD:
+            raise GimbalLockError(f"pitch {theta:.6f} rad reached the gimbal guard")
+        xp = math
 
-    cr, sr = math.cos(phi), math.sin(phi)
-    cp, sp = math.cos(theta), math.sin(theta)
-    cy, sy = math.cos(psi), math.sin(psi)
+    cr, sr = xp.cos(phi), xp.sin(phi)
+    cp, sp = xp.cos(theta), xp.sin(theta)
+    cy, sy = xp.cos(psi), xp.sin(psi)
 
     # body-to-world rotation, rows written out
     r00 = cy * cp

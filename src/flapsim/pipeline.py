@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import linalg
 
 from .errors import ConfigError, GimbalLockError, SchemaError
 from .ioutil import atomic_write_text, read_table, table_text
@@ -300,6 +301,42 @@ def _held(t_src, values, t: np.ndarray, what: str) -> np.ndarray:
     return v[np.clip(np.searchsorted(t_src, t, side="right") - 1, 0, len(t_src) - 1)]
 
 
+def _butter(order: int, wn: float) -> tuple:
+    """scipy's ``butter(order, wn)``, bit for bit: the digital low-pass
+    ``(b, a)`` for a cutoff ``wn`` in (0, 1), a fraction of Nyquist.
+
+    The analog prototype's poles on the unit circle are scaled to the cutoff
+    prewarped at fs = 2, mapped by the bilinear transform (all zeros land at
+    z = -1), and expanded with ``np.poly``.
+    """
+    wo = float(4.0 * np.tan(np.pi * wn / 2.0))
+    p = -wo * np.exp(1j * np.pi * np.arange(1 - order, order, 2) / (2 * order))
+    k = wo**order * np.real(1.0 / np.prod(4.0 - p))
+    return k * np.poly(-np.ones(order)), np.poly((4.0 + p) / (4.0 - p))
+
+
+def _filtfilt(b, a, x: np.ndarray, padlen: int) -> np.ndarray:
+    """scipy's ``filtfilt(b, a, x, axis=0, padlen=padlen)`` on an (n, k)
+    array, for ``a[0] == 1`` and ``len(b) == len(a)`` as :func:`_butter` gives.
+
+    The columns are extended by odd reflection about their end samples, and
+    each pass starts from the filter's step-response steady state scaled by its
+    first input (Gustafsson 1996; ``lfilter_zi``). A pass is the recursion
+    ``sum_j a_j y[i-j] = sum_j b_j x[i-j]`` plus those initial states, solved
+    as one banded lower-triangular system. It agrees with scipy to rounding.
+    """
+    y = np.concatenate([2.0 * x[0] - x[padlen:0:-1], x, 2.0 * x[-1] - x[-2:-padlen - 2:-1]])
+    zi = np.linalg.solve(np.eye(len(a) - 1) - linalg.companion(a).T, b[1:] - a[1:] * b[0])
+    ab = np.repeat(a[:, None], len(y), axis=1)  # the Toeplitz band, diagonal first
+    for _ in range(2):  # forward, then backward on the reversed output
+        rhs = b[0] * y
+        for j in range(1, len(b)):
+            rhs[j:] += b[j] * y[:-j]
+        rhs[:len(zi)] += zi[:, None] * y[0]
+        y = linalg.lapack.dtbtrs(ab, rhs, uplo="L")[0][::-1]
+    return y[padlen:len(y) - padlen]
+
+
 def _stitch_hemisphere(quat: np.ndarray) -> np.ndarray:
     """Flip signs so consecutive quaternions sit on the same hemisphere."""
     dots = np.einsum("ij,ij->i", quat[:-1], quat[1:]).tolist()
@@ -364,11 +401,10 @@ def reconstruct(tr: MocapTrajectory, cfg: FilterConfig | None = None) -> Reconst
             raise ConfigError(
                 f"cutoff {cfg.cutoff_hz:g} Hz is not below Nyquist ({0.5 * fs:g} Hz)"
             )
-        from scipy.signal import butter, filtfilt  # deferred: slow to import, only needed here
-        b, a = butter(cfg.order, cfg.cutoff_hz / (0.5 * fs))
-        padlen = min(3 * max(len(a), len(b)), n - 1)
-        pos = filtfilt(b, a, pos, axis=0, padlen=padlen)
-        quat = filtfilt(b, a, quat, axis=0, padlen=padlen)
+        b, a = _butter(cfg.order, cfg.cutoff_hz / (0.5 * fs))
+        padlen = min(3 * len(a), n - 1)
+        pose = _filtfilt(b, a, np.column_stack([pos, quat]), padlen)
+        pos, quat = pose[:, :3], pose[:, 3:]
         quat = quat / np.linalg.norm(quat, axis=1)[:, None]
 
     vel_w = np.gradient(pos, t, axis=0)
@@ -564,10 +600,9 @@ def validate_model(
     thrust, tau_r, tau_p = rs.wrench[idx].T
     thrust = np.where(thrust > 0.0, thrust, 0.0)  # max(0.0, thrust) per row
     at, ap, aq, c = _forcing(_plant(p, legacy=legacy_coriolis), thrust, tau_r, tau_p)
-    ydot = np.array([_eom(*y, a, b, d, c) for y, a, b, d in zip(
-        states[:, 3:].tolist(), at.tolist(), ap.tolist(), aq.tolist())])
+    ydot = _eom(*states[:, 3:].T, at, ap, aq, c, xp=np)
     meas = np.column_stack([rs.accel_body[idx], rs.alpha_body[idx]])
-    pred = ydot[:, [3, 4, 5, 9, 10, 11]]
+    pred = np.column_stack([ydot[i] for i in (3, 4, 5, 9, 10, 11)])
     return ValidationReport(
         axes=ACCEL_AXES,
         t=rs.t[idx].copy(),

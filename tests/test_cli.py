@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -504,6 +505,20 @@ def test_envelope_bad_bins_exit_1(tmp_path, capsys):
         assert main(["envelope", runlog, "--out", str(out), *flag]) == 1
         assert "edges must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--tilt-max", "0"], ["--speed-max", "inf"],
+                                  ["--speed-max", "-0.5"], ["--tilt-max", "nan"]])
+def test_envelope_edge_maxima_checked_before_any_input(tmp_path, capsys, flag):
+    # the edges are refused before linspace could warn and before the input is opened
+    missing = str(tmp_path / "no_such_flight.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["envelope", missing, "--out", str(tmp_path / "out"), *flag]) == 1
+    err = capsys.readouterr().err
+    assert f"{flag[0]} must be finite and > 0" in err and "edges must be finite" in err
+    assert "Warning" not in err and "no_such_flight" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

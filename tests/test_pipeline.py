@@ -31,6 +31,8 @@ from flapsim.pipeline import (
     EnvelopeGrid,
     FilterConfig,
     MocapTrajectory,
+    _butter,
+    _filtfilt,
     estimate_body_offset,
     flight_envelope,
     load_command_csv,
@@ -53,8 +55,16 @@ def constant_trajectory(n=120, pos=(0.1, 0.2, 0.3), euler=(0.0, 0.0, 0.0), rate=
 
 
 def test_import_flapsim_leaves_scipy_signal_unloaded():
-    # scipy.signal is slow to import and only the filtered reconstruction uses it
-    code = "import sys, flapsim, flapsim.cli; print('scipy.signal' in sys.modules)"
+    # scipy.signal is slow to import; the filtered reconstruction designs and
+    # applies its Butterworth filter without it
+    code = ("import sys, numpy as np, flapsim, flapsim.cli\n"
+            "from flapsim.pipeline import FilterConfig, MocapTrajectory, reconstruct\n"
+            "n = 200\n"
+            "t = np.arange(n) / 240.0\n"
+            "pos = np.column_stack([np.sin(t), np.cos(t), t])\n"
+            "tr = MocapTrajectory(t, pos, np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)))\n"
+            "assert FilterConfig().enabled and len(reconstruct(tr)) > 0\n"
+            "print('scipy.signal' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=src_env())
     assert proc.returncode == 0, proc.stderr
@@ -291,6 +301,34 @@ def test_reconstruct_cutoff_above_nyquist_rejected():
     tr = constant_trajectory(n=40, rate=30.0)
     with pytest.raises(ConfigError, match="Nyquist"):
         reconstruct(tr, FilterConfig(cutoff_hz=20.0))
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_butter_is_scipys_bit_for_bit(order):
+    from scipy.signal import butter
+
+    for wn in (0.01, 1 / 24, 0.1, 1 / 6, 0.25, 0.5, 0.7, 0.9, 0.99):
+        b, a = _butter(order, wn)
+        b_ref, a_ref = butter(order, wn)
+        np.testing.assert_array_equal(b, b_ref)
+        np.testing.assert_array_equal(a, a_ref)
+
+
+@pytest.mark.parametrize("order", range(1, 5))
+def test_filtfilt_matches_scipy(order):
+    from scipy.signal import filtfilt
+
+    rng = np.random.default_rng(order)
+    for wn in (1 / 24, 1 / 6, 0.4, 0.9):
+        b, a = _butter(order, wn)
+        for n in (9, 10, 16, 100, 1250):
+            # random walks with offsets, as positions and quaternion components drift
+            x = np.cumsum(rng.normal(size=(n, 7)), axis=0) + rng.normal(0.0, 10.0, 7)
+            padlen = min(3 * len(a), n - 1)
+            want = filtfilt(b, a, x, axis=0, padlen=padlen)
+            got = _filtfilt(b, a, x, padlen)
+            assert got.shape == x.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.max(np.abs(x)))
 
 
 def test_filter_config_validation_and_margins():
