@@ -80,7 +80,6 @@ from .harness import (
 from .pipeline import (
     BodyOffset,
     EnvelopeGrid,
-    FilterConfig,
     MocapTrajectory,
     ReconstructedStates,
     ValidationReport,

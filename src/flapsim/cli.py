@@ -30,7 +30,7 @@ from .lqr import (
     write_gain_csv,
 )
 from .pipeline import (
-    FilterConfig,
+    CUTOFF_HZ,
     ValidationReport,
     flight_envelope,
     load_command_csv,
@@ -57,6 +57,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _cutoff(text: str) -> float:
+    """``--cutoff`` in Hz, refused at parse time unless finite and > 0."""
+    try:
+        hz = float(text)
+    except ValueError:
+        hz = math.nan
+    if not (math.isfinite(hz) and hz > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return hz
+
+
 @functools.cache  # the tree never changes; parse_args keeps no state in it
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
@@ -67,6 +78,10 @@ def _build_parser() -> _Parser:
     )
     common.add_argument("--out", default=".", help="output directory (default: .)")
     common.add_argument("--quiet", action="store_true", help="suppress stdout reports")
+    flight = argparse.ArgumentParser(add_help=False)
+    flight.add_argument("data", nargs="+", help="run-log CSVs and/or mocap pose CSVs")
+    flight.add_argument("--cutoff", type=_cutoff, default=CUTOFF_HZ,
+                        help="filter cutoff Hz (default %(default)g)")
 
     ap = _Parser(prog="flapsim", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -87,20 +102,17 @@ def _build_parser() -> _Parser:
         help="also rerun at twice the substeps and print the largest log difference",
     )
 
-    v = sub.add_parser("validate", parents=[common], help="compare flight data with the model")
-    v.add_argument("data", nargs="+", help="run-log CSVs and/or mocap pose CSVs")
+    v = sub.add_parser("validate", parents=[common, flight],
+                       help="compare flight data with the model")
     v.add_argument(
         "--commands",
         action="append",
         default=[],
         help="command CSV (t,A,dA,Vo) for each mocap input, in order",
     )
-    v.add_argument("--cutoff", type=float, default=20.0, help="filter cutoff Hz (default 20)")
     v.add_argument("--legacy-coriolis", action="store_true", help=argparse.SUPPRESS)
 
-    e = sub.add_parser("envelope", parents=[common], help="tilt/speed visit histogram")
-    e.add_argument("data", nargs="+", help="run-log CSVs and/or mocap pose CSVs")
-    e.add_argument("--cutoff", type=float, default=20.0, help="filter cutoff Hz (default 20)")
+    e = sub.add_parser("envelope", parents=[common, flight], help="tilt/speed visit histogram")
     e.add_argument("--tilt-max", type=float, default=60.0, help="max tilt edge, deg")
     e.add_argument("--tilt-bins", type=int, default=12)
     e.add_argument("--speed-max", type=float, default=0.8, help="max speed edge, m/s")
@@ -222,7 +234,7 @@ def _is_runlog_file(path: str) -> bool:
     return read_header(path) == RUNLOG_COLUMNS
 
 
-def _reconstruct_each(paths, commands, cfg: FilterConfig, p):
+def _reconstruct_each(paths, commands, cutoff_hz: float, p):
     """Reconstruct the input files one by one; mocap files take the command CSVs
     in order, and command CSVs left over are refused before any reconstruction."""
     is_log = [_is_runlog_file(path) for path in paths]
@@ -232,9 +244,9 @@ def _reconstruct_each(paths, commands, cfg: FilterConfig, p):
     commands = iter(commands)
     for path, log in zip(paths, is_log):
         if log:
-            yield reconstruct_runlog(load_runlog_csv(path), cfg)
+            yield reconstruct_runlog(load_runlog_csv(path), cutoff_hz)
             continue
-        rs = reconstruct(load_mocap_csv(path), cfg)
+        rs = reconstruct(load_mocap_csv(path), cutoff_hz)
         command_path = next(commands, None)
         if command_path is not None:
             rs = rs.attach_commands(*load_command_csv(command_path), p)
@@ -259,9 +271,8 @@ def _stack_reports(reports) -> ValidationReport:
 
 def _cmd_validate(args) -> int:
     p = load_params(args.params)
-    cfg = FilterConfig(cutoff_hz=args.cutoff)
     reports = []
-    for path, rs in zip(args.data, _reconstruct_each(args.data, args.commands, cfg, p)):
+    for path, rs in zip(args.data, _reconstruct_each(args.data, args.commands, args.cutoff, p)):
         if rs.wrench is None:
             raise ConfigError(
                 f"{path}: no wrench available — mocap inputs need a --commands CSV"
@@ -285,12 +296,11 @@ def _cmd_envelope(args) -> int:
             raise _UsageError(f"--{flag} must be finite and > 0 (histogram edges must be finite "
                               f"and increasing), got {top!r}")
     p = load_params(args.params)
-    cfg = FilterConfig(cutoff_hz=args.cutoff)
     tilt_edges = np.linspace(0.0, args.tilt_max, args.tilt_bins + 1)
     speed_edges = np.linspace(0.0, args.speed_max, args.speed_bins + 1)
     mode = "horizontal" if args.horizontal else "total"
     grid = None
-    for rs in _reconstruct_each(args.data, [], cfg, p):
+    for rs in _reconstruct_each(args.data, [], args.cutoff, p):
         g = flight_envelope(rs, tilt_edges, speed_edges, speed_mode=mode)
         grid = g if grid is None else grid.merge(g)
     out = _ensure_outdir(args.out)

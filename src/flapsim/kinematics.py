@@ -97,9 +97,6 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
-    def is_unit(self, tol: float = 1e-3) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
     def normalized(self) -> "Quaternion":
         return Quaternion(*_normalized((self.w, self.x, self.y, self.z)))
 

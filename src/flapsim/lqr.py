@@ -342,9 +342,7 @@ def solve_care(model: LinearModel, weights: LqrWeights) -> LqrSolution:
             f"weight shapes {Q.shape}/{R.shape} do not match model {A.shape}/{B.shape}"
         )
     _check_stabilizable_detectable(A, B, Q)
-    s = float(np.max(np.diag(R)))
-    if s <= 0.0:
-        raise SynthesisError("R diagonal must be positive")
+    s = float(np.max(np.diag(R)))  # > 0: LqrWeights holds R positive definite
     P_n, K, cl_eigs, rel = _care(A, B, Q / s, R / s)
     return LqrSolution(K=K, P=s * P_n, closed_loop_eigs=cl_eigs, care_residual=rel)
 

@@ -37,7 +37,6 @@ __all__ = [
     "trajectory_from_runlog",
     "load_runlog_csv",
     "load_command_csv",
-    "FilterConfig",
     "ReconstructedStates",
     "reconstruct",
     "reconstruct_runlog",
@@ -56,6 +55,7 @@ ENVELOPE_COLUMNS = ("tilt_lo_deg", "tilt_hi_deg", "speed_lo", "speed_hi", "count
 ACCEL_AXES = ("u_dot", "v_dot", "w_dot", "p_dot", "q_dot", "r_dot")
 GAP_FACTOR = 2.0          # dt > GAP_FACTOR * median dt counts as a gap
 MAX_OFFSET_TILT = math.radians(30.0)
+CUTOFF_HZ = 20.0          # default low-pass cutoff of the pose filter
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,6 @@ class MocapTrajectory:
     pos_w: np.ndarray        # (n, 3)
     quat: np.ndarray         # (n, 4) scalar-first, canonicalized w >= 0
     source: str = ""
-    marker_mass: float = 0.0
     sample_rate: float = field(init=False)
     gap_indices: tuple = field(init=False)
 
@@ -216,32 +215,6 @@ def load_command_csv(path):
 # ---------------------------------------------------------------------------
 # reconstruction
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    """Zero-phase low-pass applied to positions and quaternion components."""
-
-    cutoff_hz: float = 20.0
-    order: int = 2
-    enabled: bool = True
-    edge_margin: int | None = None   # samples trimmed per end; None = auto
-
-    def __post_init__(self) -> None:
-        if self.enabled and not self.cutoff_hz > 0.0:
-            raise ConfigError("filter cutoff must be positive")
-        if self.order < 1:
-            raise ConfigError("filter order must be >= 1")
-        if self.edge_margin is not None and self.edge_margin < 0:
-            raise ConfigError("edge_margin must be >= 0")
-
-    def margin_for(self, fs: float) -> int:
-        if self.edge_margin is not None:
-            return int(self.edge_margin)
-        # forward-backward transients decay over a few filter time constants;
-        # two cutoff periods of samples is comfortably past them (the small
-        # slack keeps rates inferred from stored timestamps off bin edges)
-        return max(8, int(math.ceil(2.0 * fs / self.cutoff_hz - 1e-6)))
 
 
 @dataclass(frozen=True)
@@ -371,17 +344,22 @@ def _quat_rates(t: np.ndarray, quat: np.ndarray) -> np.ndarray:
     return q[:, 1:] * k[:, None] / (t[i1] - t[i0])[:, None]
 
 
-def reconstruct(tr: MocapTrajectory, cfg: FilterConfig | None = None) -> ReconstructedStates:
+def reconstruct(tr: MocapTrajectory, cutoff_hz: float | None = CUTOFF_HZ) -> ReconstructedStates:
     """Differentiate a pose trajectory into body-frame flight states.
 
-    Positions and quaternion components are zero-phase filtered, world
-    velocity/acceleration come from central differences, body rates from
-    quaternion differencing, and the body accelerations are derivatives
-    of the body-frame component series. Edge samples contaminated by
-    filter transients and one-sided differences are trimmed.
+    Positions and quaternion components are zero-phase filtered (an order-2
+    Butterworth low-pass at ``cutoff_hz``; ``None`` leaves them unfiltered),
+    world velocity/acceleration come from central differences, body rates
+    from quaternion differencing, and the body accelerations are derivatives
+    of the body-frame component series. Edge samples contaminated by filter
+    transients and one-sided differences are trimmed.
     """
-    if cfg is None:
-        cfg = FilterConfig()
+    fs = tr.sample_rate
+    if cutoff_hz is not None and not 0.0 < cutoff_hz < 0.5 * fs:
+        raise ConfigError(
+            "filter cutoff must be positive" if not cutoff_hz > 0.0
+            else f"cutoff {cutoff_hz:g} Hz is not below Nyquist ({0.5 * fs:g} Hz)"
+        )
     n = len(tr)
     if n < 9:
         raise ValueError(f"trajectory too short to reconstruct ({n} < 9 samples)")
@@ -389,23 +367,25 @@ def reconstruct(tr: MocapTrajectory, cfg: FilterConfig | None = None) -> Reconst
         i = tr.gap_indices[0]
         raise ValueError(
             f"trajectory has a timing gap at sample {i} "
-            f"(dt = {tr.t[i + 1] - tr.t[i]:.4f} s at {tr.sample_rate:.0f} Hz)"
+            f"(dt = {tr.t[i + 1] - tr.t[i]:.4f} s at {fs:.0f} Hz)"
         )
-    fs = tr.sample_rate
     t = tr.t
 
     quat = _stitch_hemisphere(tr.quat)
     pos = tr.pos_w
-    if cfg.enabled:
-        if cfg.cutoff_hz >= 0.5 * fs:
-            raise ConfigError(
-                f"cutoff {cfg.cutoff_hz:g} Hz is not below Nyquist ({0.5 * fs:g} Hz)"
-            )
-        b, a = _butter(cfg.order, cfg.cutoff_hz / (0.5 * fs))
+    m = 2  # unfiltered: the one-sided difference samples
+    if cutoff_hz is not None:
+        # order 2: there the transfer-function form agrees with scipy's
+        # sosfiltfilt at any cutoff; higher orders lose digits at low cutoffs
+        b, a = _butter(2, cutoff_hz / (0.5 * fs))
         padlen = min(3 * len(a), n - 1)
         pose = _filtfilt(b, a, np.column_stack([pos, quat]), padlen)
         pos, quat = pose[:, :3], pose[:, 3:]
         quat = quat / np.linalg.norm(quat, axis=1)[:, None]
+        # forward-backward transients decay over a few filter time constants;
+        # two cutoff periods of samples is comfortably past them (the small
+        # slack keeps rates inferred from stored timestamps off bin edges)
+        m = max(8, int(math.ceil(2.0 * fs / cutoff_hz - 1e-6)))
 
     vel_w = np.gradient(pos, t, axis=0)
     accel_w = np.gradient(vel_w, t, axis=0)
@@ -418,7 +398,6 @@ def reconstruct(tr: MocapTrajectory, cfg: FilterConfig | None = None) -> Reconst
     accel_body = np.gradient(vel_b, t, axis=0)
     alpha_body = np.gradient(omega_b, t, axis=0)
 
-    m = cfg.margin_for(fs) if cfg.enabled else 2
     if n - 2 * m < 3:
         m = max(0, (n - 3) // 2)
     sl = slice(m, n - m if m else n)
@@ -436,11 +415,9 @@ def reconstruct(tr: MocapTrajectory, cfg: FilterConfig | None = None) -> Reconst
     )
 
 
-def reconstruct_runlog(
-    log: RunLog, cfg: FilterConfig | None = None
-) -> ReconstructedStates:
+def reconstruct_runlog(log: RunLog, cutoff_hz: float | None = CUTOFF_HZ) -> ReconstructedStates:
     """Reconstruct from a simulator log and attach its recorded wrench."""
-    rs = reconstruct(trajectory_from_runlog(log), cfg)
+    rs = reconstruct(trajectory_from_runlog(log), cutoff_hz)
     return rs.attach_wrench(log.t, log.wrench)
 
 
@@ -468,7 +445,7 @@ class BodyOffset:
 def estimate_body_offset(
     tr: MocapTrajectory,
     takeoff_window: tuple,
-    cfg: FilterConfig | None = None,
+    cutoff_hz: float | None = CUTOFF_HZ,
     g: float = 9.81,
 ) -> BodyOffset:
     """Estimate the thrust-axis misalignment from a short trimmed takeoff.
@@ -480,7 +457,7 @@ def estimate_body_offset(
     below 0.2 g (e.g. hover) or implied tilts of 30 deg or more are
     rejected as unusable trim flights.
     """
-    rs = reconstruct(tr, cfg)
+    rs = reconstruct(tr, cutoff_hz)
     t0, t1 = float(takeoff_window[0]), float(takeoff_window[1])
     if not t1 > t0:
         raise ValueError("takeoff window must have positive length")

@@ -521,6 +521,17 @@ def test_envelope_edge_maxima_checked_before_any_input(tmp_path, capsys, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "envelope"])
+@pytest.mark.parametrize("cutoff", ["nan", "0", "-5"])
+def test_bad_cutoff_refused_before_any_input(tmp_path, capsys, command, cutoff):
+    missing = str(tmp_path / "no_such_flight.csv")
+    assert main([command, missing, "--out", str(tmp_path / "out"), "--cutoff", cutoff]) == 1
+    err = capsys.readouterr().err
+    assert f"--cutoff: must be finite and > 0, got '{cutoff}'" in err
+    assert "no_such_flight" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------

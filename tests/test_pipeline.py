@@ -29,7 +29,6 @@ from flapsim.kinematics import (
 )
 from flapsim.pipeline import (
     EnvelopeGrid,
-    FilterConfig,
     MocapTrajectory,
     _butter,
     _filtfilt,
@@ -58,12 +57,12 @@ def test_import_flapsim_leaves_scipy_signal_unloaded():
     # scipy.signal is slow to import; the filtered reconstruction designs and
     # applies its Butterworth filter without it
     code = ("import sys, numpy as np, flapsim, flapsim.cli\n"
-            "from flapsim.pipeline import FilterConfig, MocapTrajectory, reconstruct\n"
+            "from flapsim.pipeline import MocapTrajectory, reconstruct\n"
             "n = 200\n"
             "t = np.arange(n) / 240.0\n"
             "pos = np.column_stack([np.sin(t), np.cos(t), t])\n"
             "tr = MocapTrajectory(t, pos, np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)))\n"
-            "assert FilterConfig().enabled and len(reconstruct(tr)) > 0\n"
+            "assert len(reconstruct(tr)) == n - 2 * 24\n"  # filtered: 24 trimmed per end
             "print('scipy.signal' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=src_env())
@@ -299,8 +298,9 @@ def test_reconstruct_short_trajectory_rejected():
 
 def test_reconstruct_cutoff_above_nyquist_rejected():
     tr = constant_trajectory(n=40, rate=30.0)
-    with pytest.raises(ConfigError, match="Nyquist"):
-        reconstruct(tr, FilterConfig(cutoff_hz=20.0))
+    for cutoff in (20.0, math.inf):
+        with pytest.raises(ConfigError, match="is not below Nyquist"):
+            reconstruct(tr, cutoff_hz=cutoff)
 
 
 @pytest.mark.parametrize("order", range(1, 9))
@@ -331,19 +331,33 @@ def test_filtfilt_matches_scipy(order):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.max(np.abs(x)))
 
 
-def test_filter_config_validation_and_margins():
-    with pytest.raises(ConfigError, match="cutoff"):
-        FilterConfig(cutoff_hz=0.0)
-    with pytest.raises(ConfigError, match="order"):
-        FilterConfig(order=0)
-    with pytest.raises(ConfigError, match="edge_margin"):
-        FilterConfig(edge_margin=-1)
-    assert FilterConfig(cutoff_hz=20.0).margin_for(240.0) == 24
-    assert FilterConfig(cutoff_hz=60.0).margin_for(240.0) == 8  # floor
-    assert FilterConfig(edge_margin=5).margin_for(240.0) == 5
-    # disabled filter only trims the one-sided difference samples
-    rs = reconstruct(constant_trajectory(n=40), FilterConfig(enabled=False))
-    assert len(rs) == 36
+def test_order_2_filtfilt_matches_sosfiltfilt_at_every_cutoff():
+    # at order 2 the transfer-function form keeps every digit that scipy's
+    # second-order sections keep, down to the lowest cutoffs; this is why
+    # reconstruct fixes its order at 2
+    from scipy.signal import butter, sosfiltfilt
+
+    rng = np.random.default_rng(2)
+    for wn in (5e-4, 1e-3, 4e-3, 0.01, 1 / 24, 0.1, 0.25, 0.5, 0.9):
+        b, a = _butter(2, wn)
+        sos = butter(2, wn, output="sos")
+        for n in (9, 100, 2400):
+            x = np.cumsum(rng.normal(size=(n, 7)), axis=0) + rng.normal(0.0, 10.0, 7)
+            padlen = min(3 * len(a), n - 1)
+            want = sosfiltfilt(sos, x, axis=0, padtype="odd", padlen=padlen)
+            got = _filtfilt(b, a, x, padlen)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.max(np.abs(x)))
+
+
+def test_cutoff_validation_and_margins():
+    tr = constant_trajectory(n=120)
+    for cutoff in (0.0, -5.0, math.nan):
+        with pytest.raises(ConfigError, match="filter cutoff must be positive"):
+            reconstruct(tr, cutoff_hz=cutoff)
+    assert len(reconstruct(tr, cutoff_hz=20.0)) == 120 - 2 * 24
+    assert len(reconstruct(tr, cutoff_hz=60.0)) == 120 - 2 * 8  # floor
+    # unfiltered, only the one-sided difference samples are trimmed
+    assert len(reconstruct(constant_trajectory(n=40), cutoff_hz=None)) == 36
 
 
 def test_attach_wrench_zero_order_hold():
@@ -617,7 +631,7 @@ def scalar_reconstruction(tr):
 
 def assert_matches_scalar(tr):
     """An unfiltered reconstruction agrees with the scalar oracle within 1e-12."""
-    rs = reconstruct(tr, FilterConfig(enabled=False))  # trims 2 samples per end
+    rs = reconstruct(tr, cutoff_hz=None)  # trims 2 samples per end
     quat, euler, vel_b, omega = (a[2:-2] for a in scalar_reconstruction(tr))
     np.testing.assert_array_equal(rs.quat, quat)
     np.testing.assert_allclose(rs.euler, euler, rtol=0, atol=1e-12)
@@ -657,7 +671,7 @@ def test_reconstruct_matches_scalar_kinematics_through_sign_flips(euler0, axis, 
         scalar_reconstruction(tr)
     except GimbalLockError:
         with pytest.raises(GimbalLockError):
-            reconstruct(tr, FilterConfig(enabled=False))
+            reconstruct(tr, cutoff_hz=None)
         return
     assert_matches_scalar(tr)
 
@@ -745,7 +759,7 @@ def pitch_up_to_vertical(n=120, k90=60, rate=240.0):
 def test_reconstruct_names_the_first_sample_at_the_gimbal_guard():
     tr = pitch_up_to_vertical()
     with pytest.raises(GimbalLockError, match=r"sample 60 \(t = 0\.25 s\): pitch 1\.5707"):
-        reconstruct(tr, FilterConfig(enabled=False))
+        reconstruct(tr, cutoff_hz=None)
     with pytest.raises(GimbalLockError, match="singularity"):
         reconstruct(tr)
 
