@@ -31,6 +31,10 @@ from .lqr import (
 )
 from .pipeline import (
     CUTOFF_HZ,
+    SPEED_BINS,
+    SPEED_MAX,
+    TILT_BINS,
+    TILT_MAX_DEG,
     ValidationReport,
     flight_envelope,
     load_command_csv,
@@ -110,13 +114,12 @@ def _build_parser() -> _Parser:
         default=[],
         help="command CSV (t,A,dA,Vo) for each mocap input, in order",
     )
-    v.add_argument("--legacy-coriolis", action="store_true", help=argparse.SUPPRESS)
 
     e = sub.add_parser("envelope", parents=[common, flight], help="tilt/speed visit histogram")
-    e.add_argument("--tilt-max", type=float, default=60.0, help="max tilt edge, deg")
-    e.add_argument("--tilt-bins", type=int, default=12)
-    e.add_argument("--speed-max", type=float, default=0.8, help="max speed edge, m/s")
-    e.add_argument("--speed-bins", type=int, default=16)
+    e.add_argument("--tilt-max", type=float, default=TILT_MAX_DEG, help="max tilt edge, deg")
+    e.add_argument("--tilt-bins", type=int, default=TILT_BINS)
+    e.add_argument("--speed-max", type=float, default=SPEED_MAX, help="max speed edge, m/s")
+    e.add_argument("--speed-bins", type=int, default=SPEED_BINS)
     e.add_argument(
         "--horizontal", action="store_true", help="bin |(u,v)| instead of |V_b|"
     )
@@ -277,7 +280,7 @@ def _cmd_validate(args) -> int:
             raise ConfigError(
                 f"{path}: no wrench available — mocap inputs need a --commands CSV"
             )
-        reports.append(validate_model(rs, p, legacy_coriolis=args.legacy_coriolis))
+        reports.append(validate_model(rs, p))
     report = _stack_reports(reports)
     out = _ensure_outdir(args.out)
     report.write_series_csv(os.path.join(out, "validation_series.csv"))

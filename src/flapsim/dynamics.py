@@ -16,10 +16,7 @@ Body-frame translational dynamics (z-up world, gravity -z):
     w_dot = -g cos(theta) cos(phi)       + f_a3 - (p v - q u) + Gamma/(m+m_M)
 
 and Euler's equations with optional unmodeled angular-acceleration
-residuals (L, M, N). A ``legacy_coriolis`` switch reproduces a
-nonstandard published variant of the lateral Coriolis term,
--(r v - p w) in v_dot, for comparison studies; the default is the
-standard cross-product form.
+residuals (L, M, N).
 
 The equations of motion are written once, in ``_eom``: on floats for
 ``state_derivative`` and ``rk4_packed``, on whole columns for the pipeline's
@@ -136,7 +133,7 @@ def _eom(u, v, w, phi, theta, psi, p, q, r, at, ap, aq, c: tuple, xp=None) -> tu
     arrays, one sample per entry, and the caller checks the pitches; each
     entry then gets the same float operations as a float call.
     """
-    mt, g, fa1, fa2, fa3, Na, ix, iy, iz, fx, fy, fz, legacy_coriolis = c
+    mt, g, fa1, fa2, fa3, Na, ix, iy, iz, fx, fy, fz = c
     if xp is None:  # floats, the integrator's path: one cheap test selects it
         if abs(theta) >= GIMBAL_GUARD:
             raise GimbalLockError(f"pitch {theta:.6f} rad reached the gimbal guard")
@@ -170,7 +167,7 @@ def _eom(u, v, w, phi, theta, psi, p, q, r, at, ap, aq, c: tuple, xp=None) -> tu
         ebx = eby = ebz = 0.0
 
     cor_u = q * w - r * v
-    cor_v = (r * v - p * w) if legacy_coriolis else (r * u - p * w)
+    cor_v = r * u - p * w
     cor_w = p * v - q * u
 
     ud = g * sp + fa1 - cor_u + ebx
@@ -187,15 +184,15 @@ def _eom(u, v, w, phi, theta, psi, p, q, r, at, ap, aq, c: tuple, xp=None) -> tu
 
 
 def _plant(p, specific_force=(0.0, 0.0, 0.0), angular_accel=(0.0, 0.0, 0.0),
-           force_w=(0.0, 0.0, 0.0), legacy=False) -> tuple:
+           force_w=(0.0, 0.0, 0.0)) -> tuple:
     """What :func:`_forcing` takes besides the wrench; ``c`` holds the inertia
-    ratios, the residuals, the world force [N] and the Coriolis variant."""
+    ratios, the residuals and the world force [N]."""
     mt, (Jx, Jy, Jz) = p.total_mass, p.J
     fa1, fa2, fa3 = specific_force
     La, Ma, Na = angular_accel
     fx, fy, fz = force_w
     c = (mt, p.g, fa1, fa2, fa3, Na, (Jz - Jy) / Jx, (Jx - Jz) / Jy, (Jy - Jx) / Jz,
-         fx, fy, fz, legacy)
+         fx, fy, fz)
     return mt, Jx, Jy, La, Ma, c
 
 
@@ -206,13 +203,13 @@ def _forcing(plant, thrust, tau_r, tau_p) -> tuple:
     return thrust / mt, La + tau_r / Jx, Ma + tau_p / Jy, c
 
 
-def _forcing_of(p, w, unmodeled, ext_force_w, legacy_coriolis) -> tuple:
+def _forcing_of(p, w, unmodeled, ext_force_w) -> tuple:
     """:func:`_forcing` from the dataclass inputs; thrust must be >= 0."""
     if w.thrust < 0.0:
         raise ValueError("thrust must be non-negative (clamp upstream)")
     un = unmodeled if unmodeled is not None else UnmodeledTerms()
     force = (0.0, 0.0, 0.0) if ext_force_w is None else [float(c) for c in ext_force_w]
-    plant = _plant(p, un.specific_force.tolist(), un.angular_accel.tolist(), force, legacy_coriolis)
+    plant = _plant(p, un.specific_force.tolist(), un.angular_accel.tolist(), force)
     return _forcing(plant, float(w.thrust), float(w.tau_r), float(w.tau_p))
 
 
@@ -222,8 +219,6 @@ def state_derivative(
     w: Wrench,
     unmodeled: UnmodeledTerms | None = None,
     ext_force_w=None,
-    *,
-    legacy_coriolis: bool = False,
 ) -> np.ndarray:
     """Time derivative of the packed 12-state under the given wrench.
 
@@ -231,7 +226,7 @@ def state_derivative(
     Thrust below zero is not accepted here; clamping belongs to the
     actuator map.
     """
-    at, ap, aq, c = _forcing_of(p, w, unmodeled, ext_force_w, legacy_coriolis)
+    at, ap, aq, c = _forcing_of(p, w, unmodeled, ext_force_w)
     return np.array(_eom(*s.as_vector()[3:].tolist(), at, ap, aq, c))
 
 
@@ -275,8 +270,6 @@ def rk4_step(
     unmodeled: UnmodeledTerms | None = None,
     ext_force_w=None,
     dt: float = 1e-4,
-    *,
-    legacy_coriolis: bool = False,
 ) -> SimState:
     """One classical Runge-Kutta step of length dt (inputs held constant).
 
@@ -285,7 +278,7 @@ def rk4_step(
     """
     if not (0.0 < dt <= MAX_DT):
         raise ValueError(f"dt must be in (0, {MAX_DT}]; got {dt}")
-    forcing = _forcing_of(p, w, unmodeled, ext_force_w, legacy_coriolis)
+    forcing = _forcing_of(p, w, unmodeled, ext_force_w)
     out = rk4_packed(s.as_vector().tolist(), dt, forcing)
     if not all(map(math.isfinite, out)):
         raise DivergenceError("non-finite state after RK4 step")

@@ -164,7 +164,6 @@ class Scenario:
     physics_substeps: int | None = None   # None: default_substeps(control_rate)
     seed: int = 0
     use_truth_velocity: bool = False
-    legacy_coriolis: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.duration < math.inf:
@@ -336,7 +335,7 @@ def _pulses_from_list(entries, p: VehicleParams) -> tuple:
 
 _SCENARIO_KEYS = {
     "name", "duration", "seed", "control_rate", "physics_substeps", "use_truth_velocity",
-    "legacy_coriolis", "initial", "setpoint", "noise", "disturbances",
+    "initial", "setpoint", "noise", "disturbances",
 }
 
 
@@ -390,7 +389,6 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
         physics_substeps=substeps,
         seed=_integer(cfg, "seed", 0),
         use_truth_velocity=_flag(cfg, "use_truth_velocity", "scenario"),
-        legacy_coriolis=_flag(cfg, "legacy_coriolis", "scenario"),
     )
 
 
@@ -526,8 +524,8 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     substeps = sc.physics_substeps
     block = _noise_samples(sc.noise, sc.seed, n_ticks)
 
-    legacy, truth_vel = sc.legacy_coriolis, sc.use_truth_velocity
-    plant = _plant(p, legacy=legacy)
+    truth_vel = sc.use_truth_velocity
+    plant = _plant(p)
     pulses = [(d.t_start, d.t_end, d.force_w.tolist()) for d in sc.disturbances]
     gain, hover = K.tolist(), hover_thrust(p)
 
@@ -577,7 +575,7 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
                             fx, fy, fz = fx + f[0], fy + f[1], fz + f[2]
                         elif share > 1e-9:
                             fx, fy, fz = fx + share * f[0], fy + share * f[1], fz + share * f[2]
-                    forcing = _forcing(_plant(p, force_w=(fx, fy, fz), legacy=legacy), *wrench)
+                    forcing = _forcing(_plant(p, force_w=(fx, fy, fz)), *wrench)
                 y = _rk4_packed(y, dt, forcing)
         except (ValueError, OverflowError) as exc:
             # gimbal guard or float overflow inside the integrator

@@ -56,6 +56,9 @@ ACCEL_AXES = ("u_dot", "v_dot", "w_dot", "p_dot", "q_dot", "r_dot")
 GAP_FACTOR = 2.0          # dt > GAP_FACTOR * median dt counts as a gap
 MAX_OFFSET_TILT = math.radians(30.0)
 CUTOFF_HZ = 20.0          # default low-pass cutoff of the pose filter
+# default flight-envelope grid: tilt edges [deg] and speed edges [m/s] from 0
+TILT_MAX_DEG, TILT_BINS = 60.0, 12
+SPEED_MAX, SPEED_BINS = 0.8, 16
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +358,9 @@ def reconstruct(tr: MocapTrajectory, cutoff_hz: float | None = CUTOFF_HZ) -> Rec
     transients and one-sided differences are trimmed.
     """
     fs = tr.sample_rate
-    if cutoff_hz is not None and not 0.0 < cutoff_hz < 0.5 * fs:
+    # a relative slack of 1e-9 refuses a cutoff at nominal Nyquist however the
+    # rate inferred from stored timestamps rounds (as in default_substeps)
+    if cutoff_hz is not None and not 0.0 < cutoff_hz < 0.5 * fs * (1.0 - 1e-9):
         raise ConfigError(
             "filter cutoff must be positive" if not cutoff_hz > 0.0
             else f"cutoff {cutoff_hz:g} Hz is not below Nyquist ({0.5 * fs:g} Hz)"
@@ -545,7 +550,6 @@ def validate_model(
     rs: ReconstructedStates,
     p: VehicleParams,
     window: tuple | None = None,
-    legacy_coriolis: bool = False,
 ) -> ValidationReport:
     """Compare measured accelerations against the stroke-averaged model.
 
@@ -576,7 +580,7 @@ def validate_model(
     # state_derivative's inputs, zero residuals and force; at, ap, aq are per row
     thrust, tau_r, tau_p = rs.wrench[idx].T
     thrust = np.where(thrust > 0.0, thrust, 0.0)  # max(0.0, thrust) per row
-    at, ap, aq, c = _forcing(_plant(p, legacy=legacy_coriolis), thrust, tau_r, tau_p)
+    at, ap, aq, c = _forcing(_plant(p), thrust, tau_r, tau_p)
     ydot = _eom(*states[:, 3:].T, at, ap, aq, c, xp=np)
     meas = np.column_stack([rs.accel_body[idx], rs.alpha_body[idx]])
     pred = np.column_stack([ydot[i] for i in (3, 4, 5, 9, 10, 11)])
@@ -637,8 +641,10 @@ def flight_envelope(
         raise ValueError("empty reconstruction")
     if speed_mode not in ("total", "horizontal"):
         raise ValueError("speed_mode must be 'total' or 'horizontal'")
-    te = np.linspace(0.0, 60.0, 13) if tilt_edges_deg is None else np.asarray(tilt_edges_deg, dtype=float)
-    se = np.linspace(0.0, 0.8, 17) if speed_edges is None else np.asarray(speed_edges, dtype=float)
+    te = (np.linspace(0.0, TILT_MAX_DEG, TILT_BINS + 1) if tilt_edges_deg is None
+          else np.asarray(tilt_edges_deg, dtype=float))
+    se = (np.linspace(0.0, SPEED_MAX, SPEED_BINS + 1) if speed_edges is None
+          else np.asarray(speed_edges, dtype=float))
     for edges in (te, se):
         if len(edges) < 2 or not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0):
             raise ValueError("histogram edges must be finite and increasing with >= 2 entries")

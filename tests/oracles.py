@@ -128,7 +128,6 @@ def eom_reference(
     specific_force=(0.0, 0.0, 0.0),
     angular_accel=(0.0, 0.0, 0.0),
     ext_force_w=(0.0, 0.0, 0.0),
-    legacy_coriolis: bool = False,
 ) -> np.ndarray:
     """Reference 12-state derivative.
 
@@ -148,10 +147,6 @@ def eom_reference(
     thrust_b = np.array([0.0, 0.0, wrench[0] / mt])
     ext_b = R.T @ np.asarray(ext_force_w, dtype=float) / mt
     cor = np.cross(om, V)
-    if legacy_coriolis:
-        # the variant bookkeeping slip in the v-equation: (r v - p w)
-        cor = cor.copy()
-        cor[1] = om[2] * V[1] - om[0] * V[2]
     V_dot = grav_b + thrust_b + np.asarray(specific_force, dtype=float) + ext_b - cor
 
     cr, sr = np.cos(roll), np.sin(roll)

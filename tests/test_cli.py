@@ -181,8 +181,7 @@ def test_simulate_seed_and_noise_overrides(tmp_path):
         ('noise: {enabled: "false"}\n', [], "s.scenario: noise: enabled must be true or false"),
         ('use_truth_velocity: "no"\n', [],
          "s.scenario: scenario: use_truth_velocity must be true or false"),
-        ("legacy_coriolis: 0\n", [],
-         "s.scenario: scenario: legacy_coriolis must be true or false"),
+        ("legacy_coriolis: 0\n", [], "s.scenario: scenario: unknown keys ['legacy_coriolis']"),
         ("seed: true\n", [], "s.scenario: scenario: seed must be an integer, got True"),
         ("physics_substeps: true\n", [],
          "s.scenario: scenario: physics_substeps must be an integer, got True"),
@@ -437,19 +436,29 @@ def test_validate_mocap_without_commands_exits_1(tmp_path, capsys, openloop_log)
 
 
 def test_successive_main_calls_share_no_state(tmp_path, capsys, openloop_log):
-    # the parser is built once per process; --commands of one call must not
-    # reach the next
+    # the parser is built once per process; --commands and --cutoff of one
+    # call must not reach the next
     mocap = tmp_path / "flight.csv"
     write_mocap_csv(mocap, trajectory_from_runlog(openloop_log))
     cmd = tmp_path / "cmd.csv"
     cmd.write_text("\n".join(command_rows(openloop_log)) + "\n")
     args = ["validate", str(mocap), "--out", str(tmp_path), "--quiet"]
-    assert main([*args, "--commands", str(cmd), "--legacy-coriolis"]) == 0
-    legacy = (tmp_path / "validation_report.txt").read_bytes()
+    assert main([*args, "--commands", str(cmd), "--cutoff", "30"]) == 0
+    at_30_hz = (tmp_path / "validation_report.txt").read_bytes()
     assert main(args) == 1
     assert "--commands" in capsys.readouterr().err
     assert main([*args, "--commands", str(cmd)]) == 0
-    assert (tmp_path / "validation_report.txt").read_bytes() != legacy
+    assert (tmp_path / "validation_report.txt").read_bytes() != at_30_hz
+
+
+def test_validate_has_no_coriolis_variant_flag(tmp_path, capsys, openloop_log):
+    # one equation of motion: the retired variant switch is an unknown option
+    runlog = tmp_path / "openloop.csv"
+    openloop_log.write_csv(runlog)
+    assert main(["validate", str(runlog), "--out", str(tmp_path / "out"), "--quiet",
+                 "--legacy-coriolis"]) == 1
+    assert "unrecognized arguments: --legacy-coriolis" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_truncated_runlog_exits_1(tmp_path, capsys):

@@ -102,26 +102,6 @@ def test_derivative_matches_matrix_reference(params):
         np.testing.assert_allclose(d, ref, rtol=1e-9, atol=1e-9)
 
 
-def test_legacy_coriolis_variant(params):
-    rng = np.random.default_rng(43)
-    for _ in range(50):
-        s = random_state(rng)
-        w = Wrench(rng.uniform(0.0, 3e-3), 0.0, 0.0)
-        d_legacy = state_derivative(params, s, w, legacy_coriolis=True)
-        ref = oracles.eom_reference(
-            s.as_vector(), params.total_mass, params.J, params.g,
-            (w.thrust, 0.0, 0.0), legacy_coriolis=True,
-        )
-        np.testing.assert_allclose(d_legacy, ref, rtol=1e-9, atol=1e-9)
-        # the two conventions differ in v_dot by r*(u - v)
-        d_std = state_derivative(params, s, w)
-        u, v = s.vel_b[0], s.vel_b[1]
-        r = s.omega_b[2]
-        assert d_legacy[4] - d_std[4] == pytest.approx(r * (u - v), rel=1e-9, abs=1e-12)
-        np.testing.assert_allclose(np.delete(d_legacy, 4), np.delete(d_std, 4),
-                                   rtol=1e-12, atol=1e-15)
-
-
 def test_negative_thrust_rejected(params):
     s = SimState.at_rest()
     with pytest.raises(ValueError):
@@ -213,18 +193,17 @@ def test_rk4_fourth_order_convergence(params):
     assert 10.0 < ratio < 24.0
 
 
-@pytest.mark.parametrize("legacy", [False, True])
-def test_chained_rk4_step_equals_chained_rk4_packed(params, legacy):
+def test_chained_rk4_step_equals_chained_rk4_packed(params):
     # rk4_step rebuilds a SimState (and its Euler angles) every step; the
     # runner keeps the packed list. Both must follow the same trajectory.
     s = SimState((0.01, -0.02, 0.03), (0.1, -0.05, 0.02),
                  EulerAngles321(0.2, -0.1, 1.0), (1.0, -2.0, 3.0))
     w = Wrench(1.1 * hover_thrust(params), 2e-8, -1e-8)
     dt = 1.0 / (240.0 * 42)
-    forcing = _forcing(_plant(params, legacy=legacy), w.thrust, w.tau_r, w.tau_p)
+    forcing = _forcing(_plant(params), w.thrust, w.tau_r, w.tau_p)
     y = s.as_vector().tolist()
     for _ in range(420):
-        s = rk4_step(params, s, w, dt=dt, legacy_coriolis=legacy)
+        s = rk4_step(params, s, w, dt=dt)
         y = rk4_packed(y, dt, forcing)
     assert s.as_vector().tobytes() == np.array(y).tobytes()
 
@@ -249,20 +228,18 @@ def _floats(lo, hi, n=None):
     angular_accel=_floats(-100.0, 100.0, 3),
     force=st.one_of(st.just((0.0, 0.0, 0.0)), _floats(-2e-3, 2e-3, 3)),
     dt=_floats(1e-6, MAX_DT),
-    legacy=st.booleans(),
 )
 def test_rk4_packed_is_textbook_rk4_over_state_derivative_bit_for_bit(
-    params, pos, vel, att, omega, thrust, torques, specific_force, angular_accel, force, dt, legacy
+    params, pos, vel, att, omega, thrust, torques, specific_force, angular_accel, force, dt
 ):
     w = Wrench(thrust, *torques)
     un = UnmodeledTerms(specific_force, angular_accel)
     s = SimState(pos, vel, EulerAngles321(*att), omega)
 
     def f(y):
-        return state_derivative(params, SimState.from_vector(y), w, un, force,
-                                legacy_coriolis=legacy)
+        return state_derivative(params, SimState.from_vector(y), w, un, force)
 
-    plant = _plant(params, specific_force, angular_accel, force, legacy)
+    plant = _plant(params, specific_force, angular_accel, force)
     forcing = _forcing(plant, thrust, *torques)
     out = rk4_packed(s.as_vector().tolist(), dt, forcing)
     assert np.array(out).tobytes() == oracles.rk4_textbook(f, s.as_vector(), dt).tobytes()

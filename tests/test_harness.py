@@ -146,7 +146,7 @@ def test_scenario_from_dict_full(tmp_path):
         ({"control_rate": math.nan}, "control_rate must be positive and finite"),
         ({"noise": {"enabled": "false"}}, "noise: enabled must be true or false"),
         ({"use_truth_velocity": "false"}, "use_truth_velocity must be true or false"),
-        ({"legacy_coriolis": 1}, "legacy_coriolis must be true or false"),
+        ({"legacy_coriolis": False}, "scenario: unknown keys"),
         ({"seed": True}, "scenario: seed must be an integer, got True"),
         ({"physics_substeps": True}, "scenario: physics_substeps must be an integer, got True"),
         ({"seed": "3"}, "scenario: seed must be an integer, got '3'"),
@@ -611,15 +611,14 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
     [
         {"noise": {"enabled": True},
          "initial": {"pos": [0.03, -0.01, 0.0], "euler_deg": [4.0, -3.0, 20.0]}},
-        {"legacy_coriolis": True,
-         "initial": {"vel_b": [0.05, -0.02, 0.01], "omega_b": [0.5, -0.3, 0.8]}},
+        {"initial": {"vel_b": [0.05, -0.02, 0.01], "omega_b": [0.5, -0.3, 0.8]}},
         # edges 0.3 ms into substep 1 of tick 24 and 0.2 ms into substep 2 of tick 31
         {"disturbances": [{"t_start": 0.1013, "duration": 0.0302, "magnitude_g": 1.0,
                            "direction": [0.0, 1.0, 0.0]}]},
         {"physics_substeps": 42, "duration": 0.1, "noise": {"enabled": True},
          "initial": {"pos": [0.01, 0.0, 0.0]}},
     ],
-    ids=["noisy_hover", "legacy_coriolis", "pulse_inside_substeps", "substeps_42"],
+    ids=["noisy_hover", "rotating_start", "pulse_inside_substeps", "substeps_42"],
 )
 def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
     # the integrate half of the tick, replayed from the log: a row's truth
@@ -648,8 +647,7 @@ def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
                     force = force + share * pulse.force_w
 
             def f(x, force=force):
-                return state_derivative(params, SimState.from_vector(x), w, None, force,
-                                        legacy_coriolis=sc.legacy_coriolis)
+                return state_derivative(params, SimState.from_vector(x), w, None, force)
 
             y = oracles.rk4_textbook(f, y, dt)
         assert y.tobytes() == end.tobytes(), k

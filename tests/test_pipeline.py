@@ -301,6 +301,12 @@ def test_reconstruct_cutoff_above_nyquist_rejected():
     for cutoff in (20.0, math.inf):
         with pytest.raises(ConfigError, match="is not below Nyquist"):
             reconstruct(tr, cutoff_hz=cutoff)
+    # exactly Nyquist is refused however the rate inferred from the
+    # timestamps rounds (at 100 and 250 Hz it reads below nominal)
+    for rate in (30.0, 100.0, 120.0, 240.0, 250.0, 960.0):
+        with pytest.raises(ConfigError, match="is not below Nyquist"):
+            reconstruct(constant_trajectory(n=40, rate=rate), cutoff_hz=rate / 2)
+    assert len(reconstruct(constant_trajectory(n=40, rate=240.0), cutoff_hz=119.9)) == 40 - 2 * 8
 
 
 @pytest.mark.parametrize("order", range(1, 9))
