@@ -21,6 +21,7 @@ from .errors import ConfigError, DivergenceError, SynthesisError
 from .harness import RUNLOG_COLUMNS, load_scenario, metrics, run_scenario
 from .ioutil import atomic_write_text, read_header
 from .lqr import (
+    CONTROL_RATE,
     INPUT_LABELS,
     SIGMA_LABELS,
     LqrWeights,
@@ -164,12 +165,14 @@ def _cmd_gains(args) -> int:
     write_gain_csv(stem + "_P.csv", sol.P)
 
     eigs = sorted(sol.closed_loop_eigs, key=lambda z: z.real)
+    rho = f"ZOH spectral radius at {CONTROL_RATE:g} Hz: {sol.zoh_spectral_radius:.6f}"
     lines = [
         "hover LQR synthesis",
         f"params: {args.params}",
         f"states: {', '.join(SIGMA_LABELS)}",
         f"inputs: {', '.join(INPUT_LABELS)}",
         f"care residual (relative): {sol.care_residual:.3e}",
+        rho,
         "closed-loop eigenvalues:",
     ]
     lines += [f"  {z.real:+.6e} {z.imag:+.6e}j" for z in eigs]
@@ -177,6 +180,7 @@ def _cmd_gains(args) -> int:
     if not args.quiet:
         print(f"gain written to {gain_path}")
         print(f"care residual: {sol.care_residual:.3e}")
+        print(rho)
         print(f"slowest closed-loop pole: {max(z.real for z in eigs):+.4f}")
     return 0
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .ioutil import read_table
 from .kinematics import (
-    GIMBAL_GUARD, EulerAngles321, Quaternion, _euler_quat, _normalized, _qmul, _quat_rotvec,
+    GIMBAL_GUARD, EulerAngles321, Quaternion, _euler_quat, _qmul, _quat_rotvec,
     _rotmat, _rotmat_euler, _rotvec_quat, euler_to_rotmat, wrap_angle,
 )
 # bench/spans.py times these names
@@ -128,7 +128,7 @@ def _sense(pos, quat, prev: tuple | None, dt: float, vel) -> tuple:
         raise ValueError(f"measured quaternion norm {n:.6f} is off unit by more than 1e-3")
     w, x, y, z = w / n, x / n, y / n, z / n
     q = (-w, -x, -y, -z) if w < 0.0 else (w, x, y, z)
-    R = _rotmat(*_normalized(q))
+    R = _rotmat(*q)
     roll, pitch, yaw = _rotmat_euler(R)
     if abs(pitch) >= GIMBAL_GUARD:
         EulerAngles321(roll, pitch, yaw)  # raises the record's GimbalLockError

@@ -20,8 +20,10 @@ class SchemaError(ConfigError):
 class SynthesisError(FlapsimError, RuntimeError):
     """Gain synthesis failed: weights that are not symmetric, Q not positive
     semidefinite or R not positive definite; a PBH rank defect ((A, B) not
-    stabilizable or (A, Q^1/2) not detectable); scipy's CARE solve or the
-    Lyapunov refinement raising; a relative CARE residual above the 1e-8
+    stabilizable or (A, Q^1/2) not detectable); a Hamiltonian eigenvalue
+    within 1e-6 relative of the imaginary axis or a singular stable-subspace
+    basis ("CARE solve failed"); a singular Lyapunov refinement step; a
+    relative CARE residual above the 1e-8
     certificate; a closed loop that is not Hurwitz; or a gain whose
     zero-order-hold sampled loop has spectral radius >= 1."""
 

@@ -17,27 +17,29 @@ remaining dynamics are yaw-symmetric.
 
     A'P + PA - P B R^-1 B' P + Q = 0
 
-with ``scipy.linalg.solve_continuous_are`` (ordered QZ of the balanced
-extended Hamiltonian pencil; Laub 1979, Van Dooren 1981, Benner 2001),
-then polishes P by Newton/Lyapunov refinement until the relative residual
-stops falling, and raises unless it is at most 1e-8. The gain is stored
-positive,
+from the stable invariant subspace [U1; U2] of the Hamiltonian
+[[A, -G], [-Q, -A']], G = B R^-1 B', as P = U2 U1^-1 (MacFarlane 1963,
+Potter 1966), then polishes P by Newton/Lyapunov refinement (Kleinman,
+IEEE TAC 1968) until the relative residual stops falling, and raises
+unless it is at most 1e-8. Everything is numpy: ``np.linalg.eig`` for
+the subspace and one Kronecker-form ``np.linalg.solve`` per Lyapunov
+step, which is cheap at these sizes. The gain is stored positive,
 
     K = R^-1 B' P,   u = K (sigma_des - sigma).
 
 ``lqr_gain`` then certifies the gain for the loop that runs it: the model
 is discretized with a zero-order hold at ``CONTROL_RATE`` (Franklin,
 Powell & Workman, *Digital Control of Dynamic Systems*) and the sampled
-closed loop A_d - B_d K must have spectral radius below one.
+closed loop A_d - B_d K must have spectral radius below one; the radius
+is returned with the solution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg
 
 from .errors import ConfigError, SynthesisError
 from .dynamics import SimState, state_derivative
@@ -159,13 +161,16 @@ class LqrSolution:
 
     ``care_residual`` is the Frobenius norm of A'P + PA - PBR^-1B'P + Q
     divided by the sum of the norms of its four terms (the usual relative
-    residual for algebraic Riccati equations).
+    residual for algebraic Riccati equations). ``zoh_spectral_radius`` is
+    that of the closed loop sampled at ``CONTROL_RATE``; :func:`lqr_gain`
+    sets it, :func:`solve_care` leaves it None.
     """
 
     K: np.ndarray
     P: np.ndarray
     closed_loop_eigs: np.ndarray
     care_residual: float
+    zoh_spectral_radius: float | None = None
 
 
 def linearize_hover(p: VehicleParams) -> LinearModel:
@@ -266,17 +271,24 @@ def _check_stabilizable_detectable(A, B, Q):
 
 
 def _care(A, B, Q, R):
-    """Stabilizing CARE solution: scipy's ordered-QZ solve, then Newton polish."""
+    """Stabilizing CARE solution: the Hamiltonian's stable subspace, then Newton polish."""
     try:
-        R_fac = linalg.cho_factor(R)
-    except linalg.LinAlgError as exc:
+        np.linalg.cholesky(R)
+    except np.linalg.LinAlgError as exc:
         raise SynthesisError(f"R is not positive definite: {exc}") from exc
-    G = B @ linalg.cho_solve(R_fac, B.T)
+    G = B @ np.linalg.solve(R, B.T)
     G = 0.5 * (G + G.T)
-    try:
-        P = linalg.solve_continuous_are(A, B, Q, R)
-    except (linalg.LinAlgError, ValueError) as exc:
-        raise SynthesisError(f"CARE solve failed: {exc}") from exc
+    n = A.shape[0]
+    lam, V = np.linalg.eig(np.block([[A, -G], [-Q, -A.T]]))
+    # scale-free test: eigenvalues near the axis leave the stable subspace undefined
+    if np.any(np.abs(lam.real) <= 1e-6 * np.abs(lam)):
+        raise SynthesisError(
+            "CARE solve failed: the Hamiltonian has eigenvalues on the imaginary axis"
+        )
+    U = V[:, lam.real < 0.0]
+    if U.shape[1] != n or np.linalg.cond(U[:n]) > 1.0 / np.finfo(float).eps:
+        raise SynthesisError("CARE solve failed: the stable subspace has singular U1")
+    P = np.linalg.solve(U[:n].T, U[n:].T).real  # (U2 U1^-1)' = U1'^-1 U2'; P is symmetric
     P = 0.5 * (P + P.T)
 
     # Newton/Lyapunov refinement; also serves as the convergence certificate.
@@ -296,14 +308,17 @@ def _care(A, B, Q, R):
 
     rel, res = _residual(P)
     best_P, best_rel = P, rel
+    I = np.eye(n)
     for _ in range(20):
         if best_rel <= 1e-13:
             break
         Acl = A - G @ P
+        # Acl'X + X Acl = -res, row-major vectorized: (Acl' (x) I + I (x) Acl') vec X
         try:
-            X = linalg.solve_continuous_lyapunov(Acl.T.copy(), -res)
-        except (linalg.LinAlgError, ValueError) as exc:
+            X = np.linalg.solve(np.kron(Acl.T, I) + np.kron(I, Acl.T), -res.ravel())
+        except np.linalg.LinAlgError as exc:
             raise SynthesisError(f"Lyapunov refinement failed: {exc}") from exc
+        X = X.reshape(n, n)
         P = P + X
         P = 0.5 * (P + P.T)
         rel, res = _residual(P)
@@ -317,10 +332,7 @@ def _care(A, B, Q, R):
             f"CARE residual {rel:.3e} exceeds 1e-8 after refinement"
         )
 
-    # cho_solve returns an F-contiguous array; force C order so that a gain
-    # written to CSV and read back multiplies bit-identically (BLAS summation
-    # order depends on memory layout).
-    K = np.ascontiguousarray(linalg.cho_solve(R_fac, B.T @ P))
+    K = np.linalg.solve(R, B.T @ P)
     cl_eigs = np.sort_complex(np.linalg.eigvals(A - B @ K))
     if np.any(cl_eigs.real >= 0.0):
         raise SynthesisError("closed loop is not Hurwitz")
@@ -347,18 +359,34 @@ def solve_care(model: LinearModel, weights: LqrWeights) -> LqrSolution:
     return LqrSolution(K=K, P=s * P_n, closed_loop_eigs=cl_eigs, care_residual=rel)
 
 
-def _zoh_spectral_radius(model: LinearModel, K: np.ndarray, rate: float) -> float:
-    """Spectral radius of the closed loop A_d - B_d K sampled at ``rate`` Hz.
+def _zoh(A: np.ndarray, B: np.ndarray, rate: float):
+    """Exact zero-order-hold (A_d, B_d) at ``rate`` Hz: both blocks of one
+    exponential of [[A, B], [0, 0]] / rate (Van Loan, IEEE TAC 1978).
 
-    (A_d, B_d) is the exact zero-order-hold discretization, both blocks of
-    one exponential of [[A, B], [0, 0]] / rate (Van Loan, IEEE TAC 1978).
+    The block's powers are [[A^k, A^(k-1) B], [0, 0]], so A alone sets how
+    fast the Taylor series converges: M is scaled by 2^-s until
+    ||A / rate||_1 2^-s <= 1/2, where 16 terms leave a truncation below
+    1e-19 of each block, and the result is squared s times.
     """
-    n, m = model.B.shape
+    n, m = B.shape
+    a = float(np.linalg.norm(A, 1)) / rate
+    s = max(0, math.ceil(math.log2(2.0 * a))) if a > 0.0 else 0
     M = np.zeros((n + m, n + m))
-    M[:n, :n] = model.A
-    M[:n, n:] = model.B
-    E = linalg.expm(M / rate)
-    Ad, Bd = E[:n, :n], E[:n, n:]
+    M[:n, :n] = A
+    M[:n, n:] = B
+    M /= rate * 2.0**s
+    E = term = np.eye(n + m)
+    for k in range(1, 17):
+        term = term @ M / k
+        E = E + term
+    for _ in range(s):
+        E = E @ E
+    return E[:n, :n], E[:n, n:]
+
+
+def _zoh_spectral_radius(model: LinearModel, K: np.ndarray, rate: float) -> float:
+    """Spectral radius of the closed loop A_d - B_d K sampled at ``rate`` Hz."""
+    Ad, Bd = _zoh(model.A, model.B, rate)
     return float(np.max(np.abs(np.linalg.eigvals(Ad - Bd @ K))))
 
 
@@ -367,8 +395,9 @@ def lqr_gain(p: VehicleParams, weights: LqrWeights | None = None) -> LqrSolution
 
     Analytic linearization + CARE solve; raises :class:`SynthesisError`
     unless the gain also stabilizes the model under a zero-order hold at
-    ``CONTROL_RATE`` (spectral radius of A_d - B_d K below one). Weights
-    default to :func:`default_weights` of ``p``.
+    ``CONTROL_RATE`` (spectral radius of A_d - B_d K below one), which the
+    solution carries as ``zoh_spectral_radius``. Weights default to
+    :func:`default_weights` of ``p``.
     """
     model = linearize_hover(p)
     sol = solve_care(model, weights or default_weights(p))
@@ -378,7 +407,7 @@ def lqr_gain(p: VehicleParams, weights: LqrWeights | None = None) -> LqrSolution
             f"gain is unstable when sampled: ZOH spectral radius {rho:.4g} >= 1 "
             f"at {CONTROL_RATE:g} Hz"
         )
-    return sol
+    return replace(sol, zoh_spectral_radius=rho)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg
 
 from .errors import ConfigError, GimbalLockError, SchemaError
 from .ioutil import atomic_write_text, read_table, table_text
@@ -301,6 +300,8 @@ def _filtfilt(b, a, x: np.ndarray, padlen: int) -> np.ndarray:
     ``sum_j a_j y[i-j] = sum_j b_j x[i-j]`` plus those initial states, solved
     as one banded lower-triangular system. It agrees with scipy to rounding.
     """
+    from scipy import linalg  # LAPACK dtbtrs; imported here so only this path loads scipy
+
     y = np.concatenate([2.0 * x[0] - x[padlen:0:-1], x, 2.0 * x[-1] - x[-2:-padlen - 2:-1]])
     zi = np.linalg.solve(np.eye(len(a) - 1) - linalg.companion(a).T, b[1:] - a[1:] * b[0])
     ab = np.repeat(a[:, None], len(y), axis=1)  # the Toeplitz band, diagonal first

@@ -38,7 +38,7 @@ def write_offset_scenario(path, duration=0.5, offset=0.01, name="offset", extra=
 # ---------------------------------------------------------------------------
 
 
-def test_gains_writes_artifacts(tmp_path, capsys, gain):
+def test_gains_writes_artifacts(tmp_path, capsys, gain, gain_solution):
     assert main(["gains", "--out", str(tmp_path)]) == 0
     K = read_gain_csv(tmp_path / "gains.csv")
     np.testing.assert_array_equal(K, gain)
@@ -47,9 +47,12 @@ def test_gains_writes_artifacts(tmp_path, capsys, gain):
     report = (tmp_path / "gains_report.txt").read_text()
     assert "care residual" in report
     assert report.count("j") >= 10  # one eigenvalue line per state
+    rho = f"ZOH spectral radius at 240 Hz: {gain_solution.zoh_spectral_radius:.6f}"
+    assert rho in report.splitlines()
     out = capsys.readouterr().out
     assert "gain written to" in out
     assert "slowest closed-loop pole" in out
+    assert rho in out.splitlines()
 
 
 def test_gains_quiet_suppresses_stdout(tmp_path, capsys):
@@ -567,6 +570,22 @@ def test_console_script_smoke(tmp_path):
         target = tomllib.load(fh)["project"]["scripts"]["flapsim"]
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is main
+
+
+def test_gains_and_simulate_load_no_scipy(tmp_path):
+    # gain synthesis and the run loop are numpy only; scipy is imported
+    # by the flight-data filter alone
+    code = ("import sys\n"
+            "from flapsim.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert main(['gains', '--out', out, '--quiet']) == 0\n"
+            "assert main(['simulate', 'hover', '--out', out, '--quiet']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "hover_runlog.csv").exists()
 
 
 @pytest.mark.skipif(
