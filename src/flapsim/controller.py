@@ -13,8 +13,8 @@ applied to both state and setpoint.
 
 State estimation mirrors the mocap path: world velocity from first
 differences smoothed by a two-sample moving average, body rates from
-quaternion differencing. A simulation may instead inject ground-truth
-velocity via the ``vel_w`` override.
+quaternion differencing. It is the only estimator; a simulation senses
+through it too.
 
 The math lives once, on plain floats, in ``_sense`` (estimator) and
 ``_decide`` (control law). The run loop calls them every tick;
@@ -33,7 +33,7 @@ import numpy as np
 from .ioutil import read_table
 from .kinematics import (
     GIMBAL_GUARD, EulerAngles321, Quaternion, _euler_quat, _qmul, _quat_rotvec,
-    _rotmat, _rotmat_euler, _rotvec_quat, euler_to_rotmat, wrap_angle,
+    _rotmat, _rotmat_euler, _rotvec_quat, wrap_angle,
 )
 # bench/spans.py times these names
 from .kinematics import quat_multiply, quat_to_rotmat, quat_to_rotvec, rotmat_to_euler  # noqa: F401
@@ -117,7 +117,7 @@ def _est(s: CtrlState) -> tuple:
             (s.euler.roll, s.euler.pitch, s.euler.yaw), np.ravel(s.omega_b).tolist())
 
 
-def _sense(pos, quat, prev: tuple | None, dt: float, vel) -> tuple:
+def _sense(pos, quat, prev: tuple | None, dt: float) -> tuple:
     """Float core of :func:`assemble_ctrl_state`: ``(est, carry)``, ``est`` as in :func:`_est`.
 
     ``prev`` and ``carry`` hold a sample's position, raw velocity and quaternion.
@@ -136,9 +136,7 @@ def _sense(pos, quat, prev: tuple | None, dt: float, vel) -> tuple:
     if prev is not None:
         px, py, pz, rx, ry, rz, pw, qx, qy, qz = prev
         rates = [c / dt for c in _quat_rotvec(_qmul((pw, -qx, -qy, -qz), q))]
-    if vel is not None:
-        raw = vel
-    elif prev is None:
+    if prev is None:
         raw = vel = (0.0, 0.0, 0.0)
     else:
         raw = ((pos[0] - px) / dt, (pos[1] - py) / dt, (pos[2] - pz) / dt)
@@ -146,20 +144,18 @@ def _sense(pos, quat, prev: tuple | None, dt: float, vel) -> tuple:
     return (R, pos, vel, (wrap_angle(roll), pitch, wrap_angle(yaw)), rates), (*pos, *raw, *q)
 
 
-def _sense_truth(y, prev: tuple | None, dt: float, draws, truth_vel: bool) -> tuple:
+def _sense_truth(y, prev: tuple | None, dt: float, draws) -> tuple:
     """Sensing on the packed truth state ``y`` for the run loop: ``(est, sigma, carry)``.
 
     ``draws`` (3 position, then 3 rotation-vector noise samples, or None)
     perturb the measurement as the noise model does.
     """
     roll, pitch, yaw = wrap_angle(y[6]), y[7], wrap_angle(y[8])
-    q, pos, vel = _euler_quat(roll, pitch, yaw), y[0:3], None
+    q, pos = _euler_quat(roll, pitch, yaw), y[0:3]
     if draws is not None:
         pos = [a + b for a, b in zip(pos, draws)]
         q = _qmul(q, _rotvec_quat(*draws[3:]))
-    if truth_vel:
-        vel = (euler_to_rotmat(EulerAngles321(roll, pitch, yaw)) @ y[3:6]).tolist()
-    est, carry = _sense(pos, q, prev, dt, vel)
+    est, carry = _sense(pos, q, prev, dt)
     return est, _sigma(est), carry
 
 
@@ -168,29 +164,25 @@ def assemble_ctrl_state(
     meas_quat: Quaternion,
     prev: CtrlState | None = None,
     dt: float | None = None,
-    *,
-    vel_w=None,
 ) -> CtrlState:
     """Build the controller state from a position + quaternion sample.
 
     The validated constructor of :class:`CtrlState`: the position must be
-    finite, the quaternion within 1e-3 of unit length, ``dt`` positive
-    when ``prev`` is given, and a ``vel_w`` override finite.
+    finite, the quaternion within 1e-3 of unit length, and ``dt`` positive
+    when ``prev`` is given.
 
     With no ``prev`` sample, velocity and body rates start at zero. With
     one, world velocity is the first difference averaged with the previous
-    raw difference, and body rates come from the quaternion increment.
-    ``vel_w`` bypasses the differencing (ground-truth injection). The math
-    is :func:`_sense`, which the scenario runner calls every tick.
+    raw difference, and body rates come from the quaternion increment. The
+    math is :func:`_sense`, which the scenario runner calls every tick.
     """
     pos = _vec3(meas_pos_w, "meas_pos_w").tolist()
     if prev is not None and (dt is None or not dt > 0.0):
         raise ValueError("dt must be positive when a previous sample is given")
-    vel = None if vel_w is None else _vec3(vel_w, "vel_w").tolist()
     if prev is not None:
         prev = (*np.ravel(prev.pos_w).tolist(), *np.ravel(prev.raw_vel_w).tolist(),
                 *prev.quat.as_array().tolist())
-    (R, pos, vel, euler, rates), carry = _sense(pos, meas_quat.as_array().tolist(), prev, dt, vel)
+    (R, pos, vel, euler, rates), carry = _sense(pos, meas_quat.as_array().tolist(), prev, dt)
     return CtrlState(np.array(pos), np.array(vel), np.array(carry[3:6]), Quaternion(*carry[6:]),
                      EulerAngles321(*euler), np.array(R).reshape(3, 3), np.array(rates))
 

@@ -6,16 +6,20 @@ at a fixed rate with zero-order-hold commands; the physics integrates with
 fixed-step RK4 using an integer number of substeps per control tick, so
 the physics step always divides the control period exactly.
 
-Unless a scenario sets ``physics_substeps``, the substep count
-is the smallest whose step is at most ``PHYSICS_STEP`` (1/960 s: 4
-substeps at 240 Hz). That step keeps the bundled scenarios within 1e-8 m
-and 1e-6 rad of a run at half the step; :func:`step_error` measures this
-by step doubling for any scenario. A force pulse whose edge falls inside
-a substep acts on that substep weighted by the fraction it covers.
+Unless a scenario sets ``physics_substeps``, the substep count is the
+smallest whose step is at most ``PHYSICS_STEP`` (1/960 s: 4 substeps at
+240 Hz). It is worked out from the current control rate whenever it is
+read, so a scenario copied with another rate gets that rate's count.
+That step keeps the bundled scenarios within 1e-8 m and 1e-6 rad of a
+run at half the step; :func:`step_error` measures this by step doubling
+for any scenario. A force pulse whose edge falls inside a substep acts
+on that substep weighted by the fraction it covers.
 
 Timing convention: the state is sampled (and logged) at the start of each
 tick; the command computed from that sample is held through the tick.
-Runs are deterministic for a fixed seed; the log records one row per tick.
+The controller sees the state only through the mocap-style estimator
+(``controller._sense``), lag included. Runs are deterministic for a
+fixed seed; the log records one row per tick.
 
 A tick runs on plain floats: the state is a list of 12 and the
 controller's cores take and return tuples. Dataclasses stay at the edges,
@@ -161,21 +165,19 @@ class Scenario:
     disturbances: tuple = ()
     noise: NoiseConfig = NoiseConfig()
     control_rate: float = CONTROL_RATE
-    physics_substeps: int | None = None   # None: default_substeps(control_rate)
+    substeps: int | None = None   # None: default_substeps(control_rate); see physics_substeps
     seed: int = 0
-    use_truth_velocity: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.duration < math.inf:
             raise ConfigError("duration must be positive and finite")
         if not 0.0 < self.control_rate < math.inf:
             raise ConfigError("control_rate must be positive and finite")
-        n = self.physics_substeps
-        if n is None:
-            n = default_substeps(self.control_rate)
-        if isinstance(n, bool) or int(n) != n or n < 1:
-            raise ConfigError(f"physics_substeps must be a positive integer, got {n!r}")
-        object.__setattr__(self, "physics_substeps", int(n))
+        n = self.substeps
+        if n is not None:
+            if isinstance(n, bool) or int(n) != n or n < 1:
+                raise ConfigError(f"physics_substeps must be a positive integer, got {n!r}")
+            object.__setattr__(self, "substeps", int(n))
         seed = self.seed
         if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -189,6 +191,11 @@ class Scenario:
             raise ConfigError(
                 f"physics step {self.dt:.3e} s exceeds the integrator limit {MAX_DT}"
             )
+
+    @property
+    def physics_substeps(self) -> int:
+        """RK4 substeps per control tick: ``substeps``, or default_substeps(control_rate)."""
+        return default_substeps(self.control_rate) if self.substeps is None else self.substeps
 
     @property
     def control_period(self) -> float:
@@ -224,11 +231,6 @@ def _number(cfg: dict, key: str, where: str, default=None, integer: bool = False
         return int(v) if integer else float(v)
     except OverflowError:  # an int beyond the float range
         raise SchemaError(f"{where}: {key} is out of range") from None
-
-
-def _integer(cfg: dict, key: str, default: int) -> int:
-    """An integer-valued scenario key."""
-    return _number(cfg, key, "scenario", default, integer=True)
 
 
 def _triple(cfg: dict, key: str, where: str) -> np.ndarray:
@@ -315,6 +317,9 @@ def _pulses_from_list(entries, p: VehicleParams) -> tuple:
             raise SchemaError(f"{where}: needs t_start and duration")
         t0 = _number(ent, "t_start", where)
         dur = _number(ent, "duration", where)
+        for key, v in (("t_start", t0), ("duration", dur)):
+            if not math.isfinite(v):
+                raise SchemaError(f"{where}: {key} must be finite, got {v!r}")
         if "force" in ent:
             if "magnitude_g" in ent or "direction" in ent:
                 raise SchemaError(f"{where}: give force or magnitude_g+direction, not both")
@@ -334,7 +339,7 @@ def _pulses_from_list(entries, p: VehicleParams) -> tuple:
 
 
 _SCENARIO_KEYS = {
-    "name", "duration", "seed", "control_rate", "physics_substeps", "use_truth_velocity",
+    "name", "duration", "seed", "control_rate", "physics_substeps",
     "initial", "setpoint", "noise", "disturbances",
 }
 
@@ -363,7 +368,8 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
     if not 0.0 < control_rate < math.inf:
         raise SchemaError("scenario: control_rate must be positive and finite")
     # None: Scenario applies default_substeps
-    substeps = _integer(cfg, "physics_substeps", None) if "physics_substeps" in cfg else None
+    substeps = (_number(cfg, "physics_substeps", "scenario", integer=True)
+                if "physics_substeps" in cfg else None)
 
     initial_cfg = cfg.get("initial", {})
     if not isinstance(initial_cfg, dict):
@@ -386,9 +392,8 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
         disturbances=_pulses_from_list(dist_cfg, p),
         noise=_noise_from_dict(noise_cfg),
         control_rate=control_rate,
-        physics_substeps=substeps,
-        seed=_integer(cfg, "seed", 0),
-        use_truth_velocity=_flag(cfg, "use_truth_velocity", "scenario"),
+        substeps=substeps,
+        seed=_number(cfg, "seed", "scenario", 0, integer=True),
     )
 
 
@@ -524,7 +529,6 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     substeps = sc.physics_substeps
     block = _noise_samples(sc.noise, sc.seed, n_ticks)
 
-    truth_vel = sc.use_truth_velocity
     plant = _plant(p)
     pulses = [(d.t_start, d.t_end, d.force_w.tolist()) for d in sc.disturbances]
     gain, hover = K.tolist(), hover_thrust(p)
@@ -541,7 +545,7 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
         # --- sense ---------------------------------------------------
         draws = None if block is None else block[k].tolist()
         try:
-            est, sigma, carry = assemble_ctrl_state(y, carry, T, draws, truth_vel)
+            est, sigma, carry = assemble_ctrl_state(y, carry, T, draws)
         except GimbalLockError as exc:
             # the measured attitude, noise included, can sit nearer 90 deg than the truth
             raise DivergenceError(
@@ -606,7 +610,7 @@ def step_error(sc: Scenario, p: VehicleParams, K, coarse: RunLog | None = None) 
 
     if coarse is None:
         coarse = run_scenario(sc, p, K)
-    fine = run_scenario(replace(sc, physics_substeps=2 * sc.physics_substeps), p, K)
+    fine = run_scenario(replace(sc, substeps=2 * sc.physics_substeps), p, K)
     d_pos = np.linalg.norm(coarse.pos_w - fine.pos_w, axis=1)
     d_att = np.remainder(coarse.euler - fine.euler + math.pi, 2.0 * math.pi) - math.pi
     return float(np.max(d_pos)), float(np.max(np.abs(d_att)))

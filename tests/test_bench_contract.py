@@ -50,9 +50,8 @@ def test_traced_run_counts_one_sense_per_tick_and_one_rk4_per_substep(spans, par
     [
         # starts and ends inside ticks 2 and 7: those ticks sum the force per substep
         {"disturbances": [{"t_start": 0.0105, "duration": 0.02, "force": [0.0, 2e-4, 0.0]}]},
-        {"use_truth_velocity": True},
     ],
-    ids=["pulse", "truth_velocity"],
+    ids=["pulse"],
 )
 def test_traced_run_spans_every_tick_branch(spans, params, gain, extra):
     sc = scenario_from_dict(

@@ -183,7 +183,7 @@ def test_simulate_seed_and_noise_overrides(tmp_path):
         ("seed: -3\n", [], "s.scenario: seed must be a non-negative integer, got -3"),
         ('noise: {enabled: "false"}\n', [], "s.scenario: noise: enabled must be true or false"),
         ('use_truth_velocity: "no"\n', [],
-         "s.scenario: scenario: use_truth_velocity must be true or false"),
+         "s.scenario: scenario: unknown keys ['use_truth_velocity']"),
         ("legacy_coriolis: 0\n", [], "s.scenario: scenario: unknown keys ['legacy_coriolis']"),
         ("seed: true\n", [], "s.scenario: scenario: seed must be an integer, got True"),
         ("physics_substeps: true\n", [],
@@ -194,6 +194,11 @@ def test_simulate_seed_and_noise_overrides(tmp_path):
          "s.scenario: noise: att_sigma_deg must be a number, got True"),
         ("disturbances:\n  - {t_start: null, duration: 0.1, force: [0.0, 0.0, 1.0e-4]}\n", [],
          "s.scenario: disturbances[0]: t_start must be a number, got None"),
+        ("disturbances:\n"
+         "  - {t_start: 0.5, duration: .inf, magnitude_g: 1.0, direction: [0.0, 1.0, 0.0]}\n",
+         [], "s.scenario: disturbances[0]: duration must be finite, got inf"),
+        ("disturbances:\n  - {t_start: .nan, duration: 0.1, force: [0.0, 0.0, 1.0e-4]}\n", [],
+         "s.scenario: disturbances[0]: t_start must be finite, got nan"),
     ],
 )
 def test_simulate_rejects_bad_seed_and_flags_exits_1(tmp_path, capsys, extra, args, message):

@@ -174,15 +174,6 @@ def test_assemble_recovers_constant_roll_rate():
     assert abs(s.omega_b[1]) < 1e-9 and abs(s.omega_b[2]) < 1e-9
 
 
-def test_assemble_truth_velocity_override():
-    q = Quaternion(1.0, 0.0, 0.0, 0.0)
-    s0 = assemble_ctrl_state((0.0, 0.0, 0.0), q, vel_w=(0.3, 0.0, 0.0))
-    np.testing.assert_allclose(s0.vel_w, [0.3, 0.0, 0.0])
-    s1 = assemble_ctrl_state((1.0, 0.0, 0.0), q, prev=s0, dt=0.1, vel_w=(0.4, 0.0, 0.0))
-    np.testing.assert_allclose(s1.vel_w, [0.4, 0.0, 0.0])
-    np.testing.assert_allclose(s1.raw_vel_w, [0.4, 0.0, 0.0])
-
-
 def test_assemble_input_validation():
     q = Quaternion(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="off unit"):
@@ -193,8 +184,8 @@ def test_assemble_input_validation():
             assemble_ctrl_state((0.0, 0.0, 0.0), q, prev=prev, dt=bad_dt)
     with pytest.raises(ValueError):
         assemble_ctrl_state((np.nan, 0.0, 0.0), q)
-    with pytest.raises(ValueError, match="vel_w"):
-        assemble_ctrl_state((0.0, 0.0, 0.0), q, prev=prev, dt=0.1, vel_w=(0.0, np.inf, 0.0))
+    with pytest.raises(TypeError):  # velocity is always differenced; there is no override
+        assemble_ctrl_state((0.0, 0.0, 0.0), q, prev=prev, dt=0.1, vel_w=(0.0, 0.0, 0.0))
 
 
 def test_sigma_layout():

@@ -41,7 +41,6 @@ from flapsim.kinematics import (
     GIMBAL_GUARD,
     EulerAngles321,
     euler_to_quat,
-    euler_to_rotmat,
     quat_from_rotvec,
     quat_multiply,
 )
@@ -51,8 +50,8 @@ from flapsim.vehicle import Wrench, hover_cmd
 HOLD_ORIGIN = ConstantSchedule(Setpoint.hold((0.0, 0.0, 0.0)))
 
 
-def hover_state(pos=(0.0, 0.0, 0.0), vel_b=(0.0, 0.0, 0.0)):
-    return SimState(pos, vel_b, EulerAngles321(0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+def hover_state(pos=(0.0, 0.0, 0.0)):
+    return SimState(pos, (0.0, 0.0, 0.0), EulerAngles321(0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def bundled_scenario(name):
@@ -96,7 +95,6 @@ def test_scenario_from_dict_full(tmp_path):
         "seed": 3,
         "control_rate": 120.0,
         "physics_substeps": 10,
-        "use_truth_velocity": True,
         "initial": {"pos": [0.1, 0.0, 0.0], "euler_deg": [0.0, 5.0, 0.0]},
         "setpoint": {"kind": "constant", "pos": [0.0, 0.0, 0.2]},
         "noise": {"enabled": True, "pos_sigma": 1e-3, "att_sigma_deg": 0.5},
@@ -108,7 +106,6 @@ def test_scenario_from_dict_full(tmp_path):
     sc = scenario_from_dict(cfg)
     assert sc.name == "custom" and sc.seed == 3
     assert sc.control_rate == 120.0 and sc.physics_substeps == 10
-    assert sc.use_truth_velocity is True
     assert sc.initial.att.pitch == pytest.approx(math.radians(5.0), rel=1e-12)
     assert sc.noise.enabled and sc.noise.att_sigma == pytest.approx(math.radians(0.5))
     assert len(sc.disturbances) == 2
@@ -145,7 +142,7 @@ def test_scenario_from_dict_full(tmp_path):
         ({"setpoint": {"kind": "constant", "yaw": 0.3}}, "unknown keys"),
         ({"control_rate": math.nan}, "control_rate must be positive and finite"),
         ({"noise": {"enabled": "false"}}, "noise: enabled must be true or false"),
-        ({"use_truth_velocity": "false"}, "use_truth_velocity must be true or false"),
+        ({"use_truth_velocity": "false"}, "scenario: unknown keys"),
         ({"legacy_coriolis": False}, "scenario: unknown keys"),
         ({"seed": True}, "scenario: seed must be an integer, got True"),
         ({"physics_substeps": True}, "scenario: physics_substeps must be an integer, got True"),
@@ -179,6 +176,13 @@ def test_scenario_from_dict_full(tmp_path):
         ({"name": 5}, "scenario: name must be a bare file name, got 5"),
         ({"control_rate": 0.0}, "scenario: control_rate must be positive and finite"),
         ({"control_rate": -math.inf}, "scenario: control_rate must be positive and finite"),
+        ({"disturbances": [{"t_start": 0.0, "duration": math.inf, "force": [0, 0, 1e-4]}]},
+         "duration must be finite, got inf"),
+        ({"disturbances": [{"t_start": 0.0, "duration": math.inf, "magnitude_g": 1.0,
+                            "direction": [0, 0, 1]}]},
+         "duration must be finite, got inf"),
+        ({"disturbances": [{"t_start": math.nan, "duration": 0.1, "force": [0, 0, 1e-4]}]},
+         "t_start must be finite, got nan"),
     ],
 )
 def test_scenario_from_dict_rejects(patch, match):
@@ -227,11 +231,12 @@ def test_scenario_file_refuses_boolean_integers(tmp_path):
             load_scenario(path)
 
 
-@pytest.mark.parametrize("field", ["seed", "physics_substeps"])
-def test_scenario_refuses_boolean_integers(field):
+@pytest.mark.parametrize("kwarg, field", [("seed", "seed"), ("substeps", "physics_substeps")],
+                         ids=["seed", "physics_substeps"])
+def test_scenario_refuses_boolean_integers(kwarg, field):
     with pytest.raises(ConfigError, match=field):
         Scenario(name="b", duration=0.1, initial=hover_state(), schedule=HOLD_ORIGIN,
-                 **{field: True})
+                 **{kwarg: True})
 
 
 def test_scenario_from_dict_accepts_integral_floats():
@@ -279,6 +284,8 @@ def test_bundled_scenarios_load_with_pinned_fields(params):
     hover = bundled_scenario("hover")
     assert hover.name == "hover" and hover.duration == 2.0
     assert hover.control_rate == 240.0 and hover.physics_substeps == 4
+    slow = dataclasses.replace(hover, control_rate=60.0)
+    assert slow.physics_substeps == 16 and slow.dt <= PHYSICS_STEP
     assert hover.seed == 0 and not hover.noise.enabled
     np.testing.assert_array_equal(hover.initial.pos_w, [0.05, 0.0, 0.0])
 
@@ -301,7 +308,8 @@ def test_bundled_scenarios_load_with_pinned_fields(params):
     np.testing.assert_allclose(circ.initial.vel_b, [0.0, 0.25, 0.0])
 
 
-@pytest.mark.parametrize("rate, substeps", [(240.0, 4), (120.0, 8), (100.0, 10), (1000.0, 1)])
+@pytest.mark.parametrize("rate, substeps", [(240.0, 4), (120.0, 8), (100.0, 10), (1000.0, 1),
+                                             (60.0, 16), (480.0, 2)])
 def test_default_substeps_meet_the_physics_step(rate, substeps):
     assert default_substeps(rate) == substeps
     assert 1.0 / (rate * substeps) <= PHYSICS_STEP * (1.0 + 1e-9)
@@ -309,6 +317,9 @@ def test_default_substeps_meet_the_physics_step(rate, substeps):
     sc = Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN,
                   control_rate=rate)
     assert sc.physics_substeps == substeps
+    # the count follows a replaced rate; it is never stored
+    at_240 = Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN)
+    assert dataclasses.replace(at_240, control_rate=rate).physics_substeps == substeps
     cfg = {"name": "x", "duration": 1.0, "control_rate": rate,
            "setpoint": {"kind": "constant"}}
     assert scenario_from_dict(cfg).physics_substeps == substeps
@@ -324,8 +335,12 @@ def test_explicit_substeps_override_the_default_and_dt_is_refused(tmp_path):
     with pytest.raises(SchemaError, match=r"x\.scenario: scenario: unknown keys \['dt'\]$"):
         load_scenario(path)
     sc = Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN,
-                  physics_substeps=42)
+                  substeps=42)
     assert sc.physics_substeps == 42 and sc.dt == pytest.approx(1.0 / (240.0 * 42))
+    assert dataclasses.replace(sc, seed=5).physics_substeps == 42
+    assert dataclasses.replace(sc, control_rate=120.0).physics_substeps == 42
+    with pytest.raises(TypeError):
+        dataclasses.replace(sc, physics_substeps=8)  # the count in use is read-only
 
 
 def test_direct_scenario_agrees_with_scenario_from_dict(params, gain):
@@ -371,6 +386,26 @@ def test_step_error_wraps_attitude_differences(params, gain, monkeypatch):
     assert d_att == pytest.approx(2e-9, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "rate, substeps, runs",
+    [(60.0, None, [16, 32]), (240.0, 42, [42, 84]), (60.0, 5, [5, 10])],
+    ids=["default_60hz", "explicit", "explicit_60hz"],
+)
+def test_step_error_runs_twice_the_substeps_in_use(params, gain, monkeypatch, rate, substeps,
+                                                   runs):
+    seen = []
+
+    def fake_run(sc, p, K):
+        seen.append(sc.physics_substeps)
+        return synthetic_log(np.arange(3) / rate)
+
+    monkeypatch.setattr("flapsim.harness.run_scenario", fake_run)
+    sc = Scenario(name="x", duration=0.1, initial=hover_state(), schedule=HOLD_ORIGIN,
+                  control_rate=rate, substeps=substeps)
+    step_error(sc, params, gain)
+    assert seen == runs
+
+
 def test_scenario_validation():
     with pytest.raises(ConfigError, match="duration"):
         Scenario(name="x", duration=0.0, initial=hover_state(), schedule=HOLD_ORIGIN)
@@ -379,14 +414,14 @@ def test_scenario_validation():
                  control_rate=0.0)
     with pytest.raises(ConfigError, match="substeps"):
         Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN,
-                 physics_substeps=0)
+                 substeps=0)
     with pytest.raises(ConfigError, match="callable"):
         Scenario(name="x", duration=1.0, initial=hover_state(), schedule="origin")
     with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
         Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN, seed=-1)
     with pytest.raises(ConfigError, match="integrator limit"):
         Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN,
-                 control_rate=100.0, physics_substeps=1)
+                 control_rate=100.0, substeps=1)
     with pytest.raises(ConfigError, match="DisturbancePulse"):
         Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN,
                  disturbances=({"force": [0, 0, 1]},))
@@ -469,7 +504,7 @@ def test_one_g_pulse_first_tick_response(params, gain):
 def _pulse_scenario(params, t_start, substeps, duration=1.0):
     pulse = disturbance_pulse(params, 2.5, 0.05, (0.0, 1.0, 0.0), t_start=t_start)
     return Scenario(name="pulse", duration=duration, initial=hover_state(),
-                    schedule=HOLD_ORIGIN, disturbances=(pulse,), physics_substeps=substeps)
+                    schedule=HOLD_ORIGIN, disturbances=(pulse,), substeps=substeps)
 
 
 def test_pulse_edges_inside_substeps_are_weighted_by_overlap(params, gain):
@@ -501,7 +536,7 @@ def test_pulse_outside_run_window_is_inert(params, gain):
 def test_schedule_returning_position_only_setpoint_runs(params, gain):
     # Setpoint(pos) defaults vel_w to zeros, as Setpoint.hold does
     sc = Scenario(name="a", duration=0.1, initial=hover_state(),
-                  schedule=lambda t: Setpoint(np.zeros(3)), physics_substeps=4)
+                  schedule=lambda t: Setpoint(np.zeros(3)), substeps=4)
     held = dataclasses.replace(sc, schedule=HOLD_ORIGIN)
     assert run_scenario(sc, params, gain).to_csv_text() == \
         run_scenario(held, params, gain).to_csv_text()
@@ -559,24 +594,12 @@ def test_more_position_noise_means_more_error(params, gain):
     assert mean_rms(4e-3) > mean_rms(0.5e-3)
 
 
-def test_truth_velocity_feeds_sigma(params, gain):
-    init = hover_state(vel_b=(0.1, 0.0, 0.0))
-    truth = Scenario(name="t", duration=0.05, initial=init, schedule=HOLD_ORIGIN,
-                     use_truth_velocity=True)
-    log = run_scenario(truth, params, gain)
-    np.testing.assert_allclose(log.sigma[0, 3:6], [0.1, 0.0, 0.0], atol=1e-15)
-    derived = Scenario(name="t", duration=0.05, initial=init, schedule=HOLD_ORIGIN)
-    log2 = run_scenario(derived, params, gain)
-    np.testing.assert_array_equal(log2.sigma[0, 3:6], 0.0)
-
-
 @pytest.mark.parametrize(
     "extra",
     [
         {"setpoint": {"kind": "circle", "radius": 0.05, "speed": 0.2}},
-        {"setpoint": {"kind": "constant"}, "use_truth_velocity": True},
     ],
-    ids=["noisy_circle", "truth_velocity"],
+    ids=["noisy_circle"],
 )
 def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
     # run_scenario calls the float cores of assemble_ctrl_state and
@@ -596,8 +619,7 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
         pos = log.pos_w[k] + rng.normal(0.0, sc.noise.pos_sigma, 3)
         q = quat_multiply(euler_to_quat(att),
                           quat_from_rotvec(rng.normal(0.0, sc.noise.att_sigma, 3)))
-        vel = euler_to_rotmat(att) @ log.vel_b[k] if sc.use_truth_velocity else None
-        s = assemble_ctrl_state(pos, q, prev, T, vel_w=vel)
+        s = assemble_ctrl_state(pos, q, prev, T)
         out = control_step(gain, s, sc.schedule(k * T), params)
         assert s.sigma().tobytes() == log.sigma[k].tobytes(), k
         assert out.cmd.as_array().tobytes() == log.cmd[k].tobytes(), k
