@@ -217,10 +217,12 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _number(cfg: dict, key: str, where: str, default=None, integer: bool = False):
+def _number(cfg: dict, key: str, where: str, default=None, integer: bool = False,
+            finite: bool = True):
     """A real-number key: an int or a float, never a bool, a string or null.
 
     With ``integer`` it must also be integral (4.0, not 4.5) and comes back as an int.
+    It must be finite unless ``finite`` is false (for a caller with its own check).
     """
     v = cfg.get(key, default)
     if (isinstance(v, bool) or not isinstance(v, (int, float))
@@ -228,13 +230,16 @@ def _number(cfg: dict, key: str, where: str, default=None, integer: bool = False
         kind = "an integer" if integer else "a number"
         raise SchemaError(f"{where}: {key} must be {kind}, got {v!r}")
     try:
-        return int(v) if integer else float(v)
+        v = int(v) if integer else float(v)
     except OverflowError:  # an int beyond the float range
         raise SchemaError(f"{where}: {key} is out of range") from None
+    if finite and not math.isfinite(v):
+        raise SchemaError(f"{where}: {key} must be finite, got {v!r}")
+    return v
 
 
 def _triple(cfg: dict, key: str, where: str) -> np.ndarray:
-    """A 3-vector key, zeros when absent; anything but 3 numbers is a SchemaError."""
+    """A 3-vector key, zeros when absent; anything but 3 finite numbers is a SchemaError."""
     v = cfg.get(key, (0.0, 0.0, 0.0))
     try:
         a = np.asarray(v, dtype=float)
@@ -242,6 +247,8 @@ def _triple(cfg: dict, key: str, where: str) -> np.ndarray:
         a = None
     if a is None or a.shape != (3,):
         raise SchemaError(f"{where}: {key} must be 3 numbers, got {v!r}")
+    if not np.all(np.isfinite(a)):
+        raise SchemaError(f"{where}: {key} must be finite, got {v!r}")
     return a
 
 
@@ -317,9 +324,6 @@ def _pulses_from_list(entries, p: VehicleParams) -> tuple:
             raise SchemaError(f"{where}: needs t_start and duration")
         t0 = _number(ent, "t_start", where)
         dur = _number(ent, "duration", where)
-        for key, v in (("t_start", t0), ("duration", dur)):
-            if not math.isfinite(v):
-                raise SchemaError(f"{where}: {key} must be finite, got {v!r}")
         if "force" in ent:
             if "magnitude_g" in ent or "direction" in ent:
                 raise SchemaError(f"{where}: give force or magnitude_g+direction, not both")
@@ -364,7 +368,7 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
     name = cfg["name"]  # the stem of the files written under --out
     if not isinstance(name, str) or name != os.path.basename(name) or name in ("", ".", ".."):
         raise SchemaError(f"scenario: name must be a bare file name, got {name!r}")
-    control_rate = _number(cfg, "control_rate", "scenario", CONTROL_RATE)
+    control_rate = _number(cfg, "control_rate", "scenario", CONTROL_RATE, finite=False)
     if not 0.0 < control_rate < math.inf:
         raise SchemaError("scenario: control_rate must be positive and finite")
     # None: Scenario applies default_substeps

@@ -12,6 +12,8 @@ which makes them directly comparable with the rigid-body model's
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -55,6 +57,8 @@ ACCEL_AXES = ("u_dot", "v_dot", "w_dot", "p_dot", "q_dot", "r_dot")
 GAP_FACTOR = 2.0          # dt > GAP_FACTOR * median dt counts as a gap
 MAX_OFFSET_TILT = math.radians(30.0)
 CUTOFF_HZ = 20.0          # default low-pass cutoff of the pose filter
+FILTER_BLOCK = 128        # samples per block of the filter's block-wise solve
+PLAN_DIGITS = 40          # decimal digits the filter's block matrices are derived in
 # default flight-envelope grid: tilt edges [deg] and speed edges [m/s] from 0
 TILT_MAX_DEG, TILT_BINS = 60.0, 12
 SPEED_MAX, SPEED_BINS = 0.8, 16
@@ -290,28 +294,101 @@ def _butter(order: int, wn: float) -> tuple:
     return k * np.poly(-np.ones(order)), np.poly((4.0 + p) / (4.0 - p))
 
 
+@functools.lru_cache(maxsize=16)
+def _filter_plan(b: tuple, a: tuple) -> tuple:
+    """Matrices of one :func:`_filtfilt` pass over blocks of ``FILTER_BLOCK`` samples.
+
+    Within a block the output is the block's zero-start response, ``G @ u``
+    with ``G`` the lower-triangular Toeplitz matrix of the impulse response
+    of b/a, plus the response to everything before the block. From the
+    block's ``o``-th sample on (``o`` the order) that response follows the
+    homogeneous recursion, so its first ``o`` samples fix it. They are
+    carried as forward differences ``q`` (``q_k``, the k-th difference at
+    the block's first sample), which stay well scaled when the poles crowd
+    z = 1, where the samples themselves nearly agree. A block then gives
+    ``y = G u + P q`` and the next block's ``q = E u + M q``; ``q0`` is the
+    first block's ``q`` per unit first input, from the start-up state
+    ``zi``. All of it comes from one forward substitution in
+    ``PLAN_DIGITS``-digit decimal arithmetic, rounded once to doubles.
+    Returned transposed, for signals laid out one row per column.
+    """
+    L, o = FILTER_BLOCK, len(a) - 1
+    an, bn = np.array(a), np.array(b)
+    companion = np.zeros((o, o))
+    companion[0] = -an[1:]
+    companion[np.arange(1, o), np.arange(o - 1)] = 1.0
+    zi = np.linalg.solve(np.eye(o) - companion.T, bn[1:] - an[1:] * bn[0])  # lfilter_zi
+    with decimal.localcontext() as ctx:
+        ctx.prec = PLAN_DIGITS
+        ad = np.array([decimal.Decimal(v) for v in a], dtype=object)
+        lead = np.array([[ad[i - j] if i >= j else 0 for j in range(o)] for i in range(o)])
+        binomial = np.array([[math.comb(i, k) for k in range(o)] for i in range(o)], dtype=object)
+        # right-hand sides of the recursion, solved in place: b gives the
+        # impulse response; lead @ binomial gives the homogeneous responses
+        # whose first o samples have unit forward differences; zi, the start-up
+        Y = np.zeros((L + o, o + 2), dtype=object)
+        Y[:o + 1, 0] = [decimal.Decimal(v) for v in b]
+        Y[:o, 1:o + 1] = lead @ binomial
+        Y[:o, o + 1] = [decimal.Decimal(v) for v in zi]
+        for i in range(1, L + o):
+            j = min(i, o)
+            Y[i] -= ad[j:0:-1] @ Y[i - j:i]
+
+        def head_differences(rows):
+            return np.array([np.diff(rows, k, axis=0)[0] for k in range(o)], dtype=float)
+
+        g = Y[:L, 0].astype(float)
+        P = Y[:L, 1:o + 1].astype(float)
+        # E[k, j]: the k-th forward difference of g at L - j, where input j's
+        # response enters the next block
+        E = np.array([np.diff(Y[:, 0], k)[L:0:-1] for k in range(o)], dtype=float)
+        M = head_differences(Y[L:, 1:o + 1])
+        q0 = head_differences(Y[:o, o + 1])
+    lag = np.subtract.outer(np.arange(L), np.arange(L))
+    G = np.where(lag >= 0, g[np.maximum(lag, 0)], 0.0)
+    plan = G.T, P.T, E.T, M.T, q0
+    for m in plan:  # shared by every caller through the cache
+        m.flags.writeable = False
+    return plan
+
+
 def _filtfilt(b, a, x: np.ndarray, padlen: int) -> np.ndarray:
     """scipy's ``filtfilt(b, a, x, axis=0, padlen=padlen)`` on an (n, k)
-    array, for ``a[0] == 1`` and ``len(b) == len(a)`` as :func:`_butter` gives.
+    array, for ``a[0] == 1`` and ``len(b) == len(a)`` as :func:`_butter` gives,
+    and an order below ``FILTER_BLOCK``.
 
     The columns are extended by odd reflection about their end samples, and
     each pass starts from the filter's step-response steady state scaled by its
     first input (Gustafsson 1996; ``lfilter_zi``). A pass is the recursion
     ``sum_j a_j y[i-j] = sum_j b_j x[i-j]`` plus those initial states, solved
-    as one banded lower-triangular system. It agrees with scipy to rounding.
+    block by block (:func:`_filter_plan`): one matrix product gives every
+    block's zero-start response, a small order-by-order map carries the state
+    from block to block, and a second product adds each block's homogeneous
+    response. It agrees with an extended-precision solution to 5e-14 of each
+    column's scale (orders 1-4, cutoffs 5e-4 to 0.9 of Nyquist), and with
+    scipy to scipy's own rounding.
     """
-    from scipy import linalg  # LAPACK dtbtrs; imported here so only this path loads scipy
-
-    y = np.concatenate([2.0 * x[0] - x[padlen:0:-1], x, 2.0 * x[-1] - x[-2:-padlen - 2:-1]])
-    zi = np.linalg.solve(np.eye(len(a) - 1) - linalg.companion(a).T, b[1:] - a[1:] * b[0])
-    ab = np.repeat(a[:, None], len(y), axis=1)  # the Toeplitz band, diagonal first
+    GT, PT, ET, MT, q0 = _filter_plan(tuple(b), tuple(a))
+    L, o = FILTER_BLOCK, len(q0)
+    n, k = x.shape
+    m = n + 2 * padlen
+    blocks = -(-m // L)
+    u = np.zeros((k, blocks * L))  # one row per column, zero past the padded signal
+    xt = x.T
+    u[:, :padlen] = 2.0 * xt[:, :1] - xt[:, padlen:0:-1]
+    u[:, padlen:padlen + n] = xt
+    u[:, padlen + n:m] = 2.0 * xt[:, -1:] - xt[:, -2:-padlen - 2:-1]
     for _ in range(2):  # forward, then backward on the reversed output
-        rhs = b[0] * y
-        for j in range(1, len(b)):
-            rhs[j:] += b[j] * y[:-j]
-        rhs[:len(zi)] += zi[:, None] * y[0]
-        y = linalg.lapack.dtbtrs(ab, rhs, uplo="L")[0][::-1]
-    return y[padlen:len(y) - padlen]
+        U = u.reshape(k * blocks, L)  # row c * blocks + j: block j of column c
+        y = U @ GT
+        carry = (U @ ET).reshape(k, blocks, o)
+        q = np.empty_like(carry)
+        q[:, 0] = u[:, :1] * q0
+        for j in range(1, blocks):
+            q[:, j] = carry[:, j - 1] + q[:, j - 1] @ MT
+        y += q.reshape(k * blocks, o) @ PT
+        u[:, :m] = y.reshape(k, blocks * L)[:, m - 1::-1]
+    return u[:, padlen:padlen + n].T
 
 
 def _stitch_hemisphere(quat: np.ndarray) -> np.ndarray:

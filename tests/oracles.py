@@ -281,3 +281,41 @@ def care_oracle(A, B, Q, R, dt=1e-6, plain_check=False):
         agree = np.linalg.norm(P - P_plain) / max(1.0, np.linalg.norm(P))
         return P, agree
     return P
+
+
+# ---------------------------------------------------------------------------
+# zero-phase filter (per-sample direct recursion)
+# ---------------------------------------------------------------------------
+
+
+def filtfilt_direct(b, a, x, padlen: int) -> np.ndarray:
+    """Forward-backward IIR filtering of the columns of ``x``, one sample at a time.
+
+    Each column is extended by ``padlen`` samples of odd reflection about
+    each end. Each pass then runs ``sum_j a_j y[i-j] = sum_j b_j x[i-j]``
+    (``a[0] == 1``) as if the input had held its first value forever and
+    the output the steady state of that: the Gustafsson start-up, written
+    as a past rather than as an initial state vector.
+    """
+    b = [float(v) for v in b]
+    a = [float(v) for v in a]
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    head = [2.0 * x[0] - x[i] for i in range(padlen, 0, -1)]
+    tail = [2.0 * x[-1] - x[n - 1 - i] for i in range(1, padlen + 1)]
+    sig = head + list(x) + tail
+    dc_gain = sum(b) / sum(a)
+    for _ in range(2):
+        u0 = sig[0]
+        past_in = [u0] * (len(b) - 1)            # x[i-1], x[i-2], ...
+        past_out = [dc_gain * u0] * (len(a) - 1)  # y[i-1], y[i-2], ...
+        out = []
+        for u in sig:
+            y = b[0] * u
+            for j in range(1, len(b)):
+                y = y + b[j] * past_in[j - 1] - a[j] * past_out[j - 1]
+            past_in = [u] + past_in[:-1]
+            past_out = [y] + past_out[:-1]
+            out.append(y)
+        sig = out[::-1]
+    return np.array(sig[padlen:padlen + n])

@@ -578,19 +578,23 @@ def test_console_script_smoke(tmp_path):
 
 
 def test_gains_and_simulate_load_no_scipy(tmp_path):
-    # gain synthesis and the run loop are numpy only; scipy is imported
-    # by the flight-data filter alone
-    code = ("import sys\n"
+    # gain synthesis, the run loop and the filtered flight-data path
+    # (validate and envelope on the run log) are numpy only
+    code = ("import os, sys\n"
             "from flapsim.cli import main\n"
             f"out = {str(tmp_path)!r}\n"
+            "log = os.path.join(out, 'hover_runlog.csv')\n"
             "assert main(['gains', '--out', out, '--quiet']) == 0\n"
             "assert main(['simulate', 'hover', '--out', out, '--quiet']) == 0\n"
+            "assert main(['validate', log, '--out', out, '--quiet']) == 0\n"
+            "assert main(['envelope', log, '--out', out, '--quiet']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    assert (tmp_path / "hover_runlog.csv").exists()
+    for name in ("hover_runlog.csv", "validation_series.csv", "envelope.csv"):
+        assert (tmp_path / name).exists()
 
 
 @pytest.mark.skipif(

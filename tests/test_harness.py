@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -183,6 +184,29 @@ def test_scenario_from_dict_full(tmp_path):
          "duration must be finite, got inf"),
         ({"disturbances": [{"t_start": math.nan, "duration": 0.1, "force": [0, 0, 1e-4]}]},
          "t_start must be finite, got nan"),
+        # every non-finite value is refused by its key, before any arithmetic on it
+        ({"duration": math.nan}, re.escape("scenario: duration must be finite, got nan")),
+        ({"initial": {"pos": [math.nan, 0.0, 0.0]}},
+         re.escape("initial: pos must be finite, got [nan, 0.0, 0.0]")),
+        ({"initial": {"euler_deg": [0.0, math.inf, 0.0]}},
+         re.escape("initial: euler_deg must be finite, got [0.0, inf, 0.0]")),
+        ({"setpoint": {"kind": "constant", "vel": [0.0, 0.0, -math.inf]}},
+         re.escape("setpoint: vel must be finite, got [0.0, 0.0, -inf]")),
+        ({"setpoint": {"kind": "circle", "radius": math.inf, "speed": 0.1}},
+         re.escape("setpoint: radius must be finite, got inf")),
+        ({"setpoint": {"kind": "circle", "radius": 0.1, "speed": 0.1, "center": [math.nan, 0, 0]}},
+         re.escape("setpoint: center must be finite, got [nan, 0, 0]")),
+        ({"noise": {"pos_sigma": math.inf}}, re.escape("noise: pos_sigma must be finite, got inf")),
+        ({"noise": {"att_sigma_deg": math.nan}},
+         re.escape("noise: att_sigma_deg must be finite, got nan")),
+        ({"disturbances": [{"t_start": 0.0, "duration": 0.1, "force": [math.inf, 0, 0]}]},
+         re.escape("disturbances[0]: force must be finite, got [inf, 0, 0]")),
+        ({"disturbances": [{"t_start": 0.0, "duration": 0.1, "magnitude_g": 1.0,
+                            "direction": [math.inf, 0, 0]}]},
+         re.escape("disturbances[0]: direction must be finite, got [inf, 0, 0]")),
+        ({"disturbances": [{"t_start": 0.0, "duration": 0.1, "magnitude_g": math.inf,
+                            "direction": [0, 0, 1]}]},
+         re.escape("disturbances[0]: magnitude_g must be finite, got inf")),
     ],
 )
 def test_scenario_from_dict_rejects(patch, match):
@@ -192,8 +216,11 @@ def test_scenario_from_dict_rejects(patch, match):
         "setpoint": {"kind": "constant", "pos": [0.0, 0.0, 0.0]},
     }
     cfg.update(patch)
-    with pytest.raises(SchemaError, match=match):
-        scenario_from_dict(cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SchemaError, match=match):
+            scenario_from_dict(cfg)
+    assert not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize(
