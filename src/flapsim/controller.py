@@ -258,10 +258,13 @@ class CircleSchedule:
         self.center_w = _vec3(center_w, "center_w")
 
     def __call__(self, t: float) -> Setpoint:
-        a = self.speed / self.radius * t
-        pos = self.center_w + self.radius * np.array([np.cos(a), np.sin(a), 0.0])
-        vel = self.speed * np.array([-np.sin(a), np.cos(a), 0.0])
-        return Setpoint(pos, vel)
+        r, v = self.radius, self.speed
+        a = v / r * t
+        c, s = math.cos(a), math.sin(a)
+        cx, cy, cz = self.center_w.tolist()
+        # cz + 0.0 turns a -0.0 centre height into 0.0, as the array sum did
+        pos = np.array([cx + r * c, cy + r * s, cz + 0.0])
+        return Setpoint(pos, np.array([-v * s, v * c, 0.0]))
 
 
 class CsvSchedule:

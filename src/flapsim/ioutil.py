@@ -34,7 +34,8 @@ def read_table(path, columns, *, alternatives=(), min_rows=1, binary=()):
     """Read a table file as ``(header, rows)``, rows an (n >= min_rows, width) float array.
 
     The header is ``columns`` or one of ``alternatives``, returned so the
-    caller can reorder columns. Values in the ``binary`` columns must be 0
+    caller can reorder columns. Every value is read as ``float()`` reads it,
+    and blank lines are skipped. Values in the ``binary`` columns must be 0
     or 1. Failures raise SchemaError ``path:line: ...``.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -47,8 +48,49 @@ def read_table(path, columns, *, alternatives=(), min_rows=1, binary=()):
             f"{path}:1: header {','.join(header)!r} does not match {','.join(columns)!r}"
         )
     width = len(header)
-    rows, linenos = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    body = lines[1:]
+    rows = None
+    if any(body):  # loadtxt warns on a body with no data
+        # numpy's C reader rounds as float() does and accepts no token that
+        # float() refuses; comments=None keeps a '#' line an error
+        try:
+            rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if rows is None or rows.shape[1] != width:
+        # the reference reader: it names the failing line, and it accepts the
+        # few forms float() takes and loadtxt refuses (whitespace-only lines,
+        # '1_000', non-ASCII digits)
+        rows = _rows_by_line(path, body, width)
+    if len(rows) < min_rows:
+        what = "no data rows" if not len(rows) else f"needs at least {min_rows} data rows"
+        raise SchemaError(f"{path}: {what}")
+    rows = np.asarray(rows, dtype=float)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        k, j = (int(i[0]) for i in np.nonzero(~finite))
+        raise SchemaError(
+            f"{path}:{_row_lineno(body, k)}: {header[j]} is not finite ({fmt(rows[k, j])})"
+        )
+    late = np.nonzero(np.diff(rows[:, 0]) <= 0.0)[0]
+    if len(late):
+        k = int(late[0]) + 1
+        raise SchemaError(f"{path}:{_row_lineno(body, k)}: timestamps not strictly increasing")
+    for name in binary:
+        j = header.index(name)
+        bad = np.nonzero((rows[:, j] != 0.0) & (rows[:, j] != 1.0))[0]
+        if len(bad):
+            k = int(bad[0])
+            raise SchemaError(
+                f"{path}:{_row_lineno(body, k)}: {name} must be 0 or 1 ({fmt(rows[k, j])})"
+            )
+    return header, rows
+
+
+def _rows_by_line(path, body, width) -> list:
+    """Data rows of ``body`` parsed line by line with ``float()``."""
+    rows = []
+    for lineno, line in enumerate(body, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -58,26 +100,17 @@ def read_table(path, columns, *, alternatives=(), min_rows=1, binary=()):
             rows.append(list(map(float, parts)))
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from None
-        linenos.append(lineno)
-    if len(rows) < min_rows:
-        what = "no data rows" if not rows else f"needs at least {min_rows} data rows"
-        raise SchemaError(f"{path}: {what}")
-    rows = np.array(rows)
-    finite = np.isfinite(rows)
-    if not finite.all():
-        k, j = (int(i[0]) for i in np.nonzero(~finite))
-        raise SchemaError(f"{path}:{linenos[k]}: {header[j]} is not finite ({fmt(rows[k, j])})")
-    late = np.nonzero(np.diff(rows[:, 0]) <= 0.0)[0]
-    if len(late):
-        k = int(late[0]) + 1
-        raise SchemaError(f"{path}:{linenos[k]}: timestamps not strictly increasing")
-    for name in binary:
-        j = header.index(name)
-        bad = np.nonzero((rows[:, j] != 0.0) & (rows[:, j] != 1.0))[0]
-        if len(bad):
-            k = int(bad[0])
-            raise SchemaError(f"{path}:{linenos[k]}: {name} must be 0 or 1 ({fmt(rows[k, j])})")
-    return header, rows
+    return rows
+
+
+def _row_lineno(body, k: int) -> int:
+    """File line number of data row ``k``.
+
+    Either reader keeps exactly the lines that are not blank: loadtxt skips
+    empty lines and refuses whitespace-only ones, which sends the body to
+    the line-by-line reader.
+    """
+    return [i for i, line in enumerate(body, start=2) if line.strip()][k]
 
 
 def table_text(columns, rows) -> str:

@@ -392,15 +392,22 @@ def _filtfilt(b, a, x: np.ndarray, padlen: int) -> np.ndarray:
 
 
 def _stitch_hemisphere(quat: np.ndarray) -> np.ndarray:
-    """Flip signs so consecutive quaternions sit on the same hemisphere."""
-    dots = np.einsum("ij,ij->i", quat[:-1], quat[1:]).tolist()
-    # sample i is flipped when its dot with sample i-1, as stitched, is
-    # negative; a flipped sample i-1 flips the sign of that dot
-    sign, signs = 1.0, [1.0]
-    for d in dots:
-        sign = -1.0 if sign * d < 0.0 else 1.0
-        signs.append(sign)
-    return quat * np.array(signs)[:, None]
+    """Flip signs so consecutive quaternions sit on the same hemisphere.
+
+    Sample i is flipped when its dot with sample i-1, as stitched, is
+    negative. A flipped sample i-1 flips the sign of that dot, so each
+    negative dot toggles the sign, and a dot of exactly 0 or NaN resets it
+    to +1.
+    """
+    dots = np.einsum("ij,ij->i", quat[:-1], quat[1:])
+    negative = dots < 0.0
+    toggles = np.cumsum(negative)
+    reset = ~(negative | (dots > 0.0))
+    # the count never decreases, so its running max over resets is its value at the last one
+    since_reset = toggles - np.maximum.accumulate(np.where(reset, toggles, 0))
+    signs = np.ones(len(quat))
+    signs[1:][since_reset % 2 == 1] = -1.0
+    return quat * signs[:, None]
 
 
 def _quat_rates(t: np.ndarray, quat: np.ndarray) -> np.ndarray:

@@ -319,3 +319,69 @@ def filtfilt_direct(b, a, x, padlen: int) -> np.ndarray:
             out.append(y)
         sig = out[::-1]
     return np.array(sig[padlen:padlen + n])
+
+
+# ---------------------------------------------------------------------------
+# table files (one line at a time, with float())
+# ---------------------------------------------------------------------------
+
+
+def read_table_by_line(path, columns, *, alternatives=(), min_rows=1, binary=()):
+    """The CSV table reader as ``float()`` on each value of each line.
+
+    Returns ``(header, rows)`` like the package reader and raises ValueError
+    with the same ``path:line: ...`` text on every malformed table.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = tuple(h.strip() for h in lines[0].split(","))
+    if header != tuple(columns) and header not in alternatives:
+        raise ValueError(
+            f"{path}:1: header {','.join(header)!r} does not match {','.join(columns)!r}"
+        )
+    width = len(header)
+    rows, linenos = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} columns, got {len(parts)}")
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        linenos.append(lineno)
+    if len(rows) < min_rows:
+        what = "no data rows" if not rows else f"needs at least {min_rows} data rows"
+        raise ValueError(f"{path}: {what}")
+    for k, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if not np.isfinite(x):
+                raise ValueError(f"{path}:{linenos[k]}: {header[j]} is not finite ({x!r})")
+    for k in range(1, len(rows)):
+        if not rows[k][0] > rows[k - 1][0]:
+            raise ValueError(f"{path}:{linenos[k]}: timestamps not strictly increasing")
+    for name in binary:
+        j = header.index(name)
+        for k, row in enumerate(rows):
+            if row[j] not in (0.0, 1.0):
+                raise ValueError(f"{path}:{linenos[k]}: {name} must be 0 or 1 ({row[j]!r})")
+    return header, np.array(rows)
+
+
+def stitch_hemisphere_loop(quat) -> np.ndarray:
+    """Hemisphere stitching of a quaternion series, one sample at a time.
+
+    Sample i is flipped when its dot with sample i-1, as stitched, is
+    negative; a dot of exactly 0 or NaN leaves sample i unflipped.
+    """
+    quat = np.asarray(quat, dtype=float)
+    dots = np.einsum("ij,ij->i", quat[:-1], quat[1:]).tolist()
+    sign, signs = 1.0, [1.0]
+    for d in dots:
+        sign = -1.0 if sign * d < 0.0 else 1.0
+        signs.append(sign)
+    return quat * np.array(signs)[:, None]

@@ -8,13 +8,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import make_trim_flight, src_env
 from flapsim.errors import ConfigError, GimbalLockError, SchemaError
 from flapsim.ioutil import read_table, table_text
-from flapsim.harness import Scenario, run_scenario
+from flapsim.harness import RUNLOG_COLUMNS, Scenario, run_scenario
 from flapsim.controller import ConstantSchedule, Setpoint
 from flapsim.dynamics import SimState, state_derivative
 from flapsim.kinematics import (
@@ -35,6 +35,7 @@ from flapsim.pipeline import (
     MocapTrajectory,
     _butter,
     _filtfilt,
+    _stitch_hemisphere,
     estimate_body_offset,
     flight_envelope,
     load_command_csv,
@@ -250,8 +251,145 @@ def test_load_command_csv(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# table reader against the line-by-line float() reader
+# ---------------------------------------------------------------------------
+
+_SMALL_TABLE = (("t", "a", "flag"), ("flag",))
+_LOSSLESS = (repr, "{:.16e}".format, "{:.16E}".format, " {!r} ".format, "\t{!r}".format)
+
+
+def _value_token(draw, name, binary, plain):
+    if name in binary:
+        return draw(st.sampled_from(["0", "1", "1.0", "0e0", " 1 ", "-0", "1E0"]))
+    if draw(st.booleans()):
+        k = draw(st.integers(-(10**7), 10**7))
+        forms = ["{:d}", " {:d}", "{:d}.", "{:d}e-3"] + ([] if plain else ["{:_d}"])
+        return draw(st.sampled_from(forms)).format(k)
+    x = draw(st.floats(-1e307, 1e307))  # '{:+.3g}' of 1.79e308 would overflow
+    return draw(st.sampled_from(_LOSSLESS + ("{:+.3g}".format, "{:.5E}".format)))(x)
+
+
+@st.composite
+def _tables(draw, min_rows=1):
+    """(columns, binary, header line, data lines as [(is_row, text)], line ending).
+
+    A plain table has no whitespace-only line and no '1_000' token, the
+    forms that numpy's reader refuses and ``float()`` accepts.
+    """
+    columns, binary = draw(st.sampled_from([_SMALL_TABLE, (RUNLOG_COLUMNS, ("saturated",))]))
+    plain = draw(st.booleans())
+    blanks = [""] if plain else ["", "  ", "\t"]
+    steps = draw(st.lists(st.floats(1e-6, 10.0), min_size=min_rows, max_size=5))
+    lines = []
+    for t in np.cumsum(steps).tolist():
+        lines += [(False, b) for b in draw(st.lists(st.sampled_from(blanks), max_size=2))]
+        tokens = [draw(st.sampled_from(_LOSSLESS))(t)]
+        tokens += [_value_token(draw, name, binary, plain) for name in columns[1:]]
+        lines.append((True, ",".join(tokens)))
+    pad = draw(st.sampled_from(["", " "]))
+    header = ",".join(pad + c + pad for c in columns)
+    return columns, binary, header, lines, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+def _both_readers(path, columns, binary):
+    """What read_table and the reference reader give: (header, rows) or the error text."""
+    try:
+        ref = oracles.read_table_by_line(path, columns, binary=binary)
+    except ValueError as exc:
+        ref = str(exc)
+    try:
+        got = read_table(path, columns, binary=binary)
+    except SchemaError as exc:
+        got = str(exc)
+    return got, ref
+
+
+def _write_table(tmp_path_factory, header, lines, eol):
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    path.write_bytes(eol.join([header, *(text for _, text in lines), ""]).encode())
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_tables())
+def test_read_table_matches_line_reader_on_valid_tables(tmp_path_factory, table):
+    columns, binary, header, lines, eol = table
+    path = _write_table(tmp_path_factory, header, lines, eol)
+    got, ref = _both_readers(path, columns, binary)
+    assert not isinstance(ref, str), ref
+    assert got[0] == ref[0] == columns
+    assert got[1].shape == ref[1].shape == (sum(r for r, _ in lines), len(columns))
+    assert got[1].dtype == np.float64 and got[1].tobytes() == ref[1].tobytes()
+
+
+_FAULTS = ("short", "long", "token", "nonfinite", "late", "binary", "comment")
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_tables(min_rows=2), fault=st.sampled_from(_FAULTS), data=st.data())
+def test_read_table_matches_line_reader_on_malformed_tables(tmp_path_factory, table, fault, data):
+    columns, binary, header, lines, eol = table
+    rows = [i for i, (is_row, _) in enumerate(lines) if is_row]
+    i = data.draw(st.sampled_from(rows[1:]))
+    fields = lines[i][1].split(",")
+    j = data.draw(st.integers(0, len(fields) - 1))
+    if fault == "short":
+        del fields[j]
+    elif fault == "long":
+        fields.insert(j, "0")
+    elif fault == "token":
+        fields[j] = data.draw(st.sampled_from(["x", "", "1..2", "0x10", "1e", "--1", "1 2", "nan(1)"]))
+    elif fault == "nonfinite":
+        fields[j] = data.draw(st.sampled_from(["nan", "-nan", "inf", "-inf", " Infinity"]))
+    elif fault == "late":
+        fields[0] = lines[rows[rows.index(i) - 1]][1].split(",")[0]
+    elif fault == "binary":
+        fields[columns.index(binary[0])] = data.draw(st.sampled_from(["0.5", "2", "-1", "1e-300"]))
+    else:  # a '#' line is data like any other, and not a number
+        lines.insert(i, (False, data.draw(st.sampled_from(["# note", "#" + lines[i][1]]))))
+    if fault != "comment":
+        lines[i] = (True, ",".join(fields))
+    path = _write_table(tmp_path_factory, header, lines, eol)
+    got, ref = _both_readers(path, columns, binary)
+    assert isinstance(ref, str)
+    assert got == ref and ref.startswith(f"{path}:")
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\n", "  \n\t\n", "\r\n"])
+def test_read_table_header_only_is_no_data_rows(tmp_path, body):
+    f = tmp_path / "h.csv"
+    f.write_text("t,a\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError) as exc:
+            read_table(f, ("t", "a"))
+    assert str(exc.value) == f"{f}: no data rows"
+
+
+# ---------------------------------------------------------------------------
 # reconstruction
 # ---------------------------------------------------------------------------
+
+
+_STITCH_STEPS = st.sampled_from(["random", "negate", "axis", "-axis", "nan"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(_STITCH_STEPS, min_size=1, max_size=30), seed=st.integers(0, 2**32 - 1))
+@example(steps=["axis", "axis", "negate", "-axis", "random", "nan", "random"], seed=0)
+def test_stitch_hemisphere_matches_loop(steps, seed):
+    # neighbouring unit axes have a dot of exactly +-0, which resets the sign
+    rng = np.random.default_rng(seed)
+    quat = rng.normal(size=(len(steps), 4))
+    for i, step in enumerate(steps):
+        if step == "negate" and i:
+            quat[i] = -quat[i - 1]
+        elif step.endswith("axis"):
+            quat[i] = np.eye(4)[i % 4] * (-1.0 if step[0] == "-" else 1.0)
+        elif step == "nan":
+            quat[i, i % 4] = np.nan
+    got = _stitch_hemisphere(quat)
+    assert got.tobytes() == oracles.stitch_hemisphere_loop(quat).tobytes()
 
 
 def test_reconstruct_constant_pose_is_static():
