@@ -15,13 +15,10 @@ from .errors import (
 from .kinematics import (
     EulerAngles321,
     Quaternion,
-    euler_rate_matrix,
     euler_to_quat,
     euler_to_rotmat,
-    quat_to_euler,
     quat_to_rotmat,
     rotmat_to_euler,
-    rotmat_to_quat,
 )
 from .vehicle import (
     ActuatorCmd,
@@ -29,17 +26,13 @@ from .vehicle import (
     Wrench,
     cmd_to_wrench,
     default_robofly_params,
-    drive_signal,
-    hover_cmd,
     hover_thrust,
     load_params,
-    save_params,
     wrench_to_cmd,
 )
 from .dynamics import (
     SimState,
     UnmodeledTerms,
-    hover_equilibrium,
     rk4_step,
     state_derivative,
 )
@@ -48,7 +41,6 @@ from .lqr import (
     LqrSolution,
     LqrWeights,
     default_weights,
-    finite_diff_jacobian,
     linearize_hover,
     lqr_gain,
     read_gain_csv,
@@ -59,10 +51,7 @@ from .controller import (
     CircleSchedule,
     ConstantSchedule,
     CsvSchedule,
-    CtrlState,
     Setpoint,
-    assemble_ctrl_state,
-    control_step,
 )
 from .harness import (
     DisturbancePulse,
@@ -92,7 +81,6 @@ from .pipeline import (
     reconstruct_runlog,
     trajectory_from_runlog,
     validate_model,
-    write_mocap_csv,
 )
 
 __version__ = "0.1.0"

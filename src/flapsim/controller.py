@@ -16,10 +16,10 @@ differences smoothed by a two-sample moving average, body rates from
 quaternion differencing. It is the only estimator; a simulation senses
 through it too.
 
-The math lives once, on plain floats, in ``_sense`` (estimator) and
-``_decide`` (control law). The run loop calls them every tick;
-:func:`assemble_ctrl_state` and :func:`control_step` check and unpack the
-dataclasses, call the same cores and pack the result.
+The tick is two functions on plain floats, ``_sense`` (estimator) and
+``_decide`` (control law); ``_sense_truth`` feeds ``_sense`` from the
+simulated state. The run loop calls them every tick and builds no
+dataclass on the way.
 """
 
 from __future__ import annotations
@@ -32,22 +32,16 @@ import numpy as np
 
 from .ioutil import read_table
 from .kinematics import (
-    GIMBAL_GUARD, EulerAngles321, Quaternion, _euler_quat, _qmul, _quat_rotvec,
-    _rotmat, _rotmat_euler, _rotvec_quat, wrap_angle,
+    GIMBAL_GUARD, EulerAngles321, _euler_quat, _qmul, _quat_rotvec, _rotmat, _rotmat_euler,
+    _rotvec_quat, wrap_angle,
 )
 # bench/spans.py times these names
 from .kinematics import quat_multiply, quat_to_rotmat, quat_to_rotvec, rotmat_to_euler  # noqa: F401
-from .vehicle import (
-    ActuatorCmd, VehicleParams, Wrench, _cmd_to_wrench, _wrench_to_cmd, hover_thrust,
-)
+from .vehicle import VehicleParams, _cmd_to_wrench, _wrench_to_cmd
 from .vehicle import cmd_to_wrench, wrench_to_cmd  # noqa: F401  bench/spans.py times these names
 
 __all__ = [
     "Setpoint",
-    "CtrlState",
-    "ControlOutput",
-    "assemble_ctrl_state",
-    "control_step",
     "ConstantSchedule",
     "CircleSchedule",
     "CsvSchedule",
@@ -77,29 +71,6 @@ class Setpoint:
         return cls(np.asarray(pos_w, dtype=float), np.zeros(3))
 
 
-@dataclass(frozen=True)
-class CtrlState:
-    """Controller-side state estimate at one tick.
-
-    Carries the measured pose, the derived velocity/rate estimates, and
-    the raw (pre-smoothing) velocity needed to continue the two-sample
-    moving average on the next tick. A plain record: build it with
-    :func:`assemble_ctrl_state`, which checks the inputs.
-    """
-
-    pos_w: np.ndarray
-    vel_w: np.ndarray
-    raw_vel_w: np.ndarray
-    quat: Quaternion
-    euler: EulerAngles321
-    R: np.ndarray
-    omega_b: np.ndarray
-
-    def sigma(self) -> np.ndarray:
-        """10-entry design-state vector (d, V_b, roll, pitch, p, q)."""
-        return np.array(_sigma(_est(self)))
-
-
 def _to_body(R: tuple, x: float, y: float, z: float) -> tuple:
     """R^T (x, y, z) for a row-major R: a world vector in the body frame."""
     return (R[0] * x + R[3] * y + R[6] * z, R[1] * x + R[4] * y + R[7] * z,
@@ -107,20 +78,20 @@ def _to_body(R: tuple, x: float, y: float, z: float) -> tuple:
 
 
 def _sigma(est: tuple) -> tuple:
+    """The 10-entry design state (d, V_b, roll, pitch, p, q) of an estimate."""
     R, pos, vel, (roll, pitch, _), (p, q, _) = est
     return (*_to_body(R, *pos), *_to_body(R, *vel), roll, pitch, p, q)
 
 
-def _est(s: CtrlState) -> tuple:
-    """A CtrlState as the cores' ``est``: R row-major, position, velocity, angles, rates."""
-    return (np.ravel(s.R).tolist(), np.ravel(s.pos_w).tolist(), np.ravel(s.vel_w).tolist(),
-            (s.euler.roll, s.euler.pitch, s.euler.yaw), np.ravel(s.omega_b).tolist())
-
-
 def _sense(pos, quat, prev: tuple | None, dt: float) -> tuple:
-    """Float core of :func:`assemble_ctrl_state`: ``(est, carry)``, ``est`` as in :func:`_est`.
+    """The estimator on one position + quaternion sample: ``(est, carry)``.
 
-    ``prev`` and ``carry`` hold a sample's position, raw velocity and quaternion.
+    ``est`` is (R row-major, position, velocity, (roll, pitch, yaw), body
+    rates). With no ``prev`` sample, velocity and rates start at zero; with
+    one, world velocity is the first difference averaged with the previous
+    raw difference, and the rates come from the quaternion increment over
+    ``dt``. ``prev`` and ``carry`` hold a sample's position, raw velocity
+    and quaternion. The quaternion must be within 1e-3 of unit length.
     """
     w, x, y, z = quat
     n = math.sqrt(w**2 + x**2 + y**2 + z**2)
@@ -159,47 +130,12 @@ def _sense_truth(y, prev: tuple | None, dt: float, draws) -> tuple:
     return est, _sigma(est), carry
 
 
-def assemble_ctrl_state(
-    meas_pos_w,
-    meas_quat: Quaternion,
-    prev: CtrlState | None = None,
-    dt: float | None = None,
-) -> CtrlState:
-    """Build the controller state from a position + quaternion sample.
-
-    The validated constructor of :class:`CtrlState`: the position must be
-    finite, the quaternion within 1e-3 of unit length, and ``dt`` positive
-    when ``prev`` is given.
-
-    With no ``prev`` sample, velocity and body rates start at zero. With
-    one, world velocity is the first difference averaged with the previous
-    raw difference, and body rates come from the quaternion increment. The
-    math is :func:`_sense`, which the scenario runner calls every tick.
-    """
-    pos = _vec3(meas_pos_w, "meas_pos_w").tolist()
-    if prev is not None and (dt is None or not dt > 0.0):
-        raise ValueError("dt must be positive when a previous sample is given")
-    if prev is not None:
-        prev = (*np.ravel(prev.pos_w).tolist(), *np.ravel(prev.raw_vel_w).tolist(),
-                *prev.quat.as_array().tolist())
-    (R, pos, vel, euler, rates), carry = _sense(pos, meas_quat.as_array().tolist(), prev, dt)
-    return CtrlState(np.array(pos), np.array(vel), np.array(carry[3:6]), Quaternion(*carry[6:]),
-                     EulerAngles321(*euler), np.array(R).reshape(3, 3), np.array(rates))
-
-
-@dataclass(frozen=True)
-class ControlOutput:
-    """One tick of controller output: command, applied wrench, limit flag."""
-
-    cmd: ActuatorCmd
-    wrench: Wrench
-    saturated: bool
-
-
 def _decide(K, est: tuple, sp_pos, sp_vel, p: VehicleParams, hover: float) -> tuple:
-    """Float core of :func:`control_step`: (A, dA, Vo, thrust, tau_r, tau_p, saturated).
+    """The control law on an estimate: (A, dA, Vo, thrust, tau_r, tau_p, saturated).
 
-    ``K`` is 3 rows of 10 floats, the setpoint 3 + 3 floats, ``hover`` = hover_thrust(p).
+    ``K`` is 3 rows of 10 floats, the setpoint 3 + 3 floats, ``hover`` =
+    hover_thrust(p). The wrench is the one realized after command
+    saturation, which the plant receives under zero-order hold.
     """
     R, pos, vel, (roll, pitch, _), (wp, wq, _) = est
     e = (*_to_body(R, sp_pos[0] - pos[0], sp_pos[1] - pos[1], sp_pos[2] - pos[2]),
@@ -208,22 +144,6 @@ def _decide(K, est: tuple, sp_pos, sp_vel, p: VehicleParams, hover: float) -> tu
     d_gamma, tau_r, tau_p = [sum(map(mul, row, e)) for row in K]
     A, dA, Vo, saturated = _wrench_to_cmd(p, hover + d_gamma, tau_r, tau_p)
     return (A, dA, Vo, *_cmd_to_wrench(p, A, dA, Vo), saturated)
-
-
-def control_step(K, s: CtrlState, sp: Setpoint, p: VehicleParams) -> ControlOutput:
-    """Apply the gain to the body-frame tracking error.
-
-    The returned wrench is the one actually realized after command
-    saturation (it is what the plant receives under zero-order hold). The
-    math is :func:`_decide`, which the scenario runner calls every tick.
-    """
-    K = np.asarray(K, dtype=float)
-    if K.shape != (3, 10):
-        raise ValueError(f"gain must be 3x10, got {K.shape}")
-    A, dA, Vo, *wrench, saturated = _decide(
-        K.tolist(), _est(s), np.ravel(sp.pos_w).tolist(), np.ravel(sp.vel_w).tolist(), p,
-        hover_thrust(p))
-    return ControlOutput(ActuatorCmd(A, dA, Vo), Wrench(*wrench), saturated)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,11 @@ residuals (L, M, N).
 
 The equations of motion are written once, in ``_eom``: on floats for
 ``state_derivative`` and ``rk4_packed``, on whole columns for the pipeline's
-model check. ``_plant`` (once per run, step or batch) and ``_forcing``
-(once per wrench) are the one place its held inputs are reduced to the
-quotients ``_eom`` takes.
+model check. ``state_derivative`` and ``rk4_step`` take the ``SimState``
+record; the run loop calls ``rk4_packed`` on a list of 12 floats.
+``_plant`` (once per run, step or batch) and ``_forcing`` (once per
+wrench) are the one place its held inputs are reduced to the quotients
+``_eom`` takes.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import DivergenceError, GimbalLockError
 from .kinematics import GIMBAL_GUARD, EulerAngles321
-from .vehicle import VehicleParams, Wrench, hover_thrust
+from .vehicle import VehicleParams, Wrench
 
 __all__ = [
     "STATE_DIM",
@@ -47,7 +49,6 @@ __all__ = [
     "state_derivative",
     "rk4_packed",
     "rk4_step",
-    "hover_equilibrium",
 ]
 
 STATE_DIM = 12
@@ -284,7 +285,3 @@ def rk4_step(
         raise DivergenceError("non-finite state after RK4 step")
     return SimState.from_vector(out)
 
-
-def hover_equilibrium(p: VehicleParams) -> tuple[SimState, Wrench]:
-    """Level rest state and the wrench that exactly holds it."""
-    return SimState.at_rest(), Wrench(hover_thrust(p), 0.0, 0.0)

@@ -214,7 +214,7 @@ class Scenario:
 def _check_keys(section: dict, allowed, where: str) -> None:
     unknown = set(section) - set(allowed)
     if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown, key=str)}")
 
 
 def _number(cfg: dict, key: str, where: str, default=None, integer: bool = False,

@@ -9,10 +9,10 @@ Conventions used throughout the package:
   the same body-to-world semantics, canonicalized to ``w >= 0``.
 * Angular velocity ``(p, q, r)`` is expressed in the body frame.
 
-All functions are pure and operate on small numpy arrays / float scalars.
-The private ``_``-prefixed cores do the quaternion math on plain tuples
-(``(w, x, y, z)``, row-major 9-tuples for R); the public functions wrap
-them, and the control tick calls them directly.
+All functions are pure. The ``_``-prefixed cores do the math on plain
+tuples (``(w, x, y, z)``, row-major 9-tuples for R); the control tick
+calls them directly. The public functions take and return the records
+and small numpy arrays.
 """
 
 from __future__ import annotations
@@ -32,18 +32,14 @@ __all__ = [
     "euler_to_rotmat",
     "rotmat_to_euler",
     "quat_to_rotmat",
-    "rotmat_to_quat",
     "euler_to_quat",
-    "quat_to_euler",
     "quat_multiply",
     "quat_from_rotvec",
     "quat_to_rotvec",
-    "euler_rate_matrix",
-    "is_rotation",
 ]
 
 # Pitch magnitudes at or beyond this are rejected: the 321 chart is singular
-# at |pitch| = pi/2 and the rate matrix blows up as 1/cos(pitch).
+# at |pitch| = pi/2 and the Euler-angle rates blow up as 1/cos(pitch).
 GIMBAL_GUARD = math.pi / 2 - 1e-6
 
 
@@ -94,9 +90,6 @@ class Quaternion:
     y: float
     z: float
 
-    def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
     def normalized(self) -> "Quaternion":
         return Quaternion(*_normalized((self.w, self.x, self.y, self.z)))
 
@@ -105,9 +98,6 @@ class Quaternion:
         if self.w < 0.0:
             return Quaternion(-self.w, -self.x, -self.y, -self.z)
         return self
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
@@ -196,35 +186,9 @@ def quat_to_rotmat(q: Quaternion) -> np.ndarray:
     return np.array(_rotmat(*_normalized((q.w, q.x, q.y, q.z)))).reshape(3, 3)
 
 
-def rotmat_to_quat(R: np.ndarray) -> Quaternion:
-    """Rotation matrix to canonical unit quaternion (Shepperd's method)."""
-    r00, r01, r02 = (float(v) for v in R[0])
-    r10, r11, r12 = (float(v) for v in R[1])
-    r20, r21, r22 = (float(v) for v in R[2])
-    trace = r00 + r11 + r22
-    if trace >= max(r00, r11, r22):
-        s = 2.0 * math.sqrt(1.0 + trace)
-        q = Quaternion(0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s)
-    elif r00 >= max(r11, r22):
-        s = 2.0 * math.sqrt(1.0 + r00 - r11 - r22)
-        q = Quaternion((r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s)
-    elif r11 >= r22:
-        s = 2.0 * math.sqrt(1.0 + r11 - r00 - r22)
-        q = Quaternion((r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s)
-    else:
-        s = 2.0 * math.sqrt(1.0 + r22 - r00 - r11)
-        q = Quaternion((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s)
-    return q.normalized().canonical()
-
-
 def euler_to_quat(e: EulerAngles321) -> Quaternion:
     """321 Euler angles to canonical unit quaternion."""
     return Quaternion(*_euler_quat(e.roll, e.pitch, e.yaw))
-
-
-def quat_to_euler(q: Quaternion) -> EulerAngles321:
-    """Canonical route: quaternion -> rotation matrix -> Euler angles."""
-    return rotmat_to_euler(quat_to_rotmat(q))
 
 
 def quat_from_rotvec(v) -> Quaternion:
@@ -236,29 +200,3 @@ def quat_to_rotvec(q: Quaternion) -> np.ndarray:
     """Logarithmic map: quaternion to rotation vector (radians)."""
     return np.array(_quat_rotvec((q.w, q.x, q.y, q.z)))
 
-
-def euler_rate_matrix(e: EulerAngles321) -> np.ndarray:
-    """Matrix W with [roll_dot, pitch_dot, yaw_dot]' = W @ [p, q, r]'.
-
-    Valid away from the pitch singularity (enforced at construction).
-    Identity at zero attitude.
-    """
-    cr, sr = math.cos(e.roll), math.sin(e.roll)
-    cp = math.cos(e.pitch)
-    tp = math.tan(e.pitch)
-    return np.array(
-        [
-            [1.0, sr * tp, cr * tp],
-            [0.0, cr, -sr],
-            [0.0, sr / cp, cr / cp],
-        ]
-    )
-
-
-def is_rotation(R: np.ndarray, tol: float = 1e-9) -> bool:
-    """True if R is orthonormal with determinant +1 within tol."""
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3) or not np.all(np.isfinite(R)):
-        return False
-    err = np.linalg.norm(R.T @ R - np.eye(3))
-    return err <= tol and abs(np.linalg.det(R) - 1.0) <= tol

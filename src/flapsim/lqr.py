@@ -42,10 +42,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, SynthesisError
-from .dynamics import SimState, state_derivative
 from .ioutil import atomic_write_text
-from .kinematics import EulerAngles321
-from .vehicle import VehicleParams, Wrench, hover_thrust
+from .vehicle import VehicleParams, hover_thrust
 
 __all__ = [
     "SIGMA_LABELS",
@@ -55,8 +53,6 @@ __all__ = [
     "LqrWeights",
     "LqrSolution",
     "linearize_hover",
-    "reduced_dynamics",
-    "finite_diff_jacobian",
     "default_weights",
     "solve_care",
     "lqr_gain",
@@ -185,50 +181,6 @@ def linearize_hover(p: VehicleParams) -> LinearModel:
     B[5, 0] = 1.0 / p.total_mass            # w_dot from thrust deviation
     B[8, 1] = 1.0 / p.J[0]                  # p_dot from roll torque
     B[9, 2] = 1.0 / p.J[1]                  # q_dot from pitch torque
-    return LinearModel(A, B)
-
-
-def reduced_dynamics(p: VehicleParams, sigma, delta) -> np.ndarray:
-    """Nonlinear reduced dynamics sigma_dot(sigma, delta) about hover.
-
-    Embeds sigma into the full state (yaw and yaw rate pinned to zero),
-    applies the hover wrench plus the deviation, and projects back. The
-    d-rate is the body velocity by convention.
-    """
-    sigma = np.asarray(sigma, dtype=float).reshape(NSIGMA)
-    delta = np.asarray(delta, dtype=float).reshape(NINPUT)
-    s = SimState(
-        sigma[0:3],
-        sigma[3:6],
-        EulerAngles321(sigma[6], sigma[7], 0.0),
-        np.array([sigma[8], sigma[9], 0.0]),
-    )
-    w = Wrench(hover_thrust(p) + delta[0], delta[1], delta[2])
-    full = state_derivative(p, s, w)
-    out = np.empty(NSIGMA)
-    out[0:3] = sigma[3:6]       # d_dot = (u, v, w)
-    out[3:6] = full[3:6]
-    out[6:8] = full[6:8]
-    out[8:10] = full[9:11]
-    return out
-
-
-def finite_diff_jacobian(p: VehicleParams, h: float = 1e-6) -> LinearModel:
-    """Central-difference Jacobians of :func:`reduced_dynamics` at hover."""
-    if not (1e-8 <= h <= 1e-4):
-        raise ValueError("finite-difference step h must be in [1e-8, 1e-4]")
-    A = np.zeros((NSIGMA, NSIGMA))
-    B = np.zeros((NSIGMA, NINPUT))
-    z_s = np.zeros(NSIGMA)
-    z_d = np.zeros(NINPUT)
-    for j in range(NSIGMA):
-        e = np.zeros(NSIGMA)
-        e[j] = h
-        A[:, j] = (reduced_dynamics(p, e, z_d) - reduced_dynamics(p, -e, z_d)) / (2 * h)
-    for j in range(NINPUT):
-        e = np.zeros(NINPUT)
-        e[j] = h
-        B[:, j] = (reduced_dynamics(p, z_s, e) - reduced_dynamics(p, z_s, -e)) / (2 * h)
     return LinearModel(A, B)
 
 

@@ -34,7 +34,6 @@ from .dynamics import state_derivative  # noqa: F401
 __all__ = [
     "MocapTrajectory",
     "load_mocap_csv",
-    "write_mocap_csv",
     "trajectory_from_runlog",
     "load_runlog_csv",
     "load_command_csv",
@@ -181,11 +180,6 @@ def load_mocap_csv(path, source: str | None = None) -> MocapTrajectory:
         )
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
-
-
-def write_mocap_csv(path, tr: MocapTrajectory) -> None:
-    rows = np.column_stack([tr.t, tr.pos_w, tr.quat]).tolist()
-    atomic_write_text(path, table_text(MOCAP_COLUMNS, rows))
 
 
 def trajectory_from_runlog(log: RunLog) -> MocapTrajectory:

@@ -9,8 +9,9 @@ parameters to stroke-averaged wrench components:
 
 ``A`` is the common drive amplitude in volts, ``dA`` the left/right amplitude
 differential, ``Vo`` the shared sine offset. Commands saturate to a
-box; saturation is reported, never silently ignored. The ``_``-prefixed
-cores do the same maps on plain floats for the control tick.
+box; saturation is reported, never silently ignored. The public maps
+take and return the ``ActuatorCmd`` and ``Wrench`` records; the
+``_``-prefixed cores do the same maps on plain floats for the control tick.
 """
 
 from __future__ import annotations
@@ -30,13 +31,9 @@ __all__ = [
     "Wrench",
     "default_robofly_params",
     "load_params",
-    "save_params",
     "cmd_to_wrench",
     "wrench_to_cmd",
-    "saturate_cmd",
     "hover_thrust",
-    "hover_cmd",
-    "drive_signal",
 ]
 
 BUILTIN_PROFILE = "robofly-150mg"
@@ -124,14 +121,6 @@ def hover_thrust(p: VehicleParams) -> float:
     return p.total_mass * p.g
 
 
-def hover_cmd(p: VehicleParams) -> ActuatorCmd:
-    """Command producing exactly the hover wrench (no torques)."""
-    cmd, saturated = wrench_to_cmd(p, Wrench(hover_thrust(p), 0.0, 0.0))
-    if saturated:
-        raise ConfigError("hover thrust is outside the actuator envelope")
-    return cmd
-
-
 def _cmd_to_wrench(p: VehicleParams, A: float, dA: float, Vo: float) -> tuple:
     thrust = max(0.0, p.thrust_slope * A + p.thrust_intercept)
     return thrust, p.roll_slope * dA, p.pitch_slope * Vo
@@ -166,28 +155,6 @@ def wrench_to_cmd(p: VehicleParams, w: Wrench) -> tuple[ActuatorCmd, bool]:
     return ActuatorCmd(*cmd), saturated
 
 
-def saturate_cmd(p: VehicleParams, c: ActuatorCmd) -> tuple[ActuatorCmd, bool]:
-    """Clip a command to the box limits; flag whether anything clipped."""
-    *cmd, saturated = _saturate(p, c.A, c.dA, c.Vo)
-    return ActuatorCmd(*cmd), saturated
-
-
-def drive_signal(p: VehicleParams, c: ActuatorCmd, t, side: str = "left"):
-    """Instantaneous wing drive voltage at time t (scalar or array).
-
-    V(t) = (A +/- dA)/2 * sin(2 pi f t) + V_bias/2 + Vo/2, with the
-    differential dA applied positively to the left wing and negatively to
-    the right wing.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    sign = 1.0 if side == "left" else -1.0
-    amp = 0.5 * (c.A + sign * c.dA)
-    t = np.asarray(t, dtype=float)
-    out = amp * np.sin(2.0 * math.pi * p.flap_freq * t) + 0.5 * p.V_bias + 0.5 * c.Vo
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # parameter file I/O (flat YAML mapping, SI units, keys = field names)
 # ---------------------------------------------------------------------------
@@ -211,18 +178,9 @@ def load_params(source: str) -> VehicleParams:
     known = {f.name for f in fields(VehicleParams)}
     unknown = set(data) - known
     if unknown:
-        raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown parameter keys: {sorted(unknown, key=str)}")
     try:
         return replace(default_robofly_params(), **data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameter value in {source!r}: {exc}") from exc
 
-
-def save_params(p: VehicleParams, path: str) -> None:
-    """Write parameters as a flat YAML mapping (round-trips with load_params)."""
-    data = {}
-    for f in fields(VehicleParams):
-        v = getattr(p, f.name)
-        data[f.name] = list(v) if isinstance(v, tuple) else v
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(data, fh, sort_keys=False)

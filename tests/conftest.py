@@ -20,11 +20,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flapsim.dynamics import SimState, UnmodeledTerms, rk4_step
+import oracles
+from flapsim.dynamics import SimState, UnmodeledTerms, rk4_step, state_derivative
 from flapsim.harness import RunLog
+from flapsim.ioutil import table_text
 from flapsim.kinematics import euler_to_quat
 from flapsim.lqr import LqrWeights, linearize_hover, lqr_gain, solve_care
-from flapsim.pipeline import MocapTrajectory
+from flapsim.pipeline import MOCAP_COLUMNS, MocapTrajectory
 from flapsim.vehicle import Wrench, default_robofly_params, hover_thrust, wrench_to_cmd
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -64,6 +66,19 @@ UNSTABLE_WEIGHTS = LqrWeights.from_diagonals(
 @pytest.fixture(scope="session")
 def unstable_gain(params):
     return solve_care(linearize_hover(params), UNSTABLE_WEIGHTS).K
+
+
+def write_mocap_csv(path, tr: MocapTrajectory) -> None:
+    """Write a trajectory as a mocap CSV: t, x, y, z, qw, qx, qy, qz."""
+    rows = np.column_stack([tr.t, tr.pos_w, tr.quat]).tolist()
+    Path(path).write_text(table_text(MOCAP_COLUMNS, rows), encoding="utf-8")
+
+
+def reduced_dynamics(p, sigma, delta) -> np.ndarray:
+    """The hover design flow of flapsim's own equations of motion (see oracles)."""
+    return oracles.reduced_dynamics(
+        lambda y, w: state_derivative(p, SimState.from_vector(y), Wrench(*w)),
+        hover_thrust(p), sigma, delta)
 
 
 def make_openloop_log(p, duration=4.0, rate=240.0, substeps=42):

@@ -177,6 +177,22 @@ def rk4_textbook(f, y, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def reduced_dynamics(f, hover_thrust: float, sigma, delta) -> np.ndarray:
+    """The 10-state hover design flow sigma_dot(sigma, delta) of a 12-state model.
+
+    ``f(y, wrench)`` is the 12-state derivative. sigma = (d, V_b, roll,
+    pitch, p, q) is embedded with yaw and yaw rate pinned to zero, the
+    wrench is the hover thrust plus the deviation delta = (dGamma, tau_r,
+    tau_p), and the derivative is projected back; the d-rate is the body
+    velocity by convention.
+    """
+    sigma = np.asarray(sigma, dtype=float).reshape(10)
+    delta = np.asarray(delta, dtype=float).reshape(3)
+    y = np.concatenate([sigma[0:8], [0.0], sigma[8:10], [0.0]])
+    full = f(y, (hover_thrust + delta[0], delta[1], delta[2]))
+    return np.concatenate([sigma[3:6], full[3:8], full[9:11]])
+
+
 # ---------------------------------------------------------------------------
 # sampled-data LQR oracle (independent route to the continuous Riccati P)
 # ---------------------------------------------------------------------------

@@ -18,28 +18,20 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_trim_flight
+from conftest import make_trim_flight, reduced_dynamics
 
-from flapsim.dynamics import hover_equilibrium, state_derivative
+from flapsim.dynamics import SimState, state_derivative
 from flapsim.harness import load_scenario, metrics, run_scenario, scenario_from_dict
 from flapsim.kinematics import (
     EulerAngles321,
-    euler_rate_matrix,
-    euler_to_rotmat,
-    quat_to_euler,
-    rotmat_to_quat,
+    euler_to_quat,
+    quat_to_rotmat,
+    rotmat_to_euler,
     wrap_angle,
 )
-from flapsim.lqr import (
-    LinearModel,
-    LqrWeights,
-    default_weights,
-    linearize_hover,
-    reduced_dynamics,
-    solve_care,
-)
+from flapsim.lqr import LinearModel, LqrWeights, default_weights, linearize_hover, solve_care
 from flapsim.pipeline import estimate_body_offset, reconstruct_runlog, validate_model
-from flapsim.vehicle import Wrench, hover_cmd, hover_thrust
+from flapsim.vehicle import Wrench, hover_thrust, wrench_to_cmd
 
 
 def care_residual(A, B, Q, R, P):
@@ -161,11 +153,16 @@ def test_a02_linearization_matches_finite_differences(params):
 
     nz = model.A != 0.0
     rel_A = np.max(np.abs((A_fd[nz] - model.A[nz]) / model.A[nz]))
+    zero_A = np.max(np.abs(A_fd[~nz]))
     nz = model.B != 0.0
     rel_B = np.max(np.abs((B_fd[nz] - model.B[nz]) / model.B[nz]))
+    zero_B = np.max(np.abs(B_fd[~nz]))
     print(f"max relative FD mismatch: A {rel_A:.3e}, B {rel_B:.3e}")
+    print(f"max |FD| where the model is zero: A {zero_A:.3e}, B {zero_B:.3e}")
     assert rel_A <= 1e-6
     assert rel_B <= 1e-6
+    assert zero_A <= 1e-8
+    assert zero_B <= 1e-8
 
     # pinned entries: du_dot/dtheta = g, dp_dot/dtau_r = 1/J_xx
     assert model.A[3, 7] == pytest.approx(9.81, rel=1e-12)
@@ -185,7 +182,7 @@ def test_a02_linearization_matches_finite_differences(params):
 def test_a03_hover_equilibrium_invariants(params):
     t0 = time.monotonic()
 
-    s0, w0 = hover_equilibrium(params)
+    s0, w0 = SimState.at_rest(), Wrench(hover_thrust(params), 0.0, 0.0)
     dy = state_derivative(params, s0, w0)
     print(f"max |state derivative| at trim: {np.max(np.abs(dy)):.3e}")
     assert np.max(np.abs(dy)) <= 1e-12
@@ -195,7 +192,9 @@ def test_a03_hover_equilibrium_invariants(params):
     assert thrust == pytest.approx(1.8247e-3, rel=5e-5)
     assert thrust == pytest.approx(params.total_mass * params.g, rel=1e-15)
 
-    amp = hover_cmd(params).A
+    cmd, saturated = wrench_to_cmd(params, w0)
+    assert not saturated and cmd.dA == 0.0 and cmd.Vo == 0.0
+    amp = cmd.A
     print(f"hover amplitude {amp:.6f} V")
     assert amp == pytest.approx(129.17, abs=0.05)
     assert amp == pytest.approx(
@@ -359,7 +358,7 @@ def test_a08_bundled_scenarios_are_deterministic(params, gain, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_a09_kinematics_round_trips():
+def test_a09_kinematics_round_trips(params):
     t0 = time.monotonic()
     rng = np.random.default_rng(3)
     n = 100_000
@@ -369,7 +368,7 @@ def test_a09_kinematics_round_trips():
     worst = 0.0
     for i in range(n):
         e = EulerAngles321(roll[i], pitch[i], yaw[i])
-        e2 = quat_to_euler(rotmat_to_quat(euler_to_rotmat(e)))
+        e2 = rotmat_to_euler(quat_to_rotmat(euler_to_quat(e)))
         d = max(
             abs(wrap_angle(e2.roll - e.roll)),
             abs(e2.pitch - e.pitch),
@@ -377,14 +376,15 @@ def test_a09_kinematics_round_trips():
         )
         if d > worst:
             worst = d
-    print(f"worst euler->rotmat->quat->euler error: {worst:.3e} rad")
+    print(f"worst euler->quat->rotmat->euler error: {worst:.3e} rad")
     assert worst <= 1e-9
 
     worst_rate = 0.0
     for _ in range(300):
         r, p_, y = rng.uniform(-1.2, 1.2, size=3)
         om = rng.uniform(-5.0, 5.0, size=3)
-        rates = euler_rate_matrix(EulerAngles321(r, p_, y)) @ om
+        s = SimState(np.zeros(3), np.zeros(3), EulerAngles321(r, p_, y), om)
+        rates = state_derivative(params, s, Wrench(0.0, 0.0, 0.0))[6:9]
         fd = oracles.euler_rate_fd(r, p_, y, om)
         worst_rate = max(worst_rate, float(np.max(np.abs(rates - fd))))
     print(f"worst euler-rate mismatch vs FD propagation: {worst_rate:.3e}")

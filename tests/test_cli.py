@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import UNSTABLE_WEIGHTS, src_env
+from conftest import UNSTABLE_WEIGHTS, src_env, write_mocap_csv
 from flapsim.cli import main
 from flapsim.ioutil import fmt
 from flapsim.lqr import default_weights, read_gain_csv, write_gain_csv
-from flapsim.pipeline import trajectory_from_runlog, write_mocap_csv
+from flapsim.pipeline import trajectory_from_runlog
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -190,6 +190,8 @@ def test_simulate_seed_and_noise_overrides(tmp_path):
          "s.scenario: scenario: physics_substeps must be an integer, got True"),
         ("control_rate: true\n", [], "s.scenario: scenario: control_rate must be a number, got True"),
         ("dt: 1.0e-4\n", [], "s.scenario: scenario: unknown keys ['dt']"),
+        # an int key and a str key do not compare: the error still names both
+        ("1: 2\nfoo: 3\n", [], "s.scenario: scenario: unknown keys [1, 'foo']"),
         ("noise: {att_sigma_deg: true}\n", [],
          "s.scenario: noise: att_sigma_deg must be a number, got True"),
         ("disturbances:\n  - {t_start: null, duration: 0.1, force: [0.0, 0.0, 1.0e-4]}\n", [],
@@ -322,6 +324,17 @@ def test_simulate_non_finite_params_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad parameter value" in err and "roll_slope must hold only finite numbers" in err
     assert not list(tmp_path.glob("*_runlog*.csv"))
+
+
+def test_gains_params_file_with_mixed_key_types_exits_1(tmp_path, capsys):
+    # an int key and a str key do not compare: the error still names both
+    veh = tmp_path / "veh.yaml"
+    veh.write_text("1: 2\nfoo: 3\n")
+    assert main(["gains", "--params", str(veh), "--out", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown parameter keys: [1, 'foo']" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "gains.csv").exists()
 
 
 def test_simulate_divergence_exits_2_with_partial_log(tmp_path, capsys, unstable_gain):

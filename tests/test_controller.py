@@ -10,130 +10,108 @@ from flapsim.controller import (
     CircleSchedule,
     ConstantSchedule,
     CsvSchedule,
-    CtrlState,
     Setpoint,
-    assemble_ctrl_state,
-    control_step,
+    _decide,
+    _sense,
+    _sigma,
 )
 from flapsim.errors import SchemaError
-from flapsim.kinematics import (
-    EulerAngles321,
-    Quaternion,
-    euler_to_quat,
-    euler_to_rotmat,
-    quat_multiply,
-)
-from flapsim.vehicle import hover_cmd, hover_thrust
+from flapsim.kinematics import EulerAngles321, euler_to_rotmat, rotmat_to_euler
+from flapsim.vehicle import ActuatorCmd, Wrench, hover_thrust, wrench_to_cmd
+
+DT = 1.0 / 240.0
 
 
-def make_ctrl_state(pos=(0, 0, 0), vel=(0, 0, 0), euler=(0, 0, 0), omega=(0, 0, 0)):
-    """CtrlState with consistent quat/euler/R, bypassing the estimator."""
+def make_est(pos=(0, 0, 0), vel=(0, 0, 0), euler=(0, 0, 0), omega=(0, 0, 0)):
+    """An estimate as ``_sense`` returns it, with R consistent with the angles."""
     e = EulerAngles321(*euler)
-    return CtrlState(
-        pos_w=np.asarray(pos, dtype=float),
-        vel_w=np.asarray(vel, dtype=float),
-        raw_vel_w=np.asarray(vel, dtype=float),
-        quat=euler_to_quat(e),
-        euler=e,
-        R=euler_to_rotmat(e),
-        omega_b=np.asarray(omega, dtype=float),
-    )
+    return (euler_to_rotmat(e).ravel().tolist(), [float(v) for v in pos],
+            [float(v) for v in vel], (e.roll, e.pitch, e.yaw), [float(v) for v in omega])
+
+
+def decide(gain, est, sp, params):
+    """``_decide`` on an estimate and a Setpoint: (command, wrench, saturated)."""
+    A, dA, Vo, *wrench, saturated = _decide(
+        np.asarray(gain).tolist(), est, np.ravel(sp.pos_w).tolist(),
+        np.ravel(sp.vel_w).tolist(), params, hover_thrust(params))
+    return ActuatorCmd(A, dA, Vo), Wrench(*wrench), saturated
+
+
+def sense(samples, dt=DT):
+    """Run ``_sense`` over (position, quaternion) samples; the last estimate."""
+    carry = None
+    for pos, q in samples:
+        est, carry = _sense([float(v) for v in pos], [float(v) for v in q], carry, dt)
+    return est
 
 
 # ---------------------------------------------------------------------------
-# control_step
+# control law
 # ---------------------------------------------------------------------------
 
 
 def test_zero_error_gives_exact_hover_command(params, gain):
-    s = make_ctrl_state()
-    out = control_step(gain, s, Setpoint.hold((0.0, 0.0, 0.0)), params)
-    ref = hover_cmd(params)
-    assert out.cmd.A == pytest.approx(ref.A, rel=1e-12)
-    assert out.cmd.dA == 0.0
-    assert out.cmd.Vo == 0.0
-    assert out.wrench.thrust == pytest.approx(hover_thrust(params), rel=1e-12)
-    assert out.wrench.tau_r == 0.0
-    assert out.wrench.tau_p == 0.0
-    assert out.saturated is False
+    cmd, wrench, saturated = decide(gain, make_est(), Setpoint.hold((0.0, 0.0, 0.0)), params)
+    ref, _ = wrench_to_cmd(params, Wrench(hover_thrust(params), 0.0, 0.0))
+    assert cmd.A == pytest.approx(ref.A, rel=1e-12)
+    assert cmd.dA == 0.0
+    assert cmd.Vo == 0.0
+    assert wrench.thrust == pytest.approx(hover_thrust(params), rel=1e-12)
+    assert wrench.tau_r == 0.0
+    assert wrench.tau_p == 0.0
+    assert saturated is False
 
 
 def test_altitude_error_raises_thrust(params, gain):
-    s = make_ctrl_state()
     sp = Setpoint.hold((0.0, 0.0, 0.01))  # want to be 1 cm higher
-    out = control_step(gain, s, sp, params)
-    assert out.wrench.thrust > hover_thrust(params)
+    _, wrench, saturated = decide(gain, make_est(), sp, params)
+    assert wrench.thrust > hover_thrust(params)
     # level attitude: the error enters only through the d_z gain entry
     expected = hover_thrust(params) + gain[0, 2] * 0.01
-    assert out.wrench.thrust == pytest.approx(expected, rel=1e-9)
-    assert out.saturated is False
+    assert wrench.thrust == pytest.approx(expected, rel=1e-9)
+    assert saturated is False
 
 
 def test_forward_error_commands_pitch_not_roll(params, gain):
-    s = make_ctrl_state()
+    est = make_est()
     # error sizes from the gain: half and twice the x error that asks for
     # exactly the pitch-torque limit
     tau_lim = params.pitch_slope * params.Vo_limit
     e_lim = tau_lim / gain[2, 0]
     # inside the torque box the applied pitch torque equals the linear
     # gain action exactly
-    out = control_step(gain, s, Setpoint.hold((0.5 * e_lim, 0.0, 0.0)), params)
-    assert out.wrench.tau_p == pytest.approx(gain[2, 0] * 0.5 * e_lim, rel=1e-9)
-    assert abs(out.wrench.tau_r) <= 1e-15
-    assert out.saturated is False
+    _, wrench, saturated = decide(gain, est, Setpoint.hold((0.5 * e_lim, 0.0, 0.0)), params)
+    assert wrench.tau_p == pytest.approx(gain[2, 0] * 0.5 * e_lim, rel=1e-9)
+    assert abs(wrench.tau_r) <= 1e-15
+    assert saturated is False
     # beyond it the pitch channel clamps at its limit
-    big = control_step(gain, s, Setpoint.hold((2.0 * e_lim, 0.0, 0.0)), params)
-    assert big.saturated is True
-    assert big.wrench.tau_p == pytest.approx(tau_lim, rel=1e-12)
-    assert abs(big.wrench.tau_r) <= 1e-15
+    _, big, big_saturated = decide(gain, est, Setpoint.hold((2.0 * e_lim, 0.0, 0.0)), params)
+    assert big_saturated is True
+    assert big.tau_p == pytest.approx(tau_lim, rel=1e-12)
+    assert abs(big.tau_r) <= 1e-15
 
 
 def test_command_invariant_under_world_yaw(params, gain):
     rng = np.random.default_rng(7)
     sp0 = Setpoint(pos_w=(0.04, -0.02, 0.03), vel_w=(0.1, 0.0, -0.05))
-    s0 = make_ctrl_state(
-        pos=(0.01, 0.02, -0.01),
-        vel=(-0.2, 0.1, 0.05),
-        euler=(0.1, -0.15, 0.4),
-        omega=(1.0, -2.0, 0.5),
-    )
-    ref = control_step(gain, s0, sp0, params)
+    pos, vel, omega = (0.01, 0.02, -0.01), (-0.2, 0.1, 0.05), (1.0, -2.0, 0.5)
+    euler = (0.1, -0.15, 0.4)
+    _, ref, _ = decide(gain, make_est(pos, vel, euler, omega), sp0, params)
+    R0 = euler_to_rotmat(EulerAngles321(*euler))
     for _ in range(5):
-        psi = rng.uniform(-math.pi, math.pi)
-        Rz = oracles.rot_z(psi)
-        qz = euler_to_quat(EulerAngles321(0.0, 0.0, psi))
-        q2 = quat_multiply(qz, s0.quat).canonical()
-        R2 = Rz @ s0.R
-        from flapsim.kinematics import rotmat_to_euler
-
-        s2 = CtrlState(
-            pos_w=Rz @ s0.pos_w,
-            vel_w=Rz @ s0.vel_w,
-            raw_vel_w=Rz @ s0.raw_vel_w,
-            quat=q2,
-            euler=rotmat_to_euler(R2),
-            R=R2,
-            omega_b=s0.omega_b,
-        )
+        Rz = oracles.rot_z(rng.uniform(-math.pi, math.pi))
+        e2 = rotmat_to_euler(Rz @ R0)
+        est2 = make_est(Rz @ pos, Rz @ vel, (e2.roll, e2.pitch, e2.yaw), omega)
         sp2 = Setpoint(Rz @ sp0.pos_w, Rz @ sp0.vel_w)
-        out = control_step(gain, s2, sp2, params)
-        assert out.wrench.thrust == pytest.approx(ref.wrench.thrust, rel=1e-10)
-        assert out.wrench.tau_r == pytest.approx(ref.wrench.tau_r, rel=1e-10)
-        assert out.wrench.tau_p == pytest.approx(ref.wrench.tau_p, rel=1e-10)
-
-
-def test_control_step_rejects_bad_gain_shape(params):
-    s = make_ctrl_state()
-    sp = Setpoint.hold((0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        control_step(np.zeros((2, 10)), s, sp, params)
-    with pytest.raises(ValueError):
-        control_step(np.zeros((3, 9)), s, sp, params)
+        _, out, _ = decide(gain, est2, sp2, params)
+        assert out.thrust == pytest.approx(ref.thrust, rel=1e-10)
+        assert out.tau_r == pytest.approx(ref.tau_r, rel=1e-10)
+        assert out.tau_p == pytest.approx(ref.tau_p, rel=1e-10)
 
 
 def test_large_error_sets_saturation_flag(params, gain):
-    out = control_step(gain, make_ctrl_state(), Setpoint.hold((0.0, 0.0, 5.0)), params)
-    assert out.saturated is True
+    _, _, saturated = decide(gain, make_est(), Setpoint.hold((0.0, 0.0, 5.0)), params)
+    assert saturated is True
 
 
 # ---------------------------------------------------------------------------
@@ -142,62 +120,47 @@ def test_large_error_sets_saturation_flag(params, gain):
 
 
 def test_assemble_first_sample_is_stationary():
-    s = assemble_ctrl_state((0.1, 0.2, 0.3), Quaternion(1.0, 0.0, 0.0, 0.0))
-    np.testing.assert_array_equal(s.vel_w, 0.0)
-    np.testing.assert_array_equal(s.omega_b, 0.0)
-    np.testing.assert_allclose(s.pos_w, [0.1, 0.2, 0.3])
-    np.testing.assert_array_equal(s.R, np.eye(3))
+    R, pos, vel, _, rates = sense([((0.1, 0.2, 0.3), (1.0, 0.0, 0.0, 0.0))])
+    np.testing.assert_array_equal(vel, 0.0)
+    np.testing.assert_array_equal(rates, 0.0)
+    np.testing.assert_allclose(pos, [0.1, 0.2, 0.3])
+    np.testing.assert_array_equal(np.reshape(R, (3, 3)), np.eye(3))
 
 
 def test_assemble_constant_velocity_settles_after_two_samples():
-    q = Quaternion(1.0, 0.0, 0.0, 0.0)
-    dt = 1.0 / 240.0
-    s = assemble_ctrl_state((0.0, 0.0, 0.0), q)
-    s = assemble_ctrl_state((1.0 * dt, 0.0, 0.0), q, prev=s, dt=dt)
+    q = (1.0, 0.0, 0.0, 0.0)
     # first difference averaged against the zero startup raw sample
-    assert s.vel_w[0] == pytest.approx(0.5, rel=1e-12)
-    s = assemble_ctrl_state((2.0 * dt, 0.0, 0.0), q, prev=s, dt=dt)
-    assert s.vel_w[0] == pytest.approx(1.0, rel=1e-12)
+    _, _, vel, _, _ = sense([((0.0, 0.0, 0.0), q), ((1.0 * DT, 0.0, 0.0), q)])
+    assert vel[0] == pytest.approx(0.5, rel=1e-12)
+    _, _, vel, _, _ = sense([((k * DT, 0.0, 0.0), q) for k in range(3)])
+    assert vel[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_assemble_recovers_constant_roll_rate():
-    dt = 1.0 / 240.0
     rate = 2.0
-    qs = [
-        Quaternion(*oracles.constant_rate_quat((rate, 0.0, 0.0), k * dt))
-        for k in range(3)
-    ]
-    s = assemble_ctrl_state((0.0, 0.0, 0.0), qs[0])
-    for q in qs[1:]:
-        s = assemble_ctrl_state((0.0, 0.0, 0.0), q, prev=s, dt=dt)
-    assert s.omega_b[0] == pytest.approx(rate, abs=1e-3)
-    assert abs(s.omega_b[1]) < 1e-9 and abs(s.omega_b[2]) < 1e-9
+    samples = [((0.0, 0.0, 0.0), oracles.constant_rate_quat((rate, 0.0, 0.0), k * DT))
+               for k in range(3)]
+    _, _, _, _, omega = sense(samples)
+    assert omega[0] == pytest.approx(rate, abs=1e-3)
+    assert abs(omega[1]) < 1e-9 and abs(omega[2]) < 1e-9
 
 
 def test_assemble_input_validation():
-    q = Quaternion(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="off unit"):
-        assemble_ctrl_state((0.0, 0.0, 0.0), Quaternion(1.1, 0.0, 0.0, 0.0))
-    prev = assemble_ctrl_state((0.0, 0.0, 0.0), q)
-    for bad_dt in (None, 0.0, -0.1):
-        with pytest.raises(ValueError, match="dt must be positive"):
-            assemble_ctrl_state((0.0, 0.0, 0.0), q, prev=prev, dt=bad_dt)
-    with pytest.raises(ValueError):
-        assemble_ctrl_state((np.nan, 0.0, 0.0), q)
-    with pytest.raises(TypeError):  # velocity is always differenced; there is no override
-        assemble_ctrl_state((0.0, 0.0, 0.0), q, prev=prev, dt=0.1, vel_w=(0.0, 0.0, 0.0))
+        sense([((0.0, 0.0, 0.0), (1.1, 0.0, 0.0, 0.0))])
 
 
 def test_sigma_layout():
-    s = make_ctrl_state(
+    est = make_est(
         pos=(1.0, 2.0, 3.0),
         vel=(0.1, 0.2, 0.3),
         euler=(0.2, -0.3, 0.9),
         omega=(4.0, 5.0, 6.0),
     )
-    sig = s.sigma()
-    np.testing.assert_allclose(sig[0:3], s.R.T @ [1.0, 2.0, 3.0], rtol=1e-12)
-    np.testing.assert_allclose(sig[3:6], s.R.T @ [0.1, 0.2, 0.3], rtol=1e-12)
+    R = np.reshape(est[0], (3, 3))
+    sig = np.array(_sigma(est))
+    np.testing.assert_allclose(sig[0:3], R.T @ [1.0, 2.0, 3.0], rtol=1e-12)
+    np.testing.assert_allclose(sig[3:6], R.T @ [0.1, 0.2, 0.3], rtol=1e-12)
     assert sig[6] == pytest.approx(0.2, abs=1e-12)
     assert sig[7] == pytest.approx(-0.3, abs=1e-12)
     assert sig[8] == 4.0 and sig[9] == 5.0

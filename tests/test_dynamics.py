@@ -15,7 +15,6 @@ from flapsim.dynamics import (
     UnmodeledTerms,
     _forcing,
     _plant,
-    hover_equilibrium,
     rk4_packed,
     rk4_step,
     state_derivative,
@@ -51,6 +50,11 @@ def test_state_vector_round_trip(params):
 def test_state_rejects_nonfinite():
     with pytest.raises(ValueError):
         SimState((math.nan, 0.0, 0.0), np.zeros(3), EulerAngles321(0, 0, 0), np.zeros(3))
+
+
+def hover_equilibrium(p):
+    """Level rest and the wrench that holds it."""
+    return SimState.at_rest(), Wrench(hover_thrust(p), 0.0, 0.0)
 
 
 def test_hover_equilibrium_is_exact_fixed_point(params):
@@ -100,6 +104,21 @@ def test_derivative_matches_matrix_reference(params):
             ext_force_w=ext,
         )
         np.testing.assert_allclose(d, ref, rtol=1e-9, atol=1e-9)
+
+
+def test_euler_rates_equal_body_rates_when_level(params):
+    rng = np.random.default_rng(20)
+    # level, any yaw: the Euler rates are the body rates, bit for bit
+    for _ in range(20):
+        omega = rng.uniform(-5.0, 5.0, 3)
+        s = SimState(np.zeros(3), np.zeros(3),
+                     EulerAngles321(0.0, 0.0, rng.uniform(-math.pi, math.pi)), omega)
+        d = state_derivative(params, s, Wrench(0.0, 0.0, 0.0))
+        assert np.array_equal(d[6:9], omega)
+    # a pure pitch rate moves only the pitch angle, at any pitch
+    s = SimState(np.zeros(3), np.zeros(3), EulerAngles321(0.0, 0.2, 0.0), (0.0, 1.0, 0.0))
+    d = state_derivative(params, s, Wrench(0.0, 0.0, 0.0))
+    np.testing.assert_allclose(d[6:9], [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_negative_thrust_rejected(params):

@@ -12,13 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from flapsim.controller import (
-    CircleSchedule,
-    ConstantSchedule,
-    Setpoint,
-    assemble_ctrl_state,
-    control_step,
-)
+from flapsim.controller import CircleSchedule, ConstantSchedule, Setpoint, _decide, _sense, _sigma
 from flapsim.dynamics import SimState, state_derivative
 from flapsim.errors import ConfigError, DivergenceError, SchemaError
 from flapsim.harness import (
@@ -46,7 +40,7 @@ from flapsim.kinematics import (
     quat_multiply,
 )
 from flapsim.pipeline import load_runlog_csv
-from flapsim.vehicle import Wrench, hover_cmd
+from flapsim.vehicle import Wrench, hover_thrust, wrench_to_cmd
 
 HOLD_ORIGIN = ConstantSchedule(Setpoint.hold((0.0, 0.0, 0.0)))
 
@@ -504,7 +498,7 @@ def test_hover_at_setpoint_is_a_fixed_point(params, gain):
     np.testing.assert_array_equal(log.euler, 0.0)
     np.testing.assert_array_equal(log.vel_b, 0.0)
     assert np.all(log.saturated == 0)
-    ref = hover_cmd(params)
+    ref, _ = wrench_to_cmd(params, Wrench(hover_thrust(params), 0.0, 0.0))
     np.testing.assert_array_equal(log.cmd[:, 0], ref.A)
     np.testing.assert_array_equal(log.cmd[:, 1:], 0.0)
     m = metrics(log)
@@ -629,9 +623,10 @@ def test_more_position_noise_means_more_error(params, gain):
     ids=["noisy_circle"],
 )
 def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
-    # run_scenario calls the float cores of assemble_ctrl_state and
-    # control_step; replaying its sensor draws through the public API must
-    # reproduce every logged estimate and command bit for bit
+    # replaying the run's sensor draws through _sense and _decide, with the
+    # noisy measurement built by the quaternion records rather than by the
+    # run loop's _sense_truth, must reproduce every logged estimate and
+    # command bit for bit
     sc = scenario_from_dict(
         {"name": "replay", "duration": 0.5, "physics_substeps": 4, "seed": 11,
          "initial": {"pos": [0.03, -0.01, 0.0], "euler_deg": [4.0, -3.0, 20.0]},
@@ -640,19 +635,19 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
     )
     log = run_scenario(sc, params, gain)
     rng = np.random.default_rng(sc.seed)
-    T, prev = sc.control_period, None
+    T, carry, K, hover = sc.control_period, None, gain.tolist(), hover_thrust(params)
     for k in range(len(log)):
         att = EulerAngles321(*log.euler[k])
         pos = log.pos_w[k] + rng.normal(0.0, sc.noise.pos_sigma, 3)
         q = quat_multiply(euler_to_quat(att),
                           quat_from_rotvec(rng.normal(0.0, sc.noise.att_sigma, 3)))
-        s = assemble_ctrl_state(pos, q, prev, T)
-        out = control_step(gain, s, sc.schedule(k * T), params)
-        assert s.sigma().tobytes() == log.sigma[k].tobytes(), k
-        assert out.cmd.as_array().tobytes() == log.cmd[k].tobytes(), k
-        assert out.wrench.as_array().tobytes() == log.wrench[k].tobytes(), k
-        assert out.saturated == bool(log.saturated[k]), k
-        prev = s
+        est, carry = _sense(pos.tolist(), q.as_array().tolist(), carry, T)
+        sp = sc.schedule(k * T)
+        *out, saturated = _decide(K, est, sp.pos_w.tolist(), sp.vel_w.tolist(), params, hover)
+        assert np.array(_sigma(est)).tobytes() == log.sigma[k].tobytes(), k
+        assert np.array(out[:3]).tobytes() == log.cmd[k].tobytes(), k
+        assert np.array(out[3:]).tobytes() == log.wrench[k].tobytes(), k
+        assert saturated == bool(log.saturated[k]), k
 
 
 @pytest.mark.parametrize(

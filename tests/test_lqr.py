@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg
 
 import oracles
-from conftest import UNSTABLE_WEIGHTS
+from conftest import UNSTABLE_WEIGHTS, reduced_dynamics
 from flapsim.errors import ConfigError, SynthesisError
 from flapsim.lqr import (
     CONTROL_RATE,
@@ -27,11 +27,9 @@ from flapsim.lqr import (
     LinearModel,
     LqrWeights,
     default_weights,
-    finite_diff_jacobian,
     linearize_hover,
     lqr_gain,
     read_gain_csv,
-    reduced_dynamics,
     solve_care,
     write_gain_csv,
 )
@@ -73,22 +71,6 @@ def test_linearize_hover_structure(params):
     row = A[2].copy()
     row[5] = 0.0
     assert np.all(row == 0.0)
-
-
-def test_linearization_matches_finite_differences(params):
-    m = linearize_hover(params)
-    fd = finite_diff_jacobian(params, h=1e-6)
-    for M, M_fd in ((m.A, fd.A), (m.B, fd.B)):
-        nz = M != 0.0
-        assert np.all(np.abs(M_fd[nz] - M[nz]) <= 1e-6 * np.abs(M[nz]))
-        assert np.all(np.abs(M_fd[~nz]) <= 1e-8)
-
-
-def test_finite_diff_step_bounds(params):
-    with pytest.raises(ValueError):
-        finite_diff_jacobian(params, h=1e-9)
-    with pytest.raises(ValueError):
-        finite_diff_jacobian(params, h=1e-3)
 
 
 def test_reduced_dynamics_matches_full_model_at_samples(params):

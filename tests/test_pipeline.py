@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import make_trim_flight, src_env
+from conftest import make_trim_flight, src_env, write_mocap_csv
 from flapsim.errors import ConfigError, GimbalLockError, SchemaError
 from flapsim.ioutil import read_table, table_text
 from flapsim.harness import RUNLOG_COLUMNS, Scenario, run_scenario
@@ -45,9 +45,8 @@ from flapsim.pipeline import (
     reconstruct_runlog,
     trajectory_from_runlog,
     validate_model,
-    write_mocap_csv,
 )
-from flapsim.vehicle import ActuatorCmd, Wrench, cmd_to_wrench, hover_cmd, hover_thrust
+from flapsim.vehicle import ActuatorCmd, Wrench, cmd_to_wrench, hover_thrust, wrench_to_cmd
 
 
 def constant_trajectory(n=120, pos=(0.1, 0.2, 0.3), euler=(0.0, 0.0, 0.0), rate=240.0):
@@ -558,7 +557,7 @@ def test_attach_wrench_zero_order_hold():
 
 def test_attach_commands_maps_through_actuator_fits(params):
     rs = reconstruct(constant_trajectory(n=120))
-    ref = hover_cmd(params)
+    ref, _ = wrench_to_cmd(params, Wrench(hover_thrust(params), 0.0, 0.0))
     rs2 = rs.attach_commands([0.0], [[ref.A, ref.dA, ref.Vo]], params)
     np.testing.assert_allclose(rs2.wrench[:, 0], hover_thrust(params), rtol=1e-9)
     np.testing.assert_array_equal(rs2.wrench[:, 1:], 0.0)
@@ -800,7 +799,8 @@ def scalar_reconstruction(tr):
         vel_b.append(R.T @ v)
 
     def rate(i0, i1):
-        dq = quat_multiply(Quaternion(*quat[i0]).conjugate(), Quaternion(*quat[i1]))
+        w, x, y, z = quat[i0]
+        dq = quat_multiply(Quaternion(w, -x, -y, -z), Quaternion(*quat[i1]))
         return quat_to_rotvec(dq.canonical().normalized()) / (tr.t[i1] - tr.t[i0])
 
     n = len(quat)

@@ -1,9 +1,11 @@
-"""Parameter table, actuator fits and their inverses, drive-signal synthesis."""
+"""Parameter table, actuator fits and their inverses, parameter files."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import yaml
 
 from flapsim.errors import ConfigError
 from flapsim.vehicle import (
@@ -13,12 +15,8 @@ from flapsim.vehicle import (
     Wrench,
     cmd_to_wrench,
     default_robofly_params,
-    drive_signal,
-    hover_cmd,
     hover_thrust,
     load_params,
-    save_params,
-    saturate_cmd,
     wrench_to_cmd,
 )
 
@@ -50,7 +48,8 @@ def test_builtin_profile_name():
 
 def test_hover_thrust_and_command(params):
     assert hover_thrust(params) == pytest.approx(1.8247e-3, rel=1e-4)
-    cmd = hover_cmd(params)
+    cmd, saturated = wrench_to_cmd(params, Wrench(hover_thrust(params), 0.0, 0.0))
+    assert not saturated
     # the quoted two-decimal amplitude is a rounded presentation of the fit;
     # exact arithmetic gives 129.1945 V
     assert cmd.A == pytest.approx(129.17, abs=0.05)
@@ -110,8 +109,10 @@ def test_saturation_flags_and_clips(params):
     assert sat2
     assert cmd2.dA == params.dA_limit
     assert cmd2.Vo == -params.Vo_limit
-    _, sat3 = saturate_cmd(params, ActuatorCmd(100.0, 0.0, 0.0))
+    inside = ActuatorCmd(100.0, 0.0, 0.0)
+    cmd3, sat3 = wrench_to_cmd(params, cmd_to_wrench(params, inside))
     assert not sat3
+    assert cmd3.A == pytest.approx(inside.A, rel=1e-12)
 
 
 def test_torque_fits_linear_and_odd(params):
@@ -132,35 +133,6 @@ def test_peak_angular_accel_scale(params):
     # decade for this vehicle
     accel = params.roll_slope * params.dA_limit / params.J[0]
     assert 1e3 <= accel <= 1e4
-
-
-def test_drive_signal_examples(params):
-    assert drive_signal(params, ActuatorCmd(150.0, 0.0, 0.0), 0.0) == pytest.approx(125.0)
-    t_quarter = 1.0 / (4.0 * params.flap_freq)
-    v = drive_signal(params, ActuatorCmd(200.0, 0.0, 0.0), t_quarter)
-    assert v == pytest.approx(225.0, rel=1e-9)
-
-
-def test_drive_signal_differential_split(params):
-    cmd = ActuatorCmd(150.0, 10.0, 0.0)
-    t_peak = 1.0 / (4.0 * params.flap_freq)
-    t_trough = 3.0 * t_peak
-    amps = {}
-    offsets = {}
-    for side in ("left", "right"):
-        peak = drive_signal(params, cmd, t_peak, side=side)
-        trough = drive_signal(params, cmd, t_trough, side=side)
-        amps[side] = 0.5 * (peak - trough)
-        offsets[side] = 0.5 * (peak + trough)
-    assert amps["left"] - amps["right"] == pytest.approx(10.0, abs=1e-9)
-    assert offsets["left"] == pytest.approx(offsets["right"], abs=1e-9)
-    with pytest.raises(ValueError):
-        drive_signal(params, cmd, 0.0, side="up")
-
-
-def test_drive_signal_offset_term(params):
-    v = drive_signal(params, ActuatorCmd(150.0, 0.0, 20.0), 0.0)
-    assert v == pytest.approx(125.0 + 10.0)
 
 
 def test_params_validation_errors():
@@ -217,7 +189,9 @@ def test_params_file_refuses_non_finite_and_boolean_values(tmp_path, line):
 def test_params_file_round_trip(tmp_path, params):
     path = tmp_path / "veh.yaml"
     modified = VehicleParams(m=160e-6, dA_limit=35.0)
-    save_params(modified, str(path))
+    data = {k: list(v) if isinstance(v, tuple) else v
+            for k, v in dataclasses.asdict(modified).items()}
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
     loaded = load_params(str(path))
     assert loaded == modified
     assert loaded != params
