@@ -81,6 +81,24 @@ def reduced_dynamics(p, sigma, delta) -> np.ndarray:
         hover_thrust(p), sigma, delta)
 
 
+def finite_diff_jacobians(p, h=1e-6):
+    """Central-difference Jacobians (A, B) of :func:`reduced_dynamics` at hover."""
+    n, m = 10, 3
+    A = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = h
+        A[:, j] = (reduced_dynamics(p, e, np.zeros(m))
+                   - reduced_dynamics(p, -e, np.zeros(m))) / (2.0 * h)
+    B = np.empty((n, m))
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = h
+        B[:, j] = (reduced_dynamics(p, np.zeros(n), e)
+                   - reduced_dynamics(p, np.zeros(n), -e)) / (2.0 * h)
+    return A, B
+
+
 def make_openloop_log(p, duration=4.0, rate=240.0, substeps=42):
     """Open-loop flight under smooth sinusoidal thrust/torque inputs.
 

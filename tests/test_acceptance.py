@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_trim_flight, reduced_dynamics
+from conftest import finite_diff_jacobians, make_trim_flight
 
 from flapsim.dynamics import SimState, state_derivative
 from flapsim.harness import load_scenario, metrics, run_scenario, scenario_from_dict
@@ -131,25 +131,7 @@ def test_a01_riccati_solver_accuracy(params):
 def test_a02_linearization_matches_finite_differences(params):
     t0 = time.monotonic()
     model = linearize_hover(params)
-    n, m = model.B.shape
-
-    h = 1e-6
-    A_fd = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        A_fd[:, j] = (
-            reduced_dynamics(params, e, np.zeros(m))
-            - reduced_dynamics(params, -e, np.zeros(m))
-        ) / (2.0 * h)
-    B_fd = np.empty((n, m))
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = h
-        B_fd[:, j] = (
-            reduced_dynamics(params, np.zeros(n), e)
-            - reduced_dynamics(params, np.zeros(n), -e)
-        ) / (2.0 * h)
+    A_fd, B_fd = finite_diff_jacobians(params, h=1e-6)
 
     nz = model.A != 0.0
     rel_A = np.max(np.abs((A_fd[nz] - model.A[nz]) / model.A[nz]))

@@ -106,21 +106,6 @@ def test_derivative_matches_matrix_reference(params):
         np.testing.assert_allclose(d, ref, rtol=1e-9, atol=1e-9)
 
 
-def test_euler_rates_equal_body_rates_when_level(params):
-    rng = np.random.default_rng(20)
-    # level, any yaw: the Euler rates are the body rates, bit for bit
-    for _ in range(20):
-        omega = rng.uniform(-5.0, 5.0, 3)
-        s = SimState(np.zeros(3), np.zeros(3),
-                     EulerAngles321(0.0, 0.0, rng.uniform(-math.pi, math.pi)), omega)
-        d = state_derivative(params, s, Wrench(0.0, 0.0, 0.0))
-        assert np.array_equal(d[6:9], omega)
-    # a pure pitch rate moves only the pitch angle, at any pitch
-    s = SimState(np.zeros(3), np.zeros(3), EulerAngles321(0.0, 0.2, 0.0), (0.0, 1.0, 0.0))
-    d = state_derivative(params, s, Wrench(0.0, 0.0, 0.0))
-    np.testing.assert_allclose(d[6:9], [0.0, 1.0, 0.0], atol=1e-15)
-
-
 def test_negative_thrust_rejected(params):
     s = SimState.at_rest()
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from flapsim.dynamics import SimState, state_derivative
 from flapsim.errors import GimbalLockError
 from flapsim.kinematics import (
     GIMBAL_GUARD,
@@ -20,6 +21,7 @@ from flapsim.kinematics import (
     rotmat_to_euler,
     wrap_angle,
 )
+from flapsim.vehicle import Wrench
 
 
 def random_euler(rng, pitch_limit=1.4):
@@ -245,3 +247,24 @@ def test_rotvec_matches_constant_rate_oracle():
         q = quat_from_rotvec(omega * t)
         q_ref = oracles.constant_rate_quat(omega, t)
         np.testing.assert_allclose(q.as_array(), q_ref, atol=1e-12)
+
+
+def euler_rates(params, e, omega):
+    """The Euler-angle rates the equations of motion assign to body rates omega."""
+    s = SimState(np.zeros(3), np.zeros(3), e, omega)
+    return state_derivative(params, s, Wrench(0.0, 0.0, 0.0))[6:9]
+
+
+def test_euler_rate_matrix_identity_at_level(params):
+    rng = np.random.default_rng(20)
+    # level, any yaw: the Euler rates are the body rates, bit for bit
+    for yaw in [0.0] + list(rng.uniform(-math.pi, math.pi, 20)):
+        omega = rng.uniform(-5.0, 5.0, 3)
+        rates = euler_rates(params, EulerAngles321(0.0, 0.0, yaw), omega)
+        assert np.array_equal(rates, omega)
+
+
+def test_euler_rate_matrix_pure_pitch_rate(params):
+    # a pure pitch rate moves only the pitch angle, at any pitch
+    rates = euler_rates(params, EulerAngles321(0.0, 0.2, 0.0), (0.0, 1.0, 0.0))
+    np.testing.assert_allclose(rates, [0.0, 1.0, 0.0], atol=1e-15)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg
 
 import oracles
-from conftest import UNSTABLE_WEIGHTS, reduced_dynamics
+from conftest import UNSTABLE_WEIGHTS, finite_diff_jacobians, reduced_dynamics
 from flapsim.errors import ConfigError, SynthesisError
 from flapsim.lqr import (
     CONTROL_RATE,
@@ -71,6 +71,15 @@ def test_linearize_hover_structure(params):
     row = A[2].copy()
     row[5] = 0.0
     assert np.all(row == 0.0)
+
+
+def test_linearization_matches_finite_differences(params):
+    m = linearize_hover(params)
+    A_fd, B_fd = finite_diff_jacobians(params, h=1e-6)
+    for M, M_fd in ((m.A, A_fd), (m.B, B_fd)):
+        nz = M != 0.0
+        assert np.all(np.abs(M_fd[nz] - M[nz]) <= 1e-6 * np.abs(M[nz]))
+        assert np.all(np.abs(M_fd[~nz]) <= 1e-8)
 
 
 def test_reduced_dynamics_matches_full_model_at_samples(params):
