@@ -66,10 +66,6 @@ class Setpoint:
     pos_w: np.ndarray
     vel_w: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    @classmethod
-    def hold(cls, pos_w) -> "Setpoint":
-        return cls(np.asarray(pos_w, dtype=float), np.zeros(3))
-
 
 def _to_body(R: tuple, x: float, y: float, z: float) -> tuple:
     """R^T (x, y, z) for a row-major R: a world vector in the body frame."""
@@ -211,7 +207,7 @@ class CsvSchedule:
 
     @classmethod
     def from_csv(cls, path) -> "CsvSchedule":
-        _, a = read_table(path, cls.COLUMNS)
+        a = read_table(path, cls.COLUMNS)
         return cls(a[:, 0], a[:, 1:4], a[:, 4:7])
 
     def __call__(self, t: float) -> Setpoint:

@@ -29,6 +29,7 @@ the Scenario going in and the RunLog coming out.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -55,6 +56,7 @@ __all__ = [
     "DisturbancePulse",
     "disturbance_pulse",
     "Scenario",
+    "SCENARIO_KEYS",
     "scenario_from_dict",
     "load_scenario",
     "RunLog",
@@ -123,9 +125,6 @@ class DisturbancePulse:
             raise ConfigError("pulse needs t_end > t_start")
         object.__setattr__(self, "force_w", f)
 
-    def active(self, t: float) -> bool:
-        return self.t_start <= t < self.t_end
-
 
 def disturbance_pulse(
     p: VehicleParams,
@@ -173,9 +172,13 @@ class Scenario:
             raise ConfigError("duration must be positive and finite")
         if not 0.0 < self.control_rate < math.inf:
             raise ConfigError("control_rate must be positive and finite")
+        if self.duration * self.control_rate == math.inf:
+            raise ConfigError(f"duration {self.duration!r} s at {self.control_rate!r} Hz "
+                              "is too many control ticks to count")
         n = self.substeps
         if n is not None:
-            if isinstance(n, bool) or int(n) != n or n < 1:
+            if (isinstance(n, bool) or not isinstance(n, numbers.Real) or not math.isfinite(n)
+                    or int(n) != n or n < 1):
                 raise ConfigError(f"physics_substeps must be a positive integer, got {n!r}")
             object.__setattr__(self, "substeps", int(n))
         seed = self.seed
@@ -211,42 +214,58 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    unknown = set(section) - set(allowed)
+# The keys a scenario file may hold: the top level, each mapping section,
+# each pulse of disturbances, and each setpoint kind. README's Scenario YAML
+# bullet lists exactly these (tests/test_readme.py).
+SCENARIO_KEYS = {
+    "scenario": ("name", "duration", "seed", "control_rate", "physics_substeps",
+                 "initial", "setpoint", "noise", "disturbances"),
+    "initial": ("pos", "vel_b", "euler", "omega_b"),
+    "noise": ("enabled", "pos_sigma", "att_sigma"),
+    "disturbances": ("t_start", "duration", "magnitude_g", "direction"),
+    "constant": ("kind", "pos", "vel"),
+    "circle": ("kind", "radius", "speed", "center"),
+    "schedule": ("kind", "path"),
+}
+
+
+def _check_keys(cfg: dict, section: str, where: str) -> None:
+    unknown = set(cfg) - set(SCENARIO_KEYS[section])
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown, key=str)}")
 
 
-def _number(cfg: dict, key: str, where: str, default=None, integer: bool = False,
-            finite: bool = True):
-    """A real-number key: an int or a float, never a bool, a string or null.
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(cfg: dict, key: str, where: str, default=None, integer: bool = False):
+    """A finite real-number key: an int or a float, never a bool, a string or null.
 
     With ``integer`` it must also be integral (4.0, not 4.5) and comes back as an int.
-    It must be finite unless ``finite`` is false (for a caller with its own check).
     """
     v = cfg.get(key, default)
-    if (isinstance(v, bool) or not isinstance(v, (int, float))
-            or integer and isinstance(v, float) and not v.is_integer()):
+    if not _is_real(v) or integer and isinstance(v, float) and not v.is_integer():
         kind = "an integer" if integer else "a number"
         raise SchemaError(f"{where}: {key} must be {kind}, got {v!r}")
     try:
         v = int(v) if integer else float(v)
     except OverflowError:  # an int beyond the float range
         raise SchemaError(f"{where}: {key} is out of range") from None
-    if finite and not math.isfinite(v):
+    if not math.isfinite(v):
         raise SchemaError(f"{where}: {key} must be finite, got {v!r}")
     return v
 
 
 def _triple(cfg: dict, key: str, where: str) -> np.ndarray:
-    """A 3-vector key, zeros when absent; anything but 3 finite numbers is a SchemaError."""
+    """A 3-vector key, zeros when absent: a list of 3 finite numbers as ``_number`` takes them."""
     v = cfg.get(key, (0.0, 0.0, 0.0))
-    try:
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        a = None
-    if a is None or a.shape != (3,):
+    if not (isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_real, v))):
         raise SchemaError(f"{where}: {key} must be 3 numbers, got {v!r}")
+    try:
+        a = np.array(v, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise SchemaError(f"{where}: {key} is out of range") from None
     if not np.all(np.isfinite(a)):
         raise SchemaError(f"{where}: {key} must be finite, got {v!r}")
     return a
@@ -261,55 +280,42 @@ def _flag(cfg: dict, key: str, where: str) -> bool:
 
 
 def _initial_from_dict(cfg: dict) -> SimState:
-    _check_keys(cfg, {"pos", "vel_b", "euler", "euler_deg", "omega_b"}, "initial")
-    if "euler" in cfg and "euler_deg" in cfg:
-        raise SchemaError("initial: give euler or euler_deg, not both")
-    if "euler" in cfg:
-        eul = _triple(cfg, "euler", "initial").tolist()
-    else:
-        eul = [math.radians(v) for v in _triple(cfg, "euler_deg", "initial").tolist()]
+    _check_keys(cfg, "initial", "initial")
     return SimState(_triple(cfg, "pos", "initial"), _triple(cfg, "vel_b", "initial"),
-                    EulerAngles321(*eul), _triple(cfg, "omega_b", "initial"))
+                    EulerAngles321(*_triple(cfg, "euler", "initial").tolist()),
+                    _triple(cfg, "omega_b", "initial"))
 
 
 def _schedule_from_dict(cfg: dict, base_dir) -> object:
     kind = cfg.get("kind")
+    if kind not in ("constant", "circle", "schedule"):
+        raise SchemaError(f"setpoint: unknown kind {kind!r} (constant | circle | schedule)")
+    _check_keys(cfg, kind, "setpoint")
     if kind == "constant":
-        _check_keys(cfg, {"kind", "pos", "vel"}, "setpoint")
         sp = Setpoint(_triple(cfg, "pos", "setpoint"), _triple(cfg, "vel", "setpoint"))
         return ConstantSchedule(sp)
     if kind == "circle":
-        _check_keys(cfg, {"kind", "radius", "speed", "center"}, "setpoint")
         for key in ("radius", "speed"):
             if key not in cfg:
                 raise SchemaError(f"setpoint: circle needs {key}")
         return CircleSchedule(_number(cfg, "radius", "setpoint"), _number(cfg, "speed", "setpoint"),
                               _triple(cfg, "center", "setpoint"))
-    if kind == "schedule":
-        _check_keys(cfg, {"kind", "path"}, "setpoint")
-        if "path" not in cfg:
-            raise SchemaError("setpoint: schedule needs a path")
-        path = cfg["path"]
-        if not isinstance(path, str):
-            raise SchemaError(f"setpoint: path must be a string, got {path!r}")
-        if base_dir is not None:
-            path = os.path.join(os.fspath(base_dir), path)  # an absolute path replaces base_dir
-        return CsvSchedule.from_csv(path)
-    raise SchemaError(f"setpoint: unknown kind {kind!r} (constant | circle | schedule)")
+    if "path" not in cfg:
+        raise SchemaError("setpoint: schedule needs a path")
+    path = cfg["path"]
+    if not isinstance(path, str):
+        raise SchemaError(f"setpoint: path must be a string, got {path!r}")
+    if base_dir is not None:
+        path = os.path.join(os.fspath(base_dir), path)  # an absolute path replaces base_dir
+    return CsvSchedule.from_csv(path)
 
 
 def _noise_from_dict(cfg: dict) -> NoiseConfig:
-    _check_keys(cfg, {"enabled", "pos_sigma", "att_sigma", "att_sigma_deg"}, "noise")
-    if "att_sigma" in cfg and "att_sigma_deg" in cfg:
-        raise SchemaError("noise: give att_sigma or att_sigma_deg, not both")
-    if "att_sigma" in cfg:
-        att = _number(cfg, "att_sigma", "noise")
-    else:
-        att = math.radians(_number(cfg, "att_sigma_deg", "noise", 0.2))
+    _check_keys(cfg, "noise", "noise")
     return NoiseConfig(
         enabled=_flag(cfg, "enabled", "noise"),
-        pos_sigma=_number(cfg, "pos_sigma", "noise", 0.5e-3),
-        att_sigma=att,
+        pos_sigma=_number(cfg, "pos_sigma", "noise", NoiseConfig.pos_sigma),
+        att_sigma=_number(cfg, "att_sigma", "noise", NoiseConfig.att_sigma),
     )
 
 
@@ -319,33 +325,20 @@ def _pulses_from_list(entries, p: VehicleParams) -> tuple:
         where = f"disturbances[{i}]"
         if not isinstance(ent, dict):
             raise SchemaError(f"{where}: expected a mapping")
-        _check_keys(ent, {"t_start", "duration", "magnitude_g", "direction", "force"}, where)
+        _check_keys(ent, "disturbances", where)
         if "t_start" not in ent or "duration" not in ent:
             raise SchemaError(f"{where}: needs t_start and duration")
         t0 = _number(ent, "t_start", where)
         dur = _number(ent, "duration", where)
-        if "force" in ent:
-            if "magnitude_g" in ent or "direction" in ent:
-                raise SchemaError(f"{where}: give force or magnitude_g+direction, not both")
-            if not dur > 0.0:
-                raise SchemaError(f"{where}: duration must be positive")
-            pulses.append(DisturbancePulse(t0, t0 + dur, _triple(ent, "force", where)))
-        else:
-            if "magnitude_g" not in ent or "direction" not in ent:
-                raise SchemaError(f"{where}: needs magnitude_g and direction (or force)")
-            direction = _triple(ent, "direction", where)
-            magnitude = _number(ent, "magnitude_g", where)
-            try:
-                pulses.append(disturbance_pulse(p, magnitude, dur, direction, t0))
-            except ValueError as exc:
-                raise SchemaError(f"{where}: {exc}") from None
+        if "magnitude_g" not in ent or "direction" not in ent:
+            raise SchemaError(f"{where}: needs magnitude_g and direction")
+        direction = _triple(ent, "direction", where)
+        magnitude = _number(ent, "magnitude_g", where)
+        try:
+            pulses.append(disturbance_pulse(p, magnitude, dur, direction, t0))
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
     return tuple(pulses)
-
-
-_SCENARIO_KEYS = {
-    "name", "duration", "seed", "control_rate", "physics_substeps",
-    "initial", "setpoint", "noise", "disturbances",
-}
 
 
 def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None) -> Scenario:
@@ -360,7 +353,7 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
         p = default_robofly_params()
     if not isinstance(cfg, dict):
         raise SchemaError("scenario: top level must be a mapping")
-    _check_keys(cfg, _SCENARIO_KEYS, "scenario")
+    _check_keys(cfg, "scenario", "scenario")
     for req in ("name", "duration", "setpoint"):
         if req not in cfg:
             raise SchemaError(f"scenario: missing required key '{req}'")
@@ -368,8 +361,8 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
     name = cfg["name"]  # the stem of the files written under --out
     if not isinstance(name, str) or name != os.path.basename(name) or name in ("", ".", ".."):
         raise SchemaError(f"scenario: name must be a bare file name, got {name!r}")
-    control_rate = _number(cfg, "control_rate", "scenario", CONTROL_RATE, finite=False)
-    if not 0.0 < control_rate < math.inf:
+    control_rate = _number(cfg, "control_rate", "scenario", CONTROL_RATE)
+    if not control_rate > 0.0:
         raise SchemaError("scenario: control_rate must be positive and finite")
     # None: Scenario applies default_substeps
     substeps = (_number(cfg, "physics_substeps", "scenario", integer=True)

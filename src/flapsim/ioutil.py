@@ -30,20 +30,19 @@ def read_header(path) -> tuple:
         return _header(fh.readline())
 
 
-def read_table(path, columns, *, alternatives=(), min_rows=1, binary=()):
-    """Read a table file as ``(header, rows)``, rows an (n >= min_rows, width) float array.
+def read_table(path, columns, *, min_rows=1, binary=()) -> np.ndarray:
+    """Read a table file whose header is ``columns`` as an (n >= min_rows, width) float array.
 
-    The header is ``columns`` or one of ``alternatives``, returned so the
-    caller can reorder columns. Every value is read as ``float()`` reads it,
-    and blank lines are skipped. Values in the ``binary`` columns must be 0
-    or 1. Failures raise SchemaError ``path:line: ...``.
+    Every value is read as ``float()`` reads it, and blank lines are
+    skipped. Values in the ``binary`` columns must be 0 or 1. Failures
+    raise SchemaError ``path:line: ...``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty file")
     header = _header(lines[0])
-    if header != tuple(columns) and header not in alternatives:
+    if header != tuple(columns):
         raise SchemaError(
             f"{path}:1: header {','.join(header)!r} does not match {','.join(columns)!r}"
         )
@@ -84,7 +83,7 @@ def read_table(path, columns, *, alternatives=(), min_rows=1, binary=()):
             raise SchemaError(
                 f"{path}:{_row_lineno(body, k)}: {name} must be 0 or 1 ({fmt(rows[k, j])})"
             )
-    return header, rows
+    return rows
 
 
 def _rows_by_line(path, body, width) -> list:

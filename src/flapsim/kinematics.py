@@ -77,9 +77,6 @@ class EulerAngles321:
         object.__setattr__(self, "pitch", p)
         object.__setattr__(self, "yaw", wrap_angle(y))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.roll, self.pitch, self.yaw])
-
 
 @dataclass(frozen=True)
 class Quaternion:
@@ -90,17 +87,11 @@ class Quaternion:
     y: float
     z: float
 
-    def normalized(self) -> "Quaternion":
-        return Quaternion(*_normalized((self.w, self.x, self.y, self.z)))
-
     def canonical(self) -> "Quaternion":
         """Flip sign so w >= 0 (q and -q encode the same rotation)."""
         if self.w < 0.0:
             return Quaternion(-self.w, -self.x, -self.y, -self.z)
         return self
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
 
 
 def _normalized(q: tuple) -> tuple:

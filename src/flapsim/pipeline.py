@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 MOCAP_COLUMNS = ("t", "x", "y", "z", "qw", "qx", "qy", "qz")
-MOCAP_SCALAR_LAST = ("t", "x", "y", "z", "qx", "qy", "qz", "qw")
 COMMAND_COLUMNS = ("t", "A", "dA", "Vo")
 ENVELOPE_COLUMNS = ("tilt_lo_deg", "tilt_hi_deg", "speed_lo", "speed_hi", "count")
 ACCEL_AXES = ("u_dot", "v_dot", "w_dot", "p_dot", "q_dot", "r_dot")
@@ -95,7 +94,7 @@ def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _normalized(q: np.ndarray) -> np.ndarray:
-    """``Quaternion.normalized`` row by row."""
+    """Each row divided by its norm, as ``kinematics._normalized`` divides one quaternion."""
     w, x, y, z = q.T
     return q / np.sqrt(w * w + x * x + y * y + z * z)[:, None]
 
@@ -126,7 +125,6 @@ class MocapTrajectory:
     t: np.ndarray            # (n,)
     pos_w: np.ndarray        # (n, 3)
     quat: np.ndarray         # (n, 4) scalar-first, canonicalized w >= 0
-    source: str = ""
     sample_rate: float = field(init=False)
     gap_indices: tuple = field(init=False)
 
@@ -166,18 +164,11 @@ class MocapTrajectory:
         return len(self.t)
 
 
-def load_mocap_csv(path, source: str | None = None) -> MocapTrajectory:
-    """Read a pose CSV with header ``t,x,y,z,qw,qx,qy,qz``.
-
-    A scalar-last header (``...,qx,qy,qz,qw``) is accepted and reordered.
-    """
-    header, a = read_table(path, MOCAP_COLUMNS, alternatives=(MOCAP_SCALAR_LAST,), min_rows=2)
-    quat = [4, 5, 6, 7] if header == MOCAP_COLUMNS else [7, 4, 5, 6]
+def load_mocap_csv(path) -> MocapTrajectory:
+    """Read a pose CSV with header ``t,x,y,z,qw,qx,qy,qz``."""
+    a = read_table(path, MOCAP_COLUMNS, min_rows=2)
     try:
-        return MocapTrajectory(
-            a[:, 0], a[:, 1:4], a[:, quat],
-            source=str(path) if source is None else source,
-        )
+        return MocapTrajectory(a[:, 0], a[:, 1:4], a[:, 4:8])
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
@@ -194,12 +185,12 @@ def trajectory_from_runlog(log: RunLog) -> MocapTrajectory:
     qy = np.column_stack([np.cos(hp), zero, np.sin(hp), zero])
     qx = np.column_stack([np.cos(hr), np.sin(hr), zero, zero])
     quat = _quat_mul(_quat_mul(qz, qy), qx)
-    return MocapTrajectory(log.t, log.pos_w, quat, source=log.scenario_name or "runlog")
+    return MocapTrajectory(log.t, log.pos_w, quat)
 
 
 def load_runlog_csv(path) -> RunLog:
     """Read back a RunLog CSV (header must match the documented order)."""
-    _, a = read_table(path, RUNLOG_COLUMNS, binary=("saturated",))
+    a = read_table(path, RUNLOG_COLUMNS, binary=("saturated",))
     dt = np.diff(a[:, 0])
     # a one-row log keeps RunLog's default rate
     meta = {"control_rate": 1.0 / float(np.median(dt))} if len(dt) else {}
@@ -208,7 +199,7 @@ def load_runlog_csv(path) -> RunLog:
 
 def load_command_csv(path):
     """Read an actuator-command CSV (t, A, dA, Vo) -> (t, cmds (n,3))."""
-    _, a = read_table(path, COMMAND_COLUMNS)
+    a = read_table(path, COMMAND_COLUMNS)
     return a[:, 0], a[:, 1:4]
 
 
@@ -408,8 +399,8 @@ def _quat_rates(t: np.ndarray, quat: np.ndarray) -> np.ndarray:
     """Body rates from relative-rotation differencing (central in time).
 
     The first and last samples use one-sided differences. Per pair this
-    is ``quat_to_rotvec((conj(qa) * qb).normalized()) / dt`` with the
-    relative quaternion taken to w >= 0.
+    is ``quat_to_rotvec(conj(qa) * qb) / dt``, the relative quaternion
+    normalized and taken to w >= 0.
     """
     n = len(t)
     i0 = np.r_[0, 0:n - 2, n - 2]
@@ -625,11 +616,7 @@ class ValidationReport:
         atomic_write_text(path, table_text(cols, rows))
 
 
-def validate_model(
-    rs: ReconstructedStates,
-    p: VehicleParams,
-    window: tuple | None = None,
-) -> ValidationReport:
+def validate_model(rs: ReconstructedStates, p: VehicleParams) -> ValidationReport:
     """Compare measured accelerations against the stroke-averaged model.
 
     The model is evaluated with the recorded wrench and zero unmodeled
@@ -640,32 +627,25 @@ def validate_model(
         raise ValueError("no command/wrench channel attached; cannot validate")
     if len(rs) == 0:
         raise ValueError("empty reconstruction")
-    if window is None:
-        idx = np.arange(len(rs))
-    else:
-        t0, t1 = float(window[0]), float(window[1])
-        idx = np.nonzero((rs.t >= t0) & (rs.t <= t1))[0]
-        if len(idx) == 0:
-            raise ValueError("validation window contains no samples")
 
     # the packed 12-state rows that SimState.as_vector gives, angles wrapped as
     # EulerAngles321 wraps them
-    states = np.column_stack([rs.pos_w[idx], rs.vel_b[idx], rs.euler[idx], rs.omega_b[idx]])
+    states = np.column_stack([rs.pos_w, rs.vel_b, rs.euler, rs.omega_b])
     if not np.all(np.isfinite(states)):
         raise ValueError("state entries must be finite")
     states[:, 6] = _wrap(states[:, 6])
     states[:, 8] = _wrap(states[:, 8])
-    _check_pitch(states[:, 7], rs.t[idx])
+    _check_pitch(states[:, 7], rs.t)
     # state_derivative's inputs, zero residuals and force; at, ap, aq are per row
-    thrust, tau_r, tau_p = rs.wrench[idx].T
+    thrust, tau_r, tau_p = rs.wrench.T
     thrust = np.where(thrust > 0.0, thrust, 0.0)  # max(0.0, thrust) per row
     at, ap, aq, c = _forcing(_plant(p), thrust, tau_r, tau_p)
     ydot = _eom(*states[:, 3:].T, at, ap, aq, c, xp=np)
-    meas = np.column_stack([rs.accel_body[idx], rs.alpha_body[idx]])
+    meas = np.column_stack([rs.accel_body, rs.alpha_body])
     pred = np.column_stack([ydot[i] for i in (3, 4, 5, 9, 10, 11)])
     return ValidationReport(
         axes=ACCEL_AXES,
-        t=rs.t[idx].copy(),
+        t=rs.t.copy(),
         measured=meas,
         predicted=pred,
     )

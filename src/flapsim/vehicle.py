@@ -50,8 +50,6 @@ class VehicleParams:
     thrust_intercept: float = -0.0024  # [N]
     roll_slope: float = 0.48e-6      # [N m / V]
     pitch_slope: float = 0.11e-6     # [N m / V]
-    flap_freq: float = 180.0         # wing stroke frequency [Hz]
-    V_bias: float = 250.0            # drive bias voltage [V]
     g: float = 9.81                  # gravity [m/s^2]
     A_limits: tuple = (0.0, 250.0)   # common amplitude box [V]
     dA_limit: float = 40.0           # |dA| limit [V]
@@ -79,8 +77,8 @@ class VehicleParams:
         object.__setattr__(self, "A_limits", A_limits)
         if self.dA_limit <= 0 or self.Vo_limit <= 0:
             raise ConfigError("dA_limit and Vo_limit must be positive")
-        if self.flap_freq <= 0 or self.g <= 0:
-            raise ConfigError("flap_freq and g must be positive")
+        if self.g <= 0:
+            raise ConfigError("g must be positive")
 
     @property
     def total_mass(self) -> float:
@@ -95,9 +93,6 @@ class ActuatorCmd:
     dA: float
     Vo: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.A, self.dA, self.Vo])
-
 
 @dataclass(frozen=True)
 class Wrench:
@@ -106,9 +101,6 @@ class Wrench:
     thrust: float
     tau_r: float
     tau_p: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.thrust, self.tau_r, self.tau_p])
 
 
 def default_robofly_params() -> VehicleParams:
@@ -178,7 +170,7 @@ def load_params(source: str) -> VehicleParams:
     known = {f.name for f in fields(VehicleParams)}
     unknown = set(data) - known
     if unknown:
-        raise ConfigError(f"unknown parameter keys: {sorted(unknown, key=str)}")
+        raise ConfigError(f"unknown parameter keys {sorted(unknown, key=str)}")
     try:
         return replace(default_robofly_params(), **data)
     except (TypeError, ValueError) as exc:

@@ -174,7 +174,7 @@ def make_trim_flight(p, tilt_deg, duration=0.3, rate=240.0):
         if k < n - 1:
             for _ in range(4):
                 s = rk4_step(p, s, w, unmodeled=un, dt=T / 4)
-    return MocapTrajectory(t_arr, pos, quat, source="trim")
+    return MocapTrajectory(t_arr, pos, quat)
 
 
 @pytest.fixture(scope="session")

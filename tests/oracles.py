@@ -342,10 +342,10 @@ def filtfilt_direct(b, a, x, padlen: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def read_table_by_line(path, columns, *, alternatives=(), min_rows=1, binary=()):
+def read_table_by_line(path, columns, *, min_rows=1, binary=()):
     """The CSV table reader as ``float()`` on each value of each line.
 
-    Returns ``(header, rows)`` like the package reader and raises ValueError
+    Returns the rows like the package reader and raises ValueError
     with the same ``path:line: ...`` text on every malformed table.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -353,7 +353,7 @@ def read_table_by_line(path, columns, *, alternatives=(), min_rows=1, binary=())
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = tuple(h.strip() for h in lines[0].split(","))
-    if header != tuple(columns) and header not in alternatives:
+    if header != tuple(columns):
         raise ValueError(
             f"{path}:1: header {','.join(header)!r} does not match {','.join(columns)!r}"
         )
@@ -385,7 +385,7 @@ def read_table_by_line(path, columns, *, alternatives=(), min_rows=1, binary=())
         for k, row in enumerate(rows):
             if row[j] not in (0.0, 1.0):
                 raise ValueError(f"{path}:{linenos[k]}: {name} must be 0 or 1 ({row[j]!r})")
-    return header, np.array(rows)
+    return np.array(rows)
 
 
 def stitch_hemisphere_loop(quat) -> np.ndarray:

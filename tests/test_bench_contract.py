@@ -49,7 +49,8 @@ def test_traced_run_counts_one_sense_per_tick_and_one_rk4_per_substep(spans, par
     "extra",
     [
         # starts and ends inside ticks 2 and 7: those ticks sum the force per substep
-        {"disturbances": [{"t_start": 0.0105, "duration": 0.02, "force": [0.0, 2e-4, 0.0]}]},
+        {"disturbances": [{"t_start": 0.0105, "duration": 0.02, "magnitude_g": 0.1,
+                           "direction": [0.0, 1.0, 0.0]}]},
     ],
     ids=["pulse"],
 )

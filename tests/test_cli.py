@@ -192,15 +192,21 @@ def test_simulate_seed_and_noise_overrides(tmp_path):
         ("dt: 1.0e-4\n", [], "s.scenario: scenario: unknown keys ['dt']"),
         # an int key and a str key do not compare: the error still names both
         ("1: 2\nfoo: 3\n", [], "s.scenario: scenario: unknown keys [1, 'foo']"),
+        # a retired spelling is refused by name
         ("noise: {att_sigma_deg: true}\n", [],
-         "s.scenario: noise: att_sigma_deg must be a number, got True"),
-        ("disturbances:\n  - {t_start: null, duration: 0.1, force: [0.0, 0.0, 1.0e-4]}\n", [],
+         "s.scenario: noise: unknown keys ['att_sigma_deg']"),
+        ("disturbances:\n  - {t_start: null, duration: 0.1, magnitude_g: 0.1,"
+         " direction: [0.0, 0.0, 1.0]}\n", [],
          "s.scenario: disturbances[0]: t_start must be a number, got None"),
         ("disturbances:\n"
          "  - {t_start: 0.5, duration: .inf, magnitude_g: 1.0, direction: [0.0, 1.0, 0.0]}\n",
          [], "s.scenario: disturbances[0]: duration must be finite, got inf"),
-        ("disturbances:\n  - {t_start: .nan, duration: 0.1, force: [0.0, 0.0, 1.0e-4]}\n", [],
+        ("disturbances:\n  - {t_start: .nan, duration: 0.1, magnitude_g: 0.1,"
+         " direction: [0.0, 0.0, 1.0]}\n", [],
          "s.scenario: disturbances[0]: t_start must be finite, got nan"),
+        # the later duration key replaces write_offset_scenario's 0.5
+        ("duration: 1.0e+308\n", [],
+         "s.scenario: duration 1e+308 s at 240.0 Hz is too many control ticks to count"),
     ],
 )
 def test_simulate_rejects_bad_seed_and_flags_exits_1(tmp_path, capsys, extra, args, message):
@@ -213,16 +219,27 @@ def test_simulate_rejects_bad_seed_and_flags_exits_1(tmp_path, capsys, extra, ar
 @pytest.mark.parametrize(
     "body, message",
     [
+        # the retired spellings are refused by name before their length is looked at
         ("initial:\n  euler_deg: [0, 0]\nsetpoint:\n  kind: constant\n",
-         "initial: euler_deg must be 3 numbers, got [0, 0]"),
+         "initial: unknown keys ['euler_deg']"),
         ("setpoint:\n  kind: constant\ndisturbances:\n"
          "  - {t_start: 0.0, duration: 0.05, force: [0.0, 1.0e-4]}\n",
-         "disturbances[0]: force must be 3 numbers, got [0.0, 0.0001]"),
+         "disturbances[0]: unknown keys ['force']"),
         ("setpoint:\n  kind: schedule\n  path: 5\n", "setpoint: path must be a string, got 5"),
         ("setpoint:\n  kind: circle\n  radius: [1, 2]\n  speed: 0.1\n",
          "setpoint: radius must be a number, got [1, 2]"),
+        ("initial:\n  euler: [0, 0]\nsetpoint:\n  kind: constant\n",
+         "initial: euler must be 3 numbers, got [0, 0]"),
+        ("setpoint:\n  kind: constant\ndisturbances:\n"
+         "  - {t_start: 0.0, duration: 0.05, magnitude_g: 1.0, direction: [0.0, 1.0]}\n",
+         "disturbances[0]: direction must be 3 numbers, got [0.0, 1.0]"),
+        ("initial:\n  pos: [true, false, true]\nsetpoint:\n  kind: constant\n",
+         "initial: pos must be 3 numbers, got [True, False, True]"),
+        ("setpoint:\n  kind: constant\n  pos: [\"0.1\", 0, 0]\n",
+         "setpoint: pos must be 3 numbers, got ['0.1', 0, 0]"),
     ],
-    ids=["euler_deg", "force", "path", "radius"],
+    ids=["euler_deg", "force", "path", "radius", "euler", "direction", "booleans",
+         "quoted_number"],
 )
 def test_simulate_rejects_wrong_length_vectors_exits_1(tmp_path, capsys, body, message):
     scn = tmp_path / "v.scenario"
@@ -332,9 +349,31 @@ def test_gains_params_file_with_mixed_key_types_exits_1(tmp_path, capsys):
     veh.write_text("1: 2\nfoo: 3\n")
     assert main(["gains", "--params", str(veh), "--out", str(tmp_path), "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert "unknown parameter keys: [1, 'foo']" in err
+    assert "unknown parameter keys [1, 'foo']" in err
     assert "Traceback" not in err
     assert not (tmp_path / "gains.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["flap_freq", "V_bias"])
+def test_gains_params_file_with_a_retired_key_exits_1(tmp_path, capsys, key):
+    # no computation reads a stroke frequency or a bias voltage, so no file sets one
+    veh = tmp_path / "veh.yaml"
+    veh.write_text(f"{key}: 180.0\n")
+    assert main(["gains", "--params", str(veh), "--out", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown parameter keys ['{key}']" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "gains.csv").exists()
+
+
+def test_validate_scalar_last_mocap_header_exits_1(tmp_path, capsys):
+    mocap = tmp_path / "m.csv"
+    mocap.write_text("t,x,y,z,qx,qy,qz,qw\n0.0,0,0,0,0,0,0,1\n0.004,0,0,0,0,0,0,1\n")
+    assert main(["validate", str(mocap), "--out", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert (f"{mocap}:1: header 't,x,y,z,qx,qy,qz,qw' does not match 't,x,y,z,qw,qx,qy,qz'"
+            in err)
+    assert "Traceback" not in err
 
 
 def test_simulate_divergence_exits_2_with_partial_log(tmp_path, capsys, unstable_gain):

@@ -51,7 +51,7 @@ def sense(samples, dt=DT):
 
 
 def test_zero_error_gives_exact_hover_command(params, gain):
-    cmd, wrench, saturated = decide(gain, make_est(), Setpoint.hold((0.0, 0.0, 0.0)), params)
+    cmd, wrench, saturated = decide(gain, make_est(), Setpoint(np.zeros(3)), params)
     ref, _ = wrench_to_cmd(params, Wrench(hover_thrust(params), 0.0, 0.0))
     assert cmd.A == pytest.approx(ref.A, rel=1e-12)
     assert cmd.dA == 0.0
@@ -63,7 +63,7 @@ def test_zero_error_gives_exact_hover_command(params, gain):
 
 
 def test_altitude_error_raises_thrust(params, gain):
-    sp = Setpoint.hold((0.0, 0.0, 0.01))  # want to be 1 cm higher
+    sp = Setpoint(np.array([0.0, 0.0, 0.01]))  # want to be 1 cm higher
     _, wrench, saturated = decide(gain, make_est(), sp, params)
     assert wrench.thrust > hover_thrust(params)
     # level attitude: the error enters only through the d_z gain entry
@@ -80,12 +80,12 @@ def test_forward_error_commands_pitch_not_roll(params, gain):
     e_lim = tau_lim / gain[2, 0]
     # inside the torque box the applied pitch torque equals the linear
     # gain action exactly
-    _, wrench, saturated = decide(gain, est, Setpoint.hold((0.5 * e_lim, 0.0, 0.0)), params)
+    _, wrench, saturated = decide(gain, est, Setpoint(np.array([0.5 * e_lim, 0.0, 0.0])), params)
     assert wrench.tau_p == pytest.approx(gain[2, 0] * 0.5 * e_lim, rel=1e-9)
     assert abs(wrench.tau_r) <= 1e-15
     assert saturated is False
     # beyond it the pitch channel clamps at its limit
-    _, big, big_saturated = decide(gain, est, Setpoint.hold((2.0 * e_lim, 0.0, 0.0)), params)
+    _, big, big_saturated = decide(gain, est, Setpoint(np.array([2.0 * e_lim, 0.0, 0.0])), params)
     assert big_saturated is True
     assert big.tau_p == pytest.approx(tau_lim, rel=1e-12)
     assert abs(big.tau_r) <= 1e-15
@@ -110,7 +110,7 @@ def test_command_invariant_under_world_yaw(params, gain):
 
 
 def test_large_error_sets_saturation_flag(params, gain):
-    _, _, saturated = decide(gain, make_est(), Setpoint.hold((0.0, 0.0, 5.0)), params)
+    _, _, saturated = decide(gain, make_est(), Setpoint(np.array([0.0, 0.0, 5.0])), params)
     assert saturated is True
 
 
@@ -168,7 +168,7 @@ def test_sigma_layout():
 
 
 def test_setpoint_hold_and_validation():
-    sp = Setpoint.hold((1.0, 2.0, 3.0))
+    sp = Setpoint(np.array([1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(sp.vel_w, 0.0)
     np.testing.assert_allclose(sp.pos_w, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="pos_w"):
@@ -220,7 +220,7 @@ def test_circle_reference_validation():
 
 
 def test_constant_schedule():
-    sp = Setpoint.hold((0.0, 0.0, 0.1))
+    sp = Setpoint(np.array([0.0, 0.0, 0.1]))
     sched = ConstantSchedule(sp)
     assert sched(0.0) is sched(99.0)
     np.testing.assert_array_equal(sched(0.0).pos_w, sp.pos_w)

@@ -42,7 +42,11 @@ from flapsim.kinematics import (
 from flapsim.pipeline import load_runlog_csv
 from flapsim.vehicle import Wrench, hover_thrust, wrench_to_cmd
 
-HOLD_ORIGIN = ConstantSchedule(Setpoint.hold((0.0, 0.0, 0.0)))
+HOLD_ORIGIN = ConstantSchedule(Setpoint(np.zeros(3), np.zeros(3)))
+
+
+# roll 4, pitch -3 and yaw 20 degrees
+TILTED_YAWED = [math.radians(4.0), math.radians(-3.0), math.radians(20.0)]
 
 
 def hover_state(pos=(0.0, 0.0, 0.0)):
@@ -83,28 +87,29 @@ def synthetic_log(t, err_x=None, pos=None, euler=None, vel_b=None, saturated=Non
 # ---------------------------------------------------------------------------
 
 
-def test_scenario_from_dict_full(tmp_path):
+def test_scenario_from_dict_full(params):
     cfg = {
         "name": "custom",
         "duration": 1.5,
         "seed": 3,
         "control_rate": 120.0,
         "physics_substeps": 10,
-        "initial": {"pos": [0.1, 0.0, 0.0], "euler_deg": [0.0, 5.0, 0.0]},
+        "initial": {"pos": [0.1, 0.0, 0.0], "euler": [0.0, 0.09, 0.0]},
         "setpoint": {"kind": "constant", "pos": [0.0, 0.0, 0.2]},
-        "noise": {"enabled": True, "pos_sigma": 1e-3, "att_sigma_deg": 0.5},
+        "noise": {"enabled": True, "pos_sigma": 1e-3, "att_sigma": 0.01},
         "disturbances": [
             {"t_start": 0.5, "duration": 0.05, "magnitude_g": 2.0, "direction": [0, 1, 0]},
-            {"t_start": 1.0, "duration": 0.1, "force": [0.0, 0.0, -1e-3]},
+            {"t_start": 1.0, "duration": 0.1, "magnitude_g": 0.5, "direction": [0.0, 0.0, -1.0]},
         ],
     }
-    sc = scenario_from_dict(cfg)
+    sc = scenario_from_dict(cfg, params)
     assert sc.name == "custom" and sc.seed == 3
     assert sc.control_rate == 120.0 and sc.physics_substeps == 10
-    assert sc.initial.att.pitch == pytest.approx(math.radians(5.0), rel=1e-12)
-    assert sc.noise.enabled and sc.noise.att_sigma == pytest.approx(math.radians(0.5))
+    assert sc.initial.att.pitch == 0.09
+    assert sc.noise.enabled and sc.noise.att_sigma == 0.01
     assert len(sc.disturbances) == 2
-    np.testing.assert_allclose(sc.disturbances[1].force_w, [0.0, 0.0, -1e-3])
+    np.testing.assert_allclose(sc.disturbances[1].force_w,
+                               [0.0, 0.0, -0.5 * params.g * params.total_mass], rtol=1e-15)
     sp = sc.schedule(0.0)
     np.testing.assert_allclose(sp.pos_w, [0.0, 0.0, 0.2])
 
@@ -116,9 +121,12 @@ def test_scenario_from_dict_full(tmp_path):
         ({"physics_substeps": 42, "dt": 1e-4}, "unknown keys"),
         ({"dt": 0.003}, "unknown keys"),
         ({"dt": -1e-4}, "unknown keys"),
-        ({"initial": {"euler": [0, 0, 0], "euler_deg": [0, 0, 0]}}, "not both"),
+        # a retired spelling is refused by name
+        ({"initial": {"euler": [0, 0, 0], "euler_deg": [0, 0, 0]}},
+         re.escape("initial: unknown keys ['euler_deg']")),
         ({"initial": {"position": [0, 0, 0]}}, "unknown keys"),
-        ({"noise": {"att_sigma": 0.1, "att_sigma_deg": 5.0}}, "not both"),
+        ({"noise": {"att_sigma": 0.1, "att_sigma_deg": 5.0}},
+         re.escape("noise: unknown keys ['att_sigma_deg']")),
         ({"setpoint": {"kind": "spiral"}}, "unknown kind"),
         ({"setpoint": {"kind": "circle", "speed": 0.1}}, "circle needs"),
         ({"setpoint": {"kind": "schedule"}}, "needs a path"),
@@ -126,7 +134,7 @@ def test_scenario_from_dict_full(tmp_path):
         (
             {"disturbances": [{"t_start": 0, "duration": 0.1, "force": [0, 0, 1],
                                "magnitude_g": 1, "direction": [0, 0, 1]}]},
-            "not both",
+            re.escape("disturbances[0]: unknown keys ['force']"),
         ),
         ({"disturbances": [{"t_start": 0, "duration": 0.1}]}, "magnitude_g and direction"),
         ({"disturbances": ["pulse"]}, "expected a mapping"),
@@ -135,7 +143,7 @@ def test_scenario_from_dict_full(tmp_path):
         ({"physics_substeps": 4.5}, "physics_substeps must be an integer"),
         ({"seed": 1.9}, "seed must be an integer"),
         ({"setpoint": {"kind": "constant", "yaw": 0.3}}, "unknown keys"),
-        ({"control_rate": math.nan}, "control_rate must be positive and finite"),
+        ({"control_rate": -0.0}, "control_rate must be positive and finite"),
         ({"noise": {"enabled": "false"}}, "noise: enabled must be true or false"),
         ({"use_truth_velocity": "false"}, "scenario: unknown keys"),
         ({"legacy_coriolis": False}, "scenario: unknown keys"),
@@ -150,16 +158,18 @@ def test_scenario_from_dict_full(tmp_path):
         ({"dt": "1e-4"}, "scenario: unknown keys"),
         ({"noise": {"pos_sigma": "0.001"}}, "noise: pos_sigma must be a number, got '0.001'"),
         ({"noise": {"att_sigma": None}}, "noise: att_sigma must be a number, got None"),
-        ({"noise": {"att_sigma_deg": True}}, "noise: att_sigma_deg must be a number, got True"),
+        ({"noise": {"att_sigma": True}}, "noise: att_sigma must be a number, got True"),
         ({"setpoint": {"kind": "circle", "radius": True, "speed": 0.1}},
          "setpoint: radius must be a number, got True"),
         ({"setpoint": {"kind": "circle", "radius": [1, 2], "speed": 0.1}},
          "setpoint: radius must be a number, got "),
         ({"setpoint": {"kind": "circle", "radius": 0.1, "speed": "0.1"}},
          "setpoint: speed must be a number, got '0.1'"),
-        ({"disturbances": [{"t_start": None, "duration": 0.1, "force": [0, 0, 1e-4]}]},
+        ({"disturbances": [{"t_start": None, "duration": 0.1, "magnitude_g": 0.1,
+                            "direction": [0, 0, 1]}]},
          "t_start must be a number, got None"),
-        ({"disturbances": [{"t_start": 0.0, "duration": True, "force": [0, 0, 1e-4]}]},
+        ({"disturbances": [{"t_start": 0.0, "duration": True, "magnitude_g": 0.1,
+                            "direction": [0, 0, 1]}]},
          "duration must be a number, got True"),
         ({"disturbances": [{"t_start": 0.0, "duration": 0.1, "magnitude_g": "1",
                             "direction": [0, 0, 1]}]},
@@ -170,20 +180,22 @@ def test_scenario_from_dict_full(tmp_path):
         ({"name": ""}, "scenario: name must be a bare file name, got ''"),
         ({"name": 5}, "scenario: name must be a bare file name, got 5"),
         ({"control_rate": 0.0}, "scenario: control_rate must be positive and finite"),
-        ({"control_rate": -math.inf}, "scenario: control_rate must be positive and finite"),
-        ({"disturbances": [{"t_start": 0.0, "duration": math.inf, "force": [0, 0, 1e-4]}]},
+        ({"control_rate": -240}, "scenario: control_rate must be positive and finite"),
+        # the duration is read before the pulse is found to lack magnitude_g and direction
+        ({"disturbances": [{"t_start": 0.0, "duration": math.inf}]},
          "duration must be finite, got inf"),
         ({"disturbances": [{"t_start": 0.0, "duration": math.inf, "magnitude_g": 1.0,
                             "direction": [0, 0, 1]}]},
          "duration must be finite, got inf"),
-        ({"disturbances": [{"t_start": math.nan, "duration": 0.1, "force": [0, 0, 1e-4]}]},
+        ({"disturbances": [{"t_start": math.nan, "duration": 0.1, "magnitude_g": 0.1,
+                            "direction": [0, 0, 1]}]},
          "t_start must be finite, got nan"),
         # every non-finite value is refused by its key, before any arithmetic on it
         ({"duration": math.nan}, re.escape("scenario: duration must be finite, got nan")),
         ({"initial": {"pos": [math.nan, 0.0, 0.0]}},
          re.escape("initial: pos must be finite, got [nan, 0.0, 0.0]")),
-        ({"initial": {"euler_deg": [0.0, math.inf, 0.0]}},
-         re.escape("initial: euler_deg must be finite, got [0.0, inf, 0.0]")),
+        ({"initial": {"euler": [0.0, math.inf, 0.0]}},
+         re.escape("initial: euler must be finite, got [0.0, inf, 0.0]")),
         ({"setpoint": {"kind": "constant", "vel": [0.0, 0.0, -math.inf]}},
          re.escape("setpoint: vel must be finite, got [0.0, 0.0, -inf]")),
         ({"setpoint": {"kind": "circle", "radius": math.inf, "speed": 0.1}},
@@ -191,16 +203,26 @@ def test_scenario_from_dict_full(tmp_path):
         ({"setpoint": {"kind": "circle", "radius": 0.1, "speed": 0.1, "center": [math.nan, 0, 0]}},
          re.escape("setpoint: center must be finite, got [nan, 0, 0]")),
         ({"noise": {"pos_sigma": math.inf}}, re.escape("noise: pos_sigma must be finite, got inf")),
-        ({"noise": {"att_sigma_deg": math.nan}},
-         re.escape("noise: att_sigma_deg must be finite, got nan")),
-        ({"disturbances": [{"t_start": 0.0, "duration": 0.1, "force": [math.inf, 0, 0]}]},
-         re.escape("disturbances[0]: force must be finite, got [inf, 0, 0]")),
+        ({"noise": {"att_sigma": math.nan}},
+         re.escape("noise: att_sigma must be finite, got nan")),
+        ({"disturbances": [{"t_start": 0.0, "duration": 0.0, "magnitude_g": 1.0,
+                            "direction": [0, 0, 1]}]},
+         re.escape("disturbances[0]: pulse duration must be positive")),
         ({"disturbances": [{"t_start": 0.0, "duration": 0.1, "magnitude_g": 1.0,
                             "direction": [math.inf, 0, 0]}]},
          re.escape("disturbances[0]: direction must be finite, got [inf, 0, 0]")),
         ({"disturbances": [{"t_start": 0.0, "duration": 0.1, "magnitude_g": math.inf,
                             "direction": [0, 0, 1]}]},
          re.escape("disturbances[0]: magnitude_g must be finite, got inf")),
+        ({"control_rate": math.nan}, re.escape("scenario: control_rate must be finite, got nan")),
+        ({"control_rate": -math.inf},
+         re.escape("scenario: control_rate must be finite, got -inf")),
+        # a vector's entries are numbers as _number takes them: no bool, string or huge int
+        ({"initial": {"pos": [True, False, True]}},
+         re.escape("initial: pos must be 3 numbers, got [True, False, True]")),
+        ({"setpoint": {"kind": "constant", "pos": ["0.1", 0, 0]}},
+         re.escape("setpoint: pos must be 3 numbers, got ['0.1', 0, 0]")),
+        ({"initial": {"vel_b": [10**400, 0, 0]}}, "initial: vel_b is out of range"),
     ],
 )
 def test_scenario_from_dict_rejects(patch, match):
@@ -224,18 +246,22 @@ def test_scenario_from_dict_rejects(patch, match):
         ({"initial": {"vel_b": [0.0, 0.0]}}, "initial: vel_b"),
         ({"initial": {"omega_b": [0.0, 0.0]}}, "initial: omega_b"),
         ({"initial": {"euler": [0.0, 0.0]}}, "initial: euler"),
-        ({"initial": {"euler_deg": [0.0, 0.0]}}, "initial: euler_deg"),
+        ({"initial": {"euler": [0.0, 0.0, 0.0, 0.0]}}, "initial: euler"),
         ({"initial": {"pos": 5.0}}, "initial: pos"),
         ({"initial": {"pos": [0.0, 0.0, "up"]}}, "initial: pos"),
         ({"setpoint": {"kind": "constant", "pos": [0.0, 0.0]}}, "setpoint: pos"),
         ({"setpoint": {"kind": "constant", "vel": [0.0, 0.0, 0.0, 0.0]}}, "setpoint: vel"),
         ({"setpoint": {"kind": "circle", "radius": 0.1, "speed": 0.1, "center": [0.0, 0.0]}},
          "setpoint: center"),
-        ({"disturbances": [{"t_start": 0.0, "duration": 0.1, "force": [0.0, 1e-4]}]},
-         "disturbances[0]: force"),
+        ({"disturbances": [{"t_start": 0.0, "duration": 0.1, "magnitude_g": 1.0,
+                            "direction": [0.0, 1.0, 0.0, 0.0]}]},
+         "disturbances[0]: direction"),
         ({"disturbances": [{"t_start": 0.0, "duration": 0.1, "magnitude_g": 1.0,
                             "direction": [0.0, 1.0]}]},
          "disturbances[0]: direction"),
+        ({"setpoint": {"kind": "constant", "vel": [False, 0.0, 0.0]}}, "setpoint: vel"),
+        ({"setpoint": {"kind": "circle", "radius": 0.1, "speed": 0.1, "center": [0, None, 0]}},
+         "setpoint: center"),
     ],
 )
 def test_scenario_vectors_must_be_three_numbers(patch, where):
@@ -456,6 +482,19 @@ def test_scenario_validation():
             NoiseConfig(enabled=True, **sigmas)
 
 
+def test_scenario_refuses_a_tick_count_that_overflows():
+    # duration * control_rate overflows to inf: no tick count, so no run
+    with pytest.raises(ConfigError, match="too many control ticks"):
+        Scenario(name="x", duration=1.0e308, initial=hover_state(), schedule=HOLD_ORIGIN)
+    with pytest.raises(ConfigError, match="too many control ticks"):
+        scenario_from_dict({"name": "x", "duration": 1.0e308, "setpoint": {"kind": "constant"}})
+    sc = Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN)
+    for n in (math.inf, -math.inf, math.nan, "4", 4.5):
+        with pytest.raises(ConfigError, match="physics_substeps must be a positive integer"):
+            dataclasses.replace(sc, substeps=n)
+    assert dataclasses.replace(sc, substeps=np.int64(6)).physics_substeps == 6
+
+
 # ---------------------------------------------------------------------------
 # disturbance pulses
 # ---------------------------------------------------------------------------
@@ -465,8 +504,9 @@ def test_disturbance_pulse_scaling(params):
     pulse = disturbance_pulse(params, 2.5, 0.05, (0.0, 1.0, 0.0), t_start=0.5)
     assert pulse.force_w[1] == pytest.approx(2.5 * 9.81 * params.total_mass, rel=1e-12)
     assert pulse.force_w[0] == 0.0 and pulse.force_w[2] == 0.0
-    assert pulse.active(0.5) and pulse.active(0.5499)
-    assert not pulse.active(0.55) and not pulse.active(0.4999)
+    # the pulse acts on [t_start, t_end)
+    assert pulse.t_start <= 0.5 < pulse.t_end and pulse.t_start <= 0.5499 < pulse.t_end
+    assert not pulse.t_start <= 0.55 < pulse.t_end and not pulse.t_start <= 0.4999 < pulse.t_end
 
 
 def test_disturbance_pulse_validation(params):
@@ -555,7 +595,7 @@ def test_pulse_outside_run_window_is_inert(params, gain):
 
 
 def test_schedule_returning_position_only_setpoint_runs(params, gain):
-    # Setpoint(pos) defaults vel_w to zeros, as Setpoint.hold does
+    # Setpoint(pos) defaults vel_w to zeros, as HOLD_ORIGIN gives them
     sc = Scenario(name="a", duration=0.1, initial=hover_state(),
                   schedule=lambda t: Setpoint(np.zeros(3)), substeps=4)
     held = dataclasses.replace(sc, schedule=HOLD_ORIGIN)
@@ -629,7 +669,7 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
     # command bit for bit
     sc = scenario_from_dict(
         {"name": "replay", "duration": 0.5, "physics_substeps": 4, "seed": 11,
-         "initial": {"pos": [0.03, -0.01, 0.0], "euler_deg": [4.0, -3.0, 20.0]},
+         "initial": {"pos": [0.03, -0.01, 0.0], "euler": TILTED_YAWED},
          "noise": {"enabled": True}, **extra},
         params,
     )
@@ -641,7 +681,7 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
         pos = log.pos_w[k] + rng.normal(0.0, sc.noise.pos_sigma, 3)
         q = quat_multiply(euler_to_quat(att),
                           quat_from_rotvec(rng.normal(0.0, sc.noise.att_sigma, 3)))
-        est, carry = _sense(pos.tolist(), q.as_array().tolist(), carry, T)
+        est, carry = _sense(pos.tolist(), [q.w, q.x, q.y, q.z], carry, T)
         sp = sc.schedule(k * T)
         *out, saturated = _decide(K, est, sp.pos_w.tolist(), sp.vel_w.tolist(), params, hover)
         assert np.array(_sigma(est)).tobytes() == log.sigma[k].tobytes(), k
@@ -654,7 +694,7 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
     "extra",
     [
         {"noise": {"enabled": True},
-         "initial": {"pos": [0.03, -0.01, 0.0], "euler_deg": [4.0, -3.0, 20.0]}},
+         "initial": {"pos": [0.03, -0.01, 0.0], "euler": TILTED_YAWED}},
         {"initial": {"vel_b": [0.05, -0.02, 0.01], "omega_b": [0.5, -0.3, 0.8]}},
         # edges 0.3 ms into substep 1 of tick 24 and 0.2 ms into substep 2 of tick 31
         {"disturbances": [{"t_start": 0.1013, "duration": 0.0302, "magnitude_g": 1.0,

@@ -53,7 +53,7 @@ def constant_trajectory(n=120, pos=(0.1, 0.2, 0.3), euler=(0.0, 0.0, 0.0), rate=
     t = np.arange(n) / rate
     q = euler_to_quat(EulerAngles321(*euler)).canonical()
     quat = np.tile([q.w, q.x, q.y, q.z], (n, 1))
-    return MocapTrajectory(t, np.tile(pos, (n, 1)), quat, source="synthetic")
+    return MocapTrajectory(t, np.tile(pos, (n, 1)), quat)
 
 
 def test_import_flapsim_leaves_scipy_signal_unloaded():
@@ -89,10 +89,8 @@ def test_load_mocap_minimal(tmp_path):
     tr = load_mocap_csv(f)
     assert len(tr) == 2
     assert tr.sample_rate == pytest.approx(100.0, rel=1e-9)
-    assert tr.source == str(f)
     assert tr.gap_indices == ()
-    tr2 = load_mocap_csv(f, source="flight-3")
-    assert tr2.source == "flight-3"
+    np.testing.assert_array_equal(tr.pos_w[:, 0], [0.0, 0.001])
 
 
 def test_load_mocap_canonicalizes_negated_quaternions(tmp_path):
@@ -109,15 +107,17 @@ def test_load_mocap_canonicalizes_negated_quaternions(tmp_path):
 
 
 def test_load_mocap_scalar_last_header(tmp_path):
+    # one column order: a scalar-last file is refused, not reordered
     f = tmp_path / "m.csv"
     f.write_text(
         "t,x,y,z,qx,qy,qz,qw\n"
         "0.0,1,2,3,0.0,0.0,0.0,1.0\n"
         "0.01,1,2,3,0.0,0.0,0.0,1.0\n"
     )
-    tr = load_mocap_csv(f)
-    np.testing.assert_array_equal(tr.quat[0], [1.0, 0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(tr.pos_w[0], [1.0, 2.0, 3.0])
+    with pytest.raises(SchemaError) as exc:
+        load_mocap_csv(f)
+    assert str(exc.value) == (
+        f"{f}:1: header 't,x,y,z,qx,qy,qz,qw' does not match 't,x,y,z,qw,qx,qy,qz'")
 
 
 @pytest.mark.parametrize(
@@ -184,12 +184,11 @@ def test_mocap_gap_detection():
 
 
 def test_trajectory_from_runlog_matches_truth(params, gain):
-    sched = ConstantSchedule(Setpoint.hold((0.0, 0.0, 0.0)))
+    sched = ConstantSchedule(Setpoint(np.array([0.0, 0.0, 0.0])))
     init = SimState((0.01, 0.0, 0.0), (0, 0, 0), EulerAngles321(0, 0, 0), (0, 0, 0))
     sc = Scenario(name="short", duration=0.1, initial=init, schedule=sched)
     log = run_scenario(sc, params, gain)
     tr = trajectory_from_runlog(log)
-    assert tr.source == "short"
     np.testing.assert_array_equal(tr.t, log.t)
     np.testing.assert_array_equal(tr.pos_w, log.pos_w)
     q5 = euler_to_quat(EulerAngles321(*log.euler[5])).canonical()
@@ -291,7 +290,7 @@ def _tables(draw, min_rows=1):
 
 
 def _both_readers(path, columns, binary):
-    """What read_table and the reference reader give: (header, rows) or the error text."""
+    """What read_table and the reference reader give: the rows or the error text."""
     try:
         ref = oracles.read_table_by_line(path, columns, binary=binary)
     except ValueError as exc:
@@ -316,9 +315,8 @@ def test_read_table_matches_line_reader_on_valid_tables(tmp_path_factory, table)
     path = _write_table(tmp_path_factory, header, lines, eol)
     got, ref = _both_readers(path, columns, binary)
     assert not isinstance(ref, str), ref
-    assert got[0] == ref[0] == columns
-    assert got[1].shape == ref[1].shape == (sum(r for r, _ in lines), len(columns))
-    assert got[1].dtype == np.float64 and got[1].tobytes() == ref[1].tobytes()
+    assert got.shape == ref.shape == (sum(r for r, _ in lines), len(columns))
+    assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
 
 
 _FAULTS = ("short", "long", "token", "nonfinite", "late", "binary", "comment")
@@ -670,24 +668,25 @@ def test_validate_model_requires_wrench(params, openloop_log):
 
 
 def test_validate_model_window(params, openloop_log):
+    # the report covers every reconstructed sample: there is no window keyword
     rs = reconstruct_runlog(openloop_log)
-    rep = validate_model(rs, params, window=(1.0, 2.0))
-    assert rep.t[0] >= 1.0 and rep.t[-1] <= 2.0
-    with pytest.raises(ValueError, match="no samples"):
-        validate_model(rs, params, window=(50.0, 60.0))
+    rep = validate_model(rs, params)
+    np.testing.assert_array_equal(rep.t, rs.t)
+    with pytest.raises(TypeError, match="window"):
+        validate_model(rs, params, window=(1.0, 2.0))
 
 
 def test_validation_series_csv(tmp_path, params, openloop_log):
     rs = reconstruct_runlog(openloop_log)
-    rep = validate_model(rs, params, window=(1.0, 1.1))
+    rep = validate_model(rs, params)
     f = tmp_path / "series.csv"
     rep.write_series_csv(f)
     lines = f.read_text().splitlines()
     assert lines[0].startswith("t,meas_u_dot,pred_u_dot")
     assert len(lines) == len(rep.t) + 1
     columns = tuple(lines[0].split(","))
-    header, rows = read_table(f, columns)
-    assert table_text(header, rows.tolist()) == f.read_text()
+    rows = read_table(f, columns)
+    assert table_text(columns, rows.tolist()) == f.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +799,10 @@ def scalar_reconstruction(tr):
 
     def rate(i0, i1):
         w, x, y, z = quat[i0]
-        dq = quat_multiply(Quaternion(w, -x, -y, -z), Quaternion(*quat[i1]))
-        return quat_to_rotvec(dq.canonical().normalized()) / (tr.t[i1] - tr.t[i0])
+        dq = quat_multiply(Quaternion(w, -x, -y, -z), Quaternion(*quat[i1])).canonical()
+        norm = math.sqrt(dq.w**2 + dq.x**2 + dq.y**2 + dq.z**2)
+        unit = Quaternion(dq.w / norm, dq.x / norm, dq.y / norm, dq.z / norm)
+        return quat_to_rotvec(unit) / (tr.t[i1] - tr.t[i0])
 
     n = len(quat)
     omega = [rate(0, 1), *(rate(i - 1, i + 1) for i in range(1, n - 1)), rate(n - 2, n - 1)]

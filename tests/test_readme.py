@@ -1,10 +1,11 @@
-"""The README's Library section names exactly what ``import flapsim`` exports."""
+"""The README names exactly what ``import flapsim`` exports and the keys a scenario file takes."""
 
 import inspect
 import re
 from pathlib import Path
 
 import flapsim
+from flapsim.harness import SCENARIO_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +23,19 @@ def test_readme_library_list_is_the_package_exports():
     exported = {name for name, obj in vars(flapsim).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert set(listed) == exported
+
+
+def scenario_key_lists() -> dict:
+    """Section -> backticked keys, from the sub-bullets of README's Scenario YAML bullet."""
+    text = README.read_text(encoding="utf-8")
+    bullet = text.split("\n* **Scenario YAML**", 1)[1].split("\n\n", 1)[0]
+    lists = re.findall(r"^  - ([a-z]+): (.*(?:\n    .*)*)", bullet, flags=re.MULTILINE)
+    return {section: re.findall(r"`(\w+)`", keys) for section, keys in lists}
+
+
+def test_readme_scenario_keys_are_the_loaders():
+    listed = scenario_key_lists()
+    assert set(listed) == set(SCENARIO_KEYS)
+    for section, keys in listed.items():
+        assert len(keys) == len(set(keys)), f"{section}: a key is listed twice"
+        assert set(keys) == set(SCENARIO_KEYS[section]), section

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,8 +30,6 @@ def test_default_measured_parameters(params):
     assert params.thrust_intercept == -0.0024
     assert params.roll_slope == 0.48e-6
     assert params.pitch_slope == 0.11e-6
-    assert params.flap_freq == 180.0
-    assert params.V_bias == 250.0
     assert params.g == 9.81
     assert params.total_mass == pytest.approx(186e-6)
 
@@ -149,7 +148,7 @@ def test_params_validation_errors():
     with pytest.raises(ConfigError):
         VehicleParams(dA_limit=-1.0)
     with pytest.raises(ConfigError):
-        VehicleParams(flap_freq=0.0)
+        VehicleParams(g=0.0)
 
 
 @pytest.mark.parametrize(
@@ -202,6 +201,12 @@ def test_params_file_rejects_unknown_keys(tmp_path):
     path.write_text("m: 1.5e-4\nwingspan: 0.03\n")
     with pytest.raises(ConfigError, match="wingspan"):
         load_params(str(path))
+    # the retired drive-signal settings are unknown keys like any other
+    for key in ("flap_freq", "V_bias"):
+        path.write_text(f"{key}: 180.0\n")
+        with pytest.raises(ConfigError, match=re.escape(f"unknown parameter keys ['{key}']")):
+            load_params(str(path))
+    assert len(dataclasses.fields(VehicleParams)) == 11
 
 
 def test_params_file_missing_and_malformed(tmp_path):
