@@ -32,10 +32,6 @@ from .lqr import (
 )
 from .pipeline import (
     CUTOFF_HZ,
-    SPEED_BINS,
-    SPEED_MAX,
-    TILT_BINS,
-    TILT_MAX_DEG,
     ValidationReport,
     flight_envelope,
     load_command_csv,
@@ -94,7 +90,6 @@ def _build_parser() -> _Parser:
     g = sub.add_parser("gains", parents=[common], help="synthesize the hover LQR gain")
     g.add_argument("--q", help="comma-separated 10-entry state weight diagonal")
     g.add_argument("--r", help="comma-separated 3-entry input weight diagonal")
-    g.add_argument("--gain-file", default="gains.csv", help="gain CSV filename inside --out")
 
     s = sub.add_parser("simulate", parents=[common], help="run a closed-loop scenario")
     s.add_argument("scenario", help=f"scenario file path or bundled name {BUNDLED_SCENARIOS}")
@@ -116,14 +111,7 @@ def _build_parser() -> _Parser:
         help="command CSV (t,A,dA,Vo) for each mocap input, in order",
     )
 
-    e = sub.add_parser("envelope", parents=[common, flight], help="tilt/speed visit histogram")
-    e.add_argument("--tilt-max", type=float, default=TILT_MAX_DEG, help="max tilt edge, deg")
-    e.add_argument("--tilt-bins", type=int, default=TILT_BINS)
-    e.add_argument("--speed-max", type=float, default=SPEED_MAX, help="max speed edge, m/s")
-    e.add_argument("--speed-bins", type=int, default=SPEED_BINS)
-    e.add_argument(
-        "--horizontal", action="store_true", help="bin |(u,v)| instead of |V_b|"
-    )
+    sub.add_parser("envelope", parents=[common, flight], help="tilt/speed visit histogram")
     return ap
 
 
@@ -159,10 +147,9 @@ def _cmd_gains(args) -> int:
     p = load_params(args.params)
     sol = lqr_gain(p, _weights_from_args(args, p))
     out = _ensure_outdir(args.out)
-    gain_path = os.path.join(out, args.gain_file)
-    stem = os.path.splitext(gain_path)[0]
+    gain_path = os.path.join(out, "gains.csv")
     write_gain_csv(gain_path, sol.K)
-    write_gain_csv(stem + "_P.csv", sol.P)
+    write_gain_csv(os.path.join(out, "gains_P.csv"), sol.P)
 
     eigs = sorted(sol.closed_loop_eigs, key=lambda z: z.real)
     rho = f"ZOH spectral radius at {CONTROL_RATE:g} Hz: {sol.zoh_spectral_radius:.6f}"
@@ -176,7 +163,7 @@ def _cmd_gains(args) -> int:
         "closed-loop eigenvalues:",
     ]
     lines += [f"  {z.real:+.6e} {z.imag:+.6e}j" for z in eigs]
-    atomic_write_text(stem + "_report.txt", "\n".join(lines) + "\n")
+    atomic_write_text(os.path.join(out, "gains_report.txt"), "\n".join(lines) + "\n")
     if not args.quiet:
         print(f"gain written to {gain_path}")
         print(f"care residual: {sol.care_residual:.3e}")
@@ -186,8 +173,12 @@ def _cmd_gains(args) -> int:
 
 
 def _resolve_scenario(name: str, p):
-    """A scenario file or bundled name; ``p`` scales its g-unit pulses."""
-    if os.path.exists(name):
+    """A scenario file or bundled name; ``p`` scales its g-unit pulses.
+
+    Only a regular file takes precedence over a bundled name, so the
+    directory ``simulate hover --out hover`` leaves does not hide ``hover``.
+    """
+    if os.path.isfile(name):
         return load_scenario(name, p)
     base = name[: -len(".scenario")] if name.endswith(".scenario") else name
     if os.sep not in name and base in BUNDLED_SCENARIOS:
@@ -296,19 +287,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    if args.tilt_bins < 1 or args.speed_bins < 1:
-        raise _UsageError("bin counts must be >= 1")
-    for flag, top in (("tilt-max", args.tilt_max), ("speed-max", args.speed_max)):
-        if not (math.isfinite(top) and top > 0.0):
-            raise _UsageError(f"--{flag} must be finite and > 0 (histogram edges must be finite "
-                              f"and increasing), got {top!r}")
     p = load_params(args.params)
-    tilt_edges = np.linspace(0.0, args.tilt_max, args.tilt_bins + 1)
-    speed_edges = np.linspace(0.0, args.speed_max, args.speed_bins + 1)
-    mode = "horizontal" if args.horizontal else "total"
     grid = None
     for rs in _reconstruct_each(args.data, [], args.cutoff, p):
-        g = flight_envelope(rs, tilt_edges, speed_edges, speed_mode=mode)
+        g = flight_envelope(rs)
         grid = g if grid is None else grid.merge(g)
     out = _ensure_outdir(args.out)
     path = os.path.join(out, "envelope.csv")

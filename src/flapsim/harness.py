@@ -447,9 +447,6 @@ class RunLog:
     cmd: np.ndarray           # (n, 3) A, dA, Vo
     wrench: np.ndarray        # (n, 3) applied thrust, tau_r, tau_p
     saturated: np.ndarray     # (n,) 0/1
-    scenario_name: str = ""
-    seed: int | None = None
-    control_rate: float = CONTROL_RATE
     final_state: SimState | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -460,11 +457,10 @@ class RunLog:
             raise ValueError("log timestamps must be strictly increasing")
 
     @classmethod
-    def from_rows(cls, rows, **meta) -> "RunLog":
+    def from_rows(cls, rows, final_state: SimState | None = None) -> "RunLog":
         """Split an (n, 36) array laid out as RUNLOG_FIELDS into a RunLog.
 
         Every field gets its own copy; ``saturated`` becomes int64.
-        ``meta`` passes the scalar fields (scenario_name, seed, ...).
         """
         fields, i = {}, 0
         for name, cols in RUNLOG_FIELDS:
@@ -472,7 +468,7 @@ class RunLog:
             fields[name] = np.array(block)
             i += len(cols)
         fields["saturated"] = fields["saturated"].astype(np.int64)
-        return cls(**fields, **meta)
+        return cls(**fields, final_state=final_state)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -531,7 +527,6 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     gain, hover = K.tolist(), hover_thrust(p)
 
     rows = np.empty((n_ticks, len(RUNLOG_COLUMNS)))  # laid out as RUNLOG_FIELDS
-    meta = {"scenario_name": sc.name, "seed": sc.seed, "control_rate": sc.control_rate}
 
     y = sc.initial.as_vector().tolist()
     carry = None  # the previous sample, as controller._sense carries it
@@ -547,7 +542,7 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
             # the measured attitude, noise included, can sit nearer 90 deg than the truth
             raise DivergenceError(
                 f"{sc.name}: sensing aborted at tick {k} (t={t_k:.4f} s): {exc}",
-                partial_log=RunLog.from_rows(rows[:k], **meta) if k else None,
+                partial_log=RunLog.from_rows(rows[:k]) if k else None,
             ) from exc
 
         # --- decide --------------------------------------------------
@@ -582,15 +577,15 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
             # gimbal guard or float overflow inside the integrator
             raise DivergenceError(
                 f"{sc.name}: integration aborted during tick {k} (t={t_k:.4f} s): {exc}",
-                partial_log=RunLog.from_rows(rows[:k + 1], **meta),
+                partial_log=RunLog.from_rows(rows[:k + 1]),
             ) from exc
 
         tripped = _tripped_guard(y, k, t_k + T)
         if tripped is not None:
             raise DivergenceError(f"{sc.name}: {tripped}",
-                                  partial_log=RunLog.from_rows(rows[:k + 1], **meta))
+                                  partial_log=RunLog.from_rows(rows[:k + 1]))
 
-    return RunLog.from_rows(rows, **meta, final_state=SimState.from_vector(y))
+    return RunLog.from_rows(rows, final_state=SimState.from_vector(y))
 
 
 def step_error(sc: Scenario, p: VehicleParams, K, coarse: RunLog | None = None) -> tuple:

@@ -57,7 +57,7 @@ MAX_OFFSET_TILT = math.radians(30.0)
 CUTOFF_HZ = 20.0          # default low-pass cutoff of the pose filter
 FILTER_BLOCK = 128        # samples per block of the filter's block-wise solve
 PLAN_DIGITS = 40          # decimal digits the filter's block matrices are derived in
-# default flight-envelope grid: tilt edges [deg] and speed edges [m/s] from 0
+# the flight-envelope grid: tilt edges [deg] and speed edges [m/s] from 0
 TILT_MAX_DEG, TILT_BINS = 60.0, 12
 SPEED_MAX, SPEED_BINS = 0.8, 16
 
@@ -190,11 +190,7 @@ def trajectory_from_runlog(log: RunLog) -> MocapTrajectory:
 
 def load_runlog_csv(path) -> RunLog:
     """Read back a RunLog CSV (header must match the documented order)."""
-    a = read_table(path, RUNLOG_COLUMNS, binary=("saturated",))
-    dt = np.diff(a[:, 0])
-    # a one-row log keeps RunLog's default rate
-    meta = {"control_rate": 1.0 / float(np.median(dt))} if len(dt) else {}
-    return RunLog.from_rows(a, **meta)
+    return RunLog.from_rows(read_table(path, RUNLOG_COLUMNS, binary=("saturated",)))
 
 
 def load_command_csv(path):
@@ -683,41 +679,24 @@ class EnvelopeGrid:
         atomic_write_text(path, table_text(ENVELOPE_COLUMNS, rows))
 
 
-def flight_envelope(
-    rs: ReconstructedStates,
-    tilt_edges_deg=None,
-    speed_edges=None,
-    speed_mode: str = "total",
-) -> EnvelopeGrid:
-    """Histogram visited (tilt, speed) pairs.
+def flight_envelope(rs: ReconstructedStates) -> EnvelopeGrid:
+    """Histogram visited (tilt, speed) pairs on the fixed grid.
 
-    Tilt is the angle between the body z-axis and world vertical; speed is
-    |V_b| ("total") or |(u, v)| ("horizontal"). Samples beyond the outer
-    edges are clipped into the boundary bins so the histogram mass always
-    equals the sample count.
+    Tilt is the angle between the body z-axis and world vertical, binned
+    in TILT_BINS bins up to TILT_MAX_DEG; speed is |V_b|, binned in
+    SPEED_BINS bins up to SPEED_MAX. Samples beyond the outer edges are
+    clipped into the boundary bins so the histogram mass always equals
+    the sample count.
     """
     if len(rs) == 0:
         raise ValueError("empty reconstruction")
-    if speed_mode not in ("total", "horizontal"):
-        raise ValueError("speed_mode must be 'total' or 'horizontal'")
-    te = (np.linspace(0.0, TILT_MAX_DEG, TILT_BINS + 1) if tilt_edges_deg is None
-          else np.asarray(tilt_edges_deg, dtype=float))
-    se = (np.linspace(0.0, SPEED_MAX, SPEED_BINS + 1) if speed_edges is None
-          else np.asarray(speed_edges, dtype=float))
-    for edges in (te, se):
-        if len(edges) < 2 or not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0):
-            raise ValueError("histogram edges must be finite and increasing with >= 2 entries")
+    te = np.linspace(0.0, TILT_MAX_DEG, TILT_BINS + 1)
+    se = np.linspace(0.0, SPEED_MAX, SPEED_BINS + 1)
 
     # body z in world coordinates is the third column of R; its z component
     # is cos(tilt) regardless of yaw
     cz = _rotmat(*_normalized(rs.quat).T)[8]
-    tilt = np.degrees(np.arccos(np.clip(cz, -1.0, 1.0)))
-    if speed_mode == "total":
-        speed = np.linalg.norm(rs.vel_b, axis=1)
-    else:
-        speed = np.linalg.norm(rs.vel_b[:, 0:2], axis=1)
-
-    tilt = np.clip(tilt, te[0], te[-1])
-    speed = np.clip(speed, se[0], se[-1])
+    tilt = np.clip(np.degrees(np.arccos(np.clip(cz, -1.0, 1.0))), 0.0, TILT_MAX_DEG)
+    speed = np.clip(np.linalg.norm(rs.vel_b, axis=1), 0.0, SPEED_MAX)
     counts, _, _ = np.histogram2d(tilt, speed, bins=(te, se))
     return EnvelopeGrid(te, se, counts.astype(np.int64))

@@ -143,7 +143,6 @@ def make_openloop_log(p, duration=4.0, rate=240.0, substeps=42):
         t=t_arr, pos_w=pos, euler=eul, vel_b=vel, omega_b=omega,
         sigma=np.zeros((n, 10)), sp_pos=z, sp_vel=z, cmd=cmd, wrench=wr,
         saturated=np.zeros(n, dtype=np.int64),
-        scenario_name="openloop", seed=0, control_rate=rate,
     )
 
 

@@ -254,7 +254,7 @@ def test_a05a_circle_steady_state_rms(circle_run):
 def test_a05b_circle_remains_bounded(circle_run):
     log, _ = circle_run
     # run_scenario guards at 10 m; completing the full 4.5 s means bounded
-    assert len(log) == int(round(4.5 * log.control_rate))
+    assert len(log) == int(round(4.5 * bundled("circle").control_rate))
     r = float(np.max(np.linalg.norm(log.pos_w, axis=1)))
     print(f"max distance from origin {r:.2f} m")
     assert np.all(np.isfinite(log.pos_w))

@@ -133,6 +133,15 @@ def test_simulate_accepts_scenario_suffix(tmp_path):
     assert (sub / "hover_runlog.csv").exists()
 
 
+def test_simulate_bundled_name_beside_a_directory_of_that_name(tmp_path, monkeypatch):
+    # the first run leaves a directory "hover"; the second must still find the
+    # bundled scenario, not try to read the directory as a scenario file
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert main(["simulate", "hover", "--quiet", "--out", "hover"]) == 0
+    assert (tmp_path / "hover" / "hover_runlog.csv").is_file()
+
+
 def test_simulate_unknown_scenario_exits_1(tmp_path, capsys):
     assert main(["simulate", "wobble", "--out", str(tmp_path)]) == 1
     assert "neither a file nor one of the bundled" in capsys.readouterr().err
@@ -548,44 +557,48 @@ def test_envelope_from_runlog(tmp_path, capsys):
     assert "occupied bins" in capsys.readouterr().out
 
 
-def test_envelope_merges_and_custom_bins(tmp_path):
+def test_envelope_merges_on_the_default_grid(tmp_path):
     scn = write_offset_scenario(tmp_path / "o.scenario")
     assert main(["simulate", str(scn), "--out", str(tmp_path), "--quiet"]) == 0
     runlog = str(tmp_path / "offset_runlog.csv")
-    assert (
-        main(["envelope", runlog, runlog, "--out", str(tmp_path), "--quiet",
-              "--tilt-bins", "6", "--speed-bins", "8", "--horizontal"])
-        == 0
-    )
-    lines = (tmp_path / "envelope.csv").read_text().splitlines()
-    assert len(lines) == 1 + 6 * 8
-    total = sum(int(ln.split(",")[-1]) for ln in lines[1:])
-    assert total == 2 * (120 - 48)
+    assert main(["envelope", runlog, "--out", str(tmp_path / "one"), "--quiet"]) == 0
+    assert main(["envelope", runlog, runlog, "--out", str(tmp_path / "two"), "--quiet"]) == 0
+    one = np.loadtxt(tmp_path / "one" / "envelope.csv", delimiter=",", skiprows=1)
+    two = np.loadtxt(tmp_path / "two" / "envelope.csv", delimiter=",", skiprows=1)
+    assert two.shape == (12 * 16, 5)
+    np.testing.assert_array_equal(two[:, :4], one[:, :4])
+    np.testing.assert_array_equal(two[:, 4], 2 * one[:, 4])
+    assert two[:, 4].sum() == 2 * (120 - 48)
 
 
-def test_envelope_bad_bins_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda log: ["envelope", log, "--tilt-bins", "6"],
+        lambda log: ["gains", "--gain-file", "x.csv"],
+    ],
+    ids=["envelope_tilt_bins", "gains_gain_file"],
+)
+def test_retired_flags_exit_1(tmp_path, capsys, argv):
     scn = write_offset_scenario(tmp_path / "o.scenario")
     assert main(["simulate", str(scn), "--out", str(tmp_path), "--quiet"]) == 0
-    runlog = str(tmp_path / "offset_runlog.csv")
-    assert main(["envelope", runlog, "--out", str(tmp_path), "--tilt-bins", "0"]) == 1
-    assert "bin counts" in capsys.readouterr().err
-    out = tmp_path / "out"
-    for flag in (["--tilt-max", "nan"], ["--speed-max", "inf"]):
-        assert main(["envelope", runlog, "--out", str(out), *flag]) == 1
-        assert "edges must be finite" in capsys.readouterr().err
-    assert not out.exists()
+    args = argv(str(tmp_path / "offset_runlog.csv"))
+    assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag", [["--tilt-max", "0"], ["--speed-max", "inf"],
                                   ["--speed-max", "-0.5"], ["--tilt-max", "nan"]])
 def test_envelope_edge_maxima_checked_before_any_input(tmp_path, capsys, flag):
-    # the edges are refused before linspace could warn and before the input is opened
+    # the grid is fixed: an edge flag is refused while parsing, before the
+    # input is opened and before any output directory is made
     missing = str(tmp_path / "no_such_flight.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["envelope", missing, "--out", str(tmp_path / "out"), *flag]) == 1
     err = capsys.readouterr().err
-    assert f"{flag[0]} must be finite and > 0" in err and "edges must be finite" in err
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
     assert "Warning" not in err and "no_such_flight" not in err
     assert not (tmp_path / "out").exists()
 

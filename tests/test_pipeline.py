@@ -716,8 +716,6 @@ def test_envelope_bins_constructed_flight():
     grid = flight_envelope(rs)
     # tilt bin [30, 35) deg is row 6; speed bin [0.40, 0.45) is column 8
     assert grid.counts[6, 8] == grid.total() == len(rs)
-    horiz = flight_envelope(rs, speed_mode="horizontal")
-    assert horiz.counts[6, 8] == horiz.total()
 
 
 def test_envelope_clips_outliers_conserving_mass():
@@ -739,7 +737,9 @@ def test_envelope_merge_and_csv(tmp_path):
     b = flight_envelope(rs)
     merged = a.merge(b)
     assert merged.total() == 2 * len(rs)
-    other = flight_envelope(rs, tilt_edges_deg=[0.0, 45.0, 90.0])
+    # a caller can build a grid on other edges; merge refuses to mix them
+    other = EnvelopeGrid(np.array([0.0, 45.0, 90.0]), a.speed_edges,
+                         np.zeros((2, 16), dtype=np.int64))
     with pytest.raises(ValueError, match="different edges"):
         a.merge(other)
     f = tmp_path / "env.csv"
@@ -762,18 +762,11 @@ def test_envelope_merge_and_csv(tmp_path):
 
 
 def test_envelope_validation():
+    # a record a caller built with no samples is refused
     rs = reconstruct(constant_trajectory(n=120))
-    with pytest.raises(ValueError, match="speed_mode"):
-        flight_envelope(rs, speed_mode="vertical")
-    with pytest.raises(ValueError, match="edges"):
-        flight_envelope(rs, tilt_edges_deg=[10.0, 5.0])
-    with pytest.raises(ValueError, match="edges"):
-        flight_envelope(rs, speed_edges=[0.0])
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="edges must be finite"):
-            flight_envelope(rs, tilt_edges_deg=[0.0, 30.0, bad])
-        with pytest.raises(ValueError, match="edges must be finite"):
-            flight_envelope(rs, speed_edges=[0.0, 0.4, bad])
+    empty = replace(rs, **{k: v[:0] for k, v in vars(rs).items() if v is not None})
+    with pytest.raises(ValueError, match="empty reconstruction"):
+        flight_envelope(empty)
 
 
 # ---------------------------------------------------------------------------
@@ -923,9 +916,12 @@ def test_attach_commands_and_envelope_match_scalar(params, openloop_log):
     # envelope tilt comes from R[2, 2] of each sample's rotation matrix
     tilt = [math.degrees(math.acos(quat_to_rotmat(Quaternion(*q))[2, 2])) for q in rs.quat]
     speed = np.linalg.norm(rs.vel_b, axis=1)
-    edges = ([0.0, 5.0, 10.0, 90.0], [0.0, 0.5, 1.0, 100.0])
-    grid = flight_envelope(rs, *edges)
-    expected, _, _ = np.histogram2d(tilt, speed, bins=edges)
+    # on the fixed grid: 12 bins of 5 deg and 16 of 0.05 m/s, outliers clipped in
+    edges = (np.linspace(0.0, 60.0, 13), np.linspace(0.0, 0.8, 17))
+    grid = flight_envelope(rs)
+    np.testing.assert_array_equal(grid.tilt_edges_deg, edges[0])
+    np.testing.assert_array_equal(grid.speed_edges, edges[1])
+    expected, _, _ = np.histogram2d(np.clip(tilt, 0.0, 60.0), np.clip(speed, 0.0, 0.8), bins=edges)
     np.testing.assert_array_equal(grid.counts, expected)
 
 

@@ -1,10 +1,13 @@
-"""The README names exactly what ``import flapsim`` exports and the keys a scenario file takes."""
+"""The README names exactly what ``import flapsim`` exports, the keys a scenario file
+takes and the options the command line takes."""
 
+import argparse
 import inspect
 import re
 from pathlib import Path
 
 import flapsim
+from flapsim.cli import _build_parser
 from flapsim.harness import SCENARIO_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,3 +42,17 @@ def test_readme_scenario_keys_are_the_loaders():
     for section, keys in listed.items():
         assert len(keys) == len(set(keys)), f"{section}: a key is listed twice"
         assert set(keys) == set(SCENARIO_KEYS[section]), section
+
+
+def parser_options() -> set:
+    """Every long option of every subcommand, --help aside."""
+    subs = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for sub in subs.choices.values() for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for opt in action.option_strings}
+
+
+def test_readme_command_line_names_the_parsers_options():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) == parser_options()
