@@ -90,7 +90,7 @@ def _sense(pos, quat, prev: tuple | None, dt: float) -> tuple:
     and quaternion. The quaternion must be within 1e-3 of unit length.
     """
     w, x, y, z = quat
-    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
     if not abs(n - 1.0) <= 1e-3:
         raise ValueError(f"measured quaternion norm {n:.6f} is off unit by more than 1e-3")
     w, x, y, z = w / n, x / n, y / n, z / n

@@ -16,7 +16,9 @@ Body-frame translational dynamics (z-up world, gravity -z):
     w_dot = -g cos(theta) cos(phi)       + f_a3 - (p v - q u) + Gamma/(m+m_M)
 
 and Euler's equations with optional unmodeled angular-acceleration
-residuals (L, M, N).
+residuals (L, M, N). R = Rz(yaw) Ry(pitch) Rx(roll) is never formed: R (u, v, w)
+is three planar rotations, by roll, pitch, then yaw (12 multiplies, 6 adds),
+and a world force comes into the body frame by their transposes in reverse.
 
 The equations of motion are written once, in ``_eom``: on floats for
 ``state_derivative`` and ``rk4_packed``, on whole columns for the pipeline's
@@ -144,26 +146,19 @@ def _eom(u, v, w, phi, theta, psi, p, q, r, at, ap, aq, c: tuple, xp=None) -> tu
     cp, sp = xp.cos(theta), xp.sin(theta)
     cy, sy = xp.cos(psi), xp.sin(psi)
 
-    # body-to-world rotation, rows written out
-    r00 = cy * cp
-    r01 = cy * sp * sr - sy * cr
-    r02 = cy * sp * cr + sy * sr
-    r10 = sy * cp
-    r11 = sy * sp * sr + cy * cr
-    r12 = sy * sp * cr - cy * sr
-    r20 = -sp
-    r21 = cp * sr
-    r22 = cp * cr
+    # world velocity R (u, v, w), R = Rz(psi) Ry(theta) Rx(phi): roll, pitch, yaw in turn
+    v1 = cr * v - sr * w
+    w1 = sr * v + cr * w
+    u2 = cp * u + sp * w1
+    xd = cy * u2 - sy * v1
+    yd = sy * u2 + cy * v1
+    zd = cp * w1 - sp * u
 
-    xd = r00 * u + r01 * v + r02 * w
-    yd = r10 * u + r11 * v + r12 * w
-    zd = r20 * u + r21 * v + r22 * w
-
-    # world-frame external force mapped to body-frame specific force
+    # world-frame external force to body-frame specific force, R^T f: yaw, pitch, roll back
     if fx != 0.0 or fy != 0.0 or fz != 0.0:
-        ebx = (r00 * fx + r10 * fy + r20 * fz) / mt
-        eby = (r01 * fx + r11 * fy + r21 * fz) / mt
-        ebz = (r02 * fx + r12 * fy + r22 * fz) / mt
+        f1, f2, f3 = (cy * fx + sy * fy) / mt, (cy * fy - sy * fx) / mt, fz / mt
+        ebx, f3 = cp * f1 - sp * f3, sp * f1 + cp * f3
+        eby, ebz = cr * f2 + sr * f3, cr * f3 - sr * f2
     else:
         ebx = eby = ebz = 0.0
 
@@ -171,14 +166,14 @@ def _eom(u, v, w, phi, theta, psi, p, q, r, at, ap, aq, c: tuple, xp=None) -> tu
     cor_v = r * u - p * w
     cor_w = p * v - q * u
 
+    gc = g * cp
     ud = g * sp + fa1 - cor_u + ebx
-    vd = -g * cp * sr + fa2 - cor_v + eby
-    wd = -g * cp * cr + fa3 - cor_w + at + ebz
+    vd = -gc * sr + fa2 - cor_v + eby
+    wd = -gc * cr + fa3 - cor_w + at + ebz
 
-    tp = sp / cp
-    phid = p + sr * tp * q + cr * tp * r
-    thetad = cr * q - sr * r
     psid = (sr * q + cr * r) / cp
+    phid = p + sp * psid
+    thetad = cr * q - sr * r
 
     return (xd, yd, zd, ud, vd, wd, phid, thetad, psid,
             ap - ix * q * r, aq - iy * r * p, Na - iz * p * q)

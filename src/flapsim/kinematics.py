@@ -96,7 +96,7 @@ class Quaternion:
 
 def _normalized(q: tuple) -> tuple:
     w, x, y, z = q
-    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
     if n < 1e-12:
         raise ValueError("cannot normalize a near-zero quaternion")
     return (w / n, x / n, y / n, z / n)
@@ -122,10 +122,13 @@ def _rotmat(w, x, y, z) -> tuple:
 
 
 def _euler_quat(roll: float, pitch: float, yaw: float) -> tuple:
+    """q_z(yaw) q_y(pitch) q_x(roll) written out on the half-angle cosines and sines."""
     hr, hp, hy = 0.5 * roll, 0.5 * pitch, 0.5 * yaw
-    w, x, y, z = _qmul(_qmul((math.cos(hy), 0.0, 0.0, math.sin(hy)),
-                             (math.cos(hp), 0.0, math.sin(hp), 0.0)),
-                       (math.cos(hr), math.sin(hr), 0.0, 0.0))
+    cr, sr = math.cos(hr), math.sin(hr)
+    cp, sp = math.cos(hp), math.sin(hp)
+    cy, sy = math.cos(hy), math.sin(hy)
+    cc, ss, cs, sc = cy * cp, sy * sp, cy * sp, sy * cp
+    w, x, y, z = cc * cr + ss * sr, cc * sr - ss * cr, cs * cr + sc * sr, sc * cr - cs * sr
     return (-w, -x, -y, -z) if w < 0.0 else (w, x, y, z)
 
 
@@ -140,7 +143,8 @@ def _rotvec_quat(vx: float, vy: float, vz: float) -> tuple:
 
 
 def _quat_rotvec(q: tuple) -> tuple:
-    w, x, y, z = _normalized(q)
+    """Log map of a unit quaternion; the caller normalizes."""
+    w, x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
     vec_norm = math.sqrt(x * x + y * y + z * z)
@@ -189,5 +193,5 @@ def quat_from_rotvec(v) -> Quaternion:
 
 def quat_to_rotvec(q: Quaternion) -> np.ndarray:
     """Logarithmic map: quaternion to rotation vector (radians)."""
-    return np.array(_quat_rotvec((q.w, q.x, q.y, q.z)))
+    return np.array(_quat_rotvec(_normalized((q.w, q.x, q.y, q.z))))
 

@@ -660,6 +660,12 @@ class EnvelopeGrid:
     speed_edges: np.ndarray
     counts: np.ndarray        # (n_tilt_bins, n_speed_bins) int
 
+    def __post_init__(self) -> None:
+        shape = (len(self.tilt_edges_deg) - 1, len(self.speed_edges) - 1)
+        if np.shape(self.counts) != shape:
+            raise ValueError(f"envelope counts have shape {np.shape(self.counts)}; "
+                             f"the edges need {shape}")
+
     def total(self) -> int:
         return int(np.sum(self.counts))
 

@@ -1,5 +1,6 @@
 """Rotation-representation checks against independent linear-algebra oracles."""
 
+import itertools
 import math
 from dataclasses import astuple
 
@@ -193,9 +194,23 @@ def test_euler_quat_round_trip():
 
 
 def test_euler_to_quat_matches_oracle_product():
+    # the closed form against the product of the three axis quaternions, on
+    # random angles mixed with +-0, +-pi and pitch just inside the gimbal guard
+    edge_pitch = GIMBAL_GUARD - 1e-9
+    edges = ([0.0, -0.0, math.pi, -math.pi], [0.0, -0.0, edge_pitch, -edge_pitch],
+             [0.0, -0.0, math.pi, -math.pi])
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        e = random_euler(rng)
+    n = 10_000
+    angles = np.column_stack([rng.uniform(-math.pi, math.pi, n),
+                              rng.uniform(-edge_pitch, edge_pitch, n),
+                              rng.uniform(-math.pi, math.pi, n)])
+    for k, values in enumerate(edges):
+        pick = rng.random(n) < 0.25
+        angles[pick, k] = rng.choice(values, int(pick.sum()))
+    angles[:64] = list(itertools.product(*edges))
+    worst = 0.0
+    for roll, pitch, yaw in angles.tolist():
+        e = EulerAngles321(roll, pitch, yaw)
         q_ref = oracles.quat_product(
             oracles.quat_product(
                 oracles.quat_from_axis_angle([0, 0, 1], e.yaw),
@@ -205,7 +220,8 @@ def test_euler_to_quat_matches_oracle_product():
         )
         if q_ref[0] < 0:
             q_ref = -q_ref
-        np.testing.assert_allclose(astuple(euler_to_quat(e)), q_ref, atol=1e-12)
+        worst = max(worst, float(np.max(np.abs(np.array(astuple(euler_to_quat(e))) - q_ref))))
+    assert worst <= 4e-16, worst
 
 
 def test_quat_multiply_matches_matrix_product():

@@ -769,6 +769,16 @@ def test_envelope_validation():
         flight_envelope(empty)
 
 
+def test_envelope_grid_refuses_counts_that_do_not_fit_its_edges():
+    # 2 tilt bins with 12 x 16 counts would write 32 rows while total() said 192
+    with pytest.raises(ValueError, match=r"shape \(12, 16\); the edges need \(2, 16\)"):
+        EnvelopeGrid(np.array([0.0, 45.0, 90.0]), np.linspace(0.0, 0.8, 17),
+                     np.ones((12, 16), dtype=np.int64))
+    grid = flight_envelope(reconstruct(constant_trajectory(n=120)))
+    with pytest.raises(ValueError, match=r"shape \(192,\)"):
+        EnvelopeGrid(grid.tilt_edges_deg, grid.speed_edges, grid.counts.ravel())
+
+
 # ---------------------------------------------------------------------------
 # whole-array stages against the scalar kinematics, row by row
 # ---------------------------------------------------------------------------
