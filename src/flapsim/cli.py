@@ -260,7 +260,6 @@ def _stack_reports(reports) -> ValidationReport:
         span = r.t[-1] - r.t[0]
         offset += span + (span / max(len(r.t) - 1, 1))  # one nominal gap sample
     return ValidationReport(
-        axes=reports[0].axes,
         t=np.concatenate(ts),
         measured=np.vstack([r.measured for r in reports]),
         predicted=np.vstack([r.predicted for r in reports]),

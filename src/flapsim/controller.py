@@ -32,8 +32,8 @@ import numpy as np
 
 from .ioutil import read_table
 from .kinematics import (
-    GIMBAL_GUARD, EulerAngles321, _euler_quat, _qmul, _quat_rotvec, _rotmat, _rotmat_euler,
-    _rotvec_quat, wrap_angle,
+    GIMBAL_GUARD, UNIT_QUAT_TOL, EulerAngles321, _euler_quat, _qmul, _quat_rotvec, _rotmat,
+    _rotmat_euler, _rotvec_quat, wrap_angle,
 )
 # bench/spans.py times these names
 from .kinematics import quat_multiply, quat_to_rotmat, quat_to_rotvec, rotmat_to_euler  # noqa: F401
@@ -87,12 +87,14 @@ def _sense(pos, quat, prev: tuple | None, dt: float) -> tuple:
     one, world velocity is the first difference averaged with the previous
     raw difference, and the rates come from the quaternion increment over
     ``dt``. ``prev`` and ``carry`` hold a sample's position, raw velocity
-    and quaternion. The quaternion must be within 1e-3 of unit length.
+    and quaternion. The quaternion must be within ``UNIT_QUAT_TOL`` of unit
+    length; it is normalized and taken to w >= 0 here, once.
     """
     w, x, y, z = quat
     n = math.sqrt(w * w + x * x + y * y + z * z)
-    if not abs(n - 1.0) <= 1e-3:
-        raise ValueError(f"measured quaternion norm {n:.6f} is off unit by more than 1e-3")
+    if not abs(n - 1.0) <= UNIT_QUAT_TOL:
+        raise ValueError(
+            f"measured quaternion norm {n:.6f} is off unit by more than {UNIT_QUAT_TOL:g}")
     w, x, y, z = w / n, x / n, y / n, z / n
     q = (-w, -x, -y, -z) if w < 0.0 else (w, x, y, z)
     R = _rotmat(*q)

@@ -199,13 +199,12 @@ def _forcing(plant, thrust, tau_r, tau_p) -> tuple:
     return thrust / mt, La + tau_r / Jx, Ma + tau_p / Jy, c
 
 
-def _forcing_of(p, w, unmodeled, ext_force_w) -> tuple:
+def _forcing_of(p, w, unmodeled) -> tuple:
     """:func:`_forcing` from the dataclass inputs; thrust must be >= 0."""
     if w.thrust < 0.0:
         raise ValueError("thrust must be non-negative (clamp upstream)")
     un = unmodeled if unmodeled is not None else UnmodeledTerms()
-    force = (0.0, 0.0, 0.0) if ext_force_w is None else [float(c) for c in ext_force_w]
-    plant = _plant(p, un.specific_force.tolist(), un.angular_accel.tolist(), force)
+    plant = _plant(p, un.specific_force.tolist(), un.angular_accel.tolist())
     return _forcing(plant, float(w.thrust), float(w.tau_r), float(w.tau_p))
 
 
@@ -214,15 +213,14 @@ def state_derivative(
     s: SimState,
     w: Wrench,
     unmodeled: UnmodeledTerms | None = None,
-    ext_force_w=None,
 ) -> np.ndarray:
     """Time derivative of the packed 12-state under the given wrench.
 
-    ``ext_force_w`` is an optional world-frame disturbance force [N].
     Thrust below zero is not accepted here; clamping belongs to the
-    actuator map.
+    actuator map. A world-frame force reaches the equations of motion
+    through ``_plant(p, force_w=...)``, as the run loop's pulses do.
     """
-    at, ap, aq, c = _forcing_of(p, w, unmodeled, ext_force_w)
+    at, ap, aq, c = _forcing_of(p, w, unmodeled)
     return np.array(_eom(*s.as_vector()[3:].tolist(), at, ap, aq, c))
 
 
@@ -264,7 +262,6 @@ def rk4_step(
     s: SimState,
     w: Wrench,
     unmodeled: UnmodeledTerms | None = None,
-    ext_force_w=None,
     dt: float = 1e-4,
 ) -> SimState:
     """One classical Runge-Kutta step of length dt (inputs held constant).
@@ -274,7 +271,7 @@ def rk4_step(
     """
     if not (0.0 < dt <= MAX_DT):
         raise ValueError(f"dt must be in (0, {MAX_DT}]; got {dt}")
-    forcing = _forcing_of(p, w, unmodeled, ext_force_w)
+    forcing = _forcing_of(p, w, unmodeled)
     out = rk4_packed(s.as_vector().tolist(), dt, forcing)
     if not all(map(math.isfinite, out)):
         raise DivergenceError("non-finite state after RK4 step")

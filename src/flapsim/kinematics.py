@@ -6,13 +6,17 @@ Conventions used throughout the package:
   about y, then roll about x), so ``R = Rz(yaw) @ Ry(pitch) @ Rx(roll)``
   maps body-frame vectors into the world frame.
 * Quaternions are scalar-first ``(w, x, y, z)`` Hamilton quaternions with
-  the same body-to-world semantics, canonicalized to ``w >= 0``.
+  the same body-to-world semantics. ``euler_to_quat`` and every measured
+  quaternion (``controller._sense``, ``pipeline.MocapTrajectory``) are
+  canonicalized to ``w >= 0``; the ``_`` cores return a product's own sign.
 * Angular velocity ``(p, q, r)`` is expressed in the body frame.
 
 All functions are pure. The ``_``-prefixed cores do the math on plain
 tuples (``(w, x, y, z)``, row-major 9-tuples for R); the control tick
-calls them directly. The public functions take and return the records
-and small numpy arrays.
+calls them directly, and the branch-free ones (``_qmul``, ``_rotmat``,
+``_euler_quat``) take numpy columns as well, which is how ``pipeline``
+applies them to whole trajectories. The public functions take and return
+the records and small numpy arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import GimbalLockError
 
 __all__ = [
     "GIMBAL_GUARD",
+    "UNIT_QUAT_TOL",
     "EulerAngles321",
     "Quaternion",
     "wrap_angle",
@@ -41,6 +46,9 @@ __all__ = [
 # Pitch magnitudes at or beyond this are rejected: the 321 chart is singular
 # at |pitch| = pi/2 and the Euler-angle rates blow up as 1/cos(pitch).
 GIMBAL_GUARD = math.pi / 2 - 1e-6
+# A measured quaternion whose norm is off 1 by more than this is refused,
+# not normalized: it is a corrupt sample, not rounding.
+UNIT_QUAT_TOL = 1e-3
 
 
 def wrap_angle(angle: float) -> float:
@@ -121,15 +129,16 @@ def _rotmat(w, x, y, z) -> tuple:
             2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
 
 
-def _euler_quat(roll: float, pitch: float, yaw: float) -> tuple:
-    """q_z(yaw) q_y(pitch) q_x(roll) written out on the half-angle cosines and sines."""
+def _euler_quat(roll, pitch, yaw, xp=math) -> tuple:
+    """q_z(yaw) q_y(pitch) q_x(roll) written out on the half-angle cosines and
+    sines, from floats or, with ``xp=np``, from numpy columns alike. The sign
+    is the product's; w may be negative."""
     hr, hp, hy = 0.5 * roll, 0.5 * pitch, 0.5 * yaw
-    cr, sr = math.cos(hr), math.sin(hr)
-    cp, sp = math.cos(hp), math.sin(hp)
-    cy, sy = math.cos(hy), math.sin(hy)
+    cr, sr = xp.cos(hr), xp.sin(hr)
+    cp, sp = xp.cos(hp), xp.sin(hp)
+    cy, sy = xp.cos(hy), xp.sin(hy)
     cc, ss, cs, sc = cy * cp, sy * sp, cy * sp, sy * cp
-    w, x, y, z = cc * cr + ss * sr, cc * sr - ss * cr, cs * cr + sc * sr, sc * cr - cs * sr
-    return (-w, -x, -y, -z) if w < 0.0 else (w, x, y, z)
+    return (cc * cr + ss * sr, cc * sr - ss * cr, cs * cr + sc * sr, sc * cr - cs * sr)
 
 
 def _rotvec_quat(vx: float, vy: float, vz: float) -> tuple:
@@ -183,7 +192,7 @@ def quat_to_rotmat(q: Quaternion) -> np.ndarray:
 
 def euler_to_quat(e: EulerAngles321) -> Quaternion:
     """321 Euler angles to canonical unit quaternion."""
-    return Quaternion(*_euler_quat(e.roll, e.pitch, e.yaw))
+    return Quaternion(*_euler_quat(e.roll, e.pitch, e.yaw)).canonical()
 
 
 def quat_from_rotvec(v) -> Quaternion:

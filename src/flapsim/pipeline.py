@@ -21,7 +21,9 @@ import numpy as np
 
 from .errors import ConfigError, GimbalLockError, SchemaError
 from .ioutil import atomic_write_text, read_table, table_text
-from .kinematics import GIMBAL_GUARD, _qmul, _rotmat, quat_from_rotvec, quat_to_rotmat
+from .kinematics import (
+    GIMBAL_GUARD, UNIT_QUAT_TOL, _euler_quat, _qmul, _rotmat, quat_from_rotvec, quat_to_rotmat,
+)
 from .vehicle import VehicleParams
 from .dynamics import _eom, _forcing, _plant
 from .harness import RunLog, RUNLOG_COLUMNS
@@ -63,8 +65,13 @@ SPEED_MAX, SPEED_BINS = 0.8, 16
 
 
 # ---------------------------------------------------------------------------
-# whole-array kinematics: the formulas of the scalar kinematics functions,
-# applied to (n, k) arrays of samples
+# whole-array kinematics. The branch-free formulas (_qmul, _rotmat,
+# _euler_quat) are kinematics' own, called on numpy columns. The ones that
+# branch per sample are copied here as array code: _wrap, _check_pitch,
+# _euler, and the log map's small-angle branch in _quat_rates. Sharing
+# those would make the scalar code branch on its caller. Every quaternion
+# array here is unit: MocapTrajectory normalizes its samples, and reconstruct
+# normalizes again only after the filter.
 # ---------------------------------------------------------------------------
 
 
@@ -88,20 +95,9 @@ def _check_pitch(pitch: np.ndarray, t: np.ndarray) -> None:
         )
 
 
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``quat_multiply`` row by row: the Hamilton products a[i] * b[i]."""
-    return np.column_stack(_qmul(a.T, b.T))
-
-
-def _normalized(q: np.ndarray) -> np.ndarray:
-    """Each row divided by its norm, as ``kinematics._normalized`` divides one quaternion."""
-    w, x, y, z = q.T
-    return q / np.sqrt(w * w + x * x + y * y + z * z)[:, None]
-
-
 def _rotmats(quat: np.ndarray) -> np.ndarray:
-    """``quat_to_rotmat`` row by row: an (n, 3, 3) body-to-world stack."""
-    return np.stack(_rotmat(*_normalized(quat).T), axis=-1).reshape(-1, 3, 3)
+    """``quat_to_rotmat`` on (n, 4) unit rows: an (n, 3, 3) body-to-world stack."""
+    return np.stack(_rotmat(*quat.T), axis=-1).reshape(-1, 3, 3)
 
 
 def _euler(R: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -124,7 +120,7 @@ class MocapTrajectory:
 
     t: np.ndarray            # (n,)
     pos_w: np.ndarray        # (n, 3)
-    quat: np.ndarray         # (n, 4) scalar-first, canonicalized w >= 0
+    quat: np.ndarray         # (n, 4) scalar-first, normalized, canonicalized w >= 0
     sample_rate: float = field(init=False)
     gap_indices: tuple = field(init=False)
 
@@ -143,7 +139,7 @@ class MocapTrajectory:
             i = int(np.nonzero(dt <= 0.0)[0][0])
             raise ValueError(f"timestamps not strictly increasing at sample {i + 1}")
         norms = np.linalg.norm(quat, axis=1)
-        bad = np.nonzero(np.abs(norms - 1.0) > 1e-3)[0]
+        bad = np.nonzero(np.abs(norms - 1.0) > UNIT_QUAT_TOL)[0]
         if len(bad):
             raise ValueError(
                 f"quaternion at sample {int(bad[0])} is not unit "
@@ -175,16 +171,10 @@ def load_mocap_csv(path) -> MocapTrajectory:
 
 def trajectory_from_runlog(log: RunLog) -> MocapTrajectory:
     """Treat a simulator log's truth pose series as ideal mocap samples."""
-    # euler_to_quat on columns: qz(yaw) * qy(pitch) * qx(roll) from half angles;
-    # MocapTrajectory canonicalizes the signs
+    # euler_to_quat on columns; MocapTrajectory canonicalizes the signs
     roll, pitch, yaw = _wrap(log.euler[:, 0]), log.euler[:, 1], _wrap(log.euler[:, 2])
     _check_pitch(pitch, log.t)
-    hr, hp, hy = 0.5 * roll, 0.5 * pitch, 0.5 * yaw
-    zero = np.zeros(len(log))
-    qz = np.column_stack([np.cos(hy), zero, zero, np.sin(hy)])
-    qy = np.column_stack([np.cos(hp), zero, np.sin(hp), zero])
-    qx = np.column_stack([np.cos(hr), np.sin(hr), zero, zero])
-    quat = _quat_mul(_quat_mul(qz, qy), qx)
+    quat = np.column_stack(_euler_quat(roll, pitch, yaw, xp=np))
     return MocapTrajectory(log.t, log.pos_w, quat)
 
 
@@ -210,7 +200,7 @@ class ReconstructedStates:
 
     t: np.ndarray
     pos_w: np.ndarray
-    quat: np.ndarray         # (n, 4) hemisphere-continuous
+    quat: np.ndarray         # (n, 4) unit, hemisphere-continuous
     euler: np.ndarray        # (n, 3) roll, pitch, yaw
     vel_w: np.ndarray
     vel_b: np.ndarray
@@ -395,22 +385,20 @@ def _quat_rates(t: np.ndarray, quat: np.ndarray) -> np.ndarray:
     """Body rates from relative-rotation differencing (central in time).
 
     The first and last samples use one-sided differences. Per pair this
-    is ``quat_to_rotvec(conj(qa) * qb) / dt``, the relative quaternion
-    normalized and taken to w >= 0.
+    is ``quat_to_rotvec(conj(qa) * qb) / dt``: the log map of a product of
+    two unit quaternions, taken to w >= 0.
     """
     n = len(t)
     i0 = np.r_[0, 0:n - 2, n - 2]
     i1 = np.r_[1, 2:n, n - 1]
-    dq = _quat_mul(quat[i0] * [1.0, -1.0, -1.0, -1.0], quat[i1])
+    dq = np.column_stack(_qmul((quat[i0] * [1.0, -1.0, -1.0, -1.0]).T, quat[i1].T))
     dq = np.where(dq[:, :1] < 0.0, -dq, dq)
-    # quat_to_rotvec normalizes its (already unit, w >= 0) argument again
-    q = _normalized(_normalized(dq))
-    w, x, y, z = q.T
+    w, x, y, z = dq.T
     vec_norm = np.sqrt(x * x + y * y + z * z)
     small = vec_norm < 1e-9  # the log map's series branch: 2 * vector part
     angle = 2.0 * np.arctan2(vec_norm, w)
     k = np.where(small, 2.0, angle / np.where(small, 1.0, vec_norm))
-    return q[:, 1:] * k[:, None] / (t[i1] - t[i0])[:, None]
+    return dq[:, 1:] * k[:, None] / (t[i1] - t[i0])[:, None]
 
 
 def reconstruct(tr: MocapTrajectory, cutoff_hz: float | None = CUTOFF_HZ) -> ReconstructedStates:
@@ -421,7 +409,8 @@ def reconstruct(tr: MocapTrajectory, cutoff_hz: float | None = CUTOFF_HZ) -> Rec
     world velocity/acceleration come from central differences, body rates
     from quaternion differencing, and the body accelerations are derivatives
     of the body-frame component series. Edge samples contaminated by filter
-    transients and one-sided differences are trimmed.
+    transients and one-sided differences are trimmed. The quaternions
+    returned are unit, as every later stage assumes.
     """
     fs = tr.sample_rate
     # a relative slack of 1e-9 refuses a cutoff at nominal Nyquist however the
@@ -452,6 +441,7 @@ def reconstruct(tr: MocapTrajectory, cutoff_hz: float | None = CUTOFF_HZ) -> Rec
         padlen = min(3 * len(a), n - 1)
         pose = _filtfilt(b, a, np.column_stack([pos, quat]), padlen)
         pos, quat = pose[:, :3], pose[:, 3:]
+        # filtering takes the samples off unit length; from here on they are unit
         quat = quat / np.linalg.norm(quat, axis=1)[:, None]
         # forward-backward transients decay over a few filter time constants;
         # two cutoff periods of samples is comfortably past them (the small
@@ -517,18 +507,18 @@ def estimate_body_offset(
     tr: MocapTrajectory,
     takeoff_window: tuple,
     cutoff_hz: float | None = CUTOFF_HZ,
-    g: float = 9.81,
 ) -> BodyOffset:
     """Estimate the thrust-axis misalignment from a short trimmed takeoff.
 
     Over the window, mean(world acceleration) + g*z_hat points along the
-    mean thrust direction; expressing that direction in the recorded body
-    frame and comparing with the body z-axis gives the minimal rotation
-    correcting the marker-defined frame. Windows with net specific force
-    below 0.2 g (e.g. hover) or implied tilts of 30 deg or more are
-    rejected as unusable trim flights.
+    mean thrust direction (``g``, the ``VehicleParams`` default); expressing
+    that direction in the recorded body frame and comparing with the body
+    z-axis gives the minimal rotation correcting the marker-defined frame.
+    Windows with net specific force below 0.2 g (e.g. hover) or implied
+    tilts of 30 deg or more are rejected as unusable trim flights.
     """
     rs = reconstruct(tr, cutoff_hz)
+    g = VehicleParams.g
     t0, t1 = float(takeoff_window[0]), float(takeoff_window[1])
     if not t1 > t0:
         raise ValueError("takeoff window must have positive length")
@@ -579,9 +569,8 @@ def estimate_body_offset(
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Measured vs model-predicted accelerations, per axis."""
+    """Measured vs model-predicted accelerations, per axis of ``ACCEL_AXES``."""
 
-    axes: tuple
     t: np.ndarray             # (n,)
     measured: np.ndarray      # (n, 6)
     predicted: np.ndarray     # (n, 6)
@@ -601,12 +590,12 @@ class ValidationReport:
 
     def to_text(self) -> str:
         lines = ["axis       rms error      signal rms     error/signal"]
-        for ax, e, s, r in zip(self.axes, self.rms_error, self.signal_rms, self.ratio):
+        for ax, e, s, r in zip(ACCEL_AXES, self.rms_error, self.signal_rms, self.ratio):
             lines.append(f"{ax:<8s} {e:>12.6g} {s:>14.6g} {r:>14.4%}")
         return "\n".join(lines)
 
     def write_series_csv(self, path) -> None:
-        cols = ["t", *(f"{kind}_{ax}" for ax in self.axes for kind in ("meas", "pred"))]
+        cols = ["t", *(f"{kind}_{ax}" for ax in ACCEL_AXES for kind in ("meas", "pred"))]
         pairs = np.stack([self.measured, self.predicted], axis=2).reshape(len(self.t), -1)
         rows = np.column_stack([self.t, pairs]).tolist()
         atomic_write_text(path, table_text(cols, rows))
@@ -639,12 +628,7 @@ def validate_model(rs: ReconstructedStates, p: VehicleParams) -> ValidationRepor
     ydot = _eom(*states[:, 3:].T, at, ap, aq, c, xp=np)
     meas = np.column_stack([rs.accel_body, rs.alpha_body])
     pred = np.column_stack([ydot[i] for i in (3, 4, 5, 9, 10, 11)])
-    return ValidationReport(
-        axes=ACCEL_AXES,
-        t=rs.t.copy(),
-        measured=meas,
-        predicted=pred,
-    )
+    return ValidationReport(t=rs.t.copy(), measured=meas, predicted=pred)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +685,7 @@ def flight_envelope(rs: ReconstructedStates) -> EnvelopeGrid:
 
     # body z in world coordinates is the third column of R; its z component
     # is cos(tilt) regardless of yaw
-    cz = _rotmat(*_normalized(rs.quat).T)[8]
+    cz = _rotmat(*rs.quat.T)[8]
     tilt = np.clip(np.degrees(np.arccos(np.clip(cz, -1.0, 1.0))), 0.0, TILT_MAX_DEG)
     speed = np.clip(np.linalg.norm(rs.vel_b, axis=1), 0.0, SPEED_MAX)
     counts, _, _ = np.histogram2d(tilt, speed, bins=(te, se))

@@ -30,7 +30,7 @@ from flapsim.kinematics import (
     wrap_angle,
 )
 from flapsim.lqr import LinearModel, LqrWeights, default_weights, linearize_hover, solve_care
-from flapsim.pipeline import estimate_body_offset, reconstruct_runlog, validate_model
+from flapsim.pipeline import ACCEL_AXES, estimate_body_offset, reconstruct_runlog, validate_model
 from flapsim.vehicle import Wrench, hover_thrust, wrench_to_cmd
 
 
@@ -305,7 +305,7 @@ def test_a07_pipeline_self_consistency(params, openloop_log):
     rep = validate_model(reconstruct_runlog(openloop_log), params)
     worst = float(np.max(rep.ratio))
     print("per-axis error/signal: "
-          + ", ".join(f"{ax}={r:.4f}" for ax, r in zip(rep.axes, rep.ratio)))
+          + ", ".join(f"{ax}={r:.4f}" for ax, r in zip(ACCEL_AXES, rep.ratio)))
     assert worst < 0.01
 
     tr = make_trim_flight(params, tilt_deg=5.0)

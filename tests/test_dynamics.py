@@ -13,6 +13,7 @@ from flapsim.dynamics import (
     STATE_DIM,
     SimState,
     UnmodeledTerms,
+    _eom,
     _forcing,
     _plant,
     rk4_packed,
@@ -96,7 +97,13 @@ def test_derivative_matches_matrix_reference(params):
                    rng.uniform(-1e-5, 1e-5))
         un = UnmodeledTerms(rng.uniform(-5.0, 5.0, 3), rng.uniform(-100.0, 100.0, 3))
         ext = rng.uniform(-1e-2, 1e-2, 3)
-        d = state_derivative(params, s, w, unmodeled=un, ext_force_w=ext)
+        y, sf, aa = s.as_vector()[3:].tolist(), un.specific_force, un.angular_accel
+        # state_derivative is _eom on the unforced plant; a world force
+        # reaches _eom only through _plant, as the run loop's pulses do
+        unforced = _forcing(_plant(params, sf, aa), w.thrust, w.tau_r, w.tau_p)
+        assert state_derivative(params, s, w, unmodeled=un).tolist() == list(_eom(*y, *unforced))
+        forced = _forcing(_plant(params, sf, aa, ext), w.thrust, w.tau_r, w.tau_p)
+        d = np.array(_eom(*y, *forced))
         ref = oracles.eom_reference(
             s.as_vector(), params.total_mass, params.J, params.g,
             (w.thrust, w.tau_r, w.tau_p),
@@ -237,15 +244,13 @@ def _floats(lo, hi, n=None):
 def test_rk4_packed_is_textbook_rk4_over_state_derivative_bit_for_bit(
     params, pos, vel, att, omega, thrust, torques, specific_force, angular_accel, force, dt
 ):
-    w = Wrench(thrust, *torques)
-    un = UnmodeledTerms(specific_force, angular_accel)
     s = SimState(pos, vel, EulerAngles321(*att), omega)
+    forcing = _forcing(_plant(params, specific_force, angular_accel, force), thrust, *torques)
 
     def f(y):
-        return state_derivative(params, SimState.from_vector(y), w, un, force)
+        # state_derivative's own body; a world force reaches _eom only through _plant
+        return np.array(_eom(*SimState.from_vector(y).as_vector()[3:].tolist(), *forcing))
 
-    plant = _plant(params, specific_force, angular_accel, force)
-    forcing = _forcing(plant, thrust, *torques)
     out = rk4_packed(s.as_vector().tolist(), dt, forcing)
     assert np.array(out).tobytes() == oracles.rk4_textbook(f, s.as_vector(), dt).tobytes()
 

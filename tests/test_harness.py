@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from flapsim.controller import CircleSchedule, ConstantSchedule, Setpoint, _decide, _sense, _sigma
-from flapsim.dynamics import SimState, state_derivative
+from flapsim.dynamics import SimState, _eom, _forcing, _plant
 from flapsim.errors import ConfigError, DivergenceError, SchemaError
 from flapsim.harness import (
     PHYSICS_STEP,
@@ -707,8 +707,9 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
 def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
     # the integrate half of the tick, replayed from the log: a row's truth
     # state under its applied wrench, through textbook RK4 over
-    # state_derivative with each pulse's overlap share of a substep as the
-    # world force, must give the next row (final_state after the last) bit for bit
+    # state_derivative's body (_eom on _forcing of _plant) with each pulse's
+    # overlap share of a substep as the world force, must give the next row
+    # (final_state after the last) bit for bit
     sc = scenario_from_dict(
         {"name": "replay", "duration": 0.5, "physics_substeps": 4, "seed": 3,
          "setpoint": {"kind": "constant"}, **extra},
@@ -719,7 +720,7 @@ def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
     states = np.column_stack([log.pos_w, log.vel_b, log.euler, log.omega_b])
     ends = [*states[1:], log.final_state.as_vector()]
     for k, (y, end) in enumerate(zip(states, ends)):
-        w = Wrench(*log.wrench[k].tolist())
+        wrench = log.wrench[k].tolist()
         for i in range(sc.physics_substeps):
             t_sub = float(log.t[k]) + i * dt
             force = np.zeros(3)
@@ -730,8 +731,10 @@ def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
                 elif share > 1e-9:
                     force = force + share * pulse.force_w
 
-            def f(x, force=force):
-                return state_derivative(params, SimState.from_vector(x), w, None, force)
+            forcing = _forcing(_plant(params, force_w=force.tolist()), *wrench)
+
+            def f(x, forcing=forcing):
+                return np.array(_eom(*SimState.from_vector(x).as_vector()[3:].tolist(), *forcing))
 
             y = oracles.rk4_textbook(f, y, dt)
         assert y.tobytes() == end.tobytes(), k

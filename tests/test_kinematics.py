@@ -14,6 +14,7 @@ from flapsim.kinematics import (
     GIMBAL_GUARD,
     EulerAngles321,
     Quaternion,
+    _euler_quat,
     euler_to_quat,
     euler_to_rotmat,
     quat_from_rotvec,
@@ -193,14 +194,13 @@ def test_euler_quat_round_trip():
         np.testing.assert_allclose(astuple(back), astuple(e), atol=1e-9)
 
 
-def test_euler_to_quat_matches_oracle_product():
-    # the closed form against the product of the three axis quaternions, on
-    # random angles mixed with +-0, +-pi and pitch just inside the gimbal guard
+def edge_angles(seed, n=10_000):
+    """(n, 3) roll, pitch, yaw: random angles mixed with +-0, +-pi and pitch
+    just inside the gimbal guard, the 64 all-edge triples first."""
     edge_pitch = GIMBAL_GUARD - 1e-9
     edges = ([0.0, -0.0, math.pi, -math.pi], [0.0, -0.0, edge_pitch, -edge_pitch],
              [0.0, -0.0, math.pi, -math.pi])
-    rng = np.random.default_rng(17)
-    n = 10_000
+    rng = np.random.default_rng(seed)
     angles = np.column_stack([rng.uniform(-math.pi, math.pi, n),
                               rng.uniform(-edge_pitch, edge_pitch, n),
                               rng.uniform(-math.pi, math.pi, n)])
@@ -208,8 +208,13 @@ def test_euler_to_quat_matches_oracle_product():
         pick = rng.random(n) < 0.25
         angles[pick, k] = rng.choice(values, int(pick.sum()))
     angles[:64] = list(itertools.product(*edges))
+    return angles
+
+
+def test_euler_to_quat_matches_oracle_product():
+    # the closed form against the product of the three axis quaternions
     worst = 0.0
-    for roll, pitch, yaw in angles.tolist():
+    for roll, pitch, yaw in edge_angles(17).tolist():
         e = EulerAngles321(roll, pitch, yaw)
         q_ref = oracles.quat_product(
             oracles.quat_product(
@@ -222,6 +227,14 @@ def test_euler_to_quat_matches_oracle_product():
             q_ref = -q_ref
         worst = max(worst, float(np.max(np.abs(np.array(astuple(euler_to_quat(e))) - q_ref))))
     assert worst <= 4e-16, worst
+
+
+def test_euler_quat_on_columns_is_the_float_call_bit_for_bit():
+    # pipeline applies the one closed form to whole trajectories with xp=np
+    angles = edge_angles(18)
+    columns = np.column_stack(_euler_quat(*angles.T, xp=np))
+    rows = np.array([_euler_quat(*row) for row in angles.tolist()])
+    assert columns.tobytes() == rows.tobytes()
 
 
 def test_quat_multiply_matches_matrix_product():

@@ -874,6 +874,17 @@ def test_reconstruct_rates_through_the_small_rotation_branch():
     assert 0.0 < np.max(np.abs(rs.omega_b[20:34])) < 1e-7
 
 
+@pytest.mark.parametrize("cutoff_hz", [None, CUTOFF_HZ], ids=["unfiltered", "filtered"])
+def test_reconstruct_returns_unit_quaternions(cutoff_hz):
+    # every stage after reconstruct takes its quaternions as unit, unnormalized
+    rng = np.random.default_rng(19)
+    tr = spinning_trajectory((0.3, -0.2, 2.0), (4.0, -6.0, 9.0), 480)
+    off_unit = tr.quat * rng.uniform(1.0 - 5e-4, 1.0 + 5e-4, (len(tr), 1))
+    rs = reconstruct(MocapTrajectory(tr.t, tr.pos_w, off_unit), cutoff_hz)
+    w, x, y, z = rs.quat.T
+    assert np.max(np.abs(np.sqrt(w * w + x * x + y * y + z * z) - 1.0)) <= 4e-16
+
+
 @pytest.mark.parametrize(
     "quat, angle",
     [((0.0, 1.0, 0.0, 0.0), 0), ((-0.0, 1.0, 0.0, -0.0), 0),
