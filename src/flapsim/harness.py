@@ -474,11 +474,7 @@ class RunLog:
         return len(self.t)
 
     def to_csv_text(self) -> str:
-        # saturated, the last column, is the integer one
-        rows = np.column_stack([getattr(self, name) for name, _ in RUNLOG_FIELDS[:-1]]).tolist()
-        for row, sat in zip(rows, self.saturated.astype(np.int64).tolist()):
-            row.append(sat)
-        return table_text(RUNLOG_COLUMNS, rows)
+        return table_text(RUNLOG_COLUMNS, *(getattr(self, name) for name, _ in RUNLOG_FIELDS))
 
     def write_csv(self, path) -> None:
         atomic_write_text(path, self.to_csv_text())

@@ -1,6 +1,7 @@
 """The CSV table format (README "File formats") and atomic file writes.
 
-The gain CSV, a headerless matrix, is not such a table (``lqr.read_gain_csv``).
+The gain CSV, a headerless matrix, is not such a table (``lqr.read_gain_csv``),
+but :func:`rows_text` writes its rows as it writes a table's.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from .errors import SchemaError
 
-__all__ = ["atomic_write_text", "fmt", "read_header", "read_table", "table_text"]
+__all__ = ["atomic_write_text", "fmt", "read_header", "read_table", "rows_text", "table_text"]
 
 
 def fmt(x: float) -> str:
@@ -112,12 +113,337 @@ def _row_lineno(body, k: int) -> int:
     return [i for i, line in enumerate(body, start=2) if line.strip()][k]
 
 
-def table_text(columns, rows) -> str:
-    """Table file text from rows of Python floats and ints (``ndarray.tolist()``).
+def table_text(columns, *blocks) -> str:
+    """Table file text: the header line naming ``columns``, then :func:`rows_text`.
 
-    Floats are written as :func:`fmt` writes them, ints as integers.
+    Raises ValueError unless the blocks hold one value per column.
     """
-    return "\n".join([",".join(columns), *(",".join(map(repr, row)) for row in rows), ""])
+    blocks = _as_blocks(blocks)
+    width = sum(b.shape[1] for b in blocks)
+    if width != len(columns):
+        raise ValueError(f"rows have {width} values; the header has {len(columns)} columns")
+    return ",".join(columns) + "\n" + rows_text(*blocks)
+
+
+def rows_text(*blocks) -> str:
+    """One line per row, values separated by ``,``.
+
+    The blocks are the columns left to right, each an array with one entry
+    per row: 1-D for one column, 2-D for several. A block of integer or bool
+    dtype is written as integers; every other value as the float64 that
+    ``repr`` writes, the shortest text that reads back to the same double.
+    """
+    blocks = _as_blocks(blocks)
+    if not sum(b.shape[1] for b in blocks):
+        raise ValueError("no columns")
+    if len({len(b) for b in blocks}) != 1:
+        raise ValueError(f"blocks with different row counts {[len(b) for b in blocks]}")
+    is_int = np.concatenate([np.full(b.shape[1], b.dtype.kind in "biu") for b in blocks])
+    rows = len(blocks[0])
+    floats = np.empty((rows, int(np.sum(~is_int))))
+    ints = np.empty((rows, int(np.sum(is_int))), np.int64)
+    f = i = 0
+    for b in blocks:
+        w = b.shape[1]
+        if b.dtype.kind not in "biu":
+            floats[:, f:f + w] = b
+            f += w
+        elif b.dtype.kind == "u" and np.any(b > np.iinfo(np.int64).max):
+            raise ValueError("integers beyond the int64 range")
+        else:
+            ints[:, i:i + w] = b
+            i += w
+    sep = np.full(len(is_int), ord(",") << 40, np.uint64)
+    sep[-1] = ord("\n") << 40
+    step = max(1, _BLOCK_CELLS // len(is_int))
+    return b"".join(
+        _rows_bytes(floats[r:r + step], ints[r:r + step], is_int, sep)
+        for r in range(0, rows, step)
+    ).decode("ascii")
+
+
+def _as_blocks(blocks) -> list:
+    out = []
+    for b in blocks:
+        b = np.asarray(b)
+        if b.ndim == 1:
+            b = b[:, None]
+        if b.ndim != 2:
+            raise ValueError(f"a block must be 1-D or 2-D, not {b.ndim}-D")
+        out.append(b)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# float64 -> the text repr gives, for a whole block at once
+#
+# |x| = f * 2**e (f in [0.5, 1)) is scaled by 10**k to S in [1e16, 1e17),
+# held as a double-double (Dekker's split and two-product; no FMA needed).
+# The doubles next to x are 2H away, H = 2**(e - 54) * 10**k after scaling,
+# so the decimals that read back to x are those in [S - H, S + H]. The
+# shortest is a multiple of the largest power of ten 10**j with a multiple
+# in there; of those, the one nearest S. A cell whose answer hangs on a
+# decision closer than _NEAR to a boundary (an interval end on an integer,
+# a tie in the rounding), on a lopsided interval (x a power of two) or on a
+# magnitude outside the scale table is written by repr itself, as is every
+# non-finite value. Zero is written directly.
+# ---------------------------------------------------------------------------
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_E10_MIN, _E10_MAX = -98, 98  # floor(log10|x|) the scale table covers
+_NEAR = 2.0**-30
+_BLOCK_CELLS = 4096  # cells formatted at once, which keeps the working arrays near 1 MB
+
+
+def _scale_table():
+    """10**k for k = 16 - e10, e10 from _E10_MAX down to _E10_MIN, as
+    double-doubles (hi, lo), with hi split in two 26-bit halves."""
+    hi, lo = [], []
+    for k in range(16 - _E10_MAX, 17 - _E10_MIN):
+        if k >= 0:
+            h = float(10**k)
+            lo.append(float(10**k - int(h)))
+        else:
+            h = 1 / 10**-k
+            num, den = h.as_integer_ratio()
+            lo.append((den - num * 10**-k) / (den * 10**-k))
+        hi.append(h)
+    hi, lo = np.array(hi), np.array(lo)
+    c = hi * 134217729.0
+    hi_hi = c - (c - hi)
+    return hi, lo, hi_hi, hi - hi_hi
+
+
+_SCALE_HI, _SCALE_LO, _SCALE_HI_HI, _SCALE_HI_LO = _scale_table()
+
+
+def _float_cells(x):
+    """The text of float64 values ``x`` as (neg, digits, n, mode, exp10, fallback).
+
+    ``digits`` is the shortest significand, n digits long, padded with zeros
+    to 17; ``mode`` picks its layout (see _LAYOUT) and ``exp10`` is the
+    exponent of its first digit. ``fallback`` marks the cells left to repr.
+    """
+    i, s_floor, s_frac, top, width, fallback = _scaled(np.abs(x))
+    j = _shortest_power(top, width)
+    # the multiple of 10**j nearest S, as q * 10**j
+    pj = _POW10[j]
+    q = s_floor // pj
+    off = (2 * (s_floor - q * pj) - pj).astype(np.float64) + 2.0 * s_frac  # 2 (S - q pj) - pj
+    fallback |= np.abs(off) < 2.0 * _NEAR
+    q += off > 0.0
+    length = 16 + (q * pj >= _POW10[16]) + (q * pj >= _POW10[17])  # digits of q * 10**j
+    n = length - j
+    exp10 = length - 1 - (16 - _E10_MAX) - i  # within 1 of floor(log10|x|): two digits
+    zero = x == 0.0
+    fallback &= ~zero
+    fallback |= ~np.isfinite(x)
+    blank = fallback | zero
+    q[blank] = 0
+    n[blank] = 1
+    exp10[blank] = 0
+    # repr's layout: 0.000ddd from 1e-4, positional below 1e16, else d.ddde+XX
+    mode = np.where((exp10 >= -4) & (exp10 < 16), exp10 + 4, _EXP)
+    return np.signbit(x), q * _POW10[17 - n], n, mode, exp10, fallback
+
+
+def _scaled(a):
+    """S = a * 10**k in [1e16, 1e17) and the interval [S - H, S + H] of the
+    decimals that read back to ``a`` (> 0), in integers.
+
+    Returns the scale table index i (k = 16 - _E10_MAX + i), floor(S), its
+    fraction, floor(S + H), the number of integers in (S - H, S + H] and
+    the cells no integer answer can be trusted for. ``a`` is overwritten.
+    """
+    with np.errstate(divide="ignore"):
+        e10 = np.floor(np.log10(a))
+    fallback = ~((e10 >= _E10_MIN) & (e10 <= _E10_MAX))
+    a[fallback] = 1.0
+    e10[fallback] = 0.0
+    frac, e2 = np.frexp(a)
+    fallback |= frac == 0.5  # a power of two: the gap below is half the gap above
+    i = (_E10_MAX - e10).astype(np.int64)  # log10 can be one off near a power of ten
+    p = a * _SCALE_HI[i]
+    i += p < 1e16
+    i -= p >= 1e17
+    fallback |= (i < 0) | (i >= len(_SCALE_HI))
+    np.clip(i, 0, len(_SCALE_HI) - 1, out=i)
+    p, s_lo = _scale(a, i)
+    top, width, near = _interval(p, s_lo, np.ldexp(_SCALE_HI[i], e2 - 54),
+                                 np.ldexp(_SCALE_LO[i], e2 - 54))
+    fallback |= near
+    s_int = np.floor(s_lo)
+    s_lo -= s_int
+    return i, p.astype(np.int64) + s_int.astype(np.int64), s_lo, top, width, fallback
+
+
+def _scale(a, i):
+    """a * 10**k as p + s_lo, p = a * hi rounded (an integer >= 2**53), by
+    Dekker's split and two-product."""
+    hi, hi_hi, hi_lo = _SCALE_HI[i], _SCALE_HI_HI[i], _SCALE_HI_LO[i]
+    c = a * 134217729.0
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p = a * hi
+    return p, ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * _SCALE_LO[i]
+
+
+def _interval(p, s_lo, h_hi, h_lo):
+    """floor(S + H), the count of integers in (S - H, S + H], and where an
+    end of the interval is within _NEAR of an integer, for S = p + s_lo and
+    H = h_hi + h_lo."""
+    u = p + h_hi
+    u_lo = (h_hi - (u - p)) + s_lo + h_lo           # S + H = u + u_lo
+    v = p - h_hi
+    v_lo = ((p - v) - h_hi) + s_lo - h_lo           # S - H = v + v_lo
+    u_int, v_int = np.floor(u_lo), np.ceil(v_lo)
+    top = u.astype(np.int64) + u_int.astype(np.int64)
+    width = top - v.astype(np.int64) - v_int.astype(np.int64) + 1  # top - (ceil(S - H) - 1)
+    u_lo -= u_int
+    v_int -= v_lo
+    return top, width, (u_lo < _NEAR) | (u_lo > 1.0 - _NEAR) | (v_int < _NEAR) | (v_int > 1.0 - _NEAR)
+
+
+def _shortest_power(top, width):
+    """The largest j with a multiple of 10**j among the ``width`` integers
+    up to ``top``: those with top % 10**j < width."""
+    j = (top - top // 10 * 10 < width).astype(np.int64)
+    j += top - top // 100 * 100 < width
+    # width is under 100, so j > 2 only where top ends in zeros
+    far = np.flatnonzero(j == 2)
+    if len(far):
+        top, width = top[far], width[far]
+        j_in, j_out = np.full(len(far), 2, np.int64), np.full(len(far), 18, np.int64)
+        for _ in range(4):
+            mid = (j_in + j_out) >> 1
+            has = top % _POW10[mid] < width
+            j_in = np.where(has, mid, j_in)
+            j_out = np.where(has, j_out, mid)
+        j[far] = j_in
+    return j
+
+
+def _int_cells(v):
+    """The text of integers ``v``, as :func:`_float_cells` gives it."""
+    fallback = (v <= -_POW10[17]) | (v >= _POW10[17])
+    v = np.where(fallback, 0, v).astype(np.int64)
+    neg = v < 0
+    v = np.abs(v)
+    n = np.maximum(np.searchsorted(_POW10, v, side="right"), 1)
+    zeros = np.zeros_like(n)
+    return neg, v * _POW10[17 - n], n, zeros + _INT, zeros, fallback
+
+
+# A cell's text is picked out of a 48-byte layout, six little-endian words:
+#   bytes  0-7   '-' '0' '.' '0' '0' '0'           sign, a leading "0.000"
+#   bytes  8-39  d1 '.' d2 '.' ... d16 '.'         digits, each with a point after it
+#   bytes 40-47  d17 'e' '+' X X sep               last digit, exponent, separator
+# _MASKS[n * _MODES + mode] is 0xff at the bytes a cell of n digits in that
+# mode keeps: mode 0-19 is positional with the first digit at 10**(mode - 4).
+# A byte not kept becomes 0, and 0 bytes are deleted from the result, so the
+# sign, always kept, is written only for negative cells.
+_LAYOUT = 48
+_SEP = 45
+_EXP, _INT, _MODES = 20, 21, 22
+_WORD0 = int.from_bytes(b"\0" + b"0.000\0\0", "little")
+
+
+def _layout_masks() -> np.ndarray:
+    n = np.arange(18)[:, None, None]
+    mode = np.arange(_MODES)[None, :, None]
+    b = np.arange(_LAYOUT)[None, None, :]
+    decpt = mode - 3  # digits before the point
+    lead, fixed, exp = mode <= 3, (mode >= 4) & (mode < _EXP), mode == _EXP
+    pair = (b >= 8) & (b < 40)
+    digit = np.where(pair & (b % 2 == 0), (b - 6) // 2, np.where(b == 40, 17, 0))
+    point = np.where(pair & (b % 2 == 1), (b - 7) // 2, 0)
+    keep = (
+        (b == 0)
+        | (lead & ((b == 1) | (b == 2) | ((b >= 3) & (b < 3 - decpt))))
+        | ((digit >= 1) & (digit <= np.where(fixed, np.maximum(n, decpt + 1), n)))
+        | (fixed & (point == decpt))
+        | (exp & (((point == 1) & (n > 1)) | ((b >= 41) & (b < _SEP))))
+        | (b == _SEP)
+    )
+    return (keep * np.uint8(0xFF)).view("<u8").reshape(-1, 6)
+
+
+_MASKS = _layout_masks()
+# word 5 less its separator, for exponents -99..99 and a last digit of 0
+_e = np.arange(-99, 100)
+_TAIL = (ord("0") | ord("e") << 8 | np.where(_e < 0, ord("-"), ord("+")) << 16
+         | (abs(_e) // 10 + ord("0")) << 24 | (abs(_e) % 10 + ord("0")) << 32).astype(np.uint64)
+del _e
+
+
+def _digit_words(d):
+    """Words 1-4 of the layout for 17-digit significands ``d``, and d17."""
+    # int64 % is not the fast division numpy does for //, so x - x // m * m
+    head = d // 10
+    groups = np.empty((len(d), 4), np.int64)
+    high = head // 10**8
+    low = head - high * 10**8
+    groups[:, 0] = high // 10**4
+    groups[:, 1] = high - groups[:, 0] * 10**4
+    groups[:, 2] = low // 10**4
+    groups[:, 3] = low - groups[:, 2] * 10**4
+    # 4 digits to 2 + 2 in 32-bit lanes (x // 100 = x * 5243 >> 19 below 10**4),
+    # then 2 to 1 + 1 in 16-bit lanes (x // 10 = x * 103 >> 10 below 100)
+    out = groups.view(np.uint64)
+    high = out * np.uint64(5243)
+    high >>= np.uint64(19)
+    out -= high * np.uint64(100)
+    out <<= np.uint64(32)
+    out |= high
+    np.multiply(out, np.uint64(103), out=high)
+    high >>= np.uint64(10)
+    high &= np.uint64(0x0000000F0000000F)
+    out -= high * np.uint64(10)
+    out <<= np.uint64(16)
+    out |= high
+    out |= np.uint64(0x2E302E302E302E30)  # '0' + digit, then '.'
+    return out, d - head * 10
+
+
+def _rows_bytes(floats, ints, is_int, sep) -> bytes:
+    """The text of a run of rows whose float and integer columns are split
+    out, in order, into ``floats`` and ``ints``; ``sep`` is each column's
+    separator, placed in word 5."""
+    rows, width = len(floats), len(is_int)
+    cells = _float_cells(floats.ravel())
+    texts = list(map(repr, floats.ravel()[cells[-1]].tolist()))
+    places = _places(cells[-1], np.flatnonzero(~is_int), width)
+    if ints.shape[1]:
+        int_cells = _int_cells(ints.ravel())
+        texts += map(str, ints.ravel()[int_cells[-1]].tolist())
+        places = np.concatenate([places, _places(int_cells[-1], np.flatnonzero(is_int), width)])
+        merged = []
+        for f, i in zip(cells, int_cells):
+            m = np.empty((rows, width), f.dtype)
+            m[:, ~is_int] = f.reshape(rows, -1)
+            m[:, is_int] = i.reshape(rows, -1)
+            merged.append(m.ravel())
+        cells = merged
+    neg, digits, n, mode, exp10, _ = cells
+    src = _MASKS[n * _MODES + mode]
+    src[:, 0] &= np.where(neg, _WORD0 | ord("-"), _WORD0).astype(np.uint64)
+    words, last = _digit_words(digits)
+    src[:, 1:5] &= words
+    tail = _TAIL[exp10 + 99]
+    tail |= last.view(np.uint64)
+    tail.reshape(rows, width)[:] |= sep
+    src[:, 5] &= tail
+    if texts:  # the cells repr writes, padded with the 0 bytes that are deleted
+        padded = "".join(t.ljust(_SEP, "\0") for t in texts).encode("ascii")
+        src.view(np.uint8)[places, :_SEP] = np.frombuffer(padded, np.uint8).reshape(-1, _SEP)
+    return src.tobytes().translate(None, b"\0")
+
+
+def _places(flags, columns, width):
+    """Row-major places in the whole row of the flagged cells of a block
+    holding ``columns`` of it."""
+    k = np.flatnonzero(flags)
+    return k // len(columns) * width + columns[k % len(columns)]
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, SynthesisError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, rows_text
 from .vehicle import VehicleParams, hover_thrust
 
 __all__ = [
@@ -367,9 +367,7 @@ def lqr_gain(p: VehicleParams, weights: LqrWeights | None = None) -> LqrSolution
 # ---------------------------------------------------------------------------
 
 def write_gain_csv(path: str, K: np.ndarray) -> None:
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in K)
-    atomic_write_text(path, text)
+    atomic_write_text(path, rows_text(np.atleast_2d(np.asarray(K, dtype=float))))
 
 
 def read_gain_csv(path: str) -> np.ndarray:

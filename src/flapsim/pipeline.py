@@ -597,8 +597,7 @@ class ValidationReport:
     def write_series_csv(self, path) -> None:
         cols = ["t", *(f"{kind}_{ax}" for ax in ACCEL_AXES for kind in ("meas", "pred"))]
         pairs = np.stack([self.measured, self.predicted], axis=2).reshape(len(self.t), -1)
-        rows = np.column_stack([self.t, pairs]).tolist()
-        atomic_write_text(path, table_text(cols, rows))
+        atomic_write_text(path, table_text(cols, self.t, pairs))
 
 
 def validate_model(rs: ReconstructedStates, p: VehicleParams) -> ValidationReport:
@@ -662,11 +661,13 @@ class EnvelopeGrid:
         return EnvelopeGrid(self.tilt_edges_deg, self.speed_edges, self.counts + other.counts)
 
     def write_csv(self, path) -> None:
-        te, se = self.tilt_edges_deg.tolist(), self.speed_edges.tolist()
-        rows = [(t0, t1, s0, s1, int(n))
-                for t0, t1, counts in zip(te, te[1:], self.counts)
-                for s0, s1, n in zip(se, se[1:], counts)]
-        atomic_write_text(path, table_text(ENVELOPE_COLUMNS, rows))
+        te, se = self.tilt_edges_deg, self.speed_edges
+        n_tilt, n_speed = np.shape(self.counts)
+        edges = np.column_stack([
+            np.repeat(te[:-1], n_speed), np.repeat(te[1:], n_speed),
+            np.tile(se[:-1], n_tilt), np.tile(se[1:], n_tilt),
+        ])
+        atomic_write_text(path, table_text(ENVELOPE_COLUMNS, edges, np.ravel(self.counts)))
 
 
 def flight_envelope(rs: ReconstructedStates) -> EnvelopeGrid:

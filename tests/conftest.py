@@ -70,8 +70,7 @@ def unstable_gain(params):
 
 def write_mocap_csv(path, tr: MocapTrajectory) -> None:
     """Write a trajectory as a mocap CSV: t, x, y, z, qw, qx, qy, qz."""
-    rows = np.column_stack([tr.t, tr.pos_w, tr.quat]).tolist()
-    Path(path).write_text(table_text(MOCAP_COLUMNS, rows), encoding="utf-8")
+    Path(path).write_text(table_text(MOCAP_COLUMNS, tr.t, tr.pos_w, tr.quat), encoding="utf-8")
 
 
 def reduced_dynamics(p, sigma, delta) -> np.ndarray:

@@ -338,7 +338,7 @@ def filtfilt_direct(b, a, x, padlen: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# table files (one line at a time, with float())
+# table files, one value at a time: read with float(), written with repr
 # ---------------------------------------------------------------------------
 
 
@@ -386,6 +386,11 @@ def read_table_by_line(path, columns, *, min_rows=1, binary=()):
             if row[j] not in (0.0, 1.0):
                 raise ValueError(f"{path}:{linenos[k]}: {name} must be 0 or 1 ({row[j]!r})")
     return np.array(rows)
+
+
+def table_text_by_repr(columns, rows) -> str:
+    """The table writer as ``repr`` of each Python float or int of each row."""
+    return "\n".join([",".join(columns), *(",".join(map(repr, row)) for row in rows), ""])
 
 
 def stitch_hemisphere_loop(quat) -> np.ndarray:
