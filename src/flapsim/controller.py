@@ -16,10 +16,13 @@ differences smoothed by a two-sample moving average, body rates from
 quaternion differencing. It is the only estimator; a simulation senses
 through it too.
 
-The tick is two functions on plain floats, ``_sense`` (estimator) and
-``_decide`` (control law); ``_sense_truth`` feeds ``_sense`` from the
-simulated state. The run loop calls them every tick and builds no
-dataclass on the way.
+The tick is two functions on plain floats and tuples, ``_sense``
+(estimator) and ``_decide`` (control law); ``_sense_truth`` feeds ``_sense``
+from the simulated state. The estimate carries the 10-entry design state
+the run log records, so nothing recomputes it. ``_decide`` takes the
+run's actuator constants (hover thrust, fits, command box) as the one
+tuple ``vehicle._actuator`` builds before the first tick. The run loop
+calls them every tick and builds no dataclass on the way.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .kinematics import (
 )
 # bench/spans.py times these names
 from .kinematics import quat_multiply, quat_to_rotmat, quat_to_rotvec, rotmat_to_euler  # noqa: F401
-from .vehicle import VehicleParams, _cmd_to_wrench, _wrench_to_cmd
+from .vehicle import _cmd_to_wrench, _wrench_to_cmd
 from .vehicle import cmd_to_wrench, wrench_to_cmd  # noqa: F401  bench/spans.py times these names
 
 __all__ = [
@@ -73,22 +76,18 @@ def _to_body(R: tuple, x: float, y: float, z: float) -> tuple:
             R[2] * x + R[5] * y + R[8] * z)
 
 
-def _sigma(est: tuple) -> tuple:
-    """The 10-entry design state (d, V_b, roll, pitch, p, q) of an estimate."""
-    R, pos, vel, (roll, pitch, _), (p, q, _) = est
-    return (*_to_body(R, *pos), *_to_body(R, *vel), roll, pitch, p, q)
-
-
 def _sense(pos, quat, prev: tuple | None, dt: float) -> tuple:
     """The estimator on one position + quaternion sample: ``(est, carry)``.
 
-    ``est`` is (R row-major, position, velocity, (roll, pitch, yaw), body
-    rates). With no ``prev`` sample, velocity and rates start at zero; with
-    one, world velocity is the first difference averaged with the previous
-    raw difference, and the rates come from the quaternion increment over
-    ``dt``. ``prev`` and ``carry`` hold a sample's position, raw velocity
-    and quaternion. The quaternion must be within ``UNIT_QUAT_TOL`` of unit
-    length; it is normalized and taken to w >= 0 here, once.
+    ``est`` is (R row-major, position, velocity, body rates, sigma), sigma
+    the 10-entry design state (d, V_b, roll, pitch, p, q): position and
+    velocity in the body frame, roll in (-pi, pi]. With no ``prev`` sample,
+    velocity and rates start at zero; with one, world velocity is the first
+    difference averaged with the previous raw difference, and the rates come
+    from the quaternion increment over ``dt``. ``prev`` and ``carry`` hold a
+    sample's position, raw velocity and quaternion. The quaternion must be
+    within ``UNIT_QUAT_TOL`` of unit length; it is normalized and taken to
+    w >= 0 here, once.
     """
     w, x, y, z = quat
     n = math.sqrt(w * w + x * x + y * y + z * z)
@@ -101,47 +100,52 @@ def _sense(pos, quat, prev: tuple | None, dt: float) -> tuple:
     roll, pitch, yaw = _rotmat_euler(R)
     if abs(pitch) >= GIMBAL_GUARD:
         EulerAngles321(roll, pitch, yaw)  # raises the record's GimbalLockError
-    rates = (0.0, 0.0, 0.0)
-    if prev is not None:
-        px, py, pz, rx, ry, rz, pw, qx, qy, qz = prev
-        rates = [c / dt for c in _quat_rotvec(_qmul((pw, -qx, -qy, -qz), q))]
+    if roll == -math.pi:  # atan2 lies in [-pi, pi]; wrap_angle takes -pi to pi
+        roll = math.pi
     if prev is None:
-        raw = vel = (0.0, 0.0, 0.0)
+        raw = vel = rates = (0.0, 0.0, 0.0)
     else:
+        px, py, pz, rx, ry, rz, pw, qx, qy, qz = prev
+        wx, wy, wz = _quat_rotvec(_qmul((pw, -qx, -qy, -qz), q))
+        rates = (wx / dt, wy / dt, wz / dt)
         raw = ((pos[0] - px) / dt, (pos[1] - py) / dt, (pos[2] - pz) / dt)
         vel = (0.5 * (raw[0] + rx), 0.5 * (raw[1] + ry), 0.5 * (raw[2] + rz))
-    return (R, pos, vel, (wrap_angle(roll), pitch, wrap_angle(yaw)), rates), (*pos, *raw, *q)
+    sigma = (*_to_body(R, *pos), *_to_body(R, *vel), roll, pitch, rates[0], rates[1])
+    return (R, pos, vel, rates, sigma), (*pos, *raw, *q)
 
 
 def _sense_truth(y, prev: tuple | None, dt: float, draws) -> tuple:
-    """Sensing on the packed truth state ``y`` for the run loop: ``(est, sigma, carry)``.
+    """:func:`_sense` on the packed truth state ``y`` for the run loop.
 
     ``draws`` (3 position, then 3 rotation-vector noise samples, or None)
     perturb the measurement as the noise model does.
     """
-    roll, pitch, yaw = wrap_angle(y[6]), y[7], wrap_angle(y[8])
-    q, pos = _euler_quat(roll, pitch, yaw), y[0:3]
-    if draws is not None:
-        pos = [a + b for a, b in zip(pos, draws)]
-        q = _qmul(q, _rotvec_quat(*draws[3:]))
-    est, carry = _sense(pos, q, prev, dt)
-    return est, _sigma(est), carry
+    q = _euler_quat(wrap_angle(y[6]), y[7], wrap_angle(y[8]))
+    if draws is None:
+        pos = (y[0], y[1], y[2])
+    else:
+        dx, dy, dz, ax, ay, az = draws
+        pos = (y[0] + dx, y[1] + dy, y[2] + dz)
+        q = _qmul(q, _rotvec_quat(ax, ay, az))
+    return _sense(pos, q, prev, dt)
 
 
-def _decide(K, est: tuple, sp_pos, sp_vel, p: VehicleParams, hover: float) -> tuple:
+def _decide(K, est: tuple, sp_pos, sp_vel, act: tuple) -> tuple:
     """The control law on an estimate: (A, dA, Vo, thrust, tau_r, tau_p, saturated).
 
-    ``K`` is 3 rows of 10 floats, the setpoint 3 + 3 floats, ``hover`` =
-    hover_thrust(p). The wrench is the one realized after command
+    ``K`` is 3 rows of 10 floats, the setpoint 3 + 3 floats, ``act`` the
+    run's actuator constants (``vehicle._actuator``), whose first entry is
+    the hover thrust. The wrench is the one realized after command
     saturation, which the plant receives under zero-order hold.
     """
-    R, pos, vel, (roll, pitch, _), (wp, wq, _) = est
+    R, pos, vel, _, (_, _, _, _, _, _, roll, pitch, wp, wq) = est
     e = (*_to_body(R, sp_pos[0] - pos[0], sp_pos[1] - pos[1], sp_pos[2] - pos[2]),
          *_to_body(R, sp_vel[0] - vel[0], sp_vel[1] - vel[1], sp_vel[2] - vel[2]),
          -roll, -pitch, -wp, -wq)
-    d_gamma, tau_r, tau_p = [sum(map(mul, row, e)) for row in K]
-    A, dA, Vo, saturated = _wrench_to_cmd(p, hover + d_gamma, tau_r, tau_p)
-    return (A, dA, Vo, *_cmd_to_wrench(p, A, dA, Vo), saturated)
+    k_gamma, k_roll, k_pitch = K
+    A, dA, Vo, saturated = _wrench_to_cmd(act, act[0] + sum(map(mul, k_gamma, e)),
+                                          sum(map(mul, k_roll, e)), sum(map(mul, k_pitch, e)))
+    return (A, dA, Vo, *_cmd_to_wrench(act, A, dA, Vo), saturated)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,15 @@ residuals (L, M, N). R = Rz(yaw) Ry(pitch) Rx(roll) is never formed: R (u, v, w)
 is three planar rotations, by roll, pitch, then yaw (12 multiplies, 6 adds),
 and a world force comes into the body frame by their transposes in reverse.
 
-The equations of motion are written once, in ``_eom``: on floats for
-``state_derivative`` and ``rk4_packed``, on whole columns for the pipeline's
-model check. ``state_derivative`` and ``rk4_step`` take the ``SimState``
+The equations of motion are written once, in ``_eom``, which binds them
+to a plant's constants (inertia ratios, residuals, world force) and to
+``cos``/``sin``: on floats for ``state_derivative`` and ``rk4_packed``, on
+whole columns (``xp=np``) for the pipeline's model check. ``_plant`` builds
+that derivative once per run, step or batch, and once per substep that a
+force pulse acts in; ``_forcing`` adds the wrench once per wrench and
+returns ``(at, ap, aq, f)``, and ``f`` takes the 9 states and those three
+quotients. ``state_derivative`` and ``rk4_step`` take the ``SimState``
 record; the run loop calls ``rk4_packed`` on a list of 12 floats.
-``_plant`` (once per run, step or batch) and ``_forcing`` (once per
-wrench) are the one place its held inputs are reduced to the quotients
-``_eom`` takes.
 """
 
 from __future__ import annotations
@@ -127,76 +129,85 @@ class UnmodeledTerms:
         object.__setattr__(self, "angular_accel", aa)
 
 
-def _eom(u, v, w, phi, theta, psi, p, q, r, at, ap, aq, c: tuple, xp=None) -> tuple:
-    """The 12 state derivatives from body velocity, Euler angles and rates.
+def _eom(c: tuple, xp=None):
+    """The equations of motion bound to the plant constants ``c``: a function
+    of 12 numbers, body velocity, Euler angles, rates, ``at, ap, aq``, that
+    returns the 12 state derivatives (position does not enter).
 
-    Position does not enter. ``at, ap, aq, c`` come from :func:`_forcing`.
-    By default the arguments are floats and the pitch is checked against
-    the gimbal guard here. With ``xp=np`` all but ``c`` may be equal-length
-    arrays, one sample per entry, and the caller checks the pitches; each
-    entry then gets the same float operations as a float call.
+    ``c`` and ``at, ap, aq`` come from :func:`_plant` and :func:`_forcing`.
+    By default the arguments are floats and the pitch is checked against the
+    gimbal guard. With ``xp=np`` they may be equal-length arrays, one sample
+    per entry, and the caller checks the pitches; each entry then gets the
+    same float operations as a float call.
     """
     mt, g, fa1, fa2, fa3, Na, ix, iy, iz, fx, fy, fz = c
-    if xp is None:  # floats, the integrator's path: one cheap test selects it
-        if abs(theta) >= GIMBAL_GUARD:
+    floats = xp is None
+    cos, sin = (math.cos, math.sin) if floats else (xp.cos, xp.sin)
+    forced = fx != 0.0 or fy != 0.0 or fz != 0.0
+
+    def deriv(u, v, w, phi, theta, psi, p, q, r, at, ap, aq) -> tuple:
+        if floats and abs(theta) >= GIMBAL_GUARD:
             raise GimbalLockError(f"pitch {theta:.6f} rad reached the gimbal guard")
-        xp = math
 
-    cr, sr = xp.cos(phi), xp.sin(phi)
-    cp, sp = xp.cos(theta), xp.sin(theta)
-    cy, sy = xp.cos(psi), xp.sin(psi)
+        cr, sr = cos(phi), sin(phi)
+        cp, sp = cos(theta), sin(theta)
+        cy, sy = cos(psi), sin(psi)
 
-    # world velocity R (u, v, w), R = Rz(psi) Ry(theta) Rx(phi): roll, pitch, yaw in turn
-    v1 = cr * v - sr * w
-    w1 = sr * v + cr * w
-    u2 = cp * u + sp * w1
-    xd = cy * u2 - sy * v1
-    yd = sy * u2 + cy * v1
-    zd = cp * w1 - sp * u
+        # world velocity R (u, v, w), R = Rz(psi) Ry(theta) Rx(phi): roll, pitch, yaw in turn
+        v1 = cr * v - sr * w
+        w1 = sr * v + cr * w
+        u2 = cp * u + sp * w1
+        xd = cy * u2 - sy * v1
+        yd = sy * u2 + cy * v1
+        zd = cp * w1 - sp * u
 
-    # world-frame external force to body-frame specific force, R^T f: yaw, pitch, roll back
-    if fx != 0.0 or fy != 0.0 or fz != 0.0:
-        f1, f2, f3 = (cy * fx + sy * fy) / mt, (cy * fy - sy * fx) / mt, fz / mt
-        ebx, f3 = cp * f1 - sp * f3, sp * f1 + cp * f3
-        eby, ebz = cr * f2 + sr * f3, cr * f3 - sr * f2
-    else:
-        ebx = eby = ebz = 0.0
+        # world-frame external force to body-frame specific force, R^T f: yaw, pitch, roll back
+        if forced:
+            f1, f2, f3 = (cy * fx + sy * fy) / mt, (cy * fy - sy * fx) / mt, fz / mt
+            ebx, f3 = cp * f1 - sp * f3, sp * f1 + cp * f3
+            eby, ebz = cr * f2 + sr * f3, cr * f3 - sr * f2
+        else:
+            ebx = eby = ebz = 0.0
 
-    cor_u = q * w - r * v
-    cor_v = r * u - p * w
-    cor_w = p * v - q * u
+        cor_u = q * w - r * v
+        cor_v = r * u - p * w
+        cor_w = p * v - q * u
 
-    gc = g * cp
-    ud = g * sp + fa1 - cor_u + ebx
-    vd = -gc * sr + fa2 - cor_v + eby
-    wd = -gc * cr + fa3 - cor_w + at + ebz
+        gc = g * cp
+        ud = g * sp + fa1 - cor_u + ebx
+        vd = -gc * sr + fa2 - cor_v + eby
+        wd = -gc * cr + fa3 - cor_w + at + ebz
 
-    psid = (sr * q + cr * r) / cp
-    phid = p + sp * psid
-    thetad = cr * q - sr * r
+        psid = (sr * q + cr * r) / cp
+        phid = p + sp * psid
+        thetad = cr * q - sr * r
 
-    return (xd, yd, zd, ud, vd, wd, phid, thetad, psid,
-            ap - ix * q * r, aq - iy * r * p, Na - iz * p * q)
+        return (xd, yd, zd, ud, vd, wd, phid, thetad, psid,
+                ap - ix * q * r, aq - iy * r * p, Na - iz * p * q)
+
+    return deriv
 
 
 def _plant(p, specific_force=(0.0, 0.0, 0.0), angular_accel=(0.0, 0.0, 0.0),
-           force_w=(0.0, 0.0, 0.0)) -> tuple:
-    """What :func:`_forcing` takes besides the wrench; ``c`` holds the inertia
-    ratios, the residuals and the world force [N]."""
+           force_w=(0.0, 0.0, 0.0), xp=None) -> tuple:
+    """What :func:`_forcing` takes besides the wrench: the mass, two inertias,
+    two residuals and the derivative :func:`_eom` binds to the inertia
+    ratios, the other residuals and the world force [N]; ``xp`` as there."""
     mt, (Jx, Jy, Jz) = p.total_mass, p.J
     fa1, fa2, fa3 = specific_force
     La, Ma, Na = angular_accel
     fx, fy, fz = force_w
     c = (mt, p.g, fa1, fa2, fa3, Na, (Jz - Jy) / Jx, (Jx - Jz) / Jy, (Jy - Jx) / Jz,
          fx, fy, fz)
-    return mt, Jx, Jy, La, Ma, c
+    return mt, Jx, Jy, La, Ma, _eom(c, xp)
 
 
 def _forcing(plant, thrust, tau_r, tau_p) -> tuple:
-    """``(at, ap, aq, c)`` for :func:`_eom` from :func:`_plant`: at = thrust/mt,
-    ap = La + tau_r/Jx, aq = Ma + tau_p/Jy. The wrench may be floats or arrays."""
-    mt, Jx, Jy, La, Ma, c = plant
-    return thrust / mt, La + tau_r / Jx, Ma + tau_p / Jy, c
+    """``(at, ap, aq, f)`` from :func:`_plant`: at = thrust/mt, ap = La + tau_r/Jx,
+    aq = Ma + tau_p/Jy, and the plant's derivative ``f``, which takes them
+    after the 9 states. The wrench may be floats or arrays."""
+    mt, Jx, Jy, La, Ma, f = plant
+    return thrust / mt, La + tau_r / Jx, Ma + tau_p / Jy, f
 
 
 def _forcing_of(p, w, unmodeled) -> tuple:
@@ -220,8 +231,8 @@ def state_derivative(
     actuator map. A world-frame force reaches the equations of motion
     through ``_plant(p, force_w=...)``, as the run loop's pulses do.
     """
-    at, ap, aq, c = _forcing_of(p, w, unmodeled)
-    return np.array(_eom(*s.as_vector()[3:].tolist(), at, ap, aq, c))
+    at, ap, aq, f = _forcing_of(p, w, unmodeled)
+    return np.array(f(*s.as_vector()[3:].tolist(), at, ap, aq))
 
 
 def rk4_packed(y, dt: float, forcing) -> list:
@@ -233,20 +244,20 @@ def rk4_packed(y, dt: float, forcing) -> list:
     (cheaper than subscripts and a ``zip``; any other order changes bits), so
     the step is bit for bit the textbook RK4 over :func:`state_derivative`.
     """
-    at, ap, aq, c = forcing
+    at, ap, aq, f = forcing
     h = 0.5 * dt
     xw, yw, zw, u, v, w, ph, th, ps, p, q, r = y
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = _eom(
-        u, v, w, ph, th, ps, p, q, r, at, ap, aq, c)
-    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = _eom(
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = f(
+        u, v, w, ph, th, ps, p, q, r, at, ap, aq)
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = f(
         u + h * a3, v + h * a4, w + h * a5, ph + h * a6, th + h * a7, ps + h * a8,
-        p + h * a9, q + h * a10, r + h * a11, at, ap, aq, c)
-    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11 = _eom(
+        p + h * a9, q + h * a10, r + h * a11, at, ap, aq)
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11 = f(
         u + h * b3, v + h * b4, w + h * b5, ph + h * b6, th + h * b7, ps + h * b8,
-        p + h * b9, q + h * b10, r + h * b11, at, ap, aq, c)
-    e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11 = _eom(
+        p + h * b9, q + h * b10, r + h * b11, at, ap, aq)
+    e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11 = f(
         u + dt * d3, v + dt * d4, w + dt * d5, ph + dt * d6, th + dt * d7, ps + dt * d8,
-        p + dt * d9, q + dt * d10, r + dt * d11, at, ap, aq, c)
+        p + dt * d9, q + dt * d10, r + dt * d11, at, ap, aq)
     s = dt / 6.0
     return [xw + s * (a0 + 2.0 * b0 + 2.0 * d0 + e0), yw + s * (a1 + 2.0 * b1 + 2.0 * d1 + e1),
             zw + s * (a2 + 2.0 * b2 + 2.0 * d2 + e2), u + s * (a3 + 2.0 * b3 + 2.0 * d3 + e3),

@@ -22,8 +22,11 @@ The controller sees the state only through the mocap-style estimator
 fixed seed; the log records one row per tick.
 
 A tick runs on plain floats: the state is a list of 12 and the
-controller's cores take and return tuples. Dataclasses stay at the edges,
-the Scenario going in and the RunLog coming out.
+controller's cores take and return tuples. What a run holds fixed is bound
+before its first tick: the gain as lists, the actuator constants
+(``vehicle._actuator``), the plant's derivative (``dynamics._plant``) and
+the sensor noise. Dataclasses stay at the edges, the Scenario going in and
+the RunLog coming out.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .kinematics import (  # noqa: F401  bench/spans.py times these names
     euler_to_quat, euler_to_rotmat, quat_from_rotvec, quat_multiply,
 )
 from .lqr import CONTROL_RATE
-from .vehicle import VehicleParams, hover_thrust
+from .vehicle import VehicleParams, _actuator
 
 __all__ = [
     "NoiseConfig",
@@ -518,9 +521,8 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     substeps = sc.physics_substeps
     block = _noise_samples(sc.noise, sc.seed, n_ticks)
 
-    plant = _plant(p)
+    plant, act, gain = _plant(p), _actuator(p), K.tolist()
     pulses = [(d.t_start, d.t_end, d.force_w.tolist()) for d in sc.disturbances]
-    gain, hover = K.tolist(), hover_thrust(p)
 
     rows = np.empty((n_ticks, len(RUNLOG_COLUMNS)))  # laid out as RUNLOG_FIELDS
 
@@ -533,7 +535,7 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
         # --- sense ---------------------------------------------------
         draws = None if block is None else block[k].tolist()
         try:
-            est, sigma, carry = assemble_ctrl_state(y, carry, T, draws)
+            est, carry = assemble_ctrl_state(y, carry, T, draws)
         except GimbalLockError as exc:
             # the measured attitude, noise included, can sit nearer 90 deg than the truth
             raise DivergenceError(
@@ -545,10 +547,10 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
         sp = sc.schedule(t_k)
         sp_pos, sp_vel = sp.pos_w.tolist(), sp.vel_w.tolist()
         # A, dA, Vo, thrust, tau_r, tau_p, saturated
-        out = control_step(gain, est, sp_pos, sp_vel, p, hover)
+        out = control_step(gain, est, sp_pos, sp_vel, act)
 
         # --- log ------------------------------------------------------
-        rows[k] = (t_k, *y[0:3], *y[6:9], *y[3:6], *y[9:12], *sigma, *sp_pos, *sp_vel, *out)
+        rows[k] = (t_k, *y[0:3], *y[6:9], *y[3:6], *y[9:12], *est[4], *sp_pos, *sp_vel, *out)
 
         # --- integrate one control period ------------------------------
         wrench = out[3:6]

@@ -6,6 +6,7 @@ but :func:`rows_text` writes its rows as it writes a table's.
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 
@@ -195,9 +196,13 @@ _NEAR = 2.0**-30
 _BLOCK_CELLS = 4096  # cells formatted at once, which keeps the working arrays near 1 MB
 
 
+@functools.cache
 def _scale_table():
     """10**k for k = 16 - e10, e10 from _E10_MAX down to _E10_MIN, as
-    double-doubles (hi, lo), with hi split in two 26-bit halves."""
+    double-doubles (hi, lo), with hi split in two 26-bit halves.
+
+    Like the layout tables below it is built on the first write, not at
+    import: a run that writes no table never holds it."""
     hi, lo = [], []
     for k in range(16 - _E10_MAX, 17 - _E10_MIN):
         if k >= 0:
@@ -212,9 +217,6 @@ def _scale_table():
     c = hi * 134217729.0
     hi_hi = c - (c - hi)
     return hi, lo, hi_hi, hi - hi_hi
-
-
-_SCALE_HI, _SCALE_LO, _SCALE_HI_HI, _SCALE_HI_LO = _scale_table()
 
 
 def _float_cells(x):
@@ -262,15 +264,16 @@ def _scaled(a):
     e10[fallback] = 0.0
     frac, e2 = np.frexp(a)
     fallback |= frac == 0.5  # a power of two: the gap below is half the gap above
+    scale_hi, scale_lo, _, _ = _scale_table()
     i = (_E10_MAX - e10).astype(np.int64)  # log10 can be one off near a power of ten
-    p = a * _SCALE_HI[i]
+    p = a * scale_hi[i]
     i += p < 1e16
     i -= p >= 1e17
-    fallback |= (i < 0) | (i >= len(_SCALE_HI))
-    np.clip(i, 0, len(_SCALE_HI) - 1, out=i)
+    fallback |= (i < 0) | (i >= len(scale_hi))
+    np.clip(i, 0, len(scale_hi) - 1, out=i)
     p, s_lo = _scale(a, i)
-    top, width, near = _interval(p, s_lo, np.ldexp(_SCALE_HI[i], e2 - 54),
-                                 np.ldexp(_SCALE_LO[i], e2 - 54))
+    top, width, near = _interval(p, s_lo, np.ldexp(scale_hi[i], e2 - 54),
+                                 np.ldexp(scale_lo[i], e2 - 54))
     fallback |= near
     s_int = np.floor(s_lo)
     s_lo -= s_int
@@ -280,12 +283,13 @@ def _scaled(a):
 def _scale(a, i):
     """a * 10**k as p + s_lo, p = a * hi rounded (an integer >= 2**53), by
     Dekker's split and two-product."""
-    hi, hi_hi, hi_lo = _SCALE_HI[i], _SCALE_HI_HI[i], _SCALE_HI_LO[i]
+    scale_hi, scale_lo, scale_hi_hi, scale_hi_lo = _scale_table()
+    hi, hi_hi, hi_lo = scale_hi[i], scale_hi_hi[i], scale_hi_lo[i]
     c = a * 134217729.0
     a_hi = c - (c - a)
     a_lo = a - a_hi
     p = a * hi
-    return p, ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * _SCALE_LO[i]
+    return p, ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * scale_lo[i]
 
 
 def _interval(p, s_lo, h_hi, h_lo):
@@ -338,7 +342,7 @@ def _int_cells(v):
 #   bytes  0-7   '-' '0' '.' '0' '0' '0'           sign, a leading "0.000"
 #   bytes  8-39  d1 '.' d2 '.' ... d16 '.'         digits, each with a point after it
 #   bytes 40-47  d17 'e' '+' X X sep               last digit, exponent, separator
-# _MASKS[n * _MODES + mode] is 0xff at the bytes a cell of n digits in that
+# _layout_masks()[n * _MODES + mode] is 0xff at the bytes a cell of n digits in that
 # mode keeps: mode 0-19 is positional with the first digit at 10**(mode - 4).
 # A byte not kept becomes 0, and 0 bytes are deleted from the result, so the
 # sign, always kept, is written only for negative cells.
@@ -348,6 +352,7 @@ _EXP, _INT, _MODES = 20, 21, 22
 _WORD0 = int.from_bytes(b"\0" + b"0.000\0\0", "little")
 
 
+@functools.cache
 def _layout_masks() -> np.ndarray:
     n = np.arange(18)[:, None, None]
     mode = np.arange(_MODES)[None, :, None]
@@ -368,12 +373,12 @@ def _layout_masks() -> np.ndarray:
     return (keep * np.uint8(0xFF)).view("<u8").reshape(-1, 6)
 
 
-_MASKS = _layout_masks()
-# word 5 less its separator, for exponents -99..99 and a last digit of 0
-_e = np.arange(-99, 100)
-_TAIL = (ord("0") | ord("e") << 8 | np.where(_e < 0, ord("-"), ord("+")) << 16
-         | (abs(_e) // 10 + ord("0")) << 24 | (abs(_e) % 10 + ord("0")) << 32).astype(np.uint64)
-del _e
+@functools.cache
+def _tail_words() -> np.ndarray:
+    """Word 5 less its separator, for exponents -99..99 and a last digit of 0."""
+    e = np.arange(-99, 100)
+    return (ord("0") | ord("e") << 8 | np.where(e < 0, ord("-"), ord("+")) << 16
+            | (abs(e) // 10 + ord("0")) << 24 | (abs(e) % 10 + ord("0")) << 32).astype(np.uint64)
 
 
 def _digit_words(d):
@@ -425,11 +430,11 @@ def _rows_bytes(floats, ints, is_int, sep) -> bytes:
             merged.append(m.ravel())
         cells = merged
     neg, digits, n, mode, exp10, _ = cells
-    src = _MASKS[n * _MODES + mode]
+    src = _layout_masks()[n * _MODES + mode]
     src[:, 0] &= np.where(neg, _WORD0 | ord("-"), _WORD0).astype(np.uint64)
     words, last = _digit_words(digits)
     src[:, 1:5] &= words
-    tail = _TAIL[exp10 + 99]
+    tail = _tail_words()[exp10 + 99]
     tail |= last.view(np.uint64)
     tail.reshape(rows, width)[:] |= sep
     src[:, 5] &= tail

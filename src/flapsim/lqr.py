@@ -205,7 +205,7 @@ def _check_stabilizable_detectable(A, B, Q):
     keep = q_eigs > 1e-12 * max(1.0, float(q_eigs.max(initial=0.0)))
     C = (np.sqrt(q_eigs[keep])[:, None] * q_vecs[:, keep].T)
     I = np.eye(n)
-    for lam in eigs:
+    for lam in dict.fromkeys(eigs):  # a repeated eigenvalue is tested once
         if lam.real < -1e-12 * max(1.0, abs(lam)):
             continue
         if not _pbh_full_rank(np.hstack([A - lam * I, B]).astype(complex), n):

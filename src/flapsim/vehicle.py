@@ -11,7 +11,9 @@ parameters to stroke-averaged wrench components:
 differential, ``Vo`` the shared sine offset. Commands saturate to a
 box; saturation is reported, never silently ignored. The public maps
 take and return the ``ActuatorCmd`` and ``Wrench`` records; the
-``_``-prefixed cores do the same maps on plain floats for the control tick.
+``_``-prefixed cores do the same maps on plain floats for the control tick,
+with the fits and the box read from the tuple ``_actuator`` builds once per
+run.
 """
 
 from __future__ import annotations
@@ -113,27 +115,35 @@ def hover_thrust(p: VehicleParams) -> float:
     return p.total_mass * p.g
 
 
-def _cmd_to_wrench(p: VehicleParams, A: float, dA: float, Vo: float) -> tuple:
-    thrust = max(0.0, p.thrust_slope * A + p.thrust_intercept)
-    return thrust, p.roll_slope * dA, p.pitch_slope * Vo
+def _actuator(p: VehicleParams) -> tuple:
+    """The actuator map's constants, worked out once per run: the hover
+    thrust, the fits (thrust slope and intercept, roll and pitch slopes) and
+    the command box (A low, A high, dA low, dA high, Vo low, Vo high)."""
+    return (hover_thrust(p), p.thrust_slope, p.thrust_intercept, p.roll_slope, p.pitch_slope,
+            *p.A_limits, -p.dA_limit, p.dA_limit, -p.Vo_limit, p.Vo_limit)
 
 
-def _saturate(p: VehicleParams, A: float, dA: float, Vo: float) -> tuple:
-    """(A, dA, Vo, saturated) clipped to the command box."""
-    a = min(max(A, p.A_limits[0]), p.A_limits[1])
-    da = min(max(dA, -p.dA_limit), p.dA_limit)
-    vo = min(max(Vo, -p.Vo_limit), p.Vo_limit)
-    return a, da, vo, bool((a != A) or (da != dA) or (vo != Vo))
+def _cmd_to_wrench(act: tuple, A: float, dA: float, Vo: float) -> tuple:
+    """(thrust, tau_r, tau_p) of a command under :func:`_actuator`'s fits."""
+    _, ts, ti, rs, ps, _, _, _, _, _, _ = act
+    thrust = ts * A + ti
+    return thrust if thrust > 0.0 else 0.0, rs * dA, ps * Vo
 
 
-def _wrench_to_cmd(p: VehicleParams, thrust: float, tau_r: float, tau_p: float) -> tuple:
-    return _saturate(p, (thrust - p.thrust_intercept) / p.thrust_slope,
-                     tau_r / p.roll_slope, tau_p / p.pitch_slope)
+def _wrench_to_cmd(act: tuple, thrust: float, tau_r: float, tau_p: float) -> tuple:
+    """(A, dA, Vo, saturated): :func:`_actuator`'s fits inverted, then clipped to its box."""
+    _, ts, ti, rs, ps, a_lo, a_hi, da_lo, da_hi, vo_lo, vo_hi = act
+    A, dA, Vo = (thrust - ti) / ts, tau_r / rs, tau_p / ps
+    # min(max(x, lo), hi), without the builtin calls
+    a = a_lo if A < a_lo else a_hi if A > a_hi else A
+    da = da_lo if dA < da_lo else da_hi if dA > da_hi else dA
+    vo = vo_lo if Vo < vo_lo else vo_hi if Vo > vo_hi else Vo
+    return a, da, vo, (a != A) or (da != dA) or (vo != Vo)
 
 
 def cmd_to_wrench(p: VehicleParams, c: ActuatorCmd) -> Wrench:
     """Affine fits from command to body wrench; thrust clamps at zero."""
-    return Wrench(*_cmd_to_wrench(p, c.A, c.dA, c.Vo))
+    return Wrench(*_cmd_to_wrench(_actuator(p), c.A, c.dA, c.Vo))
 
 
 def wrench_to_cmd(p: VehicleParams, w: Wrench) -> tuple[ActuatorCmd, bool]:
@@ -143,7 +153,7 @@ def wrench_to_cmd(p: VehicleParams, w: Wrench) -> tuple[ActuatorCmd, bool]:
     any axis hit a limit. Exact inverse of :func:`cmd_to_wrench` on the
     interior of the box.
     """
-    *cmd, saturated = _wrench_to_cmd(p, w.thrust, w.tau_r, w.tau_p)
+    *cmd, saturated = _wrench_to_cmd(_actuator(p), w.thrust, w.tau_r, w.tau_p)
     return ActuatorCmd(*cmd), saturated
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from flapsim.controller import (
@@ -13,27 +15,32 @@ from flapsim.controller import (
     Setpoint,
     _decide,
     _sense,
-    _sigma,
 )
 from flapsim.errors import SchemaError
-from flapsim.kinematics import EulerAngles321, euler_to_rotmat, rotmat_to_euler
-from flapsim.vehicle import ActuatorCmd, Wrench, hover_thrust, wrench_to_cmd
+from flapsim.kinematics import EulerAngles321, euler_to_quat, euler_to_rotmat, rotmat_to_euler
+from flapsim.vehicle import (
+    ActuatorCmd, Wrench, _actuator, cmd_to_wrench, default_robofly_params, hover_thrust,
+    wrench_to_cmd,
+)
 
 DT = 1.0 / 240.0
 
 
 def make_est(pos=(0, 0, 0), vel=(0, 0, 0), euler=(0, 0, 0), omega=(0, 0, 0)):
-    """An estimate as ``_sense`` returns it, with R consistent with the angles."""
+    """An estimate as ``_sense`` returns it, with R and sigma consistent with the angles."""
     e = EulerAngles321(*euler)
-    return (euler_to_rotmat(e).ravel().tolist(), [float(v) for v in pos],
-            [float(v) for v in vel], (e.roll, e.pitch, e.yaw), [float(v) for v in omega])
+    R = euler_to_rotmat(e)
+    sigma = (*(R.T @ np.asarray(pos, float)).tolist(), *(R.T @ np.asarray(vel, float)).tolist(),
+             e.roll, e.pitch, float(omega[0]), float(omega[1]))
+    return (R.ravel().tolist(), [float(v) for v in pos], [float(v) for v in vel],
+            [float(v) for v in omega], sigma)
 
 
 def decide(gain, est, sp, params):
     """``_decide`` on an estimate and a Setpoint: (command, wrench, saturated)."""
     A, dA, Vo, *wrench, saturated = _decide(
         np.asarray(gain).tolist(), est, np.ravel(sp.pos_w).tolist(),
-        np.ravel(sp.vel_w).tolist(), params, hover_thrust(params))
+        np.ravel(sp.vel_w).tolist(), _actuator(params))
     return ActuatorCmd(A, dA, Vo), Wrench(*wrench), saturated
 
 
@@ -114,13 +121,46 @@ def test_large_error_sets_saturation_flag(params, gain):
     assert saturated is True
 
 
+_PARAMS = default_robofly_params()
+
+
+def _command_axis(lo, hi):
+    """Command values inside, exactly on and up to one box width beyond [lo, hi]."""
+    span = hi - lo
+    return st.one_of(st.sampled_from((lo, hi)),
+                     st.floats(lo - span, hi + span, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(A=_command_axis(*_PARAMS.A_limits),
+       dA=_command_axis(-_PARAMS.dA_limit, _PARAMS.dA_limit),
+       Vo=_command_axis(-_PARAMS.Vo_limit, _PARAMS.Vo_limit))
+def test_decide_maps_its_wrench_as_the_public_maps_do_bit_for_bit(A, dA, Vo):
+    # _decide reads the fits and the box from the run's actuator tuple; on
+    # any wrench it must give what wrench_to_cmd, then cmd_to_wrench, give
+    p = _PARAMS
+    hover = hover_thrust(p)
+    d_gamma = p.thrust_slope * A + p.thrust_intercept - hover
+    tau_r, tau_p = p.roll_slope * dA, p.pitch_slope * Vo
+    # level at the origin the error's position block is the setpoint; these
+    # gain rows pick its z, x and y entries as the thrust and torque deviations
+    K = [[0.0, 0.0, 1.0] + [0.0] * 7, [1.0] + [0.0] * 9, [0.0, 1.0] + [0.0] * 8]
+    out = _decide(K, make_est(), [tau_r, tau_p, d_gamma], [0.0, 0.0, 0.0], _actuator(p))
+    # the gain's sums start from zero, so a -0.0 entry arrives as 0.0
+    cmd, saturated = wrench_to_cmd(p, Wrench(hover + (d_gamma + 0.0), tau_r + 0.0, tau_p + 0.0))
+    w = cmd_to_wrench(p, cmd)
+    expected = (cmd.A, cmd.dA, cmd.Vo, w.thrust, w.tau_r, w.tau_p)
+    assert np.array(out[:6]).tobytes() == np.array(expected).tobytes()
+    assert out[6] is saturated
+
+
 # ---------------------------------------------------------------------------
 # state assembly
 # ---------------------------------------------------------------------------
 
 
 def test_assemble_first_sample_is_stationary():
-    R, pos, vel, _, rates = sense([((0.1, 0.2, 0.3), (1.0, 0.0, 0.0, 0.0))])
+    R, pos, vel, rates, _ = sense([((0.1, 0.2, 0.3), (1.0, 0.0, 0.0, 0.0))])
     np.testing.assert_array_equal(vel, 0.0)
     np.testing.assert_array_equal(rates, 0.0)
     np.testing.assert_allclose(pos, [0.1, 0.2, 0.3])
@@ -140,7 +180,7 @@ def test_assemble_recovers_constant_roll_rate():
     rate = 2.0
     samples = [((0.0, 0.0, 0.0), oracles.constant_rate_quat((rate, 0.0, 0.0), k * DT))
                for k in range(3)]
-    _, _, _, _, omega = sense(samples)
+    _, _, _, omega, _ = sense(samples)
     assert omega[0] == pytest.approx(rate, abs=1e-3)
     assert abs(omega[1]) < 1e-9 and abs(omega[2]) < 1e-9
 
@@ -151,20 +191,33 @@ def test_assemble_input_validation():
 
 
 def test_sigma_layout():
-    est = make_est(
-        pos=(1.0, 2.0, 3.0),
-        vel=(0.1, 0.2, 0.3),
-        euler=(0.2, -0.3, 0.9),
-        omega=(4.0, 5.0, 6.0),
-    )
-    R = np.reshape(est[0], (3, 3))
-    sig = np.array(_sigma(est))
-    np.testing.assert_allclose(sig[0:3], R.T @ [1.0, 2.0, 3.0], rtol=1e-12)
-    np.testing.assert_allclose(sig[3:6], R.T @ [0.1, 0.2, 0.3], rtol=1e-12)
-    assert sig[6] == pytest.approx(0.2, abs=1e-12)
-    assert sig[7] == pytest.approx(-0.3, abs=1e-12)
-    assert sig[8] == 4.0 and sig[9] == 5.0
+    # the design state _sense returns with its estimate: position and
+    # velocity in the body frame, roll, pitch and the first two body rates
+    rate = (4.0, 5.0, 6.0)
+    q0 = euler_to_quat(EulerAngles321(0.2, -0.3, 0.9))
+    samples = []
+    for k in range(3):
+        q = oracles.constant_rate_quat(rate, k * DT, np.array([q0.w, q0.x, q0.y, q0.z]))
+        samples.append(((1.0 + 0.1 * k * DT, 2.0 + 0.2 * k * DT, 3.0 + 0.3 * k * DT), q))
+    R, pos, vel, rates, sigma = sense(samples)
+    R = np.reshape(R, (3, 3))
+    sig = np.array(sigma)
     assert sig.shape == (10,)
+    np.testing.assert_allclose(sig[0:3], R.T @ pos, rtol=1e-12)
+    np.testing.assert_allclose(sig[3:6], R.T @ vel, rtol=1e-12)
+    np.testing.assert_allclose(vel, [0.1, 0.2, 0.3], rtol=1e-9)
+    e = rotmat_to_euler(R)
+    assert (sig[6], sig[7]) == (e.roll, e.pitch)
+    assert (sig[8], sig[9]) == (rates[0], rates[1])
+    np.testing.assert_allclose(rates, rate, rtol=1e-6)
+
+
+def test_sensed_roll_of_minus_pi_reads_plus_pi():
+    # atan2 gives -pi on a signed zero; the estimate's roll is in (-pi, pi]
+    # as wrap_angle puts it
+    R, _, _, _, sigma = sense([((0.0, 0.0, 0.0), (-0.0, 1.0, -0.0, 0.0))])
+    assert math.atan2(R[7], R[8]) == -math.pi
+    assert sigma[6] == math.pi
 
 
 def test_setpoint_hold_and_validation():

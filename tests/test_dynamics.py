@@ -13,7 +13,6 @@ from flapsim.dynamics import (
     STATE_DIM,
     SimState,
     UnmodeledTerms,
-    _eom,
     _forcing,
     _plant,
     rk4_packed,
@@ -51,6 +50,13 @@ def test_state_vector_round_trip(params):
 def test_state_rejects_nonfinite():
     with pytest.raises(ValueError):
         SimState((math.nan, 0.0, 0.0), np.zeros(3), EulerAngles321(0, 0, 0), np.zeros(3))
+
+
+def deriv(y, forcing) -> tuple:
+    """The derivative a :func:`_forcing` result binds, at the 9 states ``y``
+    (body velocity, Euler angles, rates), as ``rk4_packed`` calls it."""
+    at, ap, aq, f = forcing
+    return f(*y, at, ap, aq)
 
 
 def hover_equilibrium(p):
@@ -98,12 +104,13 @@ def test_derivative_matches_matrix_reference(params):
         un = UnmodeledTerms(rng.uniform(-5.0, 5.0, 3), rng.uniform(-100.0, 100.0, 3))
         ext = rng.uniform(-1e-2, 1e-2, 3)
         y, sf, aa = s.as_vector()[3:].tolist(), un.specific_force, un.angular_accel
-        # state_derivative is _eom on the unforced plant; a world force
-        # reaches _eom only through _plant, as the run loop's pulses do
+        # state_derivative is the unforced plant's derivative; a world force
+        # reaches the equations of motion only through _plant, as the run
+        # loop's pulses do
         unforced = _forcing(_plant(params, sf, aa), w.thrust, w.tau_r, w.tau_p)
-        assert state_derivative(params, s, w, unmodeled=un).tolist() == list(_eom(*y, *unforced))
+        assert state_derivative(params, s, w, unmodeled=un).tolist() == list(deriv(y, unforced))
         forced = _forcing(_plant(params, sf, aa, ext), w.thrust, w.tau_r, w.tau_p)
-        d = np.array(_eom(*y, *forced))
+        d = np.array(deriv(y, forced))
         ref = oracles.eom_reference(
             s.as_vector(), params.total_mass, params.J, params.g,
             (w.thrust, w.tau_r, w.tau_p),
@@ -112,6 +119,26 @@ def test_derivative_matches_matrix_reference(params):
         )
         # rounding level: 1.8e-15 of the largest entry over 5000 such draws
         assert np.max(np.abs(d - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["no_world_force", "world_force"])
+def test_column_derivative_is_the_float_derivative_bit_for_bit(params, forced):
+    # the pipeline's model check evaluates the equations of motion on whole
+    # columns (xp=np); every entry must be what a float call gives for its row
+    rng = np.random.default_rng(29 + forced)
+    n = 400
+    states = np.array([random_state(rng).as_vector() for _ in range(n)])
+    thrust = rng.uniform(0.0, 3e-3, n)
+    tau_r, tau_p = rng.uniform(-1e-5, 1e-5, (2, n))
+    sf, aa = rng.uniform(-5.0, 5.0, 3).tolist(), rng.uniform(-100.0, 100.0, 3).tolist()
+    force = rng.uniform(-1e-2, 1e-2, 3).tolist() if forced else [0.0, 0.0, 0.0]
+    columns = deriv(states[:, 3:].T, _forcing(_plant(params, sf, aa, force, xp=np),
+                                              thrust, tau_r, tau_p))
+    plant = _plant(params, sf, aa, force)
+    for i in range(n):
+        row = deriv(states[i, 3:].tolist(),
+                    _forcing(plant, float(thrust[i]), float(tau_r[i]), float(tau_p[i])))
+        assert np.array([c[i] for c in columns]).tobytes() == np.array(row).tobytes(), i
 
 
 def test_negative_thrust_rejected(params):
@@ -248,8 +275,9 @@ def test_rk4_packed_is_textbook_rk4_over_state_derivative_bit_for_bit(
     forcing = _forcing(_plant(params, specific_force, angular_accel, force), thrust, *torques)
 
     def f(y):
-        # state_derivative's own body; a world force reaches _eom only through _plant
-        return np.array(_eom(*SimState.from_vector(y).as_vector()[3:].tolist(), *forcing))
+        # state_derivative's own body; a world force reaches the equations
+        # of motion only through _plant
+        return np.array(deriv(SimState.from_vector(y).as_vector()[3:].tolist(), forcing))
 
     out = rk4_packed(s.as_vector().tolist(), dt, forcing)
     assert np.array(out).tobytes() == oracles.rk4_textbook(f, s.as_vector(), dt).tobytes()

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from flapsim.controller import CircleSchedule, ConstantSchedule, Setpoint, _decide, _sense, _sigma
-from flapsim.dynamics import SimState, _eom, _forcing, _plant
+from flapsim.controller import CircleSchedule, ConstantSchedule, Setpoint, _decide, _sense
+from flapsim.dynamics import SimState, _forcing, _plant
 from flapsim.errors import ConfigError, DivergenceError, SchemaError
 from flapsim.harness import (
     PHYSICS_STEP,
@@ -40,7 +40,7 @@ from flapsim.kinematics import (
     quat_multiply,
 )
 from flapsim.pipeline import load_runlog_csv
-from flapsim.vehicle import Wrench, hover_thrust, wrench_to_cmd
+from flapsim.vehicle import Wrench, _actuator, hover_thrust, wrench_to_cmd
 
 HOLD_ORIGIN = ConstantSchedule(Setpoint(np.zeros(3), np.zeros(3)))
 
@@ -675,7 +675,7 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
     )
     log = run_scenario(sc, params, gain)
     rng = np.random.default_rng(sc.seed)
-    T, carry, K, hover = sc.control_period, None, gain.tolist(), hover_thrust(params)
+    T, carry, K, act = sc.control_period, None, gain.tolist(), _actuator(params)
     for k in range(len(log)):
         att = EulerAngles321(*log.euler[k])
         pos = log.pos_w[k] + rng.normal(0.0, sc.noise.pos_sigma, 3)
@@ -683,8 +683,8 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
                           quat_from_rotvec(rng.normal(0.0, sc.noise.att_sigma, 3)))
         est, carry = _sense(pos.tolist(), [q.w, q.x, q.y, q.z], carry, T)
         sp = sc.schedule(k * T)
-        *out, saturated = _decide(K, est, sp.pos_w.tolist(), sp.vel_w.tolist(), params, hover)
-        assert np.array(_sigma(est)).tobytes() == log.sigma[k].tobytes(), k
+        *out, saturated = _decide(K, est, sp.pos_w.tolist(), sp.vel_w.tolist(), act)
+        assert np.array(est[4]).tobytes() == log.sigma[k].tobytes(), k
         assert np.array(out[:3]).tobytes() == log.cmd[k].tobytes(), k
         assert np.array(out[3:]).tobytes() == log.wrench[k].tobytes(), k
         assert saturated == bool(log.saturated[k]), k
@@ -707,7 +707,7 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
 def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
     # the integrate half of the tick, replayed from the log: a row's truth
     # state under its applied wrench, through textbook RK4 over
-    # state_derivative's body (_eom on _forcing of _plant) with each pulse's
+    # state_derivative's body (_forcing of _plant, its bound _eom) with each pulse's
     # overlap share of a substep as the world force, must give the next row
     # (final_state after the last) bit for bit
     sc = scenario_from_dict(
@@ -731,10 +731,10 @@ def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
                 elif share > 1e-9:
                     force = force + share * pulse.force_w
 
-            forcing = _forcing(_plant(params, force_w=force.tolist()), *wrench)
+            at, ap, aq, deriv = _forcing(_plant(params, force_w=force.tolist()), *wrench)
 
-            def f(x, forcing=forcing):
-                return np.array(_eom(*SimState.from_vector(x).as_vector()[3:].tolist(), *forcing))
+            def f(x, at=at, ap=ap, aq=aq, deriv=deriv):
+                return np.array(deriv(*SimState.from_vector(x).as_vector()[3:].tolist(), at, ap, aq))
 
             y = oracles.rk4_textbook(f, y, dt)
         assert y.tobytes() == end.tobytes(), k

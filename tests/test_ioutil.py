@@ -1,5 +1,7 @@
 """The table writer: ioutil's float kernel against repr, byte for byte."""
 
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import src_env
 from flapsim.harness import RUNLOG_FIELDS, load_scenario, run_scenario
 from flapsim.ioutil import _float_cells, read_table, rows_text, table_text
 from flapsim.lqr import read_gain_csv, write_gain_csv
@@ -155,3 +158,27 @@ def test_fast_path_carries_the_bundled_run_logs(name, params, gain):
 def test_fast_path_carries_a_validation_series(params, openloop_log):
     rep = validate_model(reconstruct_runlog(openloop_log), params)
     assert _fallback_share(np.column_stack([rep.t, rep.measured, rep.predicted])) <= 0.01
+
+
+def test_writer_tables_are_built_on_the_first_write():
+    # a run that writes no table never builds the kernel's tables
+    code = (
+        "import flapsim\n"
+        "from flapsim import ioutil\n"
+        "from flapsim.harness import Scenario\n"
+        "from flapsim.controller import ConstantSchedule, Setpoint\n"
+        "from flapsim.dynamics import SimState\n"
+        "from flapsim.lqr import lqr_gain\n"
+        "p = flapsim.default_robofly_params()\n"
+        "sc = Scenario('quiet', 0.05, SimState.at_rest((0.01, 0.0, 0.0)),\n"
+        "              ConstantSchedule(Setpoint((0.0, 0.0, 0.0))))\n"
+        "flapsim.run_scenario(sc, p, lqr_gain(p).K)\n"
+        "tables = (ioutil._scale_table, ioutil._layout_masks, ioutil._tail_words)\n"
+        "print([t.cache_info().currsize for t in tables])\n"
+        "assert ioutil.rows_text([0.5, -1e-7, 3.0e20], [1, 2, 3]) == '0.5,1\\n-1e-07,2\\n3e+20,3\\n'\n"
+        "print([t.cache_info().currsize for t in tables])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[0, 0, 0]", "[1, 1, 1]"]

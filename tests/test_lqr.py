@@ -18,6 +18,7 @@ from scipy import linalg
 
 import oracles
 from conftest import UNSTABLE_WEIGHTS, finite_diff_jacobians, reduced_dynamics
+from flapsim import lqr
 from flapsim.errors import ConfigError, SynthesisError
 from flapsim.lqr import (
     CONTROL_RATE,
@@ -318,6 +319,23 @@ def test_undetectable_cost_rejected():
     A = np.diag([1.0, -1.0])
     with pytest.raises(SynthesisError, match="detectable"):
         solve_care(LinearModel(A, np.eye(2)), LqrWeights(np.zeros((2, 2)), np.eye(2)))
+
+
+def test_pbh_runs_once_per_distinct_eigenvalue(params, monkeypatch):
+    # the hover A has ten exact-zero eigenvalues: one stabilizability and one
+    # detectability rank test decide them all
+    calls = []
+
+    def counted(M, n):
+        calls.append(n)
+        return full_rank(M, n)
+
+    full_rank = lqr._pbh_full_rank
+    monkeypatch.setattr(lqr, "_pbh_full_rank", counted)
+    m = linearize_hover(params)
+    assert np.linalg.eigvals(m.A).tolist() == [0.0] * 10
+    solve_care(m, default_weights(params))
+    assert len(calls) == 2
 
 
 def test_hamiltonian_near_imaginary_axis_rejected():
