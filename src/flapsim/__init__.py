@@ -51,7 +51,6 @@ from .controller import (
     CircleSchedule,
     ConstantSchedule,
     CsvSchedule,
-    Setpoint,
 )
 from .harness import (
     DisturbancePulse,

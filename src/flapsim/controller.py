@@ -21,14 +21,15 @@ The tick is two functions on plain floats and tuples, ``_sense``
 from the simulated state. The estimate carries the 10-entry design state
 the run log records, so nothing recomputes it. ``_decide`` takes the
 run's actuator constants (hover thrust, fits, command box) as the one
-tuple ``vehicle._actuator`` builds before the first tick. The run loop
-calls them every tick and builds no dataclass on the way.
+tuple ``vehicle._actuator`` builds before the first tick. A setpoint
+schedule is a callable ``t -> (pos, vel)``, two 3-tuples of floats in the
+world frame. The run loop calls these every tick and builds no dataclass
+on the way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
@@ -44,30 +45,18 @@ from .vehicle import _cmd_to_wrench, _wrench_to_cmd
 from .vehicle import cmd_to_wrench, wrench_to_cmd  # noqa: F401  bench/spans.py times these names
 
 __all__ = [
-    "Setpoint",
     "ConstantSchedule",
     "CircleSchedule",
     "CsvSchedule",
 ]
 
 
-def _vec3(x, name: str) -> np.ndarray:
+def _vec3(x, name: str) -> tuple:
+    """A finite 3-vector as a tuple of floats."""
     v = np.asarray(x, dtype=float).reshape(3)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite")
-    return v
-
-
-@dataclass(frozen=True)
-class Setpoint:
-    """World-frame reference: position [m] and velocity [m/s].
-
-    A plain record: the schedules check what they build it from once, at
-    construction, not on every tick.
-    """
-
-    pos_w: np.ndarray
-    vel_w: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    return tuple(v.tolist())
 
 
 def _to_body(R: tuple, x: float, y: float, z: float) -> tuple:
@@ -79,12 +68,12 @@ def _to_body(R: tuple, x: float, y: float, z: float) -> tuple:
 def _sense(pos, quat, prev: tuple | None, dt: float) -> tuple:
     """The estimator on one position + quaternion sample: ``(est, carry)``.
 
-    ``est`` is (R row-major, position, velocity, body rates, sigma), sigma
-    the 10-entry design state (d, V_b, roll, pitch, p, q): position and
-    velocity in the body frame, roll in (-pi, pi]. With no ``prev`` sample,
-    velocity and rates start at zero; with one, world velocity is the first
-    difference averaged with the previous raw difference, and the rates come
-    from the quaternion increment over ``dt``. ``prev`` and ``carry`` hold a
+    ``est`` is (R row-major, position, velocity, sigma), sigma the 10-entry
+    design state (d, V_b, roll, pitch, p, q): position and velocity in the
+    body frame, roll in (-pi, pi]. With no ``prev`` sample, velocity and
+    rates start at zero; with one, world velocity is the first difference
+    averaged with the previous raw difference, and the roll and pitch rates
+    come from the quaternion increment over ``dt``. ``prev`` and ``carry`` hold a
     sample's position, raw velocity and quaternion. The quaternion must be
     within ``UNIT_QUAT_TOL`` of unit length; it is normalized and taken to
     w >= 0 here, once.
@@ -103,15 +92,16 @@ def _sense(pos, quat, prev: tuple | None, dt: float) -> tuple:
     if roll == -math.pi:  # atan2 lies in [-pi, pi]; wrap_angle takes -pi to pi
         roll = math.pi
     if prev is None:
-        raw = vel = rates = (0.0, 0.0, 0.0)
+        raw = vel = (0.0, 0.0, 0.0)
+        wp = wq = 0.0
     else:
         px, py, pz, rx, ry, rz, pw, qx, qy, qz = prev
-        wx, wy, wz = _quat_rotvec(_qmul((pw, -qx, -qy, -qz), q))
-        rates = (wx / dt, wy / dt, wz / dt)
+        wx, wy, _ = _quat_rotvec(_qmul((pw, -qx, -qy, -qz), q))
+        wp, wq = wx / dt, wy / dt
         raw = ((pos[0] - px) / dt, (pos[1] - py) / dt, (pos[2] - pz) / dt)
         vel = (0.5 * (raw[0] + rx), 0.5 * (raw[1] + ry), 0.5 * (raw[2] + rz))
-    sigma = (*_to_body(R, *pos), *_to_body(R, *vel), roll, pitch, rates[0], rates[1])
-    return (R, pos, vel, rates, sigma), (*pos, *raw, *q)
+    sigma = (*_to_body(R, *pos), *_to_body(R, *vel), roll, pitch, wp, wq)
+    return (R, pos, vel, sigma), (*pos, *raw, *q)
 
 
 def _sense_truth(y, prev: tuple | None, dt: float, draws) -> tuple:
@@ -138,7 +128,7 @@ def _decide(K, est: tuple, sp_pos, sp_vel, act: tuple) -> tuple:
     the hover thrust. The wrench is the one realized after command
     saturation, which the plant receives under zero-order hold.
     """
-    R, pos, vel, _, (_, _, _, _, _, _, roll, pitch, wp, wq) = est
+    R, pos, vel, (_, _, _, _, _, _, roll, pitch, wp, wq) = est
     e = (*_to_body(R, sp_pos[0] - pos[0], sp_pos[1] - pos[1], sp_pos[2] - pos[2]),
          *_to_body(R, sp_vel[0] - vel[0], sp_vel[1] - vel[1], sp_vel[2] - vel[2]),
          -roll, -pitch, -wp, -wq)
@@ -154,12 +144,12 @@ def _decide(K, est: tuple, sp_pos, sp_vel, act: tuple) -> tuple:
 
 
 class ConstantSchedule:
-    """Fixed setpoint for the whole run."""
+    """Fixed setpoint for the whole run: ``pos_w`` [m] and ``vel_w`` [m/s]."""
 
-    def __init__(self, setpoint: Setpoint):
-        self._sp = Setpoint(_vec3(setpoint.pos_w, "pos_w"), _vec3(setpoint.vel_w, "vel_w"))
+    def __init__(self, pos_w, vel_w=(0.0, 0.0, 0.0)):
+        self._sp = (_vec3(pos_w, "pos_w"), _vec3(vel_w, "vel_w"))
 
-    def __call__(self, t: float) -> Setpoint:
+    def __call__(self, t: float) -> tuple:
         return self._sp
 
 
@@ -179,14 +169,13 @@ class CircleSchedule:
         self.speed = float(speed)
         self.center_w = _vec3(center_w, "center_w")
 
-    def __call__(self, t: float) -> Setpoint:
+    def __call__(self, t: float) -> tuple:
         r, v = self.radius, self.speed
         a = v / r * t
         c, s = math.cos(a), math.sin(a)
-        cx, cy, cz = self.center_w.tolist()
-        # cz + 0.0 turns a -0.0 centre height into 0.0, as the array sum did
-        pos = np.array([cx + r * c, cy + r * s, cz + 0.0])
-        return Setpoint(pos, np.array([-v * s, v * c, 0.0]))
+        cx, cy, cz = self.center_w
+        # cz + 0.0 turns a -0.0 centre height into the 0.0 the run log has always held
+        return (cx + r * c, cy + r * s, cz + 0.0), (-v * s, v * c, 0.0)
 
 
 class CsvSchedule:
@@ -208,15 +197,14 @@ class CsvSchedule:
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
             raise ValueError("schedule entries must be finite")
         self.t = t
-        self.pos = pos
-        self.vel = vel
+        # x, y, z, vx, vy, vz as contiguous columns, which np.interp takes without a copy
+        self._cols = tuple(np.ascontiguousarray(c) for c in (*pos.T, *vel.T))
 
     @classmethod
     def from_csv(cls, path) -> "CsvSchedule":
         a = read_table(path, cls.COLUMNS)
         return cls(a[:, 0], a[:, 1:4], a[:, 4:7])
 
-    def __call__(self, t: float) -> Setpoint:
-        pos = np.array([np.interp(t, self.t, self.pos[:, k]) for k in range(3)])
-        vel = np.array([np.interp(t, self.t, self.vel[:, k]) for k in range(3)])
-        return Setpoint(pos, vel)
+    def __call__(self, t: float) -> tuple:
+        x, y, z, vx, vy, vz = [float(np.interp(t, self.t, c)) for c in self._cols]
+        return (x, y, z), (vx, vy, vz)

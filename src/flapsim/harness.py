@@ -21,8 +21,9 @@ The controller sees the state only through the mocap-style estimator
 (``controller._sense``), lag included. Runs are deterministic for a
 fixed seed; the log records one row per tick.
 
-A tick runs on plain floats: the state is a list of 12 and the
-controller's cores take and return tuples. What a run holds fixed is bound
+A tick runs on plain floats: the state is a list of 12, the schedule
+returns the setpoint as two 3-tuples of floats, and the controller's
+cores take and return tuples. What a run holds fixed is bound
 before its first tick: the gain as lists, the actuator constants
 (``vehicle._actuator``), the plant's derivative (``dynamics._plant``) and
 the sensor noise. Dataclasses stay at the edges, the Scenario going in and
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .controller import CircleSchedule, ConstantSchedule, CsvSchedule, Setpoint
+from .controller import CircleSchedule, ConstantSchedule, CsvSchedule
 from .controller import _decide as control_step  # bench/spans.py times this name
 from .controller import _sense_truth as assemble_ctrl_state  # bench/spans.py times this name
 from .dynamics import MAX_DT, SimState, _forcing, _plant
@@ -158,12 +159,16 @@ def disturbance_pulse(
 
 @dataclass(frozen=True)
 class Scenario:
-    """One closed-loop experiment definition."""
+    """One closed-loop experiment definition.
+
+    ``schedule`` is any callable t -> (pos_w, vel_w): the world-frame setpoint
+    position [m] and velocity [m/s] at time t [s], two 3-tuples of floats.
+    """
 
     name: str
     duration: float
     initial: SimState
-    schedule: object                      # callable t -> Setpoint
+    schedule: object                      # callable t -> (pos_w, vel_w)
     disturbances: tuple = ()
     noise: NoiseConfig = NoiseConfig()
     control_rate: float = CONTROL_RATE
@@ -188,7 +193,7 @@ class Scenario:
         if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not callable(self.schedule):
-            raise ConfigError("schedule must be callable t -> Setpoint")
+            raise ConfigError("schedule must be callable t -> (pos_w, vel_w)")
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
         for d in self.disturbances:
             if not isinstance(d, DisturbancePulse):
@@ -290,13 +295,14 @@ def _initial_from_dict(cfg: dict) -> SimState:
 
 
 def _schedule_from_dict(cfg: dict, base_dir) -> object:
+    """The schedule a ``setpoint`` mapping describes: a callable t -> (pos_w, vel_w),
+    two 3-tuples of floats."""
     kind = cfg.get("kind")
     if kind not in ("constant", "circle", "schedule"):
         raise SchemaError(f"setpoint: unknown kind {kind!r} (constant | circle | schedule)")
     _check_keys(cfg, kind, "setpoint")
     if kind == "constant":
-        sp = Setpoint(_triple(cfg, "pos", "setpoint"), _triple(cfg, "vel", "setpoint"))
-        return ConstantSchedule(sp)
+        return ConstantSchedule(_triple(cfg, "pos", "setpoint"), _triple(cfg, "vel", "setpoint"))
     if kind == "circle":
         for key in ("radius", "speed"):
             if key not in cfg:
@@ -544,13 +550,12 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
             ) from exc
 
         # --- decide --------------------------------------------------
-        sp = sc.schedule(t_k)
-        sp_pos, sp_vel = sp.pos_w.tolist(), sp.vel_w.tolist()
+        sp_pos, sp_vel = sc.schedule(t_k)
         # A, dA, Vo, thrust, tau_r, tau_p, saturated
         out = control_step(gain, est, sp_pos, sp_vel, act)
 
         # --- log ------------------------------------------------------
-        rows[k] = (t_k, *y[0:3], *y[6:9], *y[3:6], *y[9:12], *est[4], *sp_pos, *sp_vel, *out)
+        rows[k] = (t_k, *y[0:3], *y[6:9], *y[3:6], *y[9:12], *est[3], *sp_pos, *sp_vel, *out)
 
         # --- integrate one control period ------------------------------
         wrench = out[3:6]

@@ -223,11 +223,11 @@ def _check_stabilizable_detectable(A, B, Q):
 
 
 def _care(A, B, Q, R):
-    """Stabilizing CARE solution: the Hamiltonian's stable subspace, then Newton polish."""
-    try:
-        np.linalg.cholesky(R)
-    except np.linalg.LinAlgError as exc:
-        raise SynthesisError(f"R is not positive definite: {exc}") from exc
+    """Stabilizing CARE solution: the Hamiltonian's stable subspace, then Newton polish.
+
+    ``R`` is positive definite: ``solve_care``, the one caller, passes
+    ``LqrWeights.R`` (which refuses any other) over its largest diagonal entry.
+    """
     G = B @ np.linalg.solve(R, B.T)
     G = 0.5 * (G + G.T)
     n = A.shape[0]

@@ -612,19 +612,19 @@ def validate_model(rs: ReconstructedStates, p: VehicleParams) -> ValidationRepor
     if len(rs) == 0:
         raise ValueError("empty reconstruction")
 
-    # the packed 12-state rows that SimState.as_vector gives, angles wrapped as
-    # EulerAngles321 wraps them
-    states = np.column_stack([rs.pos_w, rs.vel_b, rs.euler, rs.omega_b])
+    # the 9 state columns the derivative takes (body velocity, Euler angles,
+    # body rates), angles wrapped as EulerAngles321 wraps them
+    states = np.column_stack([rs.vel_b, rs.euler, rs.omega_b])
     if not np.all(np.isfinite(states)):
         raise ValueError("state entries must be finite")
-    states[:, 6] = _wrap(states[:, 6])
-    states[:, 8] = _wrap(states[:, 8])
-    _check_pitch(states[:, 7], rs.t)
+    states[:, 3] = _wrap(states[:, 3])
+    states[:, 5] = _wrap(states[:, 5])
+    _check_pitch(states[:, 4], rs.t)
     # state_derivative's inputs, zero residuals and force; at, ap, aq are per row
     thrust, tau_r, tau_p = rs.wrench.T
     thrust = np.where(thrust > 0.0, thrust, 0.0)  # max(0.0, thrust) per row
     at, ap, aq, f = _forcing(_plant(p, xp=np), thrust, tau_r, tau_p)
-    ydot = f(*states[:, 3:].T, at, ap, aq)
+    ydot = f(*states.T, at, ap, aq)
     meas = np.column_stack([rs.accel_body, rs.alpha_body])
     pred = np.column_stack([ydot[i] for i in (3, 4, 5, 9, 10, 11)])
     return ValidationReport(t=rs.t.copy(), measured=meas, predicted=pred)

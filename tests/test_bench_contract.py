@@ -42,6 +42,7 @@ def test_traced_run_counts_one_sense_per_tick_and_one_rk4_per_substep(spans, par
     ticks = len(log)
     assert ticks == 24
     assert tracer.stats["controller.sense"][0] == ticks
+    assert tracer.stats["controller.schedule"][0] == ticks
     assert tracer.stats["dynamics.rk4"][0] == ticks * 4
 
 
@@ -68,5 +69,6 @@ def test_traced_run_spans_every_tick_branch(spans, params, gain, extra):
     ticks = len(log)
     assert ticks == 12
     assert tracer.stats["controller.sense"][0] == ticks
+    assert tracer.stats["controller.schedule"][0] == ticks
     assert tracer.stats["controller.decide"][0] == ticks
     assert tracer.stats["dynamics.rk4"][0] == ticks * 4

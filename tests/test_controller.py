@@ -12,7 +12,6 @@ from flapsim.controller import (
     CircleSchedule,
     ConstantSchedule,
     CsvSchedule,
-    Setpoint,
     _decide,
     _sense,
 )
@@ -32,15 +31,14 @@ def make_est(pos=(0, 0, 0), vel=(0, 0, 0), euler=(0, 0, 0), omega=(0, 0, 0)):
     R = euler_to_rotmat(e)
     sigma = (*(R.T @ np.asarray(pos, float)).tolist(), *(R.T @ np.asarray(vel, float)).tolist(),
              e.roll, e.pitch, float(omega[0]), float(omega[1]))
-    return (R.ravel().tolist(), [float(v) for v in pos], [float(v) for v in vel],
-            [float(v) for v in omega], sigma)
+    return R.ravel().tolist(), [float(v) for v in pos], [float(v) for v in vel], sigma
 
 
-def decide(gain, est, sp, params):
-    """``_decide`` on an estimate and a Setpoint: (command, wrench, saturated)."""
+def decide(gain, est, sp_pos, params, sp_vel=(0.0, 0.0, 0.0)):
+    """``_decide`` on an estimate and a world setpoint: (command, wrench, saturated)."""
     A, dA, Vo, *wrench, saturated = _decide(
-        np.asarray(gain).tolist(), est, np.ravel(sp.pos_w).tolist(),
-        np.ravel(sp.vel_w).tolist(), _actuator(params))
+        np.asarray(gain).tolist(), est, np.ravel(sp_pos).tolist(),
+        np.ravel(sp_vel).tolist(), _actuator(params))
     return ActuatorCmd(A, dA, Vo), Wrench(*wrench), saturated
 
 
@@ -58,7 +56,7 @@ def sense(samples, dt=DT):
 
 
 def test_zero_error_gives_exact_hover_command(params, gain):
-    cmd, wrench, saturated = decide(gain, make_est(), Setpoint(np.zeros(3)), params)
+    cmd, wrench, saturated = decide(gain, make_est(), np.zeros(3), params)
     ref, _ = wrench_to_cmd(params, Wrench(hover_thrust(params), 0.0, 0.0))
     assert cmd.A == pytest.approx(ref.A, rel=1e-12)
     assert cmd.dA == 0.0
@@ -70,8 +68,8 @@ def test_zero_error_gives_exact_hover_command(params, gain):
 
 
 def test_altitude_error_raises_thrust(params, gain):
-    sp = Setpoint(np.array([0.0, 0.0, 0.01]))  # want to be 1 cm higher
-    _, wrench, saturated = decide(gain, make_est(), sp, params)
+    sp_pos = np.array([0.0, 0.0, 0.01])  # want to be 1 cm higher
+    _, wrench, saturated = decide(gain, make_est(), sp_pos, params)
     assert wrench.thrust > hover_thrust(params)
     # level attitude: the error enters only through the d_z gain entry
     expected = hover_thrust(params) + gain[0, 2] * 0.01
@@ -87,12 +85,12 @@ def test_forward_error_commands_pitch_not_roll(params, gain):
     e_lim = tau_lim / gain[2, 0]
     # inside the torque box the applied pitch torque equals the linear
     # gain action exactly
-    _, wrench, saturated = decide(gain, est, Setpoint(np.array([0.5 * e_lim, 0.0, 0.0])), params)
+    _, wrench, saturated = decide(gain, est, np.array([0.5 * e_lim, 0.0, 0.0]), params)
     assert wrench.tau_p == pytest.approx(gain[2, 0] * 0.5 * e_lim, rel=1e-9)
     assert abs(wrench.tau_r) <= 1e-15
     assert saturated is False
     # beyond it the pitch channel clamps at its limit
-    _, big, big_saturated = decide(gain, est, Setpoint(np.array([2.0 * e_lim, 0.0, 0.0])), params)
+    _, big, big_saturated = decide(gain, est, np.array([2.0 * e_lim, 0.0, 0.0]), params)
     assert big_saturated is True
     assert big.tau_p == pytest.approx(tau_lim, rel=1e-12)
     assert abs(big.tau_r) <= 1e-15
@@ -100,24 +98,23 @@ def test_forward_error_commands_pitch_not_roll(params, gain):
 
 def test_command_invariant_under_world_yaw(params, gain):
     rng = np.random.default_rng(7)
-    sp0 = Setpoint(pos_w=(0.04, -0.02, 0.03), vel_w=(0.1, 0.0, -0.05))
+    sp_pos, sp_vel = np.array([0.04, -0.02, 0.03]), np.array([0.1, 0.0, -0.05])
     pos, vel, omega = (0.01, 0.02, -0.01), (-0.2, 0.1, 0.05), (1.0, -2.0, 0.5)
     euler = (0.1, -0.15, 0.4)
-    _, ref, _ = decide(gain, make_est(pos, vel, euler, omega), sp0, params)
+    _, ref, _ = decide(gain, make_est(pos, vel, euler, omega), sp_pos, params, sp_vel)
     R0 = euler_to_rotmat(EulerAngles321(*euler))
     for _ in range(5):
         Rz = oracles.rot_z(rng.uniform(-math.pi, math.pi))
         e2 = rotmat_to_euler(Rz @ R0)
         est2 = make_est(Rz @ pos, Rz @ vel, (e2.roll, e2.pitch, e2.yaw), omega)
-        sp2 = Setpoint(Rz @ sp0.pos_w, Rz @ sp0.vel_w)
-        _, out, _ = decide(gain, est2, sp2, params)
+        _, out, _ = decide(gain, est2, Rz @ sp_pos, params, Rz @ sp_vel)
         assert out.thrust == pytest.approx(ref.thrust, rel=1e-10)
         assert out.tau_r == pytest.approx(ref.tau_r, rel=1e-10)
         assert out.tau_p == pytest.approx(ref.tau_p, rel=1e-10)
 
 
 def test_large_error_sets_saturation_flag(params, gain):
-    _, _, saturated = decide(gain, make_est(), Setpoint(np.array([0.0, 0.0, 5.0])), params)
+    _, _, saturated = decide(gain, make_est(), np.array([0.0, 0.0, 5.0]), params)
     assert saturated is True
 
 
@@ -160,9 +157,9 @@ def test_decide_maps_its_wrench_as_the_public_maps_do_bit_for_bit(A, dA, Vo):
 
 
 def test_assemble_first_sample_is_stationary():
-    R, pos, vel, rates, _ = sense([((0.1, 0.2, 0.3), (1.0, 0.0, 0.0, 0.0))])
+    R, pos, vel, sigma = sense([((0.1, 0.2, 0.3), (1.0, 0.0, 0.0, 0.0))])
     np.testing.assert_array_equal(vel, 0.0)
-    np.testing.assert_array_equal(rates, 0.0)
+    np.testing.assert_array_equal(sigma[8:], 0.0)
     np.testing.assert_allclose(pos, [0.1, 0.2, 0.3])
     np.testing.assert_array_equal(np.reshape(R, (3, 3)), np.eye(3))
 
@@ -170,9 +167,9 @@ def test_assemble_first_sample_is_stationary():
 def test_assemble_constant_velocity_settles_after_two_samples():
     q = (1.0, 0.0, 0.0, 0.0)
     # first difference averaged against the zero startup raw sample
-    _, _, vel, _, _ = sense([((0.0, 0.0, 0.0), q), ((1.0 * DT, 0.0, 0.0), q)])
+    _, _, vel, _ = sense([((0.0, 0.0, 0.0), q), ((1.0 * DT, 0.0, 0.0), q)])
     assert vel[0] == pytest.approx(0.5, rel=1e-12)
-    _, _, vel, _, _ = sense([((k * DT, 0.0, 0.0), q) for k in range(3)])
+    _, _, vel, _ = sense([((k * DT, 0.0, 0.0), q) for k in range(3)])
     assert vel[0] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -180,9 +177,10 @@ def test_assemble_recovers_constant_roll_rate():
     rate = 2.0
     samples = [((0.0, 0.0, 0.0), oracles.constant_rate_quat((rate, 0.0, 0.0), k * DT))
                for k in range(3)]
-    _, _, _, omega, _ = sense(samples)
-    assert omega[0] == pytest.approx(rate, abs=1e-3)
-    assert abs(omega[1]) < 1e-9 and abs(omega[2]) < 1e-9
+    *_, sigma = sense(samples)
+    # the estimate's body rates are sigma's last two entries, p and q
+    assert sigma[8] == pytest.approx(rate, abs=1e-3)
+    assert abs(sigma[9]) < 1e-9
 
 
 def test_assemble_input_validation():
@@ -199,7 +197,7 @@ def test_sigma_layout():
     for k in range(3):
         q = oracles.constant_rate_quat(rate, k * DT, np.array([q0.w, q0.x, q0.y, q0.z]))
         samples.append(((1.0 + 0.1 * k * DT, 2.0 + 0.2 * k * DT, 3.0 + 0.3 * k * DT), q))
-    R, pos, vel, rates, sigma = sense(samples)
+    R, pos, vel, sigma = sense(samples)
     R = np.reshape(R, (3, 3))
     sig = np.array(sigma)
     assert sig.shape == (10,)
@@ -208,26 +206,25 @@ def test_sigma_layout():
     np.testing.assert_allclose(vel, [0.1, 0.2, 0.3], rtol=1e-9)
     e = rotmat_to_euler(R)
     assert (sig[6], sig[7]) == (e.roll, e.pitch)
-    assert (sig[8], sig[9]) == (rates[0], rates[1])
-    np.testing.assert_allclose(rates, rate, rtol=1e-6)
+    np.testing.assert_allclose(sig[8:10], rate[:2], rtol=1e-6)
 
 
 def test_sensed_roll_of_minus_pi_reads_plus_pi():
     # atan2 gives -pi on a signed zero; the estimate's roll is in (-pi, pi]
     # as wrap_angle puts it
-    R, _, _, _, sigma = sense([((0.0, 0.0, 0.0), (-0.0, 1.0, -0.0, 0.0))])
+    R, _, _, sigma = sense([((0.0, 0.0, 0.0), (-0.0, 1.0, -0.0, 0.0))])
     assert math.atan2(R[7], R[8]) == -math.pi
     assert sigma[6] == math.pi
 
 
 def test_setpoint_hold_and_validation():
-    sp = Setpoint(np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_array_equal(sp.vel_w, 0.0)
-    np.testing.assert_allclose(sp.pos_w, [1.0, 2.0, 3.0])
+    pos, vel = ConstantSchedule(np.array([1.0, 2.0, 3.0]))(0.0)
+    np.testing.assert_array_equal(vel, 0.0)
+    np.testing.assert_allclose(pos, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="pos_w"):
-        ConstantSchedule(Setpoint(pos_w=(np.inf, 0.0, 0.0)))
+        ConstantSchedule((np.inf, 0.0, 0.0))
     with pytest.raises(ValueError, match="vel_w"):
-        ConstantSchedule(Setpoint(pos_w=(0.0, 0.0, 0.0), vel_w=(0.0, np.nan, 0.0)))
+        ConstantSchedule((0.0, 0.0, 0.0), vel_w=(0.0, np.nan, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +236,22 @@ def test_circle_reference_geometry():
     center = np.array([0.1, -0.2, 0.5])
     circle = CircleSchedule(0.1, 0.25, center)
     sp = circle(0.0)
-    np.testing.assert_allclose(sp.pos_w, center + [0.1, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(sp.vel_w, [0.0, 0.25, 0.0], atol=1e-15)
+    np.testing.assert_allclose(sp[0], center + [0.1, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(sp[1], [0.0, 0.25, 0.0], atol=1e-15)
     period = 2.0 * math.pi * 0.1 / 0.25
     assert period == pytest.approx(2.513274, abs=1e-6)
     back = circle(period)
-    np.testing.assert_allclose(back.pos_w, sp.pos_w, atol=1e-12)
+    np.testing.assert_allclose(back[0], sp[0], atol=1e-12)
     quarter = circle(period / 4.0)
-    np.testing.assert_allclose(quarter.pos_w, center + [0.0, 0.1, 0.0], atol=1e-12)
-    np.testing.assert_allclose(quarter.vel_w, [-0.25, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(quarter[0], center + [0.0, 0.1, 0.0], atol=1e-12)
+    np.testing.assert_allclose(quarter[1], [-0.25, 0.0, 0.0], atol=1e-12)
 
 
 def test_circle_reference_zero_speed_is_stationary():
     circle = CircleSchedule(0.1, 0.0)
     a, b = circle(0.0), circle(123.4)
-    np.testing.assert_array_equal(a.pos_w, b.pos_w)
-    np.testing.assert_array_equal(a.vel_w, 0.0)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], 0.0)
 
 
 def test_circle_reference_validation():
@@ -273,11 +270,11 @@ def test_circle_reference_validation():
 
 
 def test_constant_schedule():
-    sp = Setpoint(np.array([0.0, 0.0, 0.1]))
-    sched = ConstantSchedule(sp)
+    pos = np.array([0.0, 0.0, 0.1])
+    sched = ConstantSchedule(pos)
     assert sched(0.0) is sched(99.0)
-    np.testing.assert_array_equal(sched(0.0).pos_w, sp.pos_w)
-    np.testing.assert_array_equal(sched(0.0).vel_w, sp.vel_w)
+    np.testing.assert_array_equal(sched(0.0)[0], pos)
+    np.testing.assert_array_equal(sched(0.0)[1], np.zeros(3))
 
 
 def test_circle_schedule_matches_reference():
@@ -286,9 +283,9 @@ def test_circle_schedule_matches_reference():
     for t in (0.0, 0.7, 2.2):
         a = 2.5 * t
         got = sched(t)
-        np.testing.assert_allclose(got.pos_w, [0.1 * math.cos(a), 0.1 * math.sin(a), 0.4],
+        np.testing.assert_allclose(got[0], [0.1 * math.cos(a), 0.1 * math.sin(a), 0.4],
                                    rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(got.vel_w, [-0.25 * math.sin(a), 0.25 * math.cos(a), 0.0],
+        np.testing.assert_allclose(got[1], [-0.25 * math.sin(a), 0.25 * math.cos(a), 0.0],
                                    rtol=0.0, atol=1e-15)
 
 
@@ -302,19 +299,52 @@ def test_csv_schedule_interpolates_and_holds_ends(tmp_path):
     )
     sched = CsvSchedule.from_csv(f)
     mid = sched(0.5)
-    np.testing.assert_allclose(mid.pos_w, [0.05, 0.0, 0.1], atol=1e-15)
-    np.testing.assert_allclose(mid.vel_w, [0.05, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(sched(-5.0).pos_w, [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(sched(5.0).pos_w, [0.1, 0.0, 0.2])
-    np.testing.assert_allclose(sched(5.0).vel_w, [0.1, 0.0, 0.0])
+    np.testing.assert_allclose(mid[0], [0.05, 0.0, 0.1], atol=1e-15)
+    np.testing.assert_allclose(mid[1], [0.05, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(sched(-5.0)[0], [0.0, 0.0, 0.0])
+    np.testing.assert_allclose(sched(5.0)[0], [0.1, 0.0, 0.2])
+    np.testing.assert_allclose(sched(5.0)[1], [0.1, 0.0, 0.0])
 
 
 def test_csv_schedule_single_row_is_constant(tmp_path):
     f = tmp_path / "one.csv"
     f.write_text("t,x,y,z,vx,vy,vz\n0.5,1.0,2.0,3.0,0.0,0.0,0.0\n")
     sched = CsvSchedule.from_csv(f)
-    np.testing.assert_allclose(sched(0.0).pos_w, [1.0, 2.0, 3.0])
-    np.testing.assert_allclose(sched(9.0).pos_w, [1.0, 2.0, 3.0])
+    np.testing.assert_allclose(sched(0.0)[0], [1.0, 2.0, 3.0])
+    np.testing.assert_allclose(sched(9.0)[0], [1.0, 2.0, 3.0])
+
+
+def _bits(sp):
+    """A schedule's (pos, vel) as its 48 bytes, after checking it is two 3-tuples of floats."""
+    assert type(sp) is tuple and len(sp) == 2
+    for v in sp:
+        assert type(v) is tuple and len(v) == 3 and all(type(x) is float for x in v), sp
+    return np.array(sp).tobytes()
+
+
+def test_every_schedule_returns_float_triples_equal_to_its_oracle():
+    # the constant hands back its inputs, the circle its closed form and the
+    # waypoint table np.interp of each column, bit for bit
+    pos, vel = (0.1, -0.2, 0.3), (1e-3, -0.0, 2.5)
+    assert _bits(ConstantSchedule(np.array(pos), list(vel))(7.0)) == np.array([pos, vel]).tobytes()
+
+    r, v, (cx, cy, cz) = 0.1, 0.25, (0.05, -0.1, 0.4)
+    circle = CircleSchedule(r, v, (cx, cy, cz))
+    for t in (0.0, 0.3, 1.7, 25.0):
+        a = v / r * t
+        want = [[cx + r * math.cos(a), cy + r * math.sin(a), cz],
+                [-v * math.sin(a), v * math.cos(a), 0.0]]
+        assert _bits(circle(t)) == np.array(want).tobytes(), t
+
+    rng = np.random.default_rng(5)
+    ts = np.cumsum(rng.uniform(0.01, 0.1, 9))
+    table = rng.normal(0.0, 0.1, (9, 6))
+    waypoints = CsvSchedule(ts, table[:, :3], table[:, 3:])
+    for t in (-1.0, ts[0], 0.5 * (ts[2] + ts[3]), ts[4], *rng.uniform(ts[0], ts[-1], 20), ts[-1],
+              ts[-1] + 1.0):
+        t = float(t)
+        want = [np.interp(t, ts, table[:, k]) for k in range(6)]
+        assert _bits(waypoints(t)) == np.array(want).tobytes(), t
 
 
 @pytest.mark.parametrize(

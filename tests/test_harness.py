@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from flapsim.controller import CircleSchedule, ConstantSchedule, Setpoint, _decide, _sense
+from flapsim.controller import CircleSchedule, ConstantSchedule, _decide, _sense
 from flapsim.dynamics import SimState, _forcing, _plant
 from flapsim.errors import ConfigError, DivergenceError, SchemaError
 from flapsim.harness import (
@@ -42,7 +42,7 @@ from flapsim.kinematics import (
 from flapsim.pipeline import load_runlog_csv
 from flapsim.vehicle import Wrench, _actuator, hover_thrust, wrench_to_cmd
 
-HOLD_ORIGIN = ConstantSchedule(Setpoint(np.zeros(3), np.zeros(3)))
+HOLD_ORIGIN = ConstantSchedule(np.zeros(3), np.zeros(3))
 
 
 # roll 4, pitch -3 and yaw 20 degrees
@@ -110,8 +110,8 @@ def test_scenario_from_dict_full(params):
     assert len(sc.disturbances) == 2
     np.testing.assert_allclose(sc.disturbances[1].force_w,
                                [0.0, 0.0, -0.5 * params.g * params.total_mass], rtol=1e-15)
-    sp = sc.schedule(0.0)
-    np.testing.assert_allclose(sp.pos_w, [0.0, 0.0, 0.2])
+    sp_pos, _ = sc.schedule(0.0)
+    np.testing.assert_allclose(sp_pos, [0.0, 0.0, 0.2])
 
 
 @pytest.mark.parametrize(
@@ -324,7 +324,29 @@ def test_scenario_yaml_schedule_path_is_relative_to_file(tmp_path):
         "name: waypoints\nduration: 1.0\nsetpoint:\n  kind: schedule\n  path: way.csv\n"
     )
     sc = load_scenario(f)
-    assert sc.schedule(1.0).pos_w[0] == pytest.approx(0.1)
+    assert sc.schedule(1.0)[0][0] == pytest.approx(0.1)
+
+
+def test_noisy_waypoint_run_logs_the_interpolated_table_every_tick(tmp_path, params, gain):
+    # a closed-loop kind: schedule run with sensor noise; the run log's
+    # setpoint columns are np.interp of the table at each tick time, bit for
+    # bit, inside the table and held past its last row
+    rng = np.random.default_rng(9)
+    ts = np.linspace(0.0, 0.4, 9)
+    table = np.column_stack([ts, rng.normal(0.0, 0.02, (9, 3)), rng.normal(0.0, 0.05, (9, 3))])
+    (tmp_path / "way.csv").write_text(
+        "t,x,y,z,vx,vy,vz\n" + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+    f = tmp_path / "noisy.scenario"
+    f.write_text("name: noisy_waypoints\nduration: 0.5\nseed: 4\nnoise: {enabled: true}\n"
+                 "setpoint: {kind: schedule, path: way.csv}\n")
+    sc = load_scenario(f)
+    assert sc.noise.enabled
+    log = run_scenario(sc, params, gain)
+    assert len(log) == 120 and log.t[-1] > ts[-1]
+    T = sc.control_period
+    for k in range(len(log)):
+        want = [np.interp(k * T, ts, table[:, 1 + i]) for i in range(6)]
+        assert np.array(want).tobytes() == np.hstack([log.sp_pos[k], log.sp_vel[k]]).tobytes(), k
 
 
 def test_bundled_scenarios_load_with_pinned_fields(params):
@@ -595,11 +617,15 @@ def test_pulse_outside_run_window_is_inert(params, gain):
 
 
 def test_schedule_returning_position_only_setpoint_runs(params, gain):
-    # Setpoint(pos) defaults vel_w to zeros, as HOLD_ORIGIN gives them
+    # ConstantSchedule(pos) defaults vel_w to zeros, as HOLD_ORIGIN gives them,
+    # and any callable returning two float triples is a schedule
     sc = Scenario(name="a", duration=0.1, initial=hover_state(),
-                  schedule=lambda t: Setpoint(np.zeros(3)), substeps=4)
+                  schedule=ConstantSchedule(np.zeros(3)), substeps=4)
     held = dataclasses.replace(sc, schedule=HOLD_ORIGIN)
     assert run_scenario(sc, params, gain).to_csv_text() == \
+        run_scenario(held, params, gain).to_csv_text()
+    plain = dataclasses.replace(sc, schedule=lambda t: ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    assert run_scenario(plain, params, gain).to_csv_text() == \
         run_scenario(held, params, gain).to_csv_text()
 
 
@@ -682,9 +708,8 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
         q = quat_multiply(euler_to_quat(att),
                           quat_from_rotvec(rng.normal(0.0, sc.noise.att_sigma, 3)))
         est, carry = _sense(pos.tolist(), [q.w, q.x, q.y, q.z], carry, T)
-        sp = sc.schedule(k * T)
-        *out, saturated = _decide(K, est, sp.pos_w.tolist(), sp.vel_w.tolist(), act)
-        assert np.array(est[4]).tobytes() == log.sigma[k].tobytes(), k
+        *out, saturated = _decide(K, est, *sc.schedule(k * T), act)
+        assert np.array(est[3]).tobytes() == log.sigma[k].tobytes(), k
         assert np.array(out[:3]).tobytes() == log.cmd[k].tobytes(), k
         assert np.array(out[3:]).tobytes() == log.wrench[k].tobytes(), k
         assert saturated == bool(log.saturated[k]), k

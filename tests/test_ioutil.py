@@ -166,12 +166,12 @@ def test_writer_tables_are_built_on_the_first_write():
         "import flapsim\n"
         "from flapsim import ioutil\n"
         "from flapsim.harness import Scenario\n"
-        "from flapsim.controller import ConstantSchedule, Setpoint\n"
+        "from flapsim.controller import ConstantSchedule\n"
         "from flapsim.dynamics import SimState\n"
         "from flapsim.lqr import lqr_gain\n"
         "p = flapsim.default_robofly_params()\n"
         "sc = Scenario('quiet', 0.05, SimState.at_rest((0.01, 0.0, 0.0)),\n"
-        "              ConstantSchedule(Setpoint((0.0, 0.0, 0.0))))\n"
+        "              ConstantSchedule((0.0, 0.0, 0.0)))\n"
         "flapsim.run_scenario(sc, p, lqr_gain(p).K)\n"
         "tables = (ioutil._scale_table, ioutil._layout_masks, ioutil._tail_words)\n"
         "print([t.cache_info().currsize for t in tables])\n"

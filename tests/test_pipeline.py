@@ -15,7 +15,7 @@ from conftest import make_trim_flight, src_env, write_mocap_csv
 from flapsim.errors import ConfigError, GimbalLockError, SchemaError
 from flapsim.ioutil import read_table, table_text
 from flapsim.harness import RUNLOG_COLUMNS, Scenario, run_scenario
-from flapsim.controller import ConstantSchedule, Setpoint
+from flapsim.controller import ConstantSchedule
 from flapsim.dynamics import SimState, state_derivative
 from flapsim.kinematics import (
     EulerAngles321,
@@ -184,7 +184,7 @@ def test_mocap_gap_detection():
 
 
 def test_trajectory_from_runlog_matches_truth(params, gain):
-    sched = ConstantSchedule(Setpoint(np.array([0.0, 0.0, 0.0])))
+    sched = ConstantSchedule(np.array([0.0, 0.0, 0.0]))
     init = SimState((0.01, 0.0, 0.0), (0, 0, 0), EulerAngles321(0, 0, 0), (0, 0, 0))
     sc = Scenario(name="short", duration=0.1, initial=init, schedule=sched)
     log = run_scenario(sc, params, gain)
@@ -665,6 +665,15 @@ def test_validate_model_requires_wrench(params, openloop_log):
     rs = reconstruct(trajectory_from_runlog(openloop_log))
     with pytest.raises(ValueError, match="no command/wrench"):
         validate_model(rs, params)
+
+
+def test_validate_model_refuses_a_non_finite_rate(params, openloop_log):
+    # a caller-built reconstruction: reconstruct never gives a non-finite rate
+    rs = reconstruct_runlog(openloop_log)
+    omega = rs.omega_b.copy()
+    omega[7, 1] = np.nan
+    with pytest.raises(ValueError, match="state entries must be finite"):
+        validate_model(replace(rs, omega_b=omega), params)
 
 
 def test_validate_model_window(params, openloop_log):
