@@ -24,8 +24,8 @@ The equations of motion are written once, in ``_eom``, which binds them
 to a plant's constants (inertia ratios, residuals, world force) and to
 ``cos``/``sin``: on floats for ``state_derivative`` and ``rk4_packed``, on
 whole columns (``xp=np``) for the pipeline's model check. ``_plant`` builds
-that derivative once per run, step or batch, and once per substep that a
-force pulse acts in; ``_forcing`` adds the wrench once per wrench and
+that derivative once per run, step or batch, and once per distinct world
+force a run's pulses give; ``_forcing`` adds a wrench to a plant once and
 returns ``(at, ap, aq, f)``, and ``f`` takes the 9 states and those three
 quotients. ``state_derivative`` and ``rk4_step`` take the ``SimState``
 record; the run loop calls ``rk4_packed`` on a list of 12 floats.

@@ -12,8 +12,8 @@ smallest whose step is at most ``PHYSICS_STEP`` (1/960 s: 4 substeps at
 read, so a scenario copied with another rate gets that rate's count.
 That step keeps the bundled scenarios within 1e-8 m and 1e-6 rad of a
 run at half the step; :func:`step_error` measures this by step doubling
-for any scenario. A force pulse whose edge falls inside a substep acts
-on that substep weighted by the fraction it covers.
+for any scenario. A force pulse's edge ends a step: a substep that holds
+one is split there, each piece one RK4 step with its own forcing.
 
 Timing convention: the state is sampled (and logged) at the start of each
 tick; the command computed from that sample is held through the tick.
@@ -527,8 +527,24 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     substeps = sc.physics_substeps
     block = _noise_samples(sc.noise, sc.seed, n_ticks)
 
+    sp = sc.schedule(0.0)  # checked once: two 3-sequences of finite floats
+    try:
+        ok = len(sp) == 2 and all(len(v) == 3 and all(map(math.isfinite, v)) for v in sp)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{sc.name}: schedule(0.0) gave {sp!r:.60}, not t -> (pos_w, vel_w)")
     plant, act, gain = _plant(p), _actuator(p), K.tolist()
-    pulses = [(d.t_start, d.t_end, d.force_w.tolist()) for d in sc.disturbances]
+    # the pulse edges in time order, each with the plant of the pulses active after it
+    plants, edges = {(0.0, 0.0, 0.0): plant}, []  # one plant per distinct summed force
+    for t_e in sorted({t for d in sc.disturbances for t in (d.t_start, d.t_end)}):
+        on = [d.force_w.tolist() for d in sc.disturbances if d.t_start <= t_e < d.t_end]
+        f = tuple(map(sum, zip((0.0, 0.0, 0.0), *on)))
+        if f not in plants:
+            plants[f] = _plant(p, force_w=f)
+        edges.append((t_e, plants[f]))
+    edges = iter(edges + [(math.inf, None)])
+    t_next, after = next(edges)
 
     rows = np.empty((n_ticks, len(RUNLOG_COLUMNS)))  # laid out as RUNLOG_FIELDS
 
@@ -550,32 +566,26 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
             ) from exc
 
         # --- decide --------------------------------------------------
-        sp_pos, sp_vel = sc.schedule(t_k)
+        sp_pos, sp_vel = sc.schedule(t_k) if k else sp  # tick 0's, checked above
         # A, dA, Vo, thrust, tau_r, tau_p, saturated
         out = control_step(gain, est, sp_pos, sp_vel, act)
 
         # --- log ------------------------------------------------------
         rows[k] = (t_k, *y[0:3], *y[6:9], *y[3:6], *y[9:12], *est[3], *sp_pos, *sp_vel, *out)
 
-        # --- integrate one control period ------------------------------
+        # --- integrate one control period; a pulse edge ends a step ----
         wrench = out[3:6]
-        forcing = _forcing(plant, *wrench)  # once per tick unless a pulse acts in it
-        tick_pulses = [pl for pl in pulses if pl[0] < t_k + T and pl[1] > t_k] if pulses else ()
+        forcing = _forcing(plant, *wrench)
         try:
             for i in range(substeps):
-                if tick_pulses:
-                    t_sub = t_k + i * dt
-                    fx = fy = fz = 0.0
-                    for (t0, t1, f) in tick_pulses:
-                        # the share of [t_sub, t_sub + dt) the pulse covers; an edge
-                        # within 1e-9 dt of a substep boundary lies on it
-                        share = (min(t1, t_sub + dt) - max(t0, t_sub)) / dt
-                        if share >= 1.0 - 1e-9:
-                            fx, fy, fz = fx + f[0], fy + f[1], fz + f[2]
-                        elif share > 1e-9:
-                            fx, fy, fz = fx + share * f[0], fy + share * f[1], fz + share * f[2]
-                    forcing = _forcing(_plant(p, force_w=(fx, fy, fz)), *wrench)
-                y = _rk4_packed(y, dt, forcing)
+                t_sub, done = t_k + i * dt, 0.0  # done: how far y is into substep i
+                while t_next - t_sub < dt - 1e-9 * dt:  # 1e-9 dt from a boundary is on it
+                    if t_next - t_sub > done + 1e-9 * dt:
+                        y = _rk4_packed(y, t_next - t_sub - done, forcing)
+                        done = t_next - t_sub
+                    plant, (t_next, after) = after, next(edges)
+                    forcing = _forcing(plant, *wrench)
+                y = _rk4_packed(y, dt - done, forcing)
         except (ValueError, OverflowError) as exc:
             # gimbal guard or float overflow inside the integrator
             raise DivergenceError(

@@ -49,7 +49,8 @@ def test_traced_run_counts_one_sense_per_tick_and_one_rk4_per_substep(spans, par
 @pytest.mark.parametrize(
     "extra",
     [
-        # starts and ends inside ticks 2 and 7: those ticks sum the force per substep
+        # starts and ends inside substeps of ticks 2 and 7: each edge splits its
+        # substep in two, one RK4 step more per edge
         {"disturbances": [{"t_start": 0.0105, "duration": 0.02, "magnitude_g": 0.1,
                            "direction": [0.0, 1.0, 0.0]}]},
     ],
@@ -71,4 +72,4 @@ def test_traced_run_spans_every_tick_branch(spans, params, gain, extra):
     assert tracer.stats["controller.sense"][0] == ticks
     assert tracer.stats["controller.schedule"][0] == ticks
     assert tracer.stats["controller.decide"][0] == ticks
-    assert tracer.stats["dynamics.rk4"][0] == ticks * 4
+    assert tracer.stats["dynamics.rk4"][0] == ticks * 4 + 2

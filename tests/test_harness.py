@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from flapsim import harness
 from flapsim.controller import CircleSchedule, ConstantSchedule, _decide, _sense
 from flapsim.dynamics import SimState, _forcing, _plant
 from flapsim.errors import ConfigError, DivergenceError, SchemaError
@@ -590,13 +591,60 @@ def _pulse_scenario(params, t_start, substeps, duration=1.0):
                     schedule=HOLD_ORIGIN, disturbances=(pulse,), substeps=substeps)
 
 
-def test_pulse_edges_inside_substeps_are_weighted_by_overlap(params, gain):
-    # edges 0.3 ms past a tick: inside a substep at 4 substeps per tick
-    ref = run_scenario(_pulse_scenario(params, 0.5013, 168), params, gain)
-    log = run_scenario(_pulse_scenario(params, 0.5013, 4), params, gain)
-    err = float(np.max(np.linalg.norm(log.pos_w - ref.pos_w, axis=1)))
-    assert err < 1e-5  # 7e-4 m when each substep takes the force at its start or not at all
+def _pose_error(log, ref):
+    """Largest position [m] and wrapped Euler-angle [rad] difference over the logged ticks."""
+    d_att = np.remainder(log.euler - ref.euler + math.pi, 2.0 * math.pi) - math.pi
+    return (float(np.max(np.linalg.norm(log.pos_w - ref.pos_w, axis=1))),
+            float(np.max(np.abs(d_att))))
+
+
+@pytest.mark.parametrize("offset", [0.5, 0.37])
+def test_pulse_edges_inside_substeps_end_a_step(params, gain, offset):
+    # both edges `offset` of a substep off the default 4-substep grid and on the grid
+    # of a 400-substep reference: the substep holding an edge is split there, so the
+    # run keeps the step tolerance (a pulse spread evenly over that substep gave
+    # 3.3e-6 m and 3.0e-4 rad at offset 0.5)
+    t_start = 0.5 + offset * PHYSICS_STEP
+    ref = run_scenario(_pulse_scenario(params, t_start, 400, 0.6), params, gain)
+    log = run_scenario(_pulse_scenario(params, t_start, 4, 0.6), params, gain)
+    d_pos, d_att = _pose_error(log, ref)
+    assert d_pos <= 1e-8 and d_att <= 1e-6, (d_pos, d_att)
     assert float(np.max(np.abs(log.pos_w[:, 1]))) > 1e-3  # the pulse did push
+
+
+def test_overlapping_pulses_add_where_they_overlap(params, gain):
+    # A on [a0, a1) and B on [b0, b1) overlap on [b0, a1); the reference spells
+    # them out as A, A + B and B, which do not overlap, on a 400-substep grid that
+    # holds every edge
+    a0, b0, a1, b1 = ((480 + s) * PHYSICS_STEP for s in (0.37, 20.5, 40.25, 61.0))
+    fa, fb = np.array([0.0, 4.5e-3, 0.0]), np.array([3e-3, 0.0, 2e-3])
+
+    def run(pulses, substeps):
+        sc = Scenario(name="overlap", duration=0.6, initial=hover_state(),
+                      schedule=HOLD_ORIGIN, disturbances=pulses, substeps=substeps)
+        return run_scenario(sc, params, gain)
+
+    log = run((DisturbancePulse(a0, a1, fa), DisturbancePulse(b0, b1, fb)), 4)
+    ref = run((DisturbancePulse(a0, b0, fa), DisturbancePulse(b0, a1, fa + fb),
+               DisturbancePulse(a1, b1, fb)), 400)
+    d_pos, d_att = _pose_error(log, ref)
+    assert d_pos <= 1e-8 and d_att <= 1e-6, (d_pos, d_att)
+    # taking B alone where both act misses the reference by far more than that
+    alone = run((DisturbancePulse(a0, b0, fa), DisturbancePulse(b0, b1, fb)), 4)
+    assert _pose_error(alone, ref)[0] > 1e-4
+
+
+def test_plant_is_built_once_per_distinct_force(params, gain, monkeypatch):
+    # the bundled disturbance run holds two world forces: none, and its pulse's
+    calls = []
+
+    def counting_plant(*args, **kwargs):
+        calls.append(kwargs.get("force_w"))
+        return _plant(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_plant", counting_plant)
+    run_scenario(bundled_scenario("disturbance"), params, gain)
+    assert len(calls) == 2, calls
 
 
 def test_pulse_edges_within_slack_of_the_grid_lie_on_it(params, gain):
@@ -614,6 +662,23 @@ def test_pulse_outside_run_window_is_inert(params, gain):
                           schedule=HOLD_ORIGIN, disturbances=(late,))
     assert run_scenario(base, params, gain).to_csv_text() == \
         run_scenario(with_pulse, params, gain).to_csv_text()
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        lambda t: np.zeros(3),
+        lambda t: (np.zeros(2), np.zeros(3)),
+        lambda t: ((0.0, 0.0, math.nan), (0.0, 0.0, 0.0)),
+        lambda t: (("0", "0", "0"), (0.0, 0.0, 0.0)),
+        lambda t: None,
+    ],
+    ids=["one_array", "2_vector_position", "nan", "strings", "none"],
+)
+def test_schedule_return_is_checked_before_the_first_tick(params, gain, schedule):
+    sc = Scenario(name="odd", duration=0.1, initial=hover_state(), schedule=schedule)
+    with pytest.raises(ConfigError, match=r"^odd: .*t -> \(pos_w, vel_w\)"):
+        run_scenario(sc, params, gain)
 
 
 def test_schedule_returning_position_only_setpoint_runs(params, gain):
@@ -732,9 +797,10 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
 def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
     # the integrate half of the tick, replayed from the log: a row's truth
     # state under its applied wrench, through textbook RK4 over
-    # state_derivative's body (_forcing of _plant, its bound _eom) with each pulse's
-    # overlap share of a substep as the world force, must give the next row
-    # (final_state after the last) bit for bit
+    # state_derivative's body (_forcing of _plant, its bound _eom), must give the
+    # next row (final_state after the last) bit for bit; a pulse edge inside a
+    # substep splits it there, and each piece takes the in-order sum of the
+    # pulses that cover its midpoint as the world force
     sc = scenario_from_dict(
         {"name": "replay", "duration": 0.5, "physics_substeps": 4, "seed": 3,
          "setpoint": {"kind": "constant"}, **extra},
@@ -748,20 +814,22 @@ def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
         wrench = log.wrench[k].tolist()
         for i in range(sc.physics_substeps):
             t_sub = float(log.t[k]) + i * dt
-            force = np.zeros(3)
-            for pulse in sc.disturbances:
-                share = (min(pulse.t_end, t_sub + dt) - max(pulse.t_start, t_sub)) / dt
-                if share >= 1.0 - 1e-9:
-                    force = force + pulse.force_w
-                elif share > 1e-9:
-                    force = force + share * pulse.force_w
+            cuts = sorted(e - t_sub for pulse in sc.disturbances
+                          for e in (pulse.t_start, pulse.t_end)
+                          if 1e-9 * dt < e - t_sub < dt - 1e-9 * dt)
+            for a, b in zip([0.0, *cuts], [*cuts, dt]):
+                force = np.zeros(3)
+                for pulse in sc.disturbances:
+                    if pulse.t_start <= t_sub + 0.5 * (a + b) < pulse.t_end:
+                        force = force + pulse.force_w
 
-            at, ap, aq, deriv = _forcing(_plant(params, force_w=force.tolist()), *wrench)
+                at, ap, aq, deriv = _forcing(_plant(params, force_w=force.tolist()), *wrench)
 
-            def f(x, at=at, ap=ap, aq=aq, deriv=deriv):
-                return np.array(deriv(*SimState.from_vector(x).as_vector()[3:].tolist(), at, ap, aq))
+                def f(x, at=at, ap=ap, aq=aq, deriv=deriv):
+                    return np.array(deriv(*SimState.from_vector(x).as_vector()[3:].tolist(),
+                                          at, ap, aq))
 
-            y = oracles.rk4_textbook(f, y, dt)
+                y = oracles.rk4_textbook(f, y, b - a)
         assert y.tobytes() == end.tobytes(), k
 
 
