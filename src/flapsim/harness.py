@@ -47,7 +47,7 @@ from .controller import _sense_truth as assemble_ctrl_state  # bench/spans.py ti
 from .dynamics import MAX_DT, SimState, _forcing, _plant
 from .dynamics import rk4_packed as _rk4_packed  # bench/spans.py times this name
 from .errors import ConfigError, DivergenceError, GimbalLockError, SchemaError
-from .ioutil import atomic_write_text, table_text
+from .ioutil import YamlLoader, atomic_write_text, table_text
 from .kinematics import GIMBAL_GUARD, EulerAngles321
 from .kinematics import (  # noqa: F401  bench/spans.py times these names
     euler_to_quat, euler_to_rotmat, quat_from_rotvec, quat_multiply,
@@ -222,76 +222,90 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-# The keys a scenario file may hold: the top level, each mapping section,
-# each pulse of disturbances, and each setpoint kind. README's Scenario YAML
-# bullet lists exactly these (tests/test_readme.py).
+# The scenario file format, stated once: for each section (the top level,
+# each mapping section, each pulse of disturbances and each setpoint kind)
+# every key it may hold and the kind of value that key takes, a kind ending
+# in "!" for a required key. _section reads every section by this table;
+# README's Scenario YAML bullet lists exactly these keys, the required ones
+# marked (tests/test_readme.py).
 SCENARIO_KEYS = {
-    "scenario": ("name", "duration", "seed", "control_rate", "physics_substeps",
-                 "initial", "setpoint", "noise", "disturbances"),
-    "initial": ("pos", "vel_b", "euler", "omega_b"),
-    "noise": ("enabled", "pos_sigma", "att_sigma"),
-    "disturbances": ("t_start", "duration", "magnitude_g", "direction"),
-    "constant": ("kind", "pos", "vel"),
-    "circle": ("kind", "radius", "speed", "center"),
-    "schedule": ("kind", "path"),
+    "scenario": {"name": "stem!", "duration": "number!", "seed": "integer",
+                 "control_rate": "number", "physics_substeps": "integer",
+                 "initial": "mapping", "setpoint": "mapping!", "noise": "mapping",
+                 "disturbances": "list"},
+    "initial": {"pos": "vector", "vel_b": "vector", "euler": "vector", "omega_b": "vector"},
+    "noise": {"enabled": "flag", "pos_sigma": "number", "att_sigma": "number"},
+    "disturbances": {"t_start": "number!", "duration": "number!", "magnitude_g": "number!",
+                     "direction": "vector!"},
+    "constant": {"kind": "string!", "pos": "vector", "vel": "vector"},
+    "circle": {"kind": "string!", "radius": "number!", "speed": "number!", "center": "vector"},
+    "schedule": {"kind": "string!", "path": "string!"},
 }
-
-
-def _check_keys(cfg: dict, section: str, where: str) -> None:
-    unknown = set(cfg) - set(SCENARIO_KEYS[section])
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+_ZERO = (0.0, 0.0, 0.0)  # an absent 3-vector
 
 
 def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _number(cfg: dict, key: str, where: str, default=None, integer: bool = False):
-    """A finite real-number key: an int or a float, never a bool, a string or null.
+# each scalar kind of SCENARIO_KEYS: (whether a value is of it, its name in a refusal)
+_KINDS = {
+    "number": (_is_real, "a number"),
+    "integer": (lambda v: _is_real(v) and (isinstance(v, int) or v.is_integer()), "an integer"),
+    "vector": (lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_real, v)),
+               "3 numbers"),
+    "flag": (lambda v: isinstance(v, bool), "true or false"),  # a quoted "false" is not
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "stem": (lambda v: isinstance(v, str) and v == os.path.basename(v) and v not in ("", ".", ".."),
+             "a bare file name"),
+}
 
-    With ``integer`` it must also be integral (4.0, not 4.5) and comes back as an int.
+
+def _value(kind: str, v, key: str, name: str):
+    """``v`` read as a value of ``kind``, or SchemaError naming it ``name``.
+
+    Numbers, also inside a 3-vector, must be finite; an integer comes back
+    as an int, a 3-vector as a tuple of floats. A mapping, or a list of
+    mappings, is refused by ``key``, the name of the section it holds.
     """
-    v = cfg.get(key, default)
-    if not _is_real(v) or integer and isinstance(v, float) and not v.is_integer():
-        kind = "an integer" if integer else "a number"
-        raise SchemaError(f"{where}: {key} must be {kind}, got {v!r}")
+    if kind in ("mapping", "list"):
+        if not isinstance(v, dict if kind == "mapping" else list):
+            raise SchemaError(f"{key}: expected a {kind}")
+        for i, ent in enumerate(v if kind == "list" else ()):
+            if not isinstance(ent, dict):
+                raise SchemaError(f"{key}[{i}]: expected a mapping")
+        return v
+    has, what = _KINDS[kind]
+    if not has(v):
+        raise SchemaError(f"{name} must be {what}, got {v!r}")
+    if kind in ("flag", "string", "stem"):
+        return v
     try:
-        v = int(v) if integer else float(v)
+        x = tuple(map(float, v)) if kind == "vector" else (float(v),)
     except OverflowError:  # an int beyond the float range
-        raise SchemaError(f"{where}: {key} is out of range") from None
-    if not math.isfinite(v):
-        raise SchemaError(f"{where}: {key} must be finite, got {v!r}")
-    return v
+        raise SchemaError(f"{name} is out of range") from None
+    if not all(map(math.isfinite, x)):
+        raise SchemaError(f"{name} must be finite, got {v!r}")
+    return x if kind == "vector" else int(v) if kind == "integer" else x[0]
 
 
-def _triple(cfg: dict, key: str, where: str) -> np.ndarray:
-    """A 3-vector key, zeros when absent: a list of 3 finite numbers as ``_number`` takes them."""
-    v = cfg.get(key, (0.0, 0.0, 0.0))
-    if not (isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_real, v))):
-        raise SchemaError(f"{where}: {key} must be 3 numbers, got {v!r}")
-    try:
-        a = np.array(v, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        raise SchemaError(f"{where}: {key} is out of range") from None
-    if not np.all(np.isfinite(a)):
-        raise SchemaError(f"{where}: {key} must be finite, got {v!r}")
-    return a
+def _section(cfg: dict, section: str, where: str) -> dict:
+    """The keys ``cfg`` holds, each read as SCENARIO_KEYS[section] states its kind.
 
-
-def _flag(cfg: dict, key: str, where: str) -> bool:
-    """A boolean key; only YAML true/false, so a quoted "false" is an error."""
-    v = cfg.get(key, False)
-    if not isinstance(v, bool):
-        raise SchemaError(f"{where}: {key} must be true or false, got {v!r}")
-    return v
-
-
-def _initial_from_dict(cfg: dict) -> SimState:
-    _check_keys(cfg, "initial", "initial")
-    return SimState(_triple(cfg, "pos", "initial"), _triple(cfg, "vel_b", "initial"),
-                    EulerAngles321(*_triple(cfg, "euler", "initial").tolist()),
-                    _triple(cfg, "omega_b", "initial"))
+    Unknown keys, a missing required key and a value of the wrong kind raise
+    SchemaError ``<where>: ...``; the keys are read in the table's order.
+    """
+    table = SCENARIO_KEYS[section]
+    unknown = set(cfg) - set(table)
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    out = {}
+    for key, kind in table.items():
+        if key in cfg:
+            out[key] = _value(kind.rstrip("!"), cfg[key], key, f"{where}: {key}")
+        elif kind.endswith("!"):
+            raise SchemaError(f"{where}: missing required key '{key}'")
+    return out
 
 
 def _schedule_from_dict(cfg: dict, base_dir) -> object:
@@ -300,61 +314,21 @@ def _schedule_from_dict(cfg: dict, base_dir) -> object:
     kind = cfg.get("kind")
     if kind not in ("constant", "circle", "schedule"):
         raise SchemaError(f"setpoint: unknown kind {kind!r} (constant | circle | schedule)")
-    _check_keys(cfg, kind, "setpoint")
+    sp = _section(cfg, kind, "setpoint")
     if kind == "constant":
-        return ConstantSchedule(_triple(cfg, "pos", "setpoint"), _triple(cfg, "vel", "setpoint"))
+        return ConstantSchedule(sp.get("pos", _ZERO), sp.get("vel", _ZERO))
     if kind == "circle":
-        for key in ("radius", "speed"):
-            if key not in cfg:
-                raise SchemaError(f"setpoint: circle needs {key}")
-        return CircleSchedule(_number(cfg, "radius", "setpoint"), _number(cfg, "speed", "setpoint"),
-                              _triple(cfg, "center", "setpoint"))
-    if "path" not in cfg:
-        raise SchemaError("setpoint: schedule needs a path")
-    path = cfg["path"]
-    if not isinstance(path, str):
-        raise SchemaError(f"setpoint: path must be a string, got {path!r}")
-    if base_dir is not None:
-        path = os.path.join(os.fspath(base_dir), path)  # an absolute path replaces base_dir
-    return CsvSchedule.from_csv(path)
-
-
-def _noise_from_dict(cfg: dict) -> NoiseConfig:
-    _check_keys(cfg, "noise", "noise")
-    return NoiseConfig(
-        enabled=_flag(cfg, "enabled", "noise"),
-        pos_sigma=_number(cfg, "pos_sigma", "noise", NoiseConfig.pos_sigma),
-        att_sigma=_number(cfg, "att_sigma", "noise", NoiseConfig.att_sigma),
-    )
-
-
-def _pulses_from_list(entries, p: VehicleParams) -> tuple:
-    pulses = []
-    for i, ent in enumerate(entries):
-        where = f"disturbances[{i}]"
-        if not isinstance(ent, dict):
-            raise SchemaError(f"{where}: expected a mapping")
-        _check_keys(ent, "disturbances", where)
-        if "t_start" not in ent or "duration" not in ent:
-            raise SchemaError(f"{where}: needs t_start and duration")
-        t0 = _number(ent, "t_start", where)
-        dur = _number(ent, "duration", where)
-        if "magnitude_g" not in ent or "direction" not in ent:
-            raise SchemaError(f"{where}: needs magnitude_g and direction")
-        direction = _triple(ent, "direction", where)
-        magnitude = _number(ent, "magnitude_g", where)
-        try:
-            pulses.append(disturbance_pulse(p, magnitude, dur, direction, t0))
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
-    return tuple(pulses)
+        return CircleSchedule(sp["radius"], sp["speed"], sp.get("center", _ZERO))
+    # an absolute path replaces base_dir
+    return CsvSchedule.from_csv(os.path.join(os.fspath(base_dir or ""), sp["path"]))
 
 
 def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None) -> Scenario:
     """Build a Scenario from a parsed configuration mapping.
 
     ``p`` is needed only to scale g-unit disturbances (defaults to the
-    built-in profile). Unknown keys anywhere are rejected.
+    built-in profile). Every section is read by :data:`SCENARIO_KEYS`, so
+    unknown keys anywhere are rejected.
     """
     from .vehicle import default_robofly_params
 
@@ -362,44 +336,29 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
         p = default_robofly_params()
     if not isinstance(cfg, dict):
         raise SchemaError("scenario: top level must be a mapping")
-    _check_keys(cfg, "scenario", "scenario")
-    for req in ("name", "duration", "setpoint"):
-        if req not in cfg:
-            raise SchemaError(f"scenario: missing required key '{req}'")
-
-    name = cfg["name"]  # the stem of the files written under --out
-    if not isinstance(name, str) or name != os.path.basename(name) or name in ("", ".", ".."):
-        raise SchemaError(f"scenario: name must be a bare file name, got {name!r}")
-    control_rate = _number(cfg, "control_rate", "scenario", CONTROL_RATE)
-    if not control_rate > 0.0:
-        raise SchemaError("scenario: control_rate must be positive and finite")
-    # None: Scenario applies default_substeps
-    substeps = (_number(cfg, "physics_substeps", "scenario", integer=True)
-                if "physics_substeps" in cfg else None)
-
-    initial_cfg = cfg.get("initial", {})
-    if not isinstance(initial_cfg, dict):
-        raise SchemaError("initial: expected a mapping")
-    noise_cfg = cfg.get("noise", {})
-    if not isinstance(noise_cfg, dict):
-        raise SchemaError("noise: expected a mapping")
-    setpoint_cfg = cfg.get("setpoint")
-    if not isinstance(setpoint_cfg, dict):
-        raise SchemaError("setpoint: expected a mapping")
-    dist_cfg = cfg.get("disturbances", [])
-    if not isinstance(dist_cfg, list):
-        raise SchemaError("disturbances: expected a list")
-
+    top = _section(cfg, "scenario", "scenario")
+    ini = _section(top.get("initial", {}), "initial", "initial")
+    schedule = _schedule_from_dict(top["setpoint"], base_dir)
+    pulses = []
+    for i, ent in enumerate(top.get("disturbances", [])):
+        where = f"disturbances[{i}]"
+        d = _section(ent, "disturbances", where)
+        try:
+            pulses.append(disturbance_pulse(p, d["magnitude_g"], d["duration"], d["direction"],
+                                            d["t_start"]))
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
     return Scenario(
-        name=name,
-        duration=_number(cfg, "duration", "scenario"),
-        initial=_initial_from_dict(initial_cfg),
-        schedule=_schedule_from_dict(setpoint_cfg, base_dir),
-        disturbances=_pulses_from_list(dist_cfg, p),
-        noise=_noise_from_dict(noise_cfg),
-        control_rate=control_rate,
-        substeps=substeps,
-        seed=_number(cfg, "seed", "scenario", 0, integer=True),
+        name=top["name"],  # the stem of the files written under --out
+        duration=top["duration"],
+        initial=SimState(ini.get("pos", _ZERO), ini.get("vel_b", _ZERO),
+                         EulerAngles321(*ini.get("euler", _ZERO)), ini.get("omega_b", _ZERO)),
+        schedule=schedule,
+        disturbances=pulses,
+        noise=NoiseConfig(**_section(top.get("noise", {}), "noise", "noise")),
+        control_rate=top.get("control_rate", CONTROL_RATE),
+        substeps=top.get("physics_substeps"),  # None: Scenario applies default_substeps
+        seed=top.get("seed", 0),
     )
 
 
@@ -407,7 +366,7 @@ def load_scenario(path, p: VehicleParams | None = None) -> Scenario:
     """Parse a scenario file (YAML mapping; see scenario_from_dict)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=YamlLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
     if not isinstance(cfg, dict):

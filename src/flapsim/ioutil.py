@@ -1,4 +1,5 @@
-"""The CSV table format (README "File formats") and atomic file writes.
+"""The CSV table format (README "File formats"), atomic file writes and the
+YAML loader that scenario and parameter files are read with.
 
 The gain CSV, a headerless matrix, is not such a table (``lqr.read_gain_csv``),
 but :func:`rows_text` writes its rows as it writes a table's.
@@ -8,13 +9,16 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 import tempfile
 
 import numpy as np
+import yaml
 
 from .errors import SchemaError
 
-__all__ = ["atomic_write_text", "fmt", "read_header", "read_table", "rows_text", "table_text"]
+__all__ = ["YamlLoader", "atomic_write_text", "fmt", "read_header", "read_table", "rows_text",
+           "table_text"]
 
 
 def fmt(x: float) -> str:
@@ -470,3 +474,13 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+class YamlLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads a number in exponent form (``150e-6``,
+    ``1.0e3``) as a float; YAML 1.1 reads those as strings."""
+
+
+YamlLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(\.[0-9]+|[0-9][0-9_]*(\.[0-9_]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
+

@@ -67,11 +67,12 @@ SPEED_MAX, SPEED_BINS = 0.8, 16
 # ---------------------------------------------------------------------------
 # whole-array kinematics. The branch-free formulas (_qmul, _rotmat,
 # _euler_quat) are kinematics' own, called on numpy columns. The ones that
-# branch per sample are copied here as array code: _wrap, _check_pitch,
-# _euler, and the log map's small-angle branch in _quat_rates. Sharing
-# those would make the scalar code branch on its caller. Every quaternion
-# array here is unit: MocapTrajectory normalizes its samples, and reconstruct
-# normalizes again only after the filter.
+# branch per sample are copied here as array code: _wrap, _euler (which,
+# unlike rotmat_to_euler, takes any pitch), and the log map's small-angle
+# branch in _quat_rates. Sharing those would make the scalar code branch on
+# its caller. Every quaternion array here is unit: MocapTrajectory
+# normalizes its samples, and reconstruct normalizes again only after the
+# filter.
 # ---------------------------------------------------------------------------
 
 
@@ -84,26 +85,14 @@ def _wrap(a: np.ndarray) -> np.ndarray:
     return np.where(inside, a, np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi)
 
 
-def _check_pitch(pitch: np.ndarray, t: np.ndarray) -> None:
-    """Raise GimbalLockError, as EulerAngles321 does, naming the first sample at the guard."""
-    bad = np.nonzero(np.abs(pitch) >= GIMBAL_GUARD)[0]
-    if len(bad):
-        i = int(bad[0])
-        raise GimbalLockError(
-            f"sample {i} (t = {t[i]:.6g} s): pitch {pitch[i]:.9f} rad is within 1e-6 "
-            "of the +/-pi/2 singularity"
-        )
-
-
 def _rotmats(quat: np.ndarray) -> np.ndarray:
     """``quat_to_rotmat`` on (n, 4) unit rows: an (n, 3, 3) body-to-world stack."""
     return np.stack(_rotmat(*quat.T), axis=-1).reshape(-1, 3, 3)
 
 
-def _euler(R: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``rotmat_to_euler`` on an (n, 3, 3) stack: (n, 3) roll, pitch, yaw."""
+def _euler(R: np.ndarray) -> np.ndarray:
+    """``rotmat_to_euler`` on an (n, 3, 3) stack: (n, 3) roll, pitch, yaw, at any pitch."""
     pitch = -np.arcsin(np.clip(R[:, 2, 0], -1.0, 1.0))
-    _check_pitch(pitch, t)
     roll = _wrap(np.arctan2(R[:, 2, 1], R[:, 2, 2]))
     yaw = _wrap(np.arctan2(R[:, 1, 0], R[:, 0, 0]))
     return np.column_stack([roll, pitch, yaw])
@@ -173,7 +162,6 @@ def trajectory_from_runlog(log: RunLog) -> MocapTrajectory:
     """Treat a simulator log's truth pose series as ideal mocap samples."""
     # euler_to_quat on columns; MocapTrajectory canonicalizes the signs
     roll, pitch, yaw = _wrap(log.euler[:, 0]), log.euler[:, 1], _wrap(log.euler[:, 2])
-    _check_pitch(pitch, log.t)
     quat = np.column_stack(_euler_quat(roll, pitch, yaw, xp=np))
     return MocapTrajectory(log.t, log.pos_w, quat)
 
@@ -196,7 +184,11 @@ def load_command_csv(path):
 
 @dataclass(frozen=True)
 class ReconstructedStates:
-    """Filtered, differentiated flight states (margins already trimmed)."""
+    """Filtered, differentiated flight states (margins already trimmed).
+
+    ``euler`` is given at any attitude, but within 1e-6 rad of +/-90 deg pitch
+    roll and yaw have no defined split; :func:`validate_model` refuses those samples.
+    """
 
     t: np.ndarray
     pos_w: np.ndarray
@@ -452,7 +444,7 @@ def reconstruct(tr: MocapTrajectory, cutoff_hz: float | None = CUTOFF_HZ) -> Rec
     accel_w = np.gradient(vel_w, t, axis=0)
 
     R = _rotmats(quat)
-    euler = _euler(R, t)
+    euler = _euler(R)
     vel_b = (R.transpose(0, 2, 1) @ vel_w[:, :, None])[:, :, 0]  # R^T v per sample
 
     omega_b = _quat_rates(t, quat)
@@ -619,7 +611,11 @@ def validate_model(rs: ReconstructedStates, p: VehicleParams) -> ValidationRepor
         raise ValueError("state entries must be finite")
     states[:, 3] = _wrap(states[:, 3])
     states[:, 5] = _wrap(states[:, 5])
-    _check_pitch(states[:, 4], rs.t)
+    bad = np.nonzero(np.abs(states[:, 4]) >= GIMBAL_GUARD)[0]
+    if len(bad):  # refused as EulerAngles321 refuses it, naming the first such sample
+        i = int(bad[0])
+        raise GimbalLockError(f"sample {i} (t = {rs.t[i]:.6g} s): pitch {states[i, 4]:.9f} rad "
+                              "is within 1e-6 of the +/-pi/2 singularity")
     # state_derivative's inputs, zero residuals and force; at, ap, aq are per row
     thrust, tau_r, tau_p = rs.wrench.T
     thrust = np.where(thrust > 0.0, thrust, 0.0)  # max(0.0, thrust) per row

@@ -26,6 +26,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
+from .ioutil import YamlLoader
 
 __all__ = [
     "VehicleParams",
@@ -167,7 +168,7 @@ def load_params(source: str) -> VehicleParams:
         return default_robofly_params()
     try:
         with open(source, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=YamlLoader)
     except FileNotFoundError:
         raise ConfigError(
             f"no such parameter file or profile: {source!r} "

@@ -22,6 +22,7 @@ from flapsim.harness import (
     NoiseConfig,
     RUNLOG_COLUMNS,
     RUNLOG_FIELDS,
+    SCENARIO_KEYS,
     RunLog,
     Scenario,
     _noise_samples,
@@ -129,22 +130,24 @@ def test_scenario_from_dict_full(params):
         ({"noise": {"att_sigma": 0.1, "att_sigma_deg": 5.0}},
          re.escape("noise: unknown keys ['att_sigma_deg']")),
         ({"setpoint": {"kind": "spiral"}}, "unknown kind"),
-        ({"setpoint": {"kind": "circle", "speed": 0.1}}, "circle needs"),
-        ({"setpoint": {"kind": "schedule"}}, "needs a path"),
-        ({"disturbances": [{"duration": 0.1}]}, "needs t_start"),
+        ({"setpoint": {"kind": "circle", "speed": 0.1}}, "setpoint: missing required key 'radius'"),
+        ({"setpoint": {"kind": "schedule"}}, "setpoint: missing required key 'path'"),
+        ({"disturbances": [{"duration": 0.1}]},
+         re.escape("disturbances[0]: missing required key 't_start'")),
         (
             {"disturbances": [{"t_start": 0, "duration": 0.1, "force": [0, 0, 1],
                                "magnitude_g": 1, "direction": [0, 0, 1]}]},
             re.escape("disturbances[0]: unknown keys ['force']"),
         ),
-        ({"disturbances": [{"t_start": 0, "duration": 0.1}]}, "magnitude_g and direction"),
+        ({"disturbances": [{"t_start": 0, "duration": 0.1}]},
+         re.escape("disturbances[0]: missing required key 'magnitude_g'")),
         ({"disturbances": ["pulse"]}, "expected a mapping"),
         ({"initial": 7}, "expected a mapping"),
         ({"setpoint": None}, "expected a mapping"),
         ({"physics_substeps": 4.5}, "physics_substeps must be an integer"),
         ({"seed": 1.9}, "seed must be an integer"),
         ({"setpoint": {"kind": "constant", "yaw": 0.3}}, "unknown keys"),
-        ({"control_rate": -0.0}, "control_rate must be positive and finite"),
+        ({"seed": 10**400}, "scenario: seed is out of range"),
         ({"noise": {"enabled": "false"}}, "noise: enabled must be true or false"),
         ({"use_truth_velocity": "false"}, "scenario: unknown keys"),
         ({"legacy_coriolis": False}, "scenario: unknown keys"),
@@ -180,9 +183,9 @@ def test_scenario_from_dict_full(params):
         ({"name": ".."}, "scenario: name must be a bare file name, got '..'"),
         ({"name": ""}, "scenario: name must be a bare file name, got ''"),
         ({"name": 5}, "scenario: name must be a bare file name, got 5"),
-        ({"control_rate": 0.0}, "scenario: control_rate must be positive and finite"),
-        ({"control_rate": -240}, "scenario: control_rate must be positive and finite"),
-        # the duration is read before the pulse is found to lack magnitude_g and direction
+        ({"disturbances": {"t_start": 0.0}}, "disturbances: expected a list"),
+        ({"physics_substeps": 10**400}, "scenario: physics_substeps is out of range"),
+        # a pulse's keys are read in SCENARIO_KEYS order: duration before magnitude_g
         ({"disturbances": [{"t_start": 0.0, "duration": math.inf}]},
          "duration must be finite, got inf"),
         ({"disturbances": [{"t_start": 0.0, "duration": math.inf, "magnitude_g": 1.0,
@@ -301,6 +304,82 @@ def test_scenario_from_dict_missing_required():
         scenario_from_dict(["not", "a", "mapping"])
 
 
+@pytest.mark.parametrize("rate", [0.0, -0.0, -240])
+def test_scenario_file_leaves_the_control_rate_sign_to_the_record(rate):
+    cfg = {"name": "x", "duration": 1.0, "control_rate": rate, "setpoint": {"kind": "constant"}}
+    with pytest.raises(ConfigError, match="^control_rate must be positive and finite$"):
+        scenario_from_dict(cfg)
+
+
+# a valid value for every key of every section of SCENARIO_KEYS
+FULL = {
+    "initial": {"pos": [0.01, 0.0, 0.0], "vel_b": [0.0, 0.0, 0.0], "euler": [0.0, 0.05, 0.0],
+                "omega_b": [0.0, 0.0, 0.1]},
+    "noise": {"enabled": True, "pos_sigma": 1e-3, "att_sigma": 0.01},
+    "disturbances": {"t_start": 0.1, "duration": 0.05, "magnitude_g": 0.5,
+                     "direction": [0.0, 1.0, 0.0]},
+    "constant": {"kind": "constant", "pos": [0.0, 0.0, 0.1], "vel": [0.0, 0.0, 0.0]},
+    "circle": {"kind": "circle", "radius": 0.05, "speed": 0.1, "center": [0.0, 0.0, 0.1]},
+    "schedule": {"kind": "schedule", "path": "way.csv"},
+}
+FULL["scenario"] = {"name": "full", "duration": 0.5, "seed": 1, "control_rate": 240.0,
+                    "physics_substeps": 4, "initial": FULL["initial"],
+                    "setpoint": FULL["constant"], "noise": FULL["noise"],
+                    "disturbances": [FULL["disturbances"]]}
+SETPOINT_KINDS = ("constant", "circle", "schedule")
+# a value of the wrong kind for most keys; the pairs skipped are of the right kind
+WRONG = {"bool": True, "quoted": "0.5", "null": None, "pair": [0.0, 0.0]}
+RIGHT = {("bool", "flag"), ("quoted", "string"), ("quoted", "stem")}
+
+
+def where_of(section: str) -> str:
+    return ("setpoint" if section in SETPOINT_KINDS
+            else "disturbances[0]" if section == "disturbances" else section)
+
+
+def scenario_holding(section: str, keys: dict) -> dict:
+    """FULL's scenario with ``keys`` in place of ``section``'s mapping."""
+    if section == "scenario":
+        return keys
+    slot = "setpoint" if section in SETPOINT_KINDS else section
+    return {**FULL["scenario"], slot: [keys] if section == "disturbances" else keys}
+
+
+@pytest.mark.parametrize("section", list(SCENARIO_KEYS))
+def test_full_scenario_sections_are_accepted(tmp_path, section):
+    (tmp_path / "way.csv").write_text("t,x,y,z,vx,vy,vz\n0,0,0,0,0,0,0\n")
+    assert set(FULL[section]) == set(SCENARIO_KEYS[section])
+    scenario_from_dict(scenario_holding(section, dict(FULL[section])), base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    pytest.param(section, key, value, id=f"{section}-{key}-{label}")
+    for section, table in SCENARIO_KEYS.items() for key, kind in table.items()
+    for label, value in WRONG.items() if (label, kind.rstrip("!")) not in RIGHT
+])
+def test_every_scenario_key_refuses_a_value_of_the_wrong_kind(section, key, value):
+    kind, where = SCENARIO_KEYS[section][key].rstrip("!"), where_of(section)
+    # a section-valued key is refused by the name of the section it holds
+    named = (f"{where}: unknown kind" if key == "kind"
+             else key if kind in ("mapping", "list") else f"{where}: {key} ")
+    with pytest.raises(SchemaError, match="^" + re.escape(named)):
+        scenario_from_dict(scenario_holding(section, {**FULL[section], key: value}))
+
+
+@pytest.mark.parametrize("section, key", [
+    pytest.param(section, key, id=f"{section}-{key}")
+    for section, table in SCENARIO_KEYS.items() for key, kind in table.items()
+    if kind.endswith("!")
+])
+def test_every_required_scenario_key_is_refused_by_name_when_missing(section, key):
+    keys = {k: v for k, v in FULL[section].items() if k != key}
+    where = where_of(section)
+    named = (f"{where}: unknown kind None" if key == "kind"
+             else f"{where}: missing required key '{key}'")
+    with pytest.raises(SchemaError, match="^" + re.escape(named)):
+        scenario_from_dict(scenario_holding(section, keys))
+
+
 def test_load_scenario_file_errors(tmp_path):
     bad = tmp_path / "bad.scenario"
     bad.write_text("France: [unclosed\n")
@@ -314,6 +393,21 @@ def test_load_scenario_file_errors(tmp_path):
     missing.write_text("name: x\nduration: 1.0\n")
     with pytest.raises(SchemaError, match="missing required key"):
         load_scenario(missing)
+
+
+def test_scenario_file_reads_exponent_numbers(tmp_path):
+    path = tmp_path / "e.scenario"
+    path.write_text("name: e\nduration: 5e-1\nnoise: {pos_sigma: 5e-4, att_sigma: 1E-2}\n"
+                    "setpoint: {kind: constant, pos: [1e-2, 0, 0]}\n")
+    sc = load_scenario(path)
+    assert (sc.duration, sc.noise.pos_sigma, sc.noise.att_sigma) == (0.5, 5e-4, 1e-2)
+    assert sc.schedule(0.0)[0] == (1e-2, 0.0, 0.0)
+    for value, message in (('"5e-4"', "must be a number, got '5e-4'"),
+                           ("1e400", "must be finite, got inf")):
+        path.write_text(f"name: e\nduration: 1.0\nnoise: {{pos_sigma: {value}}}\n"
+                        "setpoint: {kind: constant}\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: noise: pos_sigma {message}")):
+            load_scenario(path)
 
 
 def test_scenario_yaml_schedule_path_is_relative_to_file(tmp_path):

@@ -6,12 +6,13 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import src_env
 from flapsim.harness import RUNLOG_FIELDS, load_scenario, run_scenario
-from flapsim.ioutil import _float_cells, read_table, rows_text, table_text
+from flapsim.ioutil import YamlLoader, _float_cells, read_table, rows_text, table_text
 from flapsim.lqr import read_gain_csv, write_gain_csv
 from flapsim.pipeline import reconstruct_runlog, validate_model
 
@@ -182,3 +183,16 @@ def test_writer_tables_are_built_on_the_first_write():
                           env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[0, 0, 0]", "[1, 1, 1]"]
+
+
+@pytest.mark.parametrize("text, value", [
+    ("150e-6", 150e-6), ("5e-4", 5e-4), ("1.0e3", 1000.0), ("-.5E+2", -50.0), ("2_0e1", 200.0),
+    ("1e400", float("inf")),
+    # as YAML 1.1 reads them
+    ("1.5e-4", 1.5e-4), ("1.0e+3", 1000.0), ("1_000", 1000), (".inf", float("inf")),
+    ("'5e-4'", "5e-4"), ("e5", "e5"), ("1e", "1e"), ("1e-", "1e-"), ("0x1e3", 0x1e3),
+])
+def test_yaml_loader_reads_exponent_numbers_as_floats(text, value):
+    got = yaml.load(f"v: {text}\n", Loader=YamlLoader)["v"]
+    assert got == value and type(got) is type(value)
+

@@ -29,19 +29,27 @@ def test_readme_library_list_is_the_package_exports():
 
 
 def scenario_key_lists() -> dict:
-    """Section -> backticked keys, from the sub-bullets of README's Scenario YAML bullet."""
+    """Section -> (backticked keys, those before "(required)"), from the sub-bullets of
+    README's Scenario YAML bullet."""
     text = README.read_text(encoding="utf-8")
     bullet = text.split("\n* **Scenario YAML**", 1)[1].split("\n\n", 1)[0]
     lists = re.findall(r"^  - ([a-z]+): (.*(?:\n    .*)*)", bullet, flags=re.MULTILINE)
-    return {section: re.findall(r"`(\w+)`", keys) for section, keys in lists}
+    out = {}
+    for section, keys in lists:
+        before, marked, _ = keys.partition("(required)")
+        required = re.findall(r"`(\w+)`", before) if marked else []
+        out[section] = (re.findall(r"`(\w+)`", keys), required)
+    return out
 
 
 def test_readme_scenario_keys_are_the_loaders():
     listed = scenario_key_lists()
     assert set(listed) == set(SCENARIO_KEYS)
-    for section, keys in listed.items():
+    for section, (keys, required) in listed.items():
         assert len(keys) == len(set(keys)), f"{section}: a key is listed twice"
         assert set(keys) == set(SCENARIO_KEYS[section]), section
+        assert set(required) == {k for k, kind in SCENARIO_KEYS[section].items()
+                                 if kind.endswith("!")}, section
 
 
 def parser_options() -> set:

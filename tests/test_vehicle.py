@@ -185,6 +185,17 @@ def test_params_file_refuses_non_finite_and_boolean_values(tmp_path, line):
         load_params(str(path))
 
 
+def test_params_file_reads_exponent_numbers(tmp_path):
+    # vehicle.py's own literal: YAML 1.1 alone reads it as the string '150e-6'
+    path = tmp_path / "veh.yaml"
+    path.write_text("m: 150e-6\nm_M: 4e-5\n")
+    p = load_params(str(path))
+    assert p.m == 150e-6 and p.m_M == 4e-5
+    path.write_text("m: '150e-6'\n")
+    with pytest.raises(ConfigError, match="m must hold only finite numbers, got '150e-6'"):
+        load_params(str(path))
+
+
 def test_params_file_round_trip(tmp_path, params):
     path = tmp_path / "veh.yaml"
     modified = VehicleParams(m=160e-6, dA_limit=35.0)
