@@ -37,7 +37,7 @@ import numpy as np
 from .ioutil import read_table
 from .kinematics import (
     GIMBAL_GUARD, UNIT_QUAT_TOL, EulerAngles321, _euler_quat, _qmul, _quat_rotvec, _rotmat,
-    _rotmat_euler, _rotvec_quat, wrap_angle,
+    _rotmat_euler, _rotvec_quat, _series, _vec3, wrap_angle,
 )
 # bench/spans.py times these names
 from .kinematics import quat_multiply, quat_to_rotmat, quat_to_rotvec, rotmat_to_euler  # noqa: F401
@@ -49,14 +49,6 @@ __all__ = [
     "CircleSchedule",
     "CsvSchedule",
 ]
-
-
-def _vec3(x, name: str) -> tuple:
-    """A finite 3-vector as a tuple of floats."""
-    v = np.asarray(x, dtype=float).reshape(3)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
-    return tuple(v.tolist())
 
 
 def _to_body(R: tuple, x: float, y: float, z: float) -> tuple:
@@ -147,7 +139,8 @@ class ConstantSchedule:
     """Fixed setpoint for the whole run: ``pos_w`` [m] and ``vel_w`` [m/s]."""
 
     def __init__(self, pos_w, vel_w=(0.0, 0.0, 0.0)):
-        self._sp = (_vec3(pos_w, "pos_w"), _vec3(vel_w, "vel_w"))
+        pos, vel = _vec3(pos_w, "pos_w").tolist(), _vec3(vel_w, "vel_w").tolist()
+        self._sp = (tuple(pos), tuple(vel))
 
     def __call__(self, t: float) -> tuple:
         return self._sp
@@ -167,7 +160,7 @@ class CircleSchedule:
             raise ValueError("speed must be finite and non-negative")
         self.radius = float(radius)
         self.speed = float(speed)
-        self.center_w = _vec3(center_w, "center_w")
+        self.center_w = tuple(_vec3(center_w, "center_w").tolist())
 
     def __call__(self, t: float) -> tuple:
         r, v = self.radius, self.speed
@@ -187,16 +180,8 @@ class CsvSchedule:
     COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz")
 
     def __init__(self, t, pos, vel):
-        t = np.asarray(t, dtype=float).reshape(-1)
-        pos = np.asarray(pos, dtype=float).reshape(-1, 3)
-        vel = np.asarray(vel, dtype=float).reshape(-1, 3)
-        if len(t) < 1 or len(pos) != len(t) or len(vel) != len(t):
-            raise ValueError("schedule needs equal-length t/pos/vel with >= 1 row")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("schedule times must be strictly increasing")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
-            raise ValueError("schedule entries must be finite")
-        self.t = t
+        self.t, pos, vel = _series("schedule", t, np.reshape(pos, (-1, 3)),
+                                   np.reshape(vel, (-1, 3)))
         # x, y, z, vx, vy, vz as contiguous columns, which np.interp takes without a copy
         self._cols = tuple(np.ascontiguousarray(c) for c in (*pos.T, *vel.T))
 

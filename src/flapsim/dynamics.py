@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, GimbalLockError
-from .kinematics import GIMBAL_GUARD, EulerAngles321
+from .kinematics import GIMBAL_GUARD, EulerAngles321, _vec3
 from .vehicle import VehicleParams, Wrench
 
 __all__ = [
@@ -74,18 +74,8 @@ class SimState:
     omega_b: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.pos_w, dtype=float).reshape(3)
-        vel = np.asarray(self.vel_b, dtype=float).reshape(3)
-        omega = np.asarray(self.omega_b, dtype=float).reshape(3)
-        if not (
-            np.all(np.isfinite(pos))
-            and np.all(np.isfinite(vel))
-            and np.all(np.isfinite(omega))
-        ):
-            raise ValueError("state entries must be finite")
-        object.__setattr__(self, "pos_w", pos)
-        object.__setattr__(self, "vel_b", vel)
-        object.__setattr__(self, "omega_b", omega)
+        for name in ("pos_w", "vel_b", "omega_b"):
+            object.__setattr__(self, name, _vec3(getattr(self, name), name))
 
     @classmethod
     def at_rest(cls, pos_w=(0.0, 0.0, 0.0)) -> "SimState":
@@ -123,10 +113,8 @@ class UnmodeledTerms:
     angular_accel: np.ndarray = field(default_factory=_zero3)
 
     def __post_init__(self) -> None:
-        sf = np.asarray(self.specific_force, dtype=float).reshape(3)
-        aa = np.asarray(self.angular_accel, dtype=float).reshape(3)
-        object.__setattr__(self, "specific_force", sf)
-        object.__setattr__(self, "angular_accel", aa)
+        for name in ("specific_force", "angular_accel"):
+            object.__setattr__(self, name, _vec3(getattr(self, name), name))
 
 
 def _eom(c: tuple, xp=None):

@@ -48,7 +48,7 @@ from .dynamics import MAX_DT, SimState, _forcing, _plant
 from .dynamics import rk4_packed as _rk4_packed  # bench/spans.py times this name
 from .errors import ConfigError, DivergenceError, GimbalLockError, SchemaError
 from .ioutil import YamlLoader, atomic_write_text, table_text
-from .kinematics import GIMBAL_GUARD, EulerAngles321
+from .kinematics import GIMBAL_GUARD, EulerAngles321, _series, _vec3
 from .kinematics import (  # noqa: F401  bench/spans.py times these names
     euler_to_quat, euler_to_rotmat, quat_from_rotvec, quat_multiply,
 )
@@ -122,12 +122,9 @@ class DisturbancePulse:
     force_w: np.ndarray
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.force_w, dtype=float).reshape(3)
-        if not np.all(np.isfinite(f)):
-            raise ConfigError("pulse force must be finite")
+        object.__setattr__(self, "force_w", _vec3(self.force_w, "pulse force"))
         if not self.t_end > self.t_start:
             raise ConfigError("pulse needs t_end > t_start")
-        object.__setattr__(self, "force_w", f)
 
 
 def disturbance_pulse(
@@ -146,7 +143,7 @@ def disturbance_pulse(
         raise ValueError("magnitude_g must be positive")
     if not duration > 0.0:
         raise ValueError("pulse duration must be positive")
-    d = np.asarray(direction_w, dtype=float).reshape(3)
+    d = _vec3(direction_w, "direction")
     n = float(np.linalg.norm(d))
     if n == 0.0:
         raise ValueError("direction must be a nonzero vector")
@@ -185,8 +182,12 @@ class Scenario:
                               "is too many control ticks to count")
         n = self.substeps
         if n is not None:
-            if (isinstance(n, bool) or not isinstance(n, numbers.Real) or not math.isfinite(n)
-                    or int(n) != n or n < 1):
+            try:
+                bad = (isinstance(n, bool) or not isinstance(n, numbers.Real)
+                       or not math.isfinite(n) or int(n) != n or n < 1)
+            except OverflowError:  # an int beyond the float range
+                raise ConfigError("physics_substeps is out of range") from None
+            if bad:
                 raise ConfigError(f"physics_substeps must be a positive integer, got {n!r}")
             object.__setattr__(self, "substeps", int(n))
         seed = self.seed
@@ -418,11 +419,7 @@ class RunLog:
     final_state: SimState | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.t)
-        if n == 0:
-            raise ValueError("empty run log")
-        if np.any(np.diff(self.t) <= 0.0):
-            raise ValueError("log timestamps must be strictly increasing")
+        _series("run log", self.t)
 
     @classmethod
     def from_rows(cls, rows, final_state: SimState | None = None) -> "RunLog":

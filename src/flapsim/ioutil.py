@@ -477,8 +477,20 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 class YamlLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that also reads a number in exponent form (``150e-6``,
-    ``1.0e3``) as a float; YAML 1.1 reads those as strings."""
+    """``yaml.SafeLoader`` that reads a number in exponent form (``150e-6``) as a float,
+    where YAML 1.1 reads a string, and refuses a mapping that states a key twice,
+    where it keeps the last value; merge keys (``<<: *base``) still merge."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                k = self.construct_object(key)
+                if k in seen:
+                    raise yaml.MarkedYAMLError(None, None, f"duplicate key {k!r}", key.start_mark)
+                seen.add(k)
+        return node
 
 
 YamlLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(

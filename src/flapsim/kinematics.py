@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GimbalLockError
+from .errors import ConfigError, GimbalLockError
 
 __all__ = [
     "GIMBAL_GUARD",
@@ -49,6 +49,32 @@ GIMBAL_GUARD = math.pi / 2 - 1e-6
 # A measured quaternion whose norm is off 1 by more than this is refused,
 # not normalized: it is a corrupt sample, not rounding.
 UNIT_QUAT_TOL = 1e-3
+
+
+def _vec3(x, name: str) -> np.ndarray:
+    """``x`` as a finite float (3,) array, or ConfigError ``{name} must be finite``."""
+    v = np.asarray(x, dtype=float).reshape(3)
+    if not np.all(np.isfinite(v)):
+        raise ConfigError(f"{name} must be finite")
+    return v
+
+
+def _series(what: str, t, *blocks) -> tuple:
+    """``(t, *blocks)`` as float arrays: ``t`` at least one finite, strictly
+    increasing time and each block one finite row per time, or ConfigError
+    ``{what} ...``. The caller gives each block its rows' shape."""
+    t = np.asarray(t, dtype=float).reshape(-1)
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    if len(t) == 0 or any(b.shape[:1] != t.shape for b in blocks):
+        raise ConfigError(f"{what} series is empty or mismatched")
+    if not np.all(np.isfinite(t)):
+        raise ConfigError(f"{what} times must be finite")
+    if not all(np.all(np.isfinite(b)) for b in blocks):
+        raise ConfigError(f"{what} series has non-finite values")
+    late = np.nonzero(np.diff(t) <= 0.0)[0]
+    if len(late):
+        raise ConfigError(f"{what} times not strictly increasing at sample {int(late[0]) + 1}")
+    return (t, *blocks)
 
 
 def wrap_angle(angle: float) -> float:

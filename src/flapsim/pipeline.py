@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import ConfigError, GimbalLockError, SchemaError
 from .ioutil import atomic_write_text, read_table, table_text
-from .kinematics import (
-    GIMBAL_GUARD, UNIT_QUAT_TOL, _euler_quat, _qmul, _rotmat, quat_from_rotvec, quat_to_rotmat,
-)
+from .kinematics import GIMBAL_GUARD, UNIT_QUAT_TOL, _euler_quat, _qmul, _rotmat, _series
+from .kinematics import quat_from_rotvec, quat_to_rotmat
 from .vehicle import VehicleParams
 from .dynamics import _forcing, _plant
 from .harness import RunLog, RUNLOG_COLUMNS
@@ -114,19 +113,11 @@ class MocapTrajectory:
     gap_indices: tuple = field(init=False)
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float).reshape(-1)
-        pos = np.asarray(self.pos_w, dtype=float).reshape(-1, 3)
-        quat = np.asarray(self.quat, dtype=float).reshape(-1, 4)
+        t, pos, quat = _series("pose", self.t, np.reshape(self.pos_w, (-1, 3)),
+                               np.reshape(self.quat, (-1, 4)))
         if len(t) < 2:
             raise ValueError("trajectory needs at least 2 samples")
-        if not (len(t) == len(pos) == len(quat)):
-            raise ValueError("t, pos_w, quat lengths differ")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(pos)) and np.all(np.isfinite(quat))):
-            raise ValueError("trajectory contains non-finite values")
         dt = np.diff(t)
-        if np.any(dt <= 0.0):
-            i = int(np.nonzero(dt <= 0.0)[0][0])
-            raise ValueError(f"timestamps not strictly increasing at sample {i + 1}")
         norms = np.linalg.norm(quat, axis=1)
         bad = np.nonzero(np.abs(norms - 1.0) > UNIT_QUAT_TOL)[0]
         if len(bad):
@@ -229,17 +220,7 @@ def _held(t_src, values, t: np.ndarray, what: str) -> np.ndarray:
     Times before the first source sample take the first row. ``t_src``
     must be strictly increasing, and it and ``values`` finite.
     """
-    t_src = np.asarray(t_src, dtype=float).reshape(-1)
-    v = np.asarray(values, dtype=float).reshape(-1, 3)
-    if len(t_src) != len(v) or len(t_src) == 0:
-        raise ValueError(f"{what} series is empty or mismatched")
-    if not np.all(np.isfinite(t_src)):
-        raise ValueError(f"{what} times must be finite")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} series has non-finite values")
-    late = np.nonzero(np.diff(t_src) <= 0.0)[0]
-    if len(late):
-        raise ValueError(f"{what} times not strictly increasing at sample {int(late[0]) + 1}")
+    t_src, v = _series(what, t_src, np.reshape(values, (-1, 3)))
     return v[np.clip(np.searchsorted(t_src, t, side="right") - 1, 0, len(t_src) - 1)]
 
 

@@ -21,15 +21,14 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def write_offset_scenario(path, duration=0.5, offset=0.01, name="offset", extra=""):
-    path.write_text(
-        f"name: {name}\n"
-        f"duration: {duration}\n"
-        "initial:\n"
-        f"  pos: [{offset}, 0.0, 0.0]\n"
-        "setpoint:\n"
-        "  kind: constant\n"
-        "  pos: [0.0, 0.0, 0.0]\n" + extra
-    )
+    """An offset-hover scenario file plus the lines ``extra``. A top-level key
+    that ``extra`` states replaces the one written here, as a file states each
+    key once."""
+    own = {"name": f"name: {name}\n", "duration": f"duration: {duration}\n",
+           "initial": f"initial:\n  pos: [{offset}, 0.0, 0.0]\n",
+           "setpoint": "setpoint:\n  kind: constant\n  pos: [0.0, 0.0, 0.0]\n"}
+    restated = {line.split(":")[0] for line in extra.splitlines() if line[:1] not in ("", " ")}
+    path.write_text("".join(v for k, v in own.items() if k not in restated) + extra)
     return path
 
 
@@ -213,7 +212,7 @@ def test_simulate_seed_and_noise_overrides(tmp_path):
         ("disturbances:\n  - {t_start: .nan, duration: 0.1, magnitude_g: 0.1,"
          " direction: [0.0, 0.0, 1.0]}\n", [],
          "s.scenario: disturbances[0]: t_start must be finite, got nan"),
-        # the later duration key replaces write_offset_scenario's 0.5
+        # this duration key replaces write_offset_scenario's 0.5
         ("duration: 1.0e+308\n", [],
          "s.scenario: duration 1e+308 s at 240.0 Hz is too many control ticks to count"),
     ],

@@ -606,8 +606,10 @@ def test_scenario_refuses_a_tick_count_that_overflows():
     with pytest.raises(ConfigError, match="too many control ticks"):
         scenario_from_dict({"name": "x", "duration": 1.0e308, "setpoint": {"kind": "constant"}})
     sc = Scenario(name="x", duration=1.0, initial=hover_state(), schedule=HOLD_ORIGIN)
-    for n in (math.inf, -math.inf, math.nan, "4", 4.5):
-        with pytest.raises(ConfigError, match="physics_substeps must be a positive integer"):
+    for n in (math.inf, -math.inf, math.nan, "4", 4.5, 10**400):
+        # an int beyond the float range gets the scenario file's wording
+        why = "is out of range" if n == 10**400 else "must be a positive integer"
+        with pytest.raises(ConfigError, match=f"physics_substeps {why}"):
             dataclasses.replace(sc, substeps=n)
     assert dataclasses.replace(sc, substeps=np.int64(6)).physics_substeps == 6
 

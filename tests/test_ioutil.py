@@ -1,5 +1,6 @@
 """The table writer: ioutil's float kernel against repr, byte for byte."""
 
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -11,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import src_env
+from flapsim.errors import ConfigError
 from flapsim.harness import RUNLOG_FIELDS, load_scenario, run_scenario
 from flapsim.ioutil import YamlLoader, _float_cells, read_table, rows_text, table_text
 from flapsim.lqr import read_gain_csv, write_gain_csv
 from flapsim.pipeline import reconstruct_runlog, validate_model
+from flapsim.vehicle import load_params
 
 WIDTH = 8  # values per row in the oracle tables
 
@@ -196,3 +199,31 @@ def test_yaml_loader_reads_exponent_numbers_as_floats(text, value):
     got = yaml.load(f"v: {text}\n", Loader=YamlLoader)["v"]
     assert got == value and type(got) is type(value)
 
+
+@pytest.mark.parametrize("load, text, key, line", [
+    (load_scenario, "name: dup\nduration: 0.1\nseed: 1\nsetpoint: {kind: constant}\nseed: 2\n",
+     "seed", 5),
+    (load_scenario, "name: dup\nduration: 0.1\nnoise:\n  enabled: true\n"
+     "setpoint: {kind: constant}\nnoise:\n  pos_sigma: 1.0e-3\n", "noise", 6),
+    (lambda path: load_params(str(path)), "m: 1.5e-4\nm_M: 4.0e-5\nm: 2.0e-4\n", "m", 3),
+], ids=["scenario_seed_twice", "scenario_noise_twice", "params_m_twice"])
+def test_yaml_loader_refuses_a_repeated_key_by_name_and_line(tmp_path, load, text, key, line):
+    # PyYAML alone keeps the last value: seed 2, the second noise section, m = 2e-4
+    path = tmp_path / "dup.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"duplicate key '{key}'\n  in \"{path}\", "
+                                                    f"line {line}, column 1")):
+        load(path)
+
+
+def test_yaml_loader_merges_keys_and_keeps_yamls_unhashable_key_error(tmp_path):
+    path = tmp_path / "merge.scenario"
+    path.write_text(
+        "name: merge\nduration: 0.1\nsetpoint: {kind: constant}\ndisturbances:\n"
+        "  - &pulse {t_start: 0.02, duration: 0.01, magnitude_g: 0.5, direction: [1, 0, 0]}\n"
+        "  - <<: *pulse\n    t_start: 0.05\n")
+    first, second = load_scenario(path).disturbances
+    assert (first.t_start, second.t_start) == (0.02, 0.05)
+    assert np.array_equal(first.force_w, second.force_w)
+    with pytest.raises(yaml.constructor.ConstructorError, match="found unhashable key"):
+        yaml.load("? [1, 2]\n: 3\n", Loader=YamlLoader)

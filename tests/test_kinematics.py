@@ -1,15 +1,19 @@
 """Rotation-representation checks against independent linear-algebra oracles."""
 
+import functools
 import itertools
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import oracles
-from flapsim.dynamics import SimState, state_derivative
-from flapsim.errors import GimbalLockError
+from flapsim.controller import CircleSchedule, ConstantSchedule, CsvSchedule
+from flapsim.dynamics import SimState, UnmodeledTerms, state_derivative
+from flapsim.errors import ConfigError, GimbalLockError
+from flapsim.harness import RUNLOG_COLUMNS, DisturbancePulse, RunLog, disturbance_pulse
 from flapsim.kinematics import (
     GIMBAL_GUARD,
     EulerAngles321,
@@ -24,7 +28,8 @@ from flapsim.kinematics import (
     rotmat_to_euler,
     wrap_angle,
 )
-from flapsim.vehicle import Wrench
+from flapsim.pipeline import MocapTrajectory, reconstruct
+from flapsim.vehicle import Wrench, default_robofly_params
 
 
 def random_euler(rng, pitch_limit=1.4):
@@ -298,3 +303,77 @@ def test_euler_rate_matrix_pure_pitch_rate(params):
     # a pure pitch rate moves only the pitch angle, at any pitch
     rates = euler_rates(params, EulerAngles321(0.0, 0.2, 0.0), (0.0, 1.0, 0.0))
     np.testing.assert_allclose(rates, [0.0, 1.0, 0.0], atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# record inputs: each rule is kinematics._vec3 or kinematics._series
+# ---------------------------------------------------------------------------
+
+LEVEL = EulerAngles321(0.0, 0.0, 0.0)
+Z3 = (0.0, 0.0, 0.0)
+# every record 3-vector: (the name its refusal gives, the record built with v there)
+VEC3_INPUTS = {
+    "SimState.pos_w": ("pos_w", lambda v: SimState(v, Z3, LEVEL, Z3)),
+    "SimState.vel_b": ("vel_b", lambda v: SimState(Z3, v, LEVEL, Z3)),
+    "SimState.omega_b": ("omega_b", lambda v: SimState(Z3, Z3, LEVEL, v)),
+    "UnmodeledTerms.specific_force": ("specific_force", lambda v: UnmodeledTerms(v, Z3)),
+    "UnmodeledTerms.angular_accel": ("angular_accel", lambda v: UnmodeledTerms(Z3, v)),
+    "DisturbancePulse.force_w": ("pulse force", lambda v: DisturbancePulse(0.0, 0.1, v)),
+    "disturbance_pulse.direction_w": (
+        "direction", lambda v: disturbance_pulse(default_robofly_params(), 1.0, 0.1, v)),
+    "ConstantSchedule.pos_w": ("pos_w", lambda v: ConstantSchedule(v)),
+    "ConstantSchedule.vel_w": ("vel_w", lambda v: ConstantSchedule(Z3, v)),
+    "CircleSchedule.center_w": ("center_w", lambda v: CircleSchedule(0.1, 0.05, v)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("record", list(VEC3_INPUTS))
+def test_record_refuses_a_non_finite_3_vector_by_name(record, bad):
+    name, build = VEC3_INPUTS[record]
+    build((0.0, 0.0, 1.0))  # a finite vector is taken
+    for i in range(3):
+        v = [0.0, 0.0, 1.0]
+        v[i] = bad
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be finite$"):
+            build(v)
+
+
+@functools.cache
+def _reconstruction():
+    n = 120
+    return reconstruct(MocapTrajectory(np.arange(n) / 240.0, np.zeros((n, 3)),
+                                       np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))))
+
+
+# every record time series: (the name its refusals give, the record built from
+# times t and n rows in each of its other blocks)
+SERIES_INPUTS = {
+    "CsvSchedule": ("schedule", lambda t, n: CsvSchedule(t, np.zeros((n, 3)), np.zeros((n, 3)))),
+    "MocapTrajectory": ("pose", lambda t, n: MocapTrajectory(
+        t, np.zeros((n, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)))),
+    "attach_wrench": ("wrench", lambda t, n: _reconstruction().attach_wrench(t, np.zeros((n, 3)))),
+    "attach_commands": ("command", lambda t, n: _reconstruction().attach_commands(
+        t, np.zeros((n, 3)), default_robofly_params())),
+    # a run log's rows are its times: it checks only them
+    "RunLog": ("run log", lambda t, n: RunLog.from_rows(
+        np.column_stack([t, np.zeros((len(t), len(RUNLOG_COLUMNS) - 1))]))),
+}
+# (times, rows in the other blocks, the refusal after the series name)
+SERIES_CASES = {
+    "nan_time": ([0.0, 0.5, math.nan, 1.5], 4, "times must be finite"),
+    "repeated_time": ([0.0, 0.5, 0.5, 1.5], 4, "times not strictly increasing at sample 2"),
+    "decreasing_time": ([0.0, 0.5, 1.5, 1.0], 4, "times not strictly increasing at sample 3"),
+    "length_mismatch": ([0.0, 0.5, 1.0, 1.5], 3, "series is empty or mismatched"),
+    "empty": ([], 0, "series is empty or mismatched"),
+}
+
+
+@pytest.mark.parametrize("record, case", [
+    (r, c) for r in SERIES_INPUTS for c in SERIES_CASES if (r, c) != ("RunLog", "length_mismatch")])
+def test_record_refuses_a_bad_time_series_by_name(record, case):
+    what, build = SERIES_INPUTS[record]
+    t, n, message = SERIES_CASES[case]
+    build([0.0, 0.5, 1.0, 1.5], 4)  # finite, increasing times with a row each are taken
+    with pytest.raises(ConfigError, match=f"^{re.escape(what)} {message}$"):
+        build(np.array(t), n)
