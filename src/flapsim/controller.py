@@ -34,6 +34,7 @@ from operator import mul
 
 import numpy as np
 
+from .errors import ConfigError
 from .ioutil import read_table
 from .kinematics import (
     GIMBAL_GUARD, UNIT_QUAT_TOL, EulerAngles321, _euler_quat, _qmul, _quat_rotvec, _rotmat,
@@ -155,9 +156,9 @@ class CircleSchedule:
 
     def __init__(self, radius: float, speed: float, center_w=(0.0, 0.0, 0.0)):
         if not 0.0 < radius < np.inf:
-            raise ValueError("radius must be positive and finite")
+            raise ConfigError("radius must be positive and finite")
         if not 0.0 <= speed < np.inf:
-            raise ValueError("speed must be finite and non-negative")
+            raise ConfigError("speed must be finite and non-negative")
         self.radius = float(radius)
         self.speed = float(speed)
         self.center_w = tuple(_vec3(center_w, "center_w").tolist())
@@ -180,8 +181,7 @@ class CsvSchedule:
     COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz")
 
     def __init__(self, t, pos, vel):
-        self.t, pos, vel = _series("schedule", t, np.reshape(pos, (-1, 3)),
-                                   np.reshape(vel, (-1, 3)))
+        self.t, pos, vel = _series("schedule", t, (pos, 3), (vel, 3))
         # x, y, z, vx, vy, vz as contiguous columns, which np.interp takes without a copy
         self._cols = tuple(np.ascontiguousarray(c) for c in (*pos.T, *vel.T))
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, GimbalLockError
+from .errors import ConfigError, DivergenceError, GimbalLockError
 from .kinematics import GIMBAL_GUARD, EulerAngles321, _vec3
 from .vehicle import VehicleParams, Wrench
 
@@ -92,7 +92,9 @@ class SimState:
 
     @classmethod
     def from_vector(cls, y) -> "SimState":
-        y = np.asarray(y, dtype=float).reshape(STATE_DIM)
+        y = np.asarray(y, dtype=float)
+        if y.shape != (STATE_DIM,):
+            raise ConfigError(f"state vector must be {STATE_DIM} values, got shape {y.shape}")
         return cls(y[POS].copy(), y[VEL].copy(),
                    EulerAngles321(y[6], y[7], y[8]), y[OMEGA].copy())
 

@@ -48,7 +48,7 @@ from .dynamics import MAX_DT, SimState, _forcing, _plant
 from .dynamics import rk4_packed as _rk4_packed  # bench/spans.py times this name
 from .errors import ConfigError, DivergenceError, GimbalLockError, SchemaError
 from .ioutil import YamlLoader, atomic_write_text, table_text
-from .kinematics import GIMBAL_GUARD, EulerAngles321, _series, _vec3
+from .kinematics import GIMBAL_GUARD, EulerAngles321, _rows, _vec3
 from .kinematics import (  # noqa: F401  bench/spans.py times these names
     euler_to_quat, euler_to_rotmat, quat_from_rotvec, quat_multiply,
 )
@@ -316,12 +316,15 @@ def _schedule_from_dict(cfg: dict, base_dir) -> object:
     if kind not in ("constant", "circle", "schedule"):
         raise SchemaError(f"setpoint: unknown kind {kind!r} (constant | circle | schedule)")
     sp = _section(cfg, kind, "setpoint")
-    if kind == "constant":
-        return ConstantSchedule(sp.get("pos", _ZERO), sp.get("vel", _ZERO))
-    if kind == "circle":
-        return CircleSchedule(sp["radius"], sp["speed"], sp.get("center", _ZERO))
-    # an absolute path replaces base_dir
-    return CsvSchedule.from_csv(os.path.join(os.fspath(base_dir or ""), sp["path"]))
+    try:
+        if kind == "constant":
+            return ConstantSchedule(sp.get("pos", _ZERO), sp.get("vel", _ZERO))
+        if kind == "circle":
+            return CircleSchedule(sp["radius"], sp["speed"], sp.get("center", _ZERO))
+        # an absolute path replaces base_dir
+        return CsvSchedule.from_csv(os.path.join(os.fspath(base_dir or ""), sp["path"]))
+    except ConfigError as exc:
+        raise type(exc)(f"setpoint: {exc}") from None
 
 
 def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None) -> Scenario:
@@ -419,7 +422,8 @@ class RunLog:
     final_state: SimState | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        _series("run log", self.t)
+        # non-finite rows are kept: a diverged run's partial log ends in one
+        _rows("run log", self.t, *((getattr(self, n), len(c)) for n, c in RUNLOG_FIELDS[1:]))
 
     @classmethod
     def from_rows(cls, rows, final_state: SimState | None = None) -> "RunLog":

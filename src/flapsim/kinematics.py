@@ -52,28 +52,44 @@ UNIT_QUAT_TOL = 1e-3
 
 
 def _vec3(x, name: str) -> np.ndarray:
-    """``x`` as a finite float (3,) array, or ConfigError ``{name} must be finite``."""
-    v = np.asarray(x, dtype=float).reshape(3)
+    """``x`` as a finite float (3,) array, or ConfigError naming ``name``."""
+    v = np.asarray(x, dtype=float)
+    if v.shape != (3,):
+        raise ConfigError(f"{name} must be 3 values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ConfigError(f"{name} must be finite")
     return v
 
 
-def _series(what: str, t, *blocks) -> tuple:
-    """``(t, *blocks)`` as float arrays: ``t`` at least one finite, strictly
-    increasing time and each block one finite row per time, or ConfigError
-    ``{what} ...``. The caller gives each block its rows' shape."""
-    t = np.asarray(t, dtype=float).reshape(-1)
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    if len(t) == 0 or any(b.shape[:1] != t.shape for b in blocks):
-        raise ConfigError(f"{what} series is empty or mismatched")
+def _rows(what: str, t, *blocks) -> tuple:
+    """``(t, *blocks)`` as float arrays: ``t`` 1-D, at least one finite, strictly
+    increasing time, and each ``(block, width)`` one row of ``width`` values per
+    time (width 1: a 1-D column), or ConfigError ``{what} ...``. Block values
+    may be non-finite; :func:`_series` refuses those."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or len(t) == 0:
+        raise ConfigError(f"{what} times must be 1-D and not empty, got shape {t.shape}")
+    out = []
+    for b, width in blocks:
+        b = np.asarray(b, dtype=float)
+        shape = (len(t),) if width == 1 else (len(t), width)
+        if b.shape != shape:
+            raise ConfigError(f"{what} series has a {b.shape} block, not {shape}")
+        out.append(b)
     if not np.all(np.isfinite(t)):
         raise ConfigError(f"{what} times must be finite")
-    if not all(np.all(np.isfinite(b)) for b in blocks):
-        raise ConfigError(f"{what} series has non-finite values")
     late = np.nonzero(np.diff(t) <= 0.0)[0]
     if len(late):
         raise ConfigError(f"{what} times not strictly increasing at sample {int(late[0]) + 1}")
+    return (t, *out)
+
+
+def _series(what: str, t, *blocks) -> tuple:
+    """:func:`_rows`, with every block value also finite, or ConfigError
+    ``{what} series has non-finite values``."""
+    t, *blocks = _rows(what, t, *blocks)
+    if not all(np.all(np.isfinite(b)) for b in blocks):
+        raise ConfigError(f"{what} series has non-finite values")
     return (t, *blocks)
 
 

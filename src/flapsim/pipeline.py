@@ -113,8 +113,7 @@ class MocapTrajectory:
     gap_indices: tuple = field(init=False)
 
     def __post_init__(self) -> None:
-        t, pos, quat = _series("pose", self.t, np.reshape(self.pos_w, (-1, 3)),
-                               np.reshape(self.quat, (-1, 4)))
+        t, pos, quat = _series("pose", self.t, (self.pos_w, 3), (self.quat, 4))
         if len(t) < 2:
             raise ValueError("trajectory needs at least 2 samples")
         dt = np.diff(t)
@@ -220,7 +219,7 @@ def _held(t_src, values, t: np.ndarray, what: str) -> np.ndarray:
     Times before the first source sample take the first row. ``t_src``
     must be strictly increasing, and it and ``values`` finite.
     """
-    t_src, v = _series(what, t_src, np.reshape(values, (-1, 3)))
+    t_src, v = _series(what, t_src, (values, 3))
     return v[np.clip(np.searchsorted(t_src, t, side="right") - 1, 0, len(t_src) - 1)]
 
 
@@ -468,7 +467,9 @@ class BodyOffset:
     tilt: float              # [rad] misalignment angle
 
     def __post_init__(self) -> None:
-        R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
+        R = np.asarray(self.rotation, dtype=float)
+        if R.shape != (3, 3):
+            raise ConfigError(f"offset rotation must be 3 x 3, got shape {R.shape}")
         if not np.allclose(R @ R.T, np.eye(3), atol=1e-9) or not math.isclose(
             float(np.linalg.det(R)), 1.0, abs_tol=1e-9
         ):

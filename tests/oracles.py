@@ -8,6 +8,8 @@ two is meaningful. Nothing in this module imports from ``flapsim``.
 
 from __future__ import annotations
 
+import decimal
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -313,12 +315,30 @@ def filtfilt_direct(b, a, x, padlen: int) -> np.ndarray:
     the output the steady state of that: the Gustafsson start-up, written
     as a past rather than as an initial state vector.
     """
-    b = [float(v) for v in b]
-    a = [float(v) for v in a]
     x = np.asarray(x, dtype=float)
+    return np.array(_filtfilt_passes([float(v) for v in b], [float(v) for v in a], x, padlen))
+
+
+def filtfilt_exact(b, a, x, padlen: int) -> np.ndarray:
+    """:func:`filtfilt_direct` on the columns of a 2-D ``x`` in 60-digit
+    decimal arithmetic, from the double coefficients and inputs as they are,
+    rounded to double once at the end: a reference for the float64 filter's
+    own rounding, its start-up included."""
+    x = np.asarray(x, dtype=float)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        b, a = [decimal.Decimal(float(v)) for v in b], [decimal.Decimal(float(v)) for v in a]
+        cols = [_filtfilt_passes(b, a, [decimal.Decimal(float(u)) for u in c], padlen)
+                for c in x.T]
+    return np.array([[float(v) for v in c] for c in cols]).T
+
+
+def _filtfilt_passes(b, a, x, padlen: int) -> list:
+    """The padded forward and backward passes of :func:`filtfilt_direct` on
+    the samples ``x`` (floats, float rows or Decimals), in their arithmetic."""
     n = len(x)
-    head = [2.0 * x[0] - x[i] for i in range(padlen, 0, -1)]
-    tail = [2.0 * x[-1] - x[n - 1 - i] for i in range(1, padlen + 1)]
+    head = [2 * x[0] - x[i] for i in range(padlen, 0, -1)]
+    tail = [2 * x[-1] - x[n - 1 - i] for i in range(1, padlen + 1)]
     sig = head + list(x) + tail
     dc_gain = sum(b) / sum(a)
     for _ in range(2):
@@ -334,7 +354,7 @@ def filtfilt_direct(b, a, x, padlen: int) -> np.ndarray:
             past_out = [y] + past_out[:-1]
             out.append(y)
         sig = out[::-1]
-    return np.array(sig[padlen:padlen + n])
+    return sig[padlen:padlen + n]
 
 
 # ---------------------------------------------------------------------------

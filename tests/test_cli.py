@@ -259,6 +259,23 @@ def test_simulate_rejects_wrong_length_vectors_exits_1(tmp_path, capsys, body, m
     assert not list(tmp_path.glob("*_runlog*.csv"))
 
 
+@pytest.mark.parametrize(
+    "setpoint, message",
+    [
+        ("radius: -0.1\n  speed: 0.1", "radius must be positive and finite"),
+        ("radius: 0.1\n  speed: -0.1", "speed must be finite and non-negative"),
+    ],
+    ids=["radius", "speed"],
+)
+def test_simulate_names_the_file_of_a_bad_circle_exits_1(tmp_path, capsys, setpoint, message):
+    scn = tmp_path / "c.scenario"
+    scn.write_text(f"name: c\nduration: 0.1\nsetpoint:\n  kind: circle\n  {setpoint}\n")
+    assert main(["simulate", str(scn), "--out", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {scn}: setpoint: {message}\n"
+    assert not list(tmp_path.glob("*_runlog*.csv"))
+
+
 @pytest.mark.parametrize("name", ["../escaped", "sub/inner"])
 def test_simulate_refuses_name_outside_out_exits_1(tmp_path, capsys, name):
     out = tmp_path / "out"

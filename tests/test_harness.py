@@ -969,6 +969,21 @@ def test_every_guard_aborts_with_partial_log(params, gain, initial, guard):
     assert partial.t[0] == 0.0
 
 
+def test_non_finite_setpoint_after_the_first_tick_keeps_its_partial_log(params, gain):
+    # the schedule is checked at t = 0 only; a NaN later reaches the tick's
+    # log row and state, and the log that ends in that row is still built
+    def schedule(t):
+        v = math.nan if t > 0.05 else 0.0
+        return (v, 0.0, 0.0), (0.0, 0.0, 0.0)
+
+    sc = Scenario(name="nan_setpoint", duration=0.5, initial=hover_state(), schedule=schedule)
+    with pytest.raises(DivergenceError, match="non-finite state after tick 13") as info:
+        run_scenario(sc, params, gain)
+    partial = info.value.partial_log
+    assert len(partial) == 14 and partial.t[-1] == 13 / 240.0
+    assert np.isnan(partial.sp_pos[-1, 0]) and np.all(np.isfinite(partial.sp_pos[:-1]))
+
+
 @pytest.mark.parametrize(
     "cfg, message",
     [

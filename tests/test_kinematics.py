@@ -13,7 +13,7 @@ import oracles
 from flapsim.controller import CircleSchedule, ConstantSchedule, CsvSchedule
 from flapsim.dynamics import SimState, UnmodeledTerms, state_derivative
 from flapsim.errors import ConfigError, GimbalLockError
-from flapsim.harness import RUNLOG_COLUMNS, DisturbancePulse, RunLog, disturbance_pulse
+from flapsim.harness import RUNLOG_FIELDS, DisturbancePulse, RunLog, disturbance_pulse
 from flapsim.kinematics import (
     GIMBAL_GUARD,
     EulerAngles321,
@@ -28,7 +28,7 @@ from flapsim.kinematics import (
     rotmat_to_euler,
     wrap_angle,
 )
-from flapsim.pipeline import MocapTrajectory, reconstruct
+from flapsim.pipeline import BodyOffset, MocapTrajectory, reconstruct
 from flapsim.vehicle import Wrench, default_robofly_params
 
 
@@ -339,6 +339,25 @@ def test_record_refuses_a_non_finite_3_vector_by_name(record, bad):
             build(v)
 
 
+# 3-vectors of another shape, each refused as it is, never reshaped
+VEC3_SHAPES = {
+    "two_values": [0.0, 1.0],
+    "four_values": [0.0, 0.0, 1.0, 0.0],
+    "column": [[0.0], [0.0], [1.0]],
+    "scalar": 1.0,
+}
+
+
+@pytest.mark.parametrize("shape", list(VEC3_SHAPES))
+@pytest.mark.parametrize("record", list(VEC3_INPUTS))
+def test_record_refuses_a_3_vector_of_another_shape_by_name(record, shape):
+    name, build = VEC3_INPUTS[record]
+    v = VEC3_SHAPES[shape]
+    with pytest.raises(ConfigError, match=(
+            f"^{re.escape(name)} must be 3 values, got shape {re.escape(str(np.shape(v)))}$")):
+        build(v)
+
+
 @functools.cache
 def _reconstruction():
     n = 120
@@ -346,34 +365,80 @@ def _reconstruction():
                                        np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))))
 
 
+def _run_log(t, pos_w, **blocks):
+    """RunLog with times t, position block pos_w and the other fields zero, one row per time."""
+    for name, cols in RUNLOG_FIELDS[2:]:
+        blocks.setdefault(name, np.zeros((len(t), len(cols)) if len(cols) > 1 else len(t)))
+    return RunLog(t, pos_w, **blocks)
+
+
 # every record time series: (the name its refusals give, the record built from
-# times t and n rows in each of its other blocks)
+# times t, a 3-wide first block b and its other blocks one row per time)
 SERIES_INPUTS = {
-    "CsvSchedule": ("schedule", lambda t, n: CsvSchedule(t, np.zeros((n, 3)), np.zeros((n, 3)))),
-    "MocapTrajectory": ("pose", lambda t, n: MocapTrajectory(
-        t, np.zeros((n, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)))),
-    "attach_wrench": ("wrench", lambda t, n: _reconstruction().attach_wrench(t, np.zeros((n, 3)))),
-    "attach_commands": ("command", lambda t, n: _reconstruction().attach_commands(
-        t, np.zeros((n, 3)), default_robofly_params())),
-    # a run log's rows are its times: it checks only them
-    "RunLog": ("run log", lambda t, n: RunLog.from_rows(
-        np.column_stack([t, np.zeros((len(t), len(RUNLOG_COLUMNS) - 1))]))),
+    "CsvSchedule": ("schedule", lambda t, b: CsvSchedule(t, b, np.zeros((len(t), 3)))),
+    "MocapTrajectory": ("pose", lambda t, b: MocapTrajectory(
+        t, b, np.tile([1.0, 0.0, 0.0, 0.0], (len(t), 1)))),
+    "attach_wrench": ("wrench", lambda t, b: _reconstruction().attach_wrench(t, b)),
+    "attach_commands": ("command", lambda t, b: _reconstruction().attach_commands(
+        t, b, default_robofly_params())),
+    "RunLog": ("run log", _run_log),
 }
-# (times, rows in the other blocks, the refusal after the series name)
+T4 = [0.0, 0.5, 1.0, 1.5]
+# (times, the first block, the refusal after the series name)
 SERIES_CASES = {
-    "nan_time": ([0.0, 0.5, math.nan, 1.5], 4, "times must be finite"),
-    "repeated_time": ([0.0, 0.5, 0.5, 1.5], 4, "times not strictly increasing at sample 2"),
-    "decreasing_time": ([0.0, 0.5, 1.5, 1.0], 4, "times not strictly increasing at sample 3"),
-    "length_mismatch": ([0.0, 0.5, 1.0, 1.5], 3, "series is empty or mismatched"),
-    "empty": ([], 0, "series is empty or mismatched"),
+    "nan_time": ([0.0, 0.5, math.nan, 1.5], np.zeros((4, 3)), "times must be finite"),
+    "repeated_time": ([0.0, 0.5, 0.5, 1.5], np.zeros((4, 3)),
+                      "times not strictly increasing at sample 2"),
+    "decreasing_time": ([0.0, 0.5, 1.5, 1.0], np.zeros((4, 3)),
+                        "times not strictly increasing at sample 3"),
+    "length_mismatch": (T4, np.zeros((3, 3)), r"series has a \(3, 3\) block, not \(4, 3\)"),
+    "empty": ([], np.zeros((0, 3)), r"times must be 1-D and not empty, got shape \(0,\)"),
+    # the 12 values 4 rows of 3 would hold, laid out as 2 rows of 6
+    "wrong_layout": (T4, np.arange(12.0).reshape(2, 6),
+                     r"series has a \(2, 6\) block, not \(4, 3\)"),
+    "2d_times": ([[0.0, 0.5], [1.0, 1.5]], np.zeros((4, 3)),
+                 r"times must be 1-D and not empty, got shape \(2, 2\)"),
 }
 
 
-@pytest.mark.parametrize("record, case", [
-    (r, c) for r in SERIES_INPUTS for c in SERIES_CASES if (r, c) != ("RunLog", "length_mismatch")])
+@pytest.mark.parametrize("case", list(SERIES_CASES))
+@pytest.mark.parametrize("record", list(SERIES_INPUTS))
 def test_record_refuses_a_bad_time_series_by_name(record, case):
     what, build = SERIES_INPUTS[record]
-    t, n, message = SERIES_CASES[case]
-    build([0.0, 0.5, 1.0, 1.5], 4)  # finite, increasing times with a row each are taken
+    t, b, message = SERIES_CASES[case]
+    build(np.array(T4), np.zeros((4, 3)))  # finite, increasing times with a row each are taken
     with pytest.raises(ConfigError, match=f"^{re.escape(what)} {message}$"):
-        build(np.array(t), n)
+        build(np.array(t), b)
+
+
+@pytest.mark.parametrize("field", [name for name, _ in RUNLOG_FIELDS[1:]])
+def test_run_log_refuses_a_block_of_another_row_count_in_every_field(field):
+    cols = dict(RUNLOG_FIELDS)[field]
+    short = np.zeros((3, len(cols)) if len(cols) > 1 else 3)
+    blocks = {"pos_w": np.zeros((4, 3)), field: short}  # field may be pos_w itself
+    shape = (4, len(cols)) if len(cols) > 1 else (4,)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"run log series has a {short.shape} block, not {shape}")):
+        _run_log(T4, **blocks)
+
+
+# other record inputs of a fixed shape: (the record built from x, the refusal)
+SHAPED_INPUTS = {
+    "SimState.from_vector": (SimState.from_vector, "state vector must be 12 values"),
+    "BodyOffset.rotation": (lambda x: BodyOffset(x, 0.0), "offset rotation must be 3 x 3"),
+}
+
+
+@pytest.mark.parametrize("record, x", [
+    ("SimState.from_vector", np.zeros(11)),
+    ("SimState.from_vector", np.zeros(13)),
+    ("SimState.from_vector", np.zeros((3, 4))),
+    ("BodyOffset.rotation", np.eye(3).reshape(9)),  # a flat, row-major identity
+    ("BodyOffset.rotation", np.eye(3)[:2]),
+    ("BodyOffset.rotation", np.eye(3).reshape(1, 3, 3)),
+])
+def test_record_refuses_an_input_of_another_shape_by_name(record, x):
+    build, message = SHAPED_INPUTS[record]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}, got shape "
+                                          f"{re.escape(str(x.shape))}$"):
+        build(x)
