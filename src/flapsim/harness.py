@@ -39,7 +39,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .controller import CircleSchedule, ConstantSchedule, CsvSchedule
 from .controller import _decide as control_step  # bench/spans.py times this name
@@ -47,7 +46,7 @@ from .controller import _sense_truth as assemble_ctrl_state  # bench/spans.py ti
 from .dynamics import MAX_DT, SimState, _forcing, _plant
 from .dynamics import rk4_packed as _rk4_packed  # bench/spans.py times this name
 from .errors import ConfigError, DivergenceError, GimbalLockError, SchemaError
-from .ioutil import YamlLoader, atomic_write_text, table_text
+from .ioutil import atomic_write_text, read_yaml, table_text
 from .kinematics import GIMBAL_GUARD, EulerAngles321, _rows, _vec3
 from .kinematics import (  # noqa: F401  bench/spans.py times these names
     euler_to_quat, euler_to_rotmat, quat_from_rotvec, quat_multiply,
@@ -140,13 +139,13 @@ def disturbance_pulse(
     magnitude is rejected.
     """
     if not magnitude_g > 0.0:
-        raise ValueError("magnitude_g must be positive")
+        raise ConfigError("magnitude_g must be positive")
     if not duration > 0.0:
-        raise ValueError("pulse duration must be positive")
+        raise ConfigError("pulse duration must be positive")
     d = _vec3(direction_w, "direction")
     n = float(np.linalg.norm(d))
     if n == 0.0:
-        raise ValueError("direction must be a nonzero vector")
+        raise ConfigError("direction must be a nonzero vector")
     if abs(n - 1.0) > 1e-9:
         warnings.warn("disturbance direction was not unit length; normalizing")
     d = d / n
@@ -368,13 +367,7 @@ def scenario_from_dict(cfg: dict, p: VehicleParams | None = None, base_dir=None)
 
 def load_scenario(path, p: VehicleParams | None = None) -> Scenario:
     """Parse a scenario file (YAML mapping; see scenario_from_dict)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = yaml.load(fh, Loader=YamlLoader)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
-    if not isinstance(cfg, dict):
-        raise SchemaError(f"{path}: scenario file must contain a mapping")
+    cfg = read_yaml(path)
     try:
         return scenario_from_dict(cfg, p, base_dir=os.path.dirname(os.path.abspath(path)))
     except ConfigError as exc:

@@ -1,5 +1,5 @@
 """The CSV table format (README "File formats"), atomic file writes and the
-YAML loader that scenario and parameter files are read with.
+YAML reader of scenario and parameter files.
 
 The gain CSV, a headerless matrix, is not such a table (``lqr.read_gain_csv``),
 but :func:`rows_text` writes its rows as it writes a table's.
@@ -15,10 +15,10 @@ import tempfile
 import numpy as np
 import yaml
 
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 
-__all__ = ["YamlLoader", "atomic_write_text", "fmt", "read_header", "read_table", "rows_text",
-           "table_text"]
+__all__ = ["YamlLoader", "atomic_write_text", "fmt", "read_header", "read_table", "read_yaml",
+           "rows_text", "table_text"]
 
 
 def fmt(x: float) -> str:
@@ -143,27 +143,17 @@ def rows_text(*blocks) -> str:
         raise ValueError("no columns")
     if len({len(b) for b in blocks}) != 1:
         raise ValueError(f"blocks with different row counts {[len(b) for b in blocks]}")
-    is_int = np.concatenate([np.full(b.shape[1], b.dtype.kind in "biu") for b in blocks])
-    rows = len(blocks[0])
-    floats = np.empty((rows, int(np.sum(~is_int))))
-    ints = np.empty((rows, int(np.sum(is_int))), np.int64)
-    f = i = 0
-    for b in blocks:
-        w = b.shape[1]
-        if b.dtype.kind not in "biu":
-            floats[:, f:f + w] = b
-            f += w
-        elif b.dtype.kind == "u" and np.any(b > np.iinfo(np.int64).max):
-            raise ValueError("integers beyond the int64 range")
-        else:
-            ints[:, i:i + w] = b
-            i += w
-    sep = np.full(len(is_int), ord(",") << 40, np.uint64)
+    if any(b.dtype.kind == "u" and np.any(b > np.iinfo(np.int64).max) for b in blocks):
+        raise ValueError("integers beyond the int64 range")
+    columns = [b[:, j] for b in blocks for j in range(b.shape[1])]
+    is_int = np.array([c.dtype.kind in "biu" for c in columns])
+    values = np.concatenate(blocks, axis=1, dtype=np.float64, casting="unsafe")
+    sep = np.full(len(columns), ord(",") << 40, np.uint64)
     sep[-1] = ord("\n") << 40
-    step = max(1, _BLOCK_CELLS // len(is_int))
+    step = max(1, _BLOCK_CELLS // len(columns))
     return b"".join(
-        _rows_bytes(floats[r:r + step], ints[r:r + step], is_int, sep)
-        for r in range(0, rows, step)
+        _rows_bytes(values[r:r + step], is_int, sep, [c[r:r + step] for c in columns])
+        for r in range(0, len(values), step)
     ).decode("ascii")
 
 
@@ -180,7 +170,8 @@ def _as_blocks(blocks) -> list:
 
 
 # ---------------------------------------------------------------------------
-# float64 -> the text repr gives, for a whole block at once
+# float64 -> the text repr gives, for a whole block at once; an integer
+# column's cells take the integer layout
 #
 # |x| = f * 2**e (f in [0.5, 1)) is scaled by 10**k to S in [1e16, 1e17),
 # held as a double-double (Dekker's split and two-product; no FMA needed).
@@ -267,7 +258,9 @@ def _scaled(a):
     a[fallback] = 1.0
     e10[fallback] = 0.0
     frac, e2 = np.frexp(a)
-    fallback |= frac == 0.5  # a power of two: the gap below is half the gap above
+    # a power of two, whose gap below is half the gap above; that moves no
+    # answer for an integer below 2**53, the one integer in its interval
+    fallback |= (frac == 0.5) & ((a >= 2.0**53) | (a != np.floor(a)))
     scale_hi, scale_lo, _, _ = _scale_table()
     i = (_E10_MAX - e10).astype(np.int64)  # log10 can be one off near a power of ten
     p = a * scale_hi[i]
@@ -331,23 +324,13 @@ def _shortest_power(top, width):
     return j
 
 
-def _int_cells(v):
-    """The text of integers ``v``, as :func:`_float_cells` gives it."""
-    fallback = (v <= -_POW10[17]) | (v >= _POW10[17])
-    v = np.where(fallback, 0, v).astype(np.int64)
-    neg = v < 0
-    v = np.abs(v)
-    n = np.maximum(np.searchsorted(_POW10, v, side="right"), 1)
-    zeros = np.zeros_like(n)
-    return neg, v * _POW10[17 - n], n, zeros + _INT, zeros, fallback
-
-
 # A cell's text is picked out of a 48-byte layout, six little-endian words:
 #   bytes  0-7   '-' '0' '.' '0' '0' '0'           sign, a leading "0.000"
 #   bytes  8-39  d1 '.' d2 '.' ... d16 '.'         digits, each with a point after it
 #   bytes 40-47  d17 'e' '+' X X sep               last digit, exponent, separator
 # _layout_masks()[n * _MODES + mode] is 0xff at the bytes a cell of n digits in that
-# mode keeps: mode 0-19 is positional with the first digit at 10**(mode - 4).
+# mode keeps: mode 0-19 is positional with the first digit at 10**(mode - 4),
+# _EXP is d.ddde+XX and _INT the digits alone.
 # A byte not kept becomes 0, and 0 bytes are deleted from the result, so the
 # sign, always kept, is written only for negative cells.
 _LAYOUT = 48
@@ -414,26 +397,19 @@ def _digit_words(d):
     return out, d - head * 10
 
 
-def _rows_bytes(floats, ints, is_int, sep) -> bytes:
-    """The text of a run of rows whose float and integer columns are split
-    out, in order, into ``floats`` and ``ints``; ``sep`` is each column's
-    separator, placed in word 5."""
-    rows, width = len(floats), len(is_int)
-    cells = _float_cells(floats.ravel())
-    texts = list(map(repr, floats.ravel()[cells[-1]].tolist()))
-    places = _places(cells[-1], np.flatnonzero(~is_int), width)
-    if ints.shape[1]:
-        int_cells = _int_cells(ints.ravel())
-        texts += map(str, ints.ravel()[int_cells[-1]].tolist())
-        places = np.concatenate([places, _places(int_cells[-1], np.flatnonzero(is_int), width)])
-        merged = []
-        for f, i in zip(cells, int_cells):
-            m = np.empty((rows, width), f.dtype)
-            m[:, ~is_int] = f.reshape(rows, -1)
-            m[:, is_int] = i.reshape(rows, -1)
-            merged.append(m.ravel())
-        cells = merged
-    neg, digits, n, mode, exp10, _ = cells
+def _rows_bytes(values, is_int, sep, columns) -> bytes:
+    """The text of a run of rows ``values`` whose ``is_int`` columns are
+    written as integers; ``columns`` holds each column as given and ``sep``
+    its separator, placed in word 5."""
+    rows, width = values.shape
+    x = values.ravel()
+    neg, digits, n, mode, exp10, fallback = _float_cells(x)
+    # below 2**53 an integer is its own double, whose shortest digits are the
+    # integer's: exp10 + 1 of them, with no point; above, str writes it
+    whole = np.tile(is_int, rows)
+    fallback |= whole & (np.abs(x) >= 2.0**53)
+    n = np.where(whole & ~fallback, exp10 + 1, n)
+    mode[whole] = _INT
     src = _layout_masks()[n * _MODES + mode]
     src[:, 0] &= np.where(neg, _WORD0 | ord("-"), _WORD0).astype(np.uint64)
     words, last = _digit_words(digits)
@@ -442,17 +418,15 @@ def _rows_bytes(floats, ints, is_int, sep) -> bytes:
     tail |= last.view(np.uint64)
     tail.reshape(rows, width)[:] |= sep
     src[:, 5] &= tail
-    if texts:  # the cells repr writes, padded with the 0 bytes that are deleted
+    k = np.flatnonzero(fallback)
+    if len(k):  # the cells repr (str for an integer) writes, padded with 0 bytes
+        texts = list(map(repr, x[k].tolist()))
+        for i in np.flatnonzero(whole[k]).tolist():
+            row, col = divmod(int(k[i]), width)
+            texts[i] = str(int(columns[col][row]))
         padded = "".join(t.ljust(_SEP, "\0") for t in texts).encode("ascii")
-        src.view(np.uint8)[places, :_SEP] = np.frombuffer(padded, np.uint8).reshape(-1, _SEP)
+        src.view(np.uint8)[k, :_SEP] = np.frombuffer(padded, np.uint8).reshape(-1, _SEP)
     return src.tobytes().translate(None, b"\0")
-
-
-def _places(flags, columns, width):
-    """Row-major places in the whole row of the flagged cells of a block
-    holding ``columns`` of it."""
-    k = np.flatnonzero(flags)
-    return k // len(columns) * width + columns[k % len(columns)]
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -496,3 +470,18 @@ class YamlLoader(yaml.SafeLoader):
 YamlLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
     r"^[-+]?(\.[0-9]+|[0-9][0-9_]*(\.[0-9_]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
+
+def read_yaml(path) -> dict:
+    """The mapping a scenario or parameter file holds, read with :class:`YamlLoader`.
+
+    Raises ConfigError ``path: not valid YAML (...)`` for text YAML refuses,
+    and SchemaError ``path: file must contain a mapping`` for any other document.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = yaml.load(fh, Loader=YamlLoader)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: file must contain a mapping")
+    return data

@@ -51,9 +51,21 @@ GIMBAL_GUARD = math.pi / 2 - 1e-6
 UNIT_QUAT_TOL = 1e-3
 
 
+def _floats(x, name: str) -> np.ndarray:
+    """``x`` as a float array, or ConfigError naming ``name`` when it holds
+    text, a value that is not a real number, or rows of different lengths."""
+    try:
+        a = np.asarray(x)
+        if a.dtype.kind in "biufO":  # not text, which numpy would read as numbers
+            return np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{name} must be an array of numbers")
+
+
 def _vec3(x, name: str) -> np.ndarray:
     """``x`` as a finite float (3,) array, or ConfigError naming ``name``."""
-    v = np.asarray(x, dtype=float)
+    v = _floats(x, name)
     if v.shape != (3,):
         raise ConfigError(f"{name} must be 3 values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -66,12 +78,12 @@ def _rows(what: str, t, *blocks) -> tuple:
     increasing time, and each ``(block, width)`` one row of ``width`` values per
     time (width 1: a 1-D column), or ConfigError ``{what} ...``. Block values
     may be non-finite; :func:`_series` refuses those."""
-    t = np.asarray(t, dtype=float)
+    t = _floats(t, f"{what} times")
     if t.ndim != 1 or len(t) == 0:
         raise ConfigError(f"{what} times must be 1-D and not empty, got shape {t.shape}")
     out = []
     for b, width in blocks:
-        b = np.asarray(b, dtype=float)
+        b = _floats(b, f"{what} series")
         shape = (len(t),) if width == 1 else (len(t), width)
         if b.shape != shape:
             raise ConfigError(f"{what} series has a {b.shape} block, not {shape}")

@@ -22,8 +22,8 @@ from the stable invariant subspace [U1; U2] of the Hamiltonian
 Potter 1966), then polishes P by Newton/Lyapunov refinement (Kleinman,
 IEEE TAC 1968) until the relative residual stops falling, and raises
 unless it is at most 1e-8. Everything is numpy: ``np.linalg.eig`` for
-the subspace and one Kronecker-form ``np.linalg.solve`` per Lyapunov
-step, which is cheap at these sizes. The gain is stored positive,
+the subspace, and for each Lyapunov step the eigendecomposition of the
+closed loop, which makes the step O(n^3). The gain is stored positive,
 
     K = R^-1 B' P,   u = K (sigma_des - sigma).
 
@@ -260,17 +260,13 @@ def _care(A, B, Q, R):
 
     rel, res = _residual(P)
     best_P, best_rel = P, rel
-    I = np.eye(n)
     for _ in range(20):
         if best_rel <= 1e-13:
             break
-        Acl = A - G @ P
-        # Acl'X + X Acl = -res, row-major vectorized: (Acl' (x) I + I (x) Acl') vec X
         try:
-            X = np.linalg.solve(np.kron(Acl.T, I) + np.kron(I, Acl.T), -res.ravel())
+            X = _lyapunov(A - G @ P, -res)
         except np.linalg.LinAlgError as exc:
             raise SynthesisError(f"Lyapunov refinement failed: {exc}") from exc
-        X = X.reshape(n, n)
         P = P + X
         P = 0.5 * (P + P.T)
         rel, res = _residual(P)
@@ -289,6 +285,16 @@ def _care(A, B, Q, R):
     if np.any(cl_eigs.real >= 0.0):
         raise SynthesisError("closed loop is not Hurwitz")
     return P, K, cl_eigs, rel
+
+
+def _lyapunov(A, C):
+    """X with A'X + XA = C, for A = V diag(lam) V^-1 whose eigenvalues sum
+    pairwise to no zero (a Hurwitz closed loop): X = V^-T Y V^-1 with
+    Y_ij = (V' C V)_ij / (lam_i + lam_j)."""
+    lam, V = np.linalg.eig(A)
+    W = np.linalg.inv(V)
+    Y = (V.T @ C @ V) / (lam[:, None] + lam[None, :])
+    return (W.T @ Y @ W).real
 
 
 def solve_care(model: LinearModel, weights: LqrWeights) -> LqrSolution:

@@ -115,13 +115,13 @@ class MocapTrajectory:
     def __post_init__(self) -> None:
         t, pos, quat = _series("pose", self.t, (self.pos_w, 3), (self.quat, 4))
         if len(t) < 2:
-            raise ValueError("trajectory needs at least 2 samples")
+            raise ConfigError(f"pose series needs at least 2 samples, got {len(t)}")
         dt = np.diff(t)
         norms = np.linalg.norm(quat, axis=1)
         bad = np.nonzero(np.abs(norms - 1.0) > UNIT_QUAT_TOL)[0]
         if len(bad):
-            raise ValueError(
-                f"quaternion at sample {int(bad[0])} is not unit "
+            raise ConfigError(
+                f"pose quaternion at sample {int(bad[0])} is not unit "
                 f"(|q| = {norms[bad[0]]:.6f})"
             )
         quat = quat / norms[:, None]
@@ -251,28 +251,28 @@ def _filter_plan(b: tuple, a: tuple) -> tuple:
     z = 1, where the samples themselves nearly agree. A block then gives
     ``y = G u + P q`` and the next block's ``q = E u + M q``; ``q0`` is the
     first block's ``q`` per unit first input, from the start-up state
-    ``zi``. All of it comes from one forward substitution in
-    ``PLAN_DIGITS``-digit decimal arithmetic, rounded once to doubles.
+    ``zi`` (``lfilter_zi``: the state of a unit input held forever, which
+    the DC gain ``sum(b) / sum(a)`` gives by partial sums). All of it comes
+    from one forward substitution in ``PLAN_DIGITS``-digit decimal
+    arithmetic, rounded once to doubles.
     Returned transposed, for signals laid out one row per column.
     """
     L, o = FILTER_BLOCK, len(a) - 1
-    an, bn = np.array(a), np.array(b)
-    companion = np.zeros((o, o))
-    companion[0] = -an[1:]
-    companion[np.arange(1, o), np.arange(o - 1)] = 1.0
-    zi = np.linalg.solve(np.eye(o) - companion.T, bn[1:] - an[1:] * bn[0])  # lfilter_zi
     with decimal.localcontext() as ctx:
         ctx.prec = PLAN_DIGITS
         ad = np.array([decimal.Decimal(v) for v in a], dtype=object)
+        bd = np.array([decimal.Decimal(v) for v in b], dtype=object)
+        # zi_k = sum over j > k of b_j - a_j * gain, the held input's state
+        zi = np.cumsum((bd - ad * (bd.sum() / ad.sum()))[:0:-1])[::-1]
         lead = np.array([[ad[i - j] if i >= j else 0 for j in range(o)] for i in range(o)])
         binomial = np.array([[math.comb(i, k) for k in range(o)] for i in range(o)], dtype=object)
         # right-hand sides of the recursion, solved in place: b gives the
         # impulse response; lead @ binomial gives the homogeneous responses
         # whose first o samples have unit forward differences; zi, the start-up
         Y = np.zeros((L + o, o + 2), dtype=object)
-        Y[:o + 1, 0] = [decimal.Decimal(v) for v in b]
+        Y[:o + 1, 0] = bd
         Y[:o, 1:o + 1] = lead @ binomial
-        Y[:o, o + 1] = [decimal.Decimal(v) for v in zi]
+        Y[:o, o + 1] = zi
         for i in range(1, L + o):
             j = min(i, o)
             Y[i] -= ad[j:0:-1] @ Y[i - j:i]
@@ -615,37 +615,34 @@ def validate_model(rs: ReconstructedStates, p: VehicleParams) -> ValidationRepor
 
 @dataclass(frozen=True)
 class EnvelopeGrid:
-    """2D visit-count histogram over (tilt angle, body speed)."""
+    """2D visit-count histogram over (tilt angle, body speed) on the fixed grid."""
 
-    tilt_edges_deg: np.ndarray
-    speed_edges: np.ndarray
-    counts: np.ndarray        # (n_tilt_bins, n_speed_bins) int
+    counts: np.ndarray        # (TILT_BINS, SPEED_BINS) int
 
     def __post_init__(self) -> None:
-        shape = (len(self.tilt_edges_deg) - 1, len(self.speed_edges) - 1)
-        if np.shape(self.counts) != shape:
+        if np.shape(self.counts) != (TILT_BINS, SPEED_BINS):
             raise ValueError(f"envelope counts have shape {np.shape(self.counts)}; "
-                             f"the edges need {shape}")
+                             f"the grid has {(TILT_BINS, SPEED_BINS)} bins")
 
     def total(self) -> int:
         return int(np.sum(self.counts))
 
     def merge(self, other: "EnvelopeGrid") -> "EnvelopeGrid":
-        if not (
-            np.array_equal(self.tilt_edges_deg, other.tilt_edges_deg)
-            and np.array_equal(self.speed_edges, other.speed_edges)
-        ):
-            raise ValueError("cannot merge envelope grids with different edges")
-        return EnvelopeGrid(self.tilt_edges_deg, self.speed_edges, self.counts + other.counts)
+        return EnvelopeGrid(self.counts + other.counts)
 
     def write_csv(self, path) -> None:
-        te, se = self.tilt_edges_deg, self.speed_edges
-        n_tilt, n_speed = np.shape(self.counts)
+        te, se = _envelope_edges()
         edges = np.column_stack([
-            np.repeat(te[:-1], n_speed), np.repeat(te[1:], n_speed),
-            np.tile(se[:-1], n_tilt), np.tile(se[1:], n_tilt),
+            np.repeat(te[:-1], SPEED_BINS), np.repeat(te[1:], SPEED_BINS),
+            np.tile(se[:-1], TILT_BINS), np.tile(se[1:], TILT_BINS),
         ])
         atomic_write_text(path, table_text(ENVELOPE_COLUMNS, edges, np.ravel(self.counts)))
+
+
+def _envelope_edges() -> tuple:
+    """The fixed grid's tilt edges [deg] and speed edges [m/s]."""
+    return (np.linspace(0.0, TILT_MAX_DEG, TILT_BINS + 1),
+            np.linspace(0.0, SPEED_MAX, SPEED_BINS + 1))
 
 
 def flight_envelope(rs: ReconstructedStates) -> EnvelopeGrid:
@@ -659,13 +656,10 @@ def flight_envelope(rs: ReconstructedStates) -> EnvelopeGrid:
     """
     if len(rs) == 0:
         raise ValueError("empty reconstruction")
-    te = np.linspace(0.0, TILT_MAX_DEG, TILT_BINS + 1)
-    se = np.linspace(0.0, SPEED_MAX, SPEED_BINS + 1)
-
     # body z in world coordinates is the third column of R; its z component
     # is cos(tilt) regardless of yaw
     cz = _rotmat(*rs.quat.T)[8]
     tilt = np.clip(np.degrees(np.arccos(np.clip(cz, -1.0, 1.0))), 0.0, TILT_MAX_DEG)
     speed = np.clip(np.linalg.norm(rs.vel_b, axis=1), 0.0, SPEED_MAX)
-    counts, _, _ = np.histogram2d(tilt, speed, bins=(te, se))
-    return EnvelopeGrid(te, se, counts.astype(np.int64))
+    counts, _, _ = np.histogram2d(tilt, speed, bins=_envelope_edges())
+    return EnvelopeGrid(counts.astype(np.int64))

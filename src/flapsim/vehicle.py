@@ -23,10 +23,9 @@ import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError
-from .ioutil import YamlLoader
+from .ioutil import read_yaml
 
 __all__ = [
     "VehicleParams",
@@ -167,17 +166,12 @@ def load_params(source: str) -> VehicleParams:
     if source == BUILTIN_PROFILE:
         return default_robofly_params()
     try:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=YamlLoader)
+        data = read_yaml(source)
     except FileNotFoundError:
         raise ConfigError(
             f"no such parameter file or profile: {source!r} "
             f"(built-in profile: {BUILTIN_PROFILE!r})"
         ) from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"unparseable parameter file {source!r}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"parameter file {source!r} must be a flat mapping")
     known = {f.name for f in fields(VehicleParams)}
     unknown = set(data) - known
     if unknown:

@@ -628,13 +628,22 @@ def test_disturbance_pulse_scaling(params):
     assert not pulse.t_start <= 0.55 < pulse.t_end and not pulse.t_start <= 0.4999 < pulse.t_end
 
 
+@pytest.mark.parametrize("magnitude_g, duration, direction, message", [
+    (0.0, 0.05, (0, 1, 0), "magnitude_g must be positive"),
+    (-1.0, 0.05, (0, 1, 0), "magnitude_g must be positive"),
+    (math.nan, 0.05, (0, 1, 0), "magnitude_g must be positive"),
+    (1.0, 0.0, (0, 1, 0), "pulse duration must be positive"),
+    (1.0, -0.05, (0, 1, 0), "pulse duration must be positive"),
+    (1.0, 0.05, (0, 0, 0), "direction must be a nonzero vector"),
+], ids=["zero_magnitude", "negative_magnitude", "nan_magnitude", "zero_duration",
+        "negative_duration", "zero_direction"])
+def test_disturbance_pulse_refuses_by_name(params, magnitude_g, duration, direction, message):
+    # a record refusal: a ConfigError naming the input
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        disturbance_pulse(params, magnitude_g, duration, direction)
+
+
 def test_disturbance_pulse_validation(params):
-    with pytest.raises(ValueError, match="magnitude"):
-        disturbance_pulse(params, 0.0, 0.05, (0, 1, 0))
-    with pytest.raises(ValueError, match="duration"):
-        disturbance_pulse(params, 1.0, 0.0, (0, 1, 0))
-    with pytest.raises(ValueError, match="nonzero"):
-        disturbance_pulse(params, 1.0, 0.05, (0, 0, 0))
     with pytest.warns(UserWarning, match="normalizing"):
         pulse = disturbance_pulse(params, 1.0, 0.05, (0.0, 2.0, 0.0))
     assert pulse.force_w[1] == pytest.approx(9.81 * params.total_mass, rel=1e-12)

@@ -118,6 +118,22 @@ def test_integer_blocks_are_written_as_integers():
         rows_text(np.array([2**64 - 1], np.uint64))
 
 
+def test_integer_cells_go_through_the_kernel_up_to_2_53_and_str_beyond():
+    # every power of two and of ten and their neighbours, both signs, with the
+    # int64 limits: below 2**53 the kernel writes them, from 2**53 on str does,
+    # from the integer as given
+    base = [2**k for k in range(63)] + [10**k for k in range(19)]
+    near = {v + d for v in base for d in (-1, 0, 1) if v + d <= 2**63 - 1}
+    ints = np.array(sorted(near | {-v for v in near} | {-(2**63)}), np.int64)
+    flags = np.arange(len(ints)) % 3 == 0
+    want = "".join(f"{v},{int(f)}\n" for v, f in zip(ints.tolist(), flags.tolist()))
+    assert rows_text(ints, flags) == want
+    # below 1e15 none is left to str, a power of two included; above, an end of
+    # its interval can land on an integer, which leaves the cell to str
+    small = ints.astype(float)
+    assert not np.any(_float_cells(small[np.abs(small) < 1e15])[-1])
+
+
 def test_table_text_refuses_rows_that_do_not_fit_the_header(tmp_path):
     # a file read_table refuses is never written
     with pytest.raises(ValueError, match="rows have 1 values; the header has 2 columns"):

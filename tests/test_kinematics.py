@@ -358,6 +358,22 @@ def test_record_refuses_a_3_vector_of_another_shape_by_name(record, shape):
         build(v)
 
 
+# inputs that are not an array of numbers: text, and rows of different lengths
+NOT_NUMBERS = {
+    "text": ["a", "b", "c"],
+    "numeric_text": ["1.0", "0.0", "0.0"],
+    "ragged": [1.0, [2.0, 3.0], 4.0],
+}
+
+
+@pytest.mark.parametrize("value", list(NOT_NUMBERS))
+@pytest.mark.parametrize("record", list(VEC3_INPUTS))
+def test_record_refuses_a_3_vector_that_is_not_numbers_by_name(record, value):
+    name, build = VEC3_INPUTS[record]
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be an array of numbers$"):
+        build(NOT_NUMBERS[value])
+
+
 @functools.cache
 def _reconstruction():
     n = 120
@@ -409,6 +425,18 @@ def test_record_refuses_a_bad_time_series_by_name(record, case):
     build(np.array(T4), np.zeros((4, 3)))  # finite, increasing times with a row each are taken
     with pytest.raises(ConfigError, match=f"^{re.escape(what)} {message}$"):
         build(np.array(t), b)
+
+
+@pytest.mark.parametrize("value", list(NOT_NUMBERS))
+@pytest.mark.parametrize("record", list(SERIES_INPUTS))
+def test_record_refuses_a_time_series_that_is_not_numbers_by_name(record, value):
+    what, build = SERIES_INPUTS[record]
+    with pytest.raises(ConfigError, match=f"^{re.escape(what)} times must be an array of numbers$"):
+        build(NOT_NUMBERS[value], np.zeros((3, 3)))
+    block = np.zeros((3, 3)).tolist()
+    block[1] = NOT_NUMBERS[value]
+    with pytest.raises(ConfigError, match=f"^{re.escape(what)} series must be an array of numbers$"):
+        build(np.array([0.0, 0.5, 1.0]), block)
 
 
 @pytest.mark.parametrize("field", [name for name, _ in RUNLOG_FIELDS[1:]])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from flapsim.errors import ConfigError
+from flapsim.errors import ConfigError, SchemaError
 from flapsim.vehicle import (
     BUILTIN_PROFILE,
     ActuatorCmd,
@@ -225,7 +225,11 @@ def test_params_file_missing_and_malformed(tmp_path):
         load_params(str(tmp_path / "nope.yaml"))
     bad = tmp_path / "bad.yaml"
     bad.write_text("- just\n- a list\n")
-    with pytest.raises(ConfigError, match="flat mapping"):
+    with pytest.raises(SchemaError, match=re.escape(f"{bad}: file must contain a mapping")):
+        load_params(str(bad))
+    # the scenario reader's messages: one reader opens and parses both kinds of file
+    bad.write_text("m: [unclosed\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{bad}: not valid YAML (")):
         load_params(str(bad))
     invalid = tmp_path / "invalid.yaml"
     invalid.write_text("m: -1.0\n")
