@@ -30,7 +30,6 @@ on the way.
 from __future__ import annotations
 
 import math
-from operator import mul
 
 import numpy as np
 
@@ -118,16 +117,21 @@ def _decide(K, est: tuple, sp_pos, sp_vel, act: tuple) -> tuple:
 
     ``K`` is 3 rows of 10 floats, the setpoint 3 + 3 floats, ``act`` the
     run's actuator constants (``vehicle._actuator``), whose first entry is
-    the hover thrust. The wrench is the one realized after command
-    saturation, which the plant receives under zero-order hold.
+    the hover thrust. Each row's K·e is added left to right from 0.0, the
+    bits the builtin ``sum`` gives up to Python 3.11 (from 3.12 it sums
+    floats compensated, which would tie a run log to the interpreter). The
+    wrench is the one realized after command saturation, which the plant
+    receives under zero-order hold.
     """
     R, pos, vel, (_, _, _, _, _, _, roll, pitch, wp, wq) = est
-    e = (*_to_body(R, sp_pos[0] - pos[0], sp_pos[1] - pos[1], sp_pos[2] - pos[2]),
-         *_to_body(R, sp_vel[0] - vel[0], sp_vel[1] - vel[1], sp_vel[2] - vel[2]),
-         -roll, -pitch, -wp, -wq)
-    k_gamma, k_roll, k_pitch = K
-    A, dA, Vo, saturated = _wrench_to_cmd(act, act[0] + sum(map(mul, k_gamma, e)),
-                                          sum(map(mul, k_roll, e)), sum(map(mul, k_pitch, e)))
+    e0, e1, e2 = _to_body(R, sp_pos[0] - pos[0], sp_pos[1] - pos[1], sp_pos[2] - pos[2])
+    e3, e4, e5 = _to_body(R, sp_vel[0] - vel[0], sp_vel[1] - vel[1], sp_vel[2] - vel[2])
+    e6, e7, e8, e9 = -roll, -pitch, -wp, -wq
+    u = []
+    for k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 in K:
+        u.append(0.0 + k0 * e0 + k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4 + k5 * e5 + k6 * e6
+                 + k7 * e7 + k8 * e8 + k9 * e9)
+    A, dA, Vo, saturated = _wrench_to_cmd(act, act[0] + u[0], u[1], u[2])
     return (A, dA, Vo, *_cmd_to_wrench(act, A, dA, Vo), saturated)
 
 

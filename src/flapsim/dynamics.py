@@ -20,15 +20,20 @@ residuals (L, M, N). R = Rz(yaw) Ry(pitch) Rx(roll) is never formed: R (u, v, w)
 is three planar rotations, by roll, pitch, then yaw (12 multiplies, 6 adds),
 and a world force comes into the body frame by their transposes in reverse.
 
-The equations of motion are written once, in ``_eom``, which binds them
-to a plant's constants (inertia ratios, residuals, world force) and to
-``cos``/``sin``: on floats for ``state_derivative`` and ``rk4_packed``, on
-whole columns (``xp=np``) for the pipeline's model check. ``_plant`` builds
-that derivative once per run, step or batch, and once per distinct world
-force a run's pulses give; ``_forcing`` adds a wrench to a plant once and
-returns ``(at, ap, aq, f)``, and ``f`` takes the 9 states and those three
-quotients. ``state_derivative`` and ``rk4_step`` take the ``SimState``
-record; the run loop calls ``rk4_packed`` on a list of 12 floats.
+``_eom`` states the equations of motion: bound to a plant's constants
+(inertia ratios, residuals, world force) and to ``cos``/``sin``, it is the
+derivative, on floats for ``state_derivative`` and on whole columns
+(``xp=np``) for the pipeline's model check. ``rk4_packed`` writes the same
+statements out once per RK4 stage on locals, so a step makes no call per
+stage; tier-1 holds those four copies to ``_eom`` bit for bit (a textbook
+RK4 over ``state_derivative``, and the run loop replayed from its log).
+``_plant`` builds a plant's constants once per run, step or batch, and
+once per distinct world force a run's pulses give; ``_forcing`` adds a
+wrench to a plant once and returns ``(at, ap, aq, c)``: thrust over mass,
+the two angular accelerations and the constants ``c`` that ``_eom`` and
+``rk4_packed`` take. ``state_derivative`` and ``rk4_step`` take the
+``SimState`` record; the run loop calls ``rk4_packed`` on a list of 12
+floats.
 """
 
 from __future__ import annotations
@@ -128,7 +133,9 @@ def _eom(c: tuple, xp=None):
     By default the arguments are floats and the pitch is checked against the
     gimbal guard. With ``xp=np`` they may be equal-length arrays, one sample
     per entry, and the caller checks the pitches; each entry then gets the
-    same float operations as a float call.
+    same float operations as a float call. :func:`rk4_packed` repeats this
+    body in each of its stages, operation for operation: a change here is
+    a change there.
     """
     mt, g, fa1, fa2, fa3, Na, ix, iy, iz, fx, fy, fz = c
     floats = xp is None
@@ -179,25 +186,25 @@ def _eom(c: tuple, xp=None):
 
 
 def _plant(p, specific_force=(0.0, 0.0, 0.0), angular_accel=(0.0, 0.0, 0.0),
-           force_w=(0.0, 0.0, 0.0), xp=None) -> tuple:
+           force_w=(0.0, 0.0, 0.0)) -> tuple:
     """What :func:`_forcing` takes besides the wrench: the mass, two inertias,
-    two residuals and the derivative :func:`_eom` binds to the inertia
-    ratios, the other residuals and the world force [N]; ``xp`` as there."""
+    two residuals and the constants ``c`` :func:`_eom` binds: the mass, g,
+    the other residuals, the inertia ratios and the world force [N]."""
     mt, (Jx, Jy, Jz) = p.total_mass, p.J
     fa1, fa2, fa3 = specific_force
     La, Ma, Na = angular_accel
     fx, fy, fz = force_w
     c = (mt, p.g, fa1, fa2, fa3, Na, (Jz - Jy) / Jx, (Jx - Jz) / Jy, (Jy - Jx) / Jz,
          fx, fy, fz)
-    return mt, Jx, Jy, La, Ma, _eom(c, xp)
+    return mt, Jx, Jy, La, Ma, c
 
 
 def _forcing(plant, thrust, tau_r, tau_p) -> tuple:
-    """``(at, ap, aq, f)`` from :func:`_plant`: at = thrust/mt, ap = La + tau_r/Jx,
-    aq = Ma + tau_p/Jy, and the plant's derivative ``f``, which takes them
-    after the 9 states. The wrench may be floats or arrays."""
-    mt, Jx, Jy, La, Ma, f = plant
-    return thrust / mt, La + tau_r / Jx, Ma + tau_p / Jy, f
+    """``(at, ap, aq, c)`` from :func:`_plant`: at = thrust/mt, ap = La + tau_r/Jx,
+    aq = Ma + tau_p/Jy, and the plant's constants ``c``; ``_eom(c)`` takes
+    at, ap, aq after the 9 states. The wrench may be floats or arrays."""
+    mt, Jx, Jy, La, Ma, c = plant
+    return thrust / mt, La + tau_r / Jx, Ma + tau_p / Jy, c
 
 
 def _forcing_of(p, w, unmodeled) -> tuple:
@@ -221,33 +228,124 @@ def state_derivative(
     actuator map. A world-frame force reaches the equations of motion
     through ``_plant(p, force_w=...)``, as the run loop's pulses do.
     """
-    at, ap, aq, f = _forcing_of(p, w, unmodeled)
-    return np.array(f(*s.as_vector()[3:].tolist(), at, ap, aq))
+    at, ap, aq, c = _forcing_of(p, w, unmodeled)
+    return np.array(_eom(c)(*s.as_vector()[3:].tolist(), at, ap, aq))
 
 
 def rk4_packed(y, dt: float, forcing) -> list:
     """The package's one RK4 step: 12 floats in, a new list of 12 out.
 
     ``forcing`` is what :func:`_forcing` returns, built once for as long
-    as the inputs hold. Stages ``y + (h * k)`` and the sum ``y + s * (k1 + 2 k2
-    + 2 k3 + k4)``, left to right, are written out on locals in numpy's order
-    (cheaper than subscripts and a ``zip``; any other order changes bits), so
-    the step is bit for bit the textbook RK4 over :func:`state_derivative`.
+    as the inputs hold. Each stage evaluates :func:`_eom`'s equations on
+    locals, in its operation order and with its gimbal check, from the
+    plant constants ``c`` (no call per stage). Stages ``y + (h * k)`` and
+    the sum ``y + s * (k1 + 2 k2 + 2 k3 + k4)``, left to right, are written
+    out in numpy's order (any other order changes bits), so the step is
+    bit for bit the textbook RK4 over :func:`state_derivative`.
     """
-    at, ap, aq, f = forcing
+    at, ap, aq, c = forcing
+    mt, g, fa1, fa2, fa3, Na, ix, iy, iz, fx, fy, fz = c
+    forced = fx != 0.0 or fy != 0.0 or fz != 0.0
+    cos, sin = math.cos, math.sin
     h = 0.5 * dt
     xw, yw, zw, u, v, w, ph, th, ps, p, q, r = y
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = f(
-        u, v, w, ph, th, ps, p, q, r, at, ap, aq)
-    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = f(
-        u + h * a3, v + h * a4, w + h * a5, ph + h * a6, th + h * a7, ps + h * a8,
-        p + h * a9, q + h * a10, r + h * a11, at, ap, aq)
-    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11 = f(
-        u + h * b3, v + h * b4, w + h * b5, ph + h * b6, th + h * b7, ps + h * b8,
-        p + h * b9, q + h * b10, r + h * b11, at, ap, aq)
-    e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11 = f(
-        u + dt * d3, v + dt * d4, w + dt * d5, ph + dt * d6, th + dt * d7, ps + dt * d8,
-        p + dt * d9, q + dt * d10, r + dt * d11, at, ap, aq)
+    if abs(th) >= GIMBAL_GUARD:
+        raise GimbalLockError(f"pitch {th:.6f} rad reached the gimbal guard")
+    cr, sr = cos(ph), sin(ph)
+    cp, sp = cos(th), sin(th)
+    cy, sy = cos(ps), sin(ps)
+    v1 = cr * v - sr * w
+    w1 = sr * v + cr * w
+    u2 = cp * u + sp * w1
+    a0, a1, a2 = cy * u2 - sy * v1, sy * u2 + cy * v1, cp * w1 - sp * u
+    if forced:
+        f1, f2, f3 = (cy * fx + sy * fy) / mt, (cy * fy - sy * fx) / mt, fz / mt
+        ebx, f3 = cp * f1 - sp * f3, sp * f1 + cp * f3
+        eby, ebz = cr * f2 + sr * f3, cr * f3 - sr * f2
+    else:
+        ebx = eby = ebz = 0.0
+    gc = g * cp
+    a3 = g * sp + fa1 - (q * w - r * v) + ebx
+    a4 = -gc * sr + fa2 - (r * u - p * w) + eby
+    a5 = -gc * cr + fa3 - (p * v - q * u) + at + ebz
+    a8 = (sr * q + cr * r) / cp
+    a6, a7 = p + sp * a8, cr * q - sr * r
+    a9, a10, a11 = ap - ix * q * r, aq - iy * r * p, Na - iz * p * q
+    uk, vk, wk = u + h * a3, v + h * a4, w + h * a5
+    phk, thk, psk = ph + h * a6, th + h * a7, ps + h * a8
+    pk, qk, rk = p + h * a9, q + h * a10, r + h * a11
+    if abs(thk) >= GIMBAL_GUARD:
+        raise GimbalLockError(f"pitch {thk:.6f} rad reached the gimbal guard")
+    cr, sr = cos(phk), sin(phk)
+    cp, sp = cos(thk), sin(thk)
+    cy, sy = cos(psk), sin(psk)
+    v1 = cr * vk - sr * wk
+    w1 = sr * vk + cr * wk
+    u2 = cp * uk + sp * w1
+    b0, b1, b2 = cy * u2 - sy * v1, sy * u2 + cy * v1, cp * w1 - sp * uk
+    if forced:
+        f1, f2, f3 = (cy * fx + sy * fy) / mt, (cy * fy - sy * fx) / mt, fz / mt
+        ebx, f3 = cp * f1 - sp * f3, sp * f1 + cp * f3
+        eby, ebz = cr * f2 + sr * f3, cr * f3 - sr * f2
+    else:
+        ebx = eby = ebz = 0.0
+    gc = g * cp
+    b3 = g * sp + fa1 - (qk * wk - rk * vk) + ebx
+    b4 = -gc * sr + fa2 - (rk * uk - pk * wk) + eby
+    b5 = -gc * cr + fa3 - (pk * vk - qk * uk) + at + ebz
+    b8 = (sr * qk + cr * rk) / cp
+    b6, b7 = pk + sp * b8, cr * qk - sr * rk
+    b9, b10, b11 = ap - ix * qk * rk, aq - iy * rk * pk, Na - iz * pk * qk
+    uk, vk, wk = u + h * b3, v + h * b4, w + h * b5
+    phk, thk, psk = ph + h * b6, th + h * b7, ps + h * b8
+    pk, qk, rk = p + h * b9, q + h * b10, r + h * b11
+    if abs(thk) >= GIMBAL_GUARD:
+        raise GimbalLockError(f"pitch {thk:.6f} rad reached the gimbal guard")
+    cr, sr = cos(phk), sin(phk)
+    cp, sp = cos(thk), sin(thk)
+    cy, sy = cos(psk), sin(psk)
+    v1 = cr * vk - sr * wk
+    w1 = sr * vk + cr * wk
+    u2 = cp * uk + sp * w1
+    d0, d1, d2 = cy * u2 - sy * v1, sy * u2 + cy * v1, cp * w1 - sp * uk
+    if forced:
+        f1, f2, f3 = (cy * fx + sy * fy) / mt, (cy * fy - sy * fx) / mt, fz / mt
+        ebx, f3 = cp * f1 - sp * f3, sp * f1 + cp * f3
+        eby, ebz = cr * f2 + sr * f3, cr * f3 - sr * f2
+    else:
+        ebx = eby = ebz = 0.0
+    gc = g * cp
+    d3 = g * sp + fa1 - (qk * wk - rk * vk) + ebx
+    d4 = -gc * sr + fa2 - (rk * uk - pk * wk) + eby
+    d5 = -gc * cr + fa3 - (pk * vk - qk * uk) + at + ebz
+    d8 = (sr * qk + cr * rk) / cp
+    d6, d7 = pk + sp * d8, cr * qk - sr * rk
+    d9, d10, d11 = ap - ix * qk * rk, aq - iy * rk * pk, Na - iz * pk * qk
+    uk, vk, wk = u + dt * d3, v + dt * d4, w + dt * d5
+    phk, thk, psk = ph + dt * d6, th + dt * d7, ps + dt * d8
+    pk, qk, rk = p + dt * d9, q + dt * d10, r + dt * d11
+    if abs(thk) >= GIMBAL_GUARD:
+        raise GimbalLockError(f"pitch {thk:.6f} rad reached the gimbal guard")
+    cr, sr = cos(phk), sin(phk)
+    cp, sp = cos(thk), sin(thk)
+    cy, sy = cos(psk), sin(psk)
+    v1 = cr * vk - sr * wk
+    w1 = sr * vk + cr * wk
+    u2 = cp * uk + sp * w1
+    e0, e1, e2 = cy * u2 - sy * v1, sy * u2 + cy * v1, cp * w1 - sp * uk
+    if forced:
+        f1, f2, f3 = (cy * fx + sy * fy) / mt, (cy * fy - sy * fx) / mt, fz / mt
+        ebx, f3 = cp * f1 - sp * f3, sp * f1 + cp * f3
+        eby, ebz = cr * f2 + sr * f3, cr * f3 - sr * f2
+    else:
+        ebx = eby = ebz = 0.0
+    gc = g * cp
+    e3 = g * sp + fa1 - (qk * wk - rk * vk) + ebx
+    e4 = -gc * sr + fa2 - (rk * uk - pk * wk) + eby
+    e5 = -gc * cr + fa3 - (pk * vk - qk * uk) + at + ebz
+    e8 = (sr * qk + cr * rk) / cp
+    e6, e7 = pk + sp * e8, cr * qk - sr * rk
+    e9, e10, e11 = ap - ix * qk * rk, aq - iy * rk * pk, Na - iz * pk * qk
     s = dt / 6.0
     return [xw + s * (a0 + 2.0 * b0 + 2.0 * d0 + e0), yw + s * (a1 + 2.0 * b1 + 2.0 * d1 + e1),
             zw + s * (a2 + 2.0 * b2 + 2.0 * d2 + e2), u + s * (a3 + 2.0 * b3 + 2.0 * d3 + e3),

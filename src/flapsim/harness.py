@@ -25,9 +25,9 @@ A tick runs on plain floats: the state is a list of 12, the schedule
 returns the setpoint as two 3-tuples of floats, and the controller's
 cores take and return tuples. What a run holds fixed is bound
 before its first tick: the gain as lists, the actuator constants
-(``vehicle._actuator``), the plant's derivative (``dynamics._plant``) and
-the sensor noise. Dataclasses stay at the edges, the Scenario going in and
-the RunLog coming out.
+(``vehicle._actuator``), the plant's constants (``dynamics._plant``) and
+the sensor noise, drawn at once as lists. Dataclasses stay at the edges,
+the Scenario going in and the RunLog coming out.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -479,6 +481,7 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     dt = sc.dt
     substeps = sc.physics_substeps
     block = _noise_samples(sc.noise, sc.seed, n_ticks)
+    draws = None if block is None else block.tolist()
 
     sp = sc.schedule(0.0)  # checked once: two 3-sequences of finite floats
     try:
@@ -492,7 +495,8 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     plants, edges = {(0.0, 0.0, 0.0): plant}, []  # one plant per distinct summed force
     for t_e in sorted({t for d in sc.disturbances for t in (d.t_start, d.t_end)}):
         on = [d.force_w.tolist() for d in sc.disturbances if d.t_start <= t_e < d.t_end]
-        f = tuple(map(sum, zip((0.0, 0.0, 0.0), *on)))
+        # added left to right, not by sum, which compensates float sums from Python 3.12
+        f = tuple(reduce(add, axis) for axis in zip((0.0, 0.0, 0.0), *on))
         if f not in plants:
             plants[f] = _plant(p, force_w=f)
         edges.append((t_e, plants[f]))
@@ -508,9 +512,8 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
         t_k = k * T
 
         # --- sense ---------------------------------------------------
-        draws = None if block is None else block[k].tolist()
         try:
-            est, carry = assemble_ctrl_state(y, carry, T, draws)
+            est, carry = assemble_ctrl_state(y, carry, T, None if draws is None else draws[k])
         except GimbalLockError as exc:
             # the measured attitude, noise included, can sit nearer 90 deg than the truth
             raise DivergenceError(

@@ -450,25 +450,46 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-class YamlLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that reads a number in exponent form (``150e-6``) as a float,
-    where YAML 1.1 reads a string, and refuses a mapping that states a key twice,
-    where it keeps the last value; merge keys (``<<: *base``) still merge."""
+class _YamlRules:
+    """What :class:`YamlLoader` adds to a PyYAML safe loader: it reads a number in
+    exponent form (``150e-6``) as a float, where YAML 1.1 reads a string, and
+    refuses a mapping that states a key twice, where it keeps the last value;
+    merge keys (``<<: *base``) still merge."""
 
-    def compose_mapping_node(self, anchor):
-        node = super().compose_mapping_node(anchor)
-        seen = set()
-        for key, _ in node.value:
-            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
-                k = self.construct_object(key)
-                if k in seen:
-                    raise yaml.MarkedYAMLError(None, None, f"duplicate key {k!r}", key.start_mark)
-                seen.add(k)
-        return node
+    def construct_document(self, root):
+        # every mapping once, as composed, before any is built: building one
+        # flattens its merge sources in place, so a later look would see merged keys
+        todo, seen = [root], set()
+        while todo:
+            node = todo.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            if isinstance(node, yaml.SequenceNode):
+                todo += node.value
+            elif isinstance(node, yaml.MappingNode):
+                keys = set()
+                for key, value in node.value:
+                    if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                        k = self.construct_object(key)
+                        if k in keys:
+                            raise yaml.MarkedYAMLError(None, None, f"duplicate key {k!r}",
+                                                       key.start_mark)
+                        keys.add(k)
+                    todo += (key, value)
+        return super().construct_document(root)
 
 
-YamlLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
-    r"^[-+]?(\.[0-9]+|[0-9][0-9_]*(\.[0-9_]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
+def _yaml_loader(base: type) -> type:
+    """:class:`_YamlRules` on the PyYAML safe loader ``base``."""
+    loader = type("YamlLoader", (_YamlRules, base), {"__doc__": _YamlRules.__doc__})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(\.[0-9]+|[0-9][0-9_]*(\.[0-9_]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
+    return loader
+
+
+# libyaml's parser and composer where PyYAML was built with it, the pure-Python ones otherwise
+YamlLoader = _yaml_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def read_yaml(path) -> dict:

@@ -24,7 +24,7 @@ from .ioutil import atomic_write_text, read_table, table_text
 from .kinematics import GIMBAL_GUARD, UNIT_QUAT_TOL, _euler_quat, _qmul, _rotmat, _series
 from .kinematics import quat_from_rotvec, quat_to_rotmat
 from .vehicle import VehicleParams
-from .dynamics import _forcing, _plant
+from .dynamics import _eom, _forcing, _plant
 from .harness import RunLog, RUNLOG_COLUMNS
 
 # bench/spans.py times these per-sample names; the array code below reproduces their formulas
@@ -601,8 +601,8 @@ def validate_model(rs: ReconstructedStates, p: VehicleParams) -> ValidationRepor
     # state_derivative's inputs, zero residuals and force; at, ap, aq are per row
     thrust, tau_r, tau_p = rs.wrench.T
     thrust = np.where(thrust > 0.0, thrust, 0.0)  # max(0.0, thrust) per row
-    at, ap, aq, f = _forcing(_plant(p, xp=np), thrust, tau_r, tau_p)
-    ydot = f(*states.T, at, ap, aq)
+    at, ap, aq, c = _forcing(_plant(p), thrust, tau_r, tau_p)
+    ydot = _eom(c, xp=np)(*states.T, at, ap, aq)
     meas = np.column_stack([rs.accel_body, rs.alpha_body])
     pred = np.column_stack([ydot[i] for i in (3, 4, 5, 9, 10, 11)])
     return ValidationReport(t=rs.t.copy(), measured=meas, predicted=pred)

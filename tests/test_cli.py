@@ -1,5 +1,6 @@
 """Command-line interface tests (in-process, plus subprocess smoke tests)."""
 
+import hashlib
 import importlib
 import re
 import shutil
@@ -124,6 +125,22 @@ def test_simulate_bundled_hover(tmp_path, capsys):
     assert len(log) == 481  # header + 2 s at 240 Hz
     out = capsys.readouterr().out
     assert "480 ticks" in out and "rms position error" in out
+
+
+# SHA-256 of each bundled scenario's run log as `flapsim simulate` writes it; a
+# change that moves one changes a float operation on the tick path, or its order
+RUNLOG_SHA256 = {
+    "hover": "8d2c6790701e3fa4d3da3f559a60a7aeb89c737c89f7697b16b2df0d307fcc03",
+    "circle": "4057e9e8c7345b52639a1903a6b9ebf2c5893564413180a233fb69f9db3eb14d",
+    "disturbance": "1309d0e5692afaa52b33a30c1cdb51a18270e512f7babecffad0dd35df9c0076",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNLOG_SHA256))
+def test_simulate_bundled_run_logs_are_the_recorded_bytes(tmp_path, name):
+    assert main(["simulate", name, "--quiet", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / f"{name}_runlog.csv").read_bytes()).hexdigest()
+    assert digest == RUNLOG_SHA256[name]
 
 
 def test_simulate_accepts_scenario_suffix(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from flapsim import controller
 from flapsim.controller import (
     CircleSchedule,
     ConstantSchedule,
@@ -18,8 +19,8 @@ from flapsim.controller import (
 from flapsim.errors import SchemaError
 from flapsim.kinematics import EulerAngles321, euler_to_quat, euler_to_rotmat, rotmat_to_euler
 from flapsim.vehicle import (
-    ActuatorCmd, Wrench, _actuator, cmd_to_wrench, default_robofly_params, hover_thrust,
-    wrench_to_cmd,
+    ActuatorCmd, Wrench, _actuator, _wrench_to_cmd, cmd_to_wrench, default_robofly_params,
+    hover_thrust, wrench_to_cmd,
 )
 
 DT = 1.0 / 240.0
@@ -149,6 +150,42 @@ def test_decide_maps_its_wrench_as_the_public_maps_do_bit_for_bit(A, dA, Vo):
     expected = (cmd.A, cmd.dA, cmd.Vo, w.thrust, w.tau_r, w.tau_p)
     assert np.array(out[:6]).tobytes() == np.array(expected).tobytes()
     assert out[6] is saturated
+
+
+def test_decide_adds_each_gain_row_left_to_right(params, monkeypatch):
+    # K e is added from 0.0, one product after another, whatever the
+    # interpreter's builtin sum does (from Python 3.12 it compensates);
+    # terms of mixed magnitude make the order show in the bits
+    rng = np.random.default_rng(12)
+    act = _actuator(params)
+    seen = []
+
+    def recording(act, *u):
+        seen.append(u)
+        return _wrench_to_cmd(act, *u)
+
+    monkeypatch.setattr(controller, "_wrench_to_cmd", recording)
+    rounded_differs = 0
+    for _ in range(2000):
+        K = rng.normal(0.0, 1.0, (3, 10)) * 10.0 ** rng.integers(-6, 7, (3, 10))
+        est = make_est(*rng.uniform(-1.0, 1.0, (4, 3)))
+        sp_pos, sp_vel = rng.uniform(-1.0, 1.0, (2, 3)).tolist()
+        _decide(K.tolist(), est, sp_pos, sp_vel, act)
+        R, pos, vel, sigma = est
+        e = (*controller._to_body(R, *(s - x for s, x in zip(sp_pos, pos))),
+             *controller._to_body(R, *(s - x for s, x in zip(sp_vel, vel))),
+             -sigma[6], -sigma[7], -sigma[8], -sigma[9])
+        u = []
+        for row in K.tolist():
+            acc = 0.0
+            for k, x in zip(row, e):
+                acc = acc + k * x
+            u.append(acc)
+            rounded_differs += acc != math.fsum(k * x for k, x in zip(row, e))
+        expected = (act[0] + u[0], u[1], u[2])
+        assert np.array(seen.pop()).tobytes() == np.array(expected).tobytes()
+    # a correctly rounded sum, as a compensated one nearly is, gives other bits here
+    assert rounded_differs > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from flapsim.dynamics import (
     STATE_DIM,
     SimState,
     UnmodeledTerms,
+    _eom,
     _forcing,
     _plant,
     rk4_packed,
@@ -52,11 +53,11 @@ def test_state_rejects_nonfinite():
         SimState((math.nan, 0.0, 0.0), np.zeros(3), EulerAngles321(0, 0, 0), np.zeros(3))
 
 
-def deriv(y, forcing) -> tuple:
-    """The derivative a :func:`_forcing` result binds, at the 9 states ``y``
-    (body velocity, Euler angles, rates), as ``rk4_packed`` calls it."""
-    at, ap, aq, f = forcing
-    return f(*y, at, ap, aq)
+def deriv(y, forcing, xp=None) -> tuple:
+    """:func:`_eom` on a :func:`_forcing` result, at the 9 states ``y`` (body
+    velocity, Euler angles, rates), as ``state_derivative`` calls it."""
+    at, ap, aq, c = forcing
+    return _eom(c, xp)(*y, at, ap, aq)
 
 
 def hover_equilibrium(p):
@@ -132,8 +133,8 @@ def test_column_derivative_is_the_float_derivative_bit_for_bit(params, forced):
     tau_r, tau_p = rng.uniform(-1e-5, 1e-5, (2, n))
     sf, aa = rng.uniform(-5.0, 5.0, 3).tolist(), rng.uniform(-100.0, 100.0, 3).tolist()
     force = rng.uniform(-1e-2, 1e-2, 3).tolist() if forced else [0.0, 0.0, 0.0]
-    columns = deriv(states[:, 3:].T, _forcing(_plant(params, sf, aa, force, xp=np),
-                                              thrust, tau_r, tau_p))
+    columns = deriv(states[:, 3:].T, _forcing(_plant(params, sf, aa, force), thrust, tau_r, tau_p),
+                    xp=np)
     plant = _plant(params, sf, aa, force)
     for i in range(n):
         row = deriv(states[i, 3:].tolist(),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from flapsim import harness
 from flapsim.controller import CircleSchedule, ConstantSchedule, _decide, _sense
-from flapsim.dynamics import SimState, _forcing, _plant
+from flapsim.dynamics import SimState, _eom, _forcing, _plant
 from flapsim.errors import ConfigError, DivergenceError, SchemaError
 from flapsim.harness import (
     PHYSICS_STEP,
@@ -902,7 +902,7 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
 def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
     # the integrate half of the tick, replayed from the log: a row's truth
     # state under its applied wrench, through textbook RK4 over
-    # state_derivative's body (_forcing of _plant, its bound _eom), must give the
+    # state_derivative's body (_forcing of _plant, _eom on its constants), must give the
     # next row (final_state after the last) bit for bit; a pulse edge inside a
     # substep splits it there, and each piece takes the in-order sum of the
     # pulses that cover its midpoint as the world force
@@ -928,7 +928,8 @@ def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
                     if pulse.t_start <= t_sub + 0.5 * (a + b) < pulse.t_end:
                         force = force + pulse.force_w
 
-                at, ap, aq, deriv = _forcing(_plant(params, force_w=force.tolist()), *wrench)
+                at, ap, aq, c = _forcing(_plant(params, force_w=force.tolist()), *wrench)
+                deriv = _eom(c)
 
                 def f(x, at=at, ap=ap, aq=aq, deriv=deriv):
                     return np.array(deriv(*SimState.from_vector(x).as_vector()[3:].tolist(),

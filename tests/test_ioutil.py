@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import src_env
+from flapsim import ioutil
 from flapsim.errors import ConfigError
 from flapsim.harness import RUNLOG_FIELDS, load_scenario, run_scenario
-from flapsim.ioutil import YamlLoader, _float_cells, read_table, rows_text, table_text
+from flapsim.ioutil import _float_cells, _yaml_loader, read_table, rows_text, table_text
 from flapsim.lqr import read_gain_csv, write_gain_csv
 from flapsim.pipeline import reconstruct_runlog, validate_model
 from flapsim.vehicle import load_params
@@ -204,6 +205,23 @@ def test_writer_tables_are_built_on_the_first_write():
     assert proc.stdout.split("\n")[:2] == ["[0, 0, 0]", "[1, 1, 1]"]
 
 
+@pytest.fixture(params=[
+    yaml.SafeLoader,
+    pytest.param(getattr(yaml, "CSafeLoader", None), marks=pytest.mark.skipif(
+        not yaml.__with_libyaml__, reason="PyYAML built without libyaml")),
+], ids=["python", "libyaml"])
+def yaml_loader(request, monkeypatch):
+    # YamlLoader on each PyYAML safe loader it may be built on, also as read_yaml's loader
+    loader = _yaml_loader(request.param)
+    monkeypatch.setattr(ioutil, "YamlLoader", loader)
+    return loader
+
+
+def test_yaml_loader_is_built_on_libyaml_where_pyyaml_has_it():
+    base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert issubclass(ioutil.YamlLoader, base)
+
+
 @pytest.mark.parametrize("text, value", [
     ("150e-6", 150e-6), ("5e-4", 5e-4), ("1.0e3", 1000.0), ("-.5E+2", -50.0), ("2_0e1", 200.0),
     ("1e400", float("inf")),
@@ -211,35 +229,44 @@ def test_writer_tables_are_built_on_the_first_write():
     ("1.5e-4", 1.5e-4), ("1.0e+3", 1000.0), ("1_000", 1000), (".inf", float("inf")),
     ("'5e-4'", "5e-4"), ("e5", "e5"), ("1e", "1e"), ("1e-", "1e-"), ("0x1e3", 0x1e3),
 ])
-def test_yaml_loader_reads_exponent_numbers_as_floats(text, value):
-    got = yaml.load(f"v: {text}\n", Loader=YamlLoader)["v"]
+def test_yaml_loader_reads_exponent_numbers_as_floats(yaml_loader, text, value):
+    got = yaml.load(f"v: {text}\n", Loader=yaml_loader)["v"]
     assert got == value and type(got) is type(value)
 
 
-@pytest.mark.parametrize("load, text, key, line", [
+@pytest.mark.parametrize("load, text, key, line, column", [
     (load_scenario, "name: dup\nduration: 0.1\nseed: 1\nsetpoint: {kind: constant}\nseed: 2\n",
-     "seed", 5),
+     "seed", 5, 1),
     (load_scenario, "name: dup\nduration: 0.1\nnoise:\n  enabled: true\n"
-     "setpoint: {kind: constant}\nnoise:\n  pos_sigma: 1.0e-3\n", "noise", 6),
-    (lambda path: load_params(str(path)), "m: 1.5e-4\nm_M: 4.0e-5\nm: 2.0e-4\n", "m", 3),
-], ids=["scenario_seed_twice", "scenario_noise_twice", "params_m_twice"])
-def test_yaml_loader_refuses_a_repeated_key_by_name_and_line(tmp_path, load, text, key, line):
+     "setpoint: {kind: constant}\nnoise:\n  pos_sigma: 1.0e-3\n", "noise", 6, 1),
+    (lambda path: load_params(str(path)), "m: 1.5e-4\nm_M: 4.0e-5\nm: 2.0e-4\n", "m", 3, 1),
+    # a mapping that is only ever merged, never built on its own
+    (load_scenario, "name: dup\nduration: 0.1\nsetpoint: {kind: constant}\ndisturbances:\n"
+     "  - <<: {t_start: 0.02, duration: 0.01,\n         t_start: 0.03}\n"
+     "    magnitude_g: 0.5\n    direction: [1, 0, 0]\n", "t_start", 6, 10),
+], ids=["scenario_seed_twice", "scenario_noise_twice", "params_m_twice", "merge_source_twice"])
+def test_yaml_loader_refuses_a_repeated_key_by_name_and_line(
+        tmp_path, yaml_loader, load, text, key, line, column):
     # PyYAML alone keeps the last value: seed 2, the second noise section, m = 2e-4
     path = tmp_path / "dup.yaml"
     path.write_text(text)
     with pytest.raises(ConfigError, match=re.escape(f"duplicate key '{key}'\n  in \"{path}\", "
-                                                    f"line {line}, column 1")):
+                                                    f"line {line}, column {column}")):
         load(path)
 
 
-def test_yaml_loader_merges_keys_and_keeps_yamls_unhashable_key_error(tmp_path):
+def test_yaml_loader_merges_keys_and_keeps_yamls_unhashable_key_error(tmp_path, yaml_loader):
     path = tmp_path / "merge.scenario"
+    # a key stated after a merge overrides the merged one, also where the merged
+    # mapping was itself built with a merge
     path.write_text(
         "name: merge\nduration: 0.1\nsetpoint: {kind: constant}\ndisturbances:\n"
         "  - &pulse {t_start: 0.02, duration: 0.01, magnitude_g: 0.5, direction: [1, 0, 0]}\n"
-        "  - <<: *pulse\n    t_start: 0.05\n")
-    first, second = load_scenario(path).disturbances
-    assert (first.t_start, second.t_start) == (0.02, 0.05)
+        "  - &later\n    <<: *pulse\n    t_start: 0.05\n"
+        "  - <<: *later\n    duration: 0.02\n")
+    first, second, third = load_scenario(path).disturbances
+    assert (first.t_start, second.t_start, third.t_start) == (0.02, 0.05, 0.05)
+    assert (third.t_end - third.t_start) == pytest.approx(0.02)
     assert np.array_equal(first.force_w, second.force_w)
     with pytest.raises(yaml.constructor.ConstructorError, match="found unhashable key"):
-        yaml.load("? [1, 2]\n: 3\n", Loader=YamlLoader)
+        yaml.load("? [1, 2]\n: 3\n", Loader=yaml_loader)
