@@ -25,6 +25,13 @@ tuple ``vehicle._actuator`` builds before the first tick. A setpoint
 schedule is a callable ``t -> (pos, vel)``, two 3-tuples of floats in the
 world frame. The run loop calls these every tick and builds no dataclass
 on the way.
+
+The three tick functions call no ``kinematics`` core for their float
+math: the quaternion to R, R to roll and pitch, the Hamilton products,
+the rate log map, the Euler angles to a quaternion and R^T are written out
+on locals, each operation as the core does it and in its order, so a run
+log keeps its bytes. ``tests/oracles.py`` holds the same three functions
+on the cores, and the tier-1 tests hold the two equal bit for bit.
 """
 
 from __future__ import annotations
@@ -36,8 +43,7 @@ import numpy as np
 from .errors import ConfigError
 from .ioutil import read_table
 from .kinematics import (
-    GIMBAL_GUARD, UNIT_QUAT_TOL, EulerAngles321, _euler_quat, _qmul, _quat_rotvec, _rotmat,
-    _rotmat_euler, _rotvec_quat, _series, _vec3, wrap_angle,
+    GIMBAL_GUARD, UNIT_QUAT_TOL, EulerAngles321, _rotvec_quat, _series, _vec3, wrap_angle,
 )
 # bench/spans.py times these names
 from .kinematics import quat_multiply, quat_to_rotmat, quat_to_rotvec, rotmat_to_euler  # noqa: F401
@@ -49,12 +55,6 @@ __all__ = [
     "CircleSchedule",
     "CsvSchedule",
 ]
-
-
-def _to_body(R: tuple, x: float, y: float, z: float) -> tuple:
-    """R^T (x, y, z) for a row-major R: a world vector in the body frame."""
-    return (R[0] * x + R[3] * y + R[6] * z, R[1] * x + R[4] * y + R[7] * z,
-            R[2] * x + R[5] * y + R[8] * z)
 
 
 def _sense(pos, quat, prev: tuple | None, dt: float) -> tuple:
@@ -69,6 +69,11 @@ def _sense(pos, quat, prev: tuple | None, dt: float) -> tuple:
     sample's position, raw velocity and quaternion. The quaternion must be
     within ``UNIT_QUAT_TOL`` of unit length; it is normalized and taken to
     w >= 0 here, once.
+
+    The rotation math is ``kinematics``' ``_rotmat``, ``_rotmat_euler``,
+    ``_qmul`` and ``_quat_rotvec``, and R^T applied to the position and the
+    velocity, written out on locals operation for operation; yaw is taken
+    only to name a gimbal-locked pitch, and the rate log map only for p and q.
     """
     w, x, y, z = quat
     n = math.sqrt(w * w + x * x + y * y + z * z)
@@ -76,40 +81,66 @@ def _sense(pos, quat, prev: tuple | None, dt: float) -> tuple:
         raise ValueError(
             f"measured quaternion norm {n:.6f} is off unit by more than {UNIT_QUAT_TOL:g}")
     w, x, y, z = w / n, x / n, y / n, z / n
-    q = (-w, -x, -y, -z) if w < 0.0 else (w, x, y, z)
-    R = _rotmat(*q)
-    roll, pitch, yaw = _rotmat_euler(R)
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    R = (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+         2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+         2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = R
+    roll, pitch = math.atan2(r7, r8), -math.asin(min(1.0, max(-1.0, r6)))
     if abs(pitch) >= GIMBAL_GUARD:
-        EulerAngles321(roll, pitch, yaw)  # raises the record's GimbalLockError
+        EulerAngles321(roll, pitch, math.atan2(r3, r0))  # raises the record's GimbalLockError
     if roll == -math.pi:  # atan2 lies in [-pi, pi]; wrap_angle takes -pi to pi
         roll = math.pi
+    px, py, pz = pos
     if prev is None:
-        raw = vel = (0.0, 0.0, 0.0)
-        wp = wq = 0.0
+        rx = ry = rz = vx = vy = vz = wp = wq = 0.0
     else:
-        px, py, pz, rx, ry, rz, pw, qx, qy, qz = prev
-        wx, wy, _ = _quat_rotvec(_qmul((pw, -qx, -qy, -qz), q))
-        wp, wq = wx / dt, wy / dt
-        raw = ((pos[0] - px) / dt, (pos[1] - py) / dt, (pos[2] - pz) / dt)
-        vel = (0.5 * (raw[0] + rx), 0.5 * (raw[1] + ry), 0.5 * (raw[2] + rz))
-    sigma = (*_to_body(R, *pos), *_to_body(R, *vel), roll, pitch, wp, wq)
-    return (R, pos, vel, sigma), (*pos, *raw, *q)
+        lx, ly, lz, lu, lv, lw, qw, qx, qy, qz = prev
+        # the increment conj(prev q) q taken to dw >= 0; its log map's x and y over dt
+        dw = qw * w + qx * x + qy * y + qz * z
+        dx = qw * x - qx * w - qy * z + qz * y
+        dy = qw * y + qx * z - qy * w - qz * x
+        dz = qw * z - qx * y + qy * x - qz * w
+        if dw < 0.0:
+            dw, dx, dy = -dw, -dx, -dy
+        vec_norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+        k = 2.0 if vec_norm < 1e-9 else 2.0 * math.atan2(vec_norm, dw) / vec_norm
+        wp, wq = k * dx / dt, k * dy / dt
+        rx, ry, rz = (px - lx) / dt, (py - ly) / dt, (pz - lz) / dt
+        vx, vy, vz = 0.5 * (rx + lu), 0.5 * (ry + lv), 0.5 * (rz + lw)
+    sigma = (r0 * px + r3 * py + r6 * pz, r1 * px + r4 * py + r7 * pz,
+             r2 * px + r5 * py + r8 * pz, r0 * vx + r3 * vy + r6 * vz,
+             r1 * vx + r4 * vy + r7 * vz, r2 * vx + r5 * vy + r8 * vz, roll, pitch, wp, wq)
+    return (R, pos, (vx, vy, vz), sigma), (px, py, pz, rx, ry, rz, w, x, y, z)
 
 
 def _sense_truth(y, prev: tuple | None, dt: float, draws) -> tuple:
     """:func:`_sense` on the packed truth state ``y`` for the run loop.
 
     ``draws`` (3 position, then 3 rotation-vector noise samples, or None)
-    perturb the measurement as the noise model does.
+    perturb the measurement as the noise model does. The quaternion is
+    ``kinematics._euler_quat`` of the wrapped angles, times ``_rotvec_quat``
+    of the rotation-vector draws by ``_qmul``, both written out on locals.
     """
-    q = _euler_quat(wrap_angle(y[6]), y[7], wrap_angle(y[8]))
+    roll, pitch, yaw = y[6], y[7], y[8]
+    if not -math.pi < roll <= math.pi:
+        roll = wrap_angle(roll)
+    if not -math.pi < yaw <= math.pi:
+        yaw = wrap_angle(yaw)
+    hr, hp, hy = 0.5 * roll, 0.5 * pitch, 0.5 * yaw
+    cr, sr = math.cos(hr), math.sin(hr)
+    cp, sp = math.cos(hp), math.sin(hp)
+    cy, sy = math.cos(hy), math.sin(hy)
+    cc, ss, cs, sc = cy * cp, sy * sp, cy * sp, sy * cp
+    aw, ax, ay, az = cc * cr + ss * sr, cc * sr - ss * cr, cs * cr + sc * sr, sc * cr - cs * sr
     if draws is None:
-        pos = (y[0], y[1], y[2])
-    else:
-        dx, dy, dz, ax, ay, az = draws
-        pos = (y[0] + dx, y[1] + dy, y[2] + dz)
-        q = _qmul(q, _rotvec_quat(ax, ay, az))
-    return _sense(pos, q, prev, dt)
+        return _sense((y[0], y[1], y[2]), (aw, ax, ay, az), prev, dt)
+    dx, dy, dz, vx, vy, vz = draws
+    bw, bx, by, bz = _rotvec_quat(vx, vy, vz)
+    q = (aw * bw - ax * bx - ay * by - az * bz, aw * bx + ax * bw + ay * bz - az * by,
+         aw * by - ax * bz + ay * bw + az * bx, aw * bz + ax * by - ay * bx + az * bw)
+    return _sense((y[0] + dx, y[1] + dy, y[2] + dz), q, prev, dt)
 
 
 def _decide(K, est: tuple, sp_pos, sp_vel, act: tuple) -> tuple:
@@ -117,21 +148,28 @@ def _decide(K, est: tuple, sp_pos, sp_vel, act: tuple) -> tuple:
 
     ``K`` is 3 rows of 10 floats, the setpoint 3 + 3 floats, ``act`` the
     run's actuator constants (``vehicle._actuator``), whose first entry is
-    the hover thrust. Each row's K·e is added left to right from 0.0, the
-    bits the builtin ``sum`` gives up to Python 3.11 (from 3.12 it sums
-    floats compensated, which would tie a run log to the interpreter). The
-    wrench is the one realized after command saturation, which the plant
-    receives under zero-order hold.
+    the hover thrust. The error's position and velocity blocks are R^T of
+    the world errors, written out. Each row's K·e is added left to right
+    from 0.0, the bits the builtin ``sum`` gives up to Python 3.11 (from
+    3.12 it sums floats compensated, which would tie a run log to the
+    interpreter). The wrench is the one realized after command saturation,
+    which the plant receives under zero-order hold.
     """
-    R, pos, vel, (_, _, _, _, _, _, roll, pitch, wp, wq) = est
-    e0, e1, e2 = _to_body(R, sp_pos[0] - pos[0], sp_pos[1] - pos[1], sp_pos[2] - pos[2])
-    e3, e4, e5 = _to_body(R, sp_vel[0] - vel[0], sp_vel[1] - vel[1], sp_vel[2] - vel[2])
-    e6, e7, e8, e9 = -roll, -pitch, -wp, -wq
-    u = []
-    for k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 in K:
-        u.append(0.0 + k0 * e0 + k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4 + k5 * e5 + k6 * e6
-                 + k7 * e7 + k8 * e8 + k9 * e9)
-    A, dA, Vo, saturated = _wrench_to_cmd(act, act[0] + u[0], u[1], u[2])
+    (r0, r1, r2, r3, r4, r5, r6, r7, r8), pos, vel, sigma = est
+    x, y, z = sp_pos[0] - pos[0], sp_pos[1] - pos[1], sp_pos[2] - pos[2]
+    e0, e1, e2 = r0 * x + r3 * y + r6 * z, r1 * x + r4 * y + r7 * z, r2 * x + r5 * y + r8 * z
+    x, y, z = sp_vel[0] - vel[0], sp_vel[1] - vel[1], sp_vel[2] - vel[2]
+    e3, e4, e5 = r0 * x + r3 * y + r6 * z, r1 * x + r4 * y + r7 * z, r2 * x + r5 * y + r8 * z
+    e6, e7, e8, e9 = -sigma[6], -sigma[7], -sigma[8], -sigma[9]
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9), (b0, b1, b2, b3, b4, b5, b6, b7, b8, b9), \
+        (c0, c1, c2, c3, c4, c5, c6, c7, c8, c9) = K
+    u0 = (0.0 + a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3 + a4 * e4 + a5 * e5 + a6 * e6 + a7 * e7
+          + a8 * e8 + a9 * e9)
+    u1 = (0.0 + b0 * e0 + b1 * e1 + b2 * e2 + b3 * e3 + b4 * e4 + b5 * e5 + b6 * e6 + b7 * e7
+          + b8 * e8 + b9 * e9)
+    u2 = (0.0 + c0 * e0 + c1 * e1 + c2 * e2 + c3 * e3 + c4 * e4 + c5 * e5 + c6 * e6 + c7 * e7
+          + c8 * e8 + c9 * e9)
+    A, dA, Vo, saturated = _wrench_to_cmd(act, act[0] + u0, u1, u2)
     return (A, dA, Vo, *_cmd_to_wrench(act, A, dA, Vo), saturated)
 
 

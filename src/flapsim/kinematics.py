@@ -12,11 +12,13 @@ Conventions used throughout the package:
 * Angular velocity ``(p, q, r)`` is expressed in the body frame.
 
 All functions are pure. The ``_``-prefixed cores do the math on plain
-tuples (``(w, x, y, z)``, row-major 9-tuples for R); the control tick
-calls them directly, and the branch-free ones (``_qmul``, ``_rotmat``,
-``_euler_quat``) take numpy columns as well, which is how ``pipeline``
-applies them to whole trajectories. The public functions take and return
-the records and small numpy arrays.
+tuples (``(w, x, y, z)``, row-major 9-tuples for R); the branch-free ones
+(``_qmul``, ``_rotmat``, ``_euler_quat``) take numpy columns as well,
+which is how ``pipeline`` applies them to whole trajectories. The control
+tick calls only ``wrap_angle`` (outside (-pi, pi]) and ``_rotvec_quat``;
+``controller`` writes the rest out on locals, operation for operation, and
+the tier-1 tests hold those copies to these cores bit for bit. The public
+functions take and return the records and small numpy arrays.
 """
 
 from __future__ import annotations

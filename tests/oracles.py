@@ -3,12 +3,15 @@
 Everything here is deliberately written in a different style from the
 package code (matrix algebra instead of expanded scalars, doubling
 iterations instead of invariant subspaces) so that agreement between the
-two is meaningful. Nothing in this module imports from ``flapsim``.
+two is meaningful. Nothing in this module imports from ``flapsim``, but
+for the last section: the control tick as it reads on the ``kinematics``
+cores, which the tick writes out on locals and must equal bit for bit.
 """
 
 from __future__ import annotations
 
 import decimal
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -426,3 +429,87 @@ def stitch_hemisphere_loop(quat) -> np.ndarray:
         sign = -1.0 if sign * d < 0.0 else 1.0
         signs.append(sign)
     return quat * np.array(signs)[:, None]
+
+
+# ---------------------------------------------------------------------------
+# the control tick on the kinematics cores
+# ---------------------------------------------------------------------------
+#
+# controller._sense, _sense_truth and _decide write the rotation math below
+# out on locals. These are the same three functions calling the cores, the
+# reference that each written-out operation must match in value and order.
+
+
+def _to_body(R, x: float, y: float, z: float) -> tuple:
+    """R^T (x, y, z) for a row-major R: a world vector in the body frame."""
+    return (R[0] * x + R[3] * y + R[6] * z, R[1] * x + R[4] * y + R[7] * z,
+            R[2] * x + R[5] * y + R[8] * z)
+
+
+def sense_on_cores(pos, quat, prev, dt: float) -> tuple:
+    """``controller._sense`` through ``_rotmat``, ``_rotmat_euler``, ``_qmul`` and ``_quat_rotvec``."""
+    from flapsim.kinematics import (
+        GIMBAL_GUARD, UNIT_QUAT_TOL, EulerAngles321, _qmul, _quat_rotvec, _rotmat, _rotmat_euler,
+    )
+
+    w, x, y, z = quat
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if not abs(n - 1.0) <= UNIT_QUAT_TOL:
+        raise ValueError(
+            f"measured quaternion norm {n:.6f} is off unit by more than {UNIT_QUAT_TOL:g}")
+    w, x, y, z = w / n, x / n, y / n, z / n
+    q = (-w, -x, -y, -z) if w < 0.0 else (w, x, y, z)
+    R = _rotmat(*q)
+    roll, pitch, yaw = _rotmat_euler(R)
+    if abs(pitch) >= GIMBAL_GUARD:
+        EulerAngles321(roll, pitch, yaw)
+    if roll == -math.pi:
+        roll = math.pi
+    if prev is None:
+        raw = vel = (0.0, 0.0, 0.0)
+        wp = wq = 0.0
+    else:
+        px, py, pz, rx, ry, rz, pw, qx, qy, qz = prev
+        wx, wy, _ = _quat_rotvec(_qmul((pw, -qx, -qy, -qz), q))
+        wp, wq = wx / dt, wy / dt
+        raw = ((pos[0] - px) / dt, (pos[1] - py) / dt, (pos[2] - pz) / dt)
+        vel = (0.5 * (raw[0] + rx), 0.5 * (raw[1] + ry), 0.5 * (raw[2] + rz))
+    sigma = (*_to_body(R, *pos), *_to_body(R, *vel), roll, pitch, wp, wq)
+    return (R, pos, vel, sigma), (*pos, *raw, *q)
+
+
+def sense_truth_on_cores(y, prev, dt: float, draws) -> tuple:
+    """``controller._sense_truth`` through ``wrap_angle``, ``_euler_quat`` and ``_qmul``."""
+    from flapsim.kinematics import _euler_quat, _qmul, _rotvec_quat, wrap_angle
+
+    q = _euler_quat(wrap_angle(y[6]), y[7], wrap_angle(y[8]))
+    if draws is None:
+        pos = (y[0], y[1], y[2])
+    else:
+        dx, dy, dz, ax, ay, az = draws
+        pos = (y[0] + dx, y[1] + dy, y[2] + dz)
+        q = _qmul(q, _rotvec_quat(ax, ay, az))
+    return sense_on_cores(pos, q, prev, dt)
+
+
+def control_error(est, sp_pos, sp_vel) -> tuple:
+    """The 10-entry error ``controller._decide`` applies its gain to."""
+    R, pos, vel, sigma = est
+    return (*_to_body(R, sp_pos[0] - pos[0], sp_pos[1] - pos[1], sp_pos[2] - pos[2]),
+            *_to_body(R, sp_vel[0] - vel[0], sp_vel[1] - vel[1], sp_vel[2] - vel[2]),
+            -sigma[6], -sigma[7], -sigma[8], -sigma[9])
+
+
+def decide_on_cores(K, est, sp_pos, sp_vel, act) -> tuple:
+    """``controller._decide`` with a loop over the gain rows."""
+    from flapsim.vehicle import _cmd_to_wrench, _wrench_to_cmd
+
+    e = control_error(est, sp_pos, sp_vel)
+    u = []
+    for row in K:
+        acc = 0.0
+        for k, x in zip(row, e):
+            acc = acc + k * x
+        u.append(acc)
+    A, dA, Vo, saturated = _wrench_to_cmd(act, act[0] + u[0], u[1], u[2])
+    return (A, dA, Vo, *_cmd_to_wrench(act, A, dA, Vo), saturated)

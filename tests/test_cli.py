@@ -143,6 +143,18 @@ def test_simulate_bundled_run_logs_are_the_recorded_bytes(tmp_path, name):
     assert digest == RUNLOG_SHA256[name]
 
 
+# the same for hover with sensor noise on, the one bundled run through the
+# noise branch of the tick's sensing
+NOISY_HOVER_SHA256 = "a57ffd0d2f3e9aed3ddb7ec441d150632b5f8c30aed8ee519db5811801ca1335"
+
+
+def test_simulate_noisy_hover_run_log_is_the_recorded_bytes(tmp_path):
+    assert main(["simulate", "hover", "--noise", "on", "--seed", "7", "--quiet",
+                 "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "hover_runlog.csv").read_bytes()).hexdigest()
+    assert digest == NOISY_HOVER_SHA256
+
+
 def test_simulate_accepts_scenario_suffix(tmp_path):
     sub = tmp_path / "s"
     assert main(["simulate", "hover.scenario", "--out", str(sub), "--quiet"]) == 0

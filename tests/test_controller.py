@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,7 +17,9 @@ from flapsim.controller import (
     _sense,
 )
 from flapsim.errors import SchemaError
-from flapsim.kinematics import EulerAngles321, euler_to_quat, euler_to_rotmat, rotmat_to_euler
+from flapsim.kinematics import (
+    GIMBAL_GUARD, EulerAngles321, euler_to_quat, euler_to_rotmat, rotmat_to_euler,
+)
 from flapsim.vehicle import (
     ActuatorCmd, Wrench, _actuator, _wrench_to_cmd, cmd_to_wrench, default_robofly_params,
     hover_thrust, wrench_to_cmd,
@@ -171,10 +173,7 @@ def test_decide_adds_each_gain_row_left_to_right(params, monkeypatch):
         est = make_est(*rng.uniform(-1.0, 1.0, (4, 3)))
         sp_pos, sp_vel = rng.uniform(-1.0, 1.0, (2, 3)).tolist()
         _decide(K.tolist(), est, sp_pos, sp_vel, act)
-        R, pos, vel, sigma = est
-        e = (*controller._to_body(R, *(s - x for s, x in zip(sp_pos, pos))),
-             *controller._to_body(R, *(s - x for s, x in zip(sp_vel, vel))),
-             -sigma[6], -sigma[7], -sigma[8], -sigma[9])
+        e = oracles.control_error(est, sp_pos, sp_vel)
         u = []
         for row in K.tolist():
             acc = 0.0
@@ -186,6 +185,131 @@ def test_decide_adds_each_gain_row_left_to_right(params, monkeypatch):
         assert np.array(seen.pop()).tobytes() == np.array(expected).tobytes()
     # a correctly rounded sum, as a compensated one nearly is, gives other bits here
     assert rounded_differs > 1000
+
+
+# ---------------------------------------------------------------------------
+# the tick's written-out rotation math against the cores
+# ---------------------------------------------------------------------------
+
+
+def _hex(x):
+    """``x`` with each float as its hex text, which tells -0.0 from 0.0."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return [_hex(v) for v in x]
+    return x
+
+
+def _outcome(fn, *args):
+    """The bits of what ``fn(*args)`` returns, or the type and text of the ValueError it raises."""
+    try:
+        return _hex(fn(*args))
+    except ValueError as exc:  # GimbalLockError is one
+        return type(exc), str(exc)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _quat_of(roll, pitch, yaw):
+    """The 321 attitude as a scalar-first quaternion, by the oracle's products."""
+    q = oracles.quat_product(oracles.quat_product(oracles.quat_from_axis_angle((0, 0, 1), yaw),
+                                                  oracles.quat_from_axis_angle((0, 1, 0), pitch)),
+                             oracles.quat_from_axis_angle((1, 0, 0), roll))
+    return q.tolist()
+
+
+_VEC = st.tuples(_finite(-2.0, 2.0), _finite(-2.0, 2.0), _finite(-2.0, 2.0))
+# pitch anywhere, and within 1e-7 of either side of the gimbal guard
+_PITCH = st.one_of(_finite(-1.5707, 1.5707), _finite(GIMBAL_GUARD - 1e-7, math.pi / 2),
+                   _finite(-math.pi / 2, -GIMBAL_GUARD + 1e-7))
+# angles inside (-pi, pi], on both ends of it and up to 3 turns outside it
+_ANGLE = st.one_of(_finite(-math.pi, math.pi), _finite(-20.0, 20.0),
+                   st.sampled_from((math.pi, -math.pi, 3 * math.pi, -3 * math.pi)))
+# any sign of w, off unit length by up to 1.5 UNIT_QUAT_TOL (beyond 1 it is refused),
+# or an attitude near the gimbal guard
+_QUAT = st.one_of(
+    st.tuples(st.tuples(*[_finite(-1.0, 1.0)] * 4).filter(lambda c: math.hypot(*c) > 0.1),
+              _finite(-1.5e-3, 1.5e-3)).map(
+        lambda a: [c * (1.0 + a[1]) / math.hypot(*a[0]) for c in a[0]]),
+    st.tuples(_ANGLE, _PITCH, _ANGLE).map(lambda e: _quat_of(*e)),
+)
+# a carried sample: position, raw velocity and a unit quaternion of either sign
+_PREV = st.one_of(st.none(), st.tuples(_VEC, _VEC, _QUAT).map(
+    lambda a: (*a[0], *a[1], *(c / math.hypot(*a[2]) for c in a[2]))))
+_DT = st.sampled_from((DT, 1e-3, 0.1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pos=_VEC, quat=_QUAT, prev=_PREV, dt=_DT)
+# roll atan2(-0.0, -1.0) = -pi, which reads as +pi
+@example(pos=(0.1, 0.2, 0.3), quat=(-0.0, 1.0, -0.0, 0.0), prev=None, dt=DT)
+# pitch at and just inside the gimbal guard: the record's refusal text
+@example(pos=(0.1, 0.2, 0.3), quat=_quat_of(0.3, math.pi / 2, -0.2), prev=None, dt=DT)
+@example(pos=(0.1, 0.2, 0.3), quat=_quat_of(0.3, -GIMBAL_GUARD, 0.2), prev=None, dt=DT)
+# w < 0 against a carried sample
+@example(pos=(0.1, 0.2, 0.3), quat=(-0.5, 0.5, -0.5, 0.5),
+         prev=(0.0, 0.0, 0.0, 0.1, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0), dt=DT)
+def test_sense_is_its_core_oracle_bit_for_bit(pos, quat, prev, dt):
+    # _sense writes _rotmat, _rotmat_euler, _qmul, _quat_rotvec and R^T out
+    # on locals; each value, or the refusal's text, must be the cores'
+    pos = list(pos)
+    out = _outcome(_sense, pos, quat, prev, dt)
+    assert out == _outcome(oracles.sense_on_cores, pos, quat, prev, dt)
+    if not isinstance(out, tuple):
+        # the same sample again: an increment below 1e-9 takes the log map's series branch
+        _, carry = _sense(pos, quat, prev, dt)
+        assert _outcome(_sense, pos, quat, carry, dt) == \
+            _outcome(oracles.sense_on_cores, pos, quat, carry, dt)
+
+
+# sensor draws: none, a rotation vector below the 1e-9 series threshold, or a larger one
+_DRAWS = st.one_of(
+    st.none(),
+    st.tuples(_VEC, st.one_of(st.tuples(*[_finite(-5e-10, 5e-10)] * 3),
+                              st.tuples(*[_finite(-0.1, 0.1)] * 3))).map(
+        lambda a: (*(1e-3 * c for c in a[0]), *a[1])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pos=_VEC, angles=st.tuples(_ANGLE, _PITCH, _ANGLE), draws=_DRAWS, prev=_PREV, dt=_DT)
+def test_sense_truth_is_its_core_oracle_bit_for_bit(pos, angles, draws, prev, dt):
+    # _sense_truth tests wrap_angle's range itself and writes _euler_quat and
+    # the noise _qmul out; each value, or the refusal's text, must be the cores'
+    y = [*pos, 0.1, -0.2, 0.3, *angles, 1.0, -2.0, 3.0]
+    assert _outcome(controller._sense_truth, y, prev, dt, draws) == \
+        _outcome(oracles.sense_truth_on_cores, y, prev, dt, draws)
+
+
+# gain entries whose magnitudes span 12 decades, so that a reordered add shows in the bits
+_GAIN_ROW = st.lists(st.tuples(_finite(-1.0, 1.0), st.integers(-6, 6)).map(
+    lambda a: a[0] * 10.0 ** a[1]), min_size=10, max_size=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(K=st.lists(_GAIN_ROW, min_size=3, max_size=3), pos=_VEC, quat=_QUAT, prev=_PREV,
+       sp=st.tuples(_VEC, _VEC), load=st.tuples(*[_finite(0.0, 2.0)] * 3))
+def test_decide_is_its_core_oracle_bit_for_bit(K, pos, quat, prev, sp, load):
+    # _decide writes R^T out and unrolls the gain rows; each command and
+    # wrench value, and the saturation flag, must be the cores'
+    try:
+        est, _ = _sense(list(pos), quat, prev, DT)
+    except ValueError:
+        return
+    act = _actuator(_PARAMS)
+    hover, ts, ti, rs, ps, a_lo, a_hi, _, da_hi, _, vo_hi = act
+    # each row scaled so that its terms' magnitudes add up to ``load`` times
+    # the room its channel has from hover to the command box: below 1 the
+    # command is inside the box and shows every bit of K e, above 1 it may clip
+    room = (min(hover - (ti + ts * a_lo), ts * a_hi + ti - hover), rs * da_hi, ps * vo_hi)
+    e = oracles.control_error(est, *sp)
+    for row, r, f in zip(K, room, load):
+        size = sum(abs(k * x) for k, x in zip(row, e))
+        row[:] = [k * (f * r / size) for k in row] if size > 0.0 else row
+    assert _hex(_decide(K, est, *sp, act)) == _hex(oracles.decide_on_cores(K, est, *sp, act))
 
 
 # ---------------------------------------------------------------------------

@@ -753,9 +753,11 @@ def test_plant_is_built_once_per_distinct_force(params, gain, monkeypatch):
 
 
 def test_pulse_edges_within_slack_of_the_grid_lie_on_it(params, gain):
+    # 480 dt ends tick 119; an edge up to 1e-9 dt before it leaves that tick
+    # edge-free, and one up to 1e-9 dt after it starts tick 120 on the grid
     dt = 1.0 / 960.0
     on_grid = run_scenario(_pulse_scenario(params, 480 * dt, 4, 0.6), params, gain)
-    for shift in (-1e-12 * dt, 1e-12 * dt):
+    for shift in (-0.5e-9 * dt, -1e-12 * dt, 1e-12 * dt, 0.5e-9 * dt):
         nudged = run_scenario(_pulse_scenario(params, 480 * dt + shift, 4, 0.6), params, gain)
         assert nudged.to_csv_text() == on_grid.to_csv_text()
 
@@ -896,8 +898,14 @@ def test_public_api_gives_the_logged_bits_every_tick(params, gain, extra):
                            "direction": [0.0, 1.0, 0.0]}]},
         {"physics_substeps": 42, "duration": 0.1, "noise": {"enabled": True},
          "initial": {"pos": [0.01, 0.0, 0.0]}},
+        # edges 2e-9 dt before the end of tick 24 and 2e-9 dt after the end of tick 30,
+        # just beyond the slack that puts an edge on the grid
+        {"disturbances": [{"t_start": 25 / 240 - 2e-9 / 960,
+                           "duration": 31 / 240 - 25 / 240 + 4e-9 / 960, "magnitude_g": 1.0,
+                           "direction": [0.0, 1.0, 0.0]}]},
     ],
-    ids=["noisy_hover", "rotating_start", "pulse_inside_substeps", "substeps_42"],
+    ids=["noisy_hover", "rotating_start", "pulse_inside_substeps", "substeps_42",
+         "pulse_just_off_tick_ends"],
 )
 def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
     # the integrate half of the tick, replayed from the log: a row's truth
@@ -1036,6 +1044,17 @@ def test_run_scenario_rejects_bad_gain(params):
     sc = Scenario(name="x", duration=0.1, initial=hover_state(), schedule=HOLD_ORIGIN)
     with pytest.raises(ValueError, match="3x10"):
         run_scenario(sc, params, np.zeros((10, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_run_scenario_refuses_a_non_finite_gain(params, gain, bad):
+    # an inf entry would saturate every tick and a NaN one surface as a
+    # divergence; the gain is refused by name before the first tick
+    sc = Scenario(name="x", duration=0.1, initial=hover_state(), schedule=HOLD_ORIGIN)
+    K = np.array(gain)
+    K[2, 7] = bad
+    with pytest.raises(ValueError, match=rf"^gain must be finite, got {bad} at K\[2, 7\]$"):
+        run_scenario(sc, params, K)
 
 
 def test_duration_shorter_than_tick_rejected(params, gain):
