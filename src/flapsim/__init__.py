@@ -44,7 +44,7 @@ from .lqr import (
     linearize_hover,
     lqr_gain,
     read_gain_csv,
-    solve_care,
+    solve_dare,
     write_gain_csv,
 )
 from .controller import (

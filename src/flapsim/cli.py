@@ -21,7 +21,6 @@ from .errors import ConfigError, DivergenceError, SynthesisError
 from .harness import RUNLOG_COLUMNS, load_scenario, metrics, run_scenario
 from .ioutil import atomic_write_text, read_header
 from .lqr import (
-    CONTROL_RATE,
     INPUT_LABELS,
     SIGMA_LABELS,
     LqrWeights,
@@ -87,13 +86,15 @@ def _build_parser() -> _Parser:
     ap = _Parser(prog="flapsim", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gains", parents=[common], help="synthesize the hover LQR gain")
+    g = sub.add_parser("gains", parents=[common],
+                       help="synthesize the hover LQR gain for the 240 Hz loop")
     g.add_argument("--q", help="comma-separated 10-entry state weight diagonal")
     g.add_argument("--r", help="comma-separated 3-entry input weight diagonal")
 
     s = sub.add_parser("simulate", parents=[common], help="run a closed-loop scenario")
     s.add_argument("scenario", help=f"scenario file path or bundled name {BUNDLED_SCENARIOS}")
-    s.add_argument("--gains", help="gain CSV (default: synthesize with default weights)")
+    s.add_argument("--gains", help="gain CSV (default: synthesize with default weights "
+                   "at the scenario's control rate)")
     s.add_argument("--seed", type=int, help="override the scenario seed")
     s.add_argument("--noise", choices=("on", "off"), help="override the scenario noise flag")
     s.add_argument(
@@ -151,24 +152,25 @@ def _cmd_gains(args) -> int:
     write_gain_csv(gain_path, sol.K)
     write_gain_csv(os.path.join(out, "gains_P.csv"), sol.P)
 
-    eigs = sorted(sol.closed_loop_eigs, key=lambda z: z.real)
-    rho = f"ZOH spectral radius at {CONTROL_RATE:g} Hz: {sol.zoh_spectral_radius:.6f}"
+    rho = f"ZOH spectral radius at {sol.rate:g} Hz: {sol.zoh_spectral_radius:.6f}"
+    residual = f"dare residual (relative): {sol.dare_residual:.3e}"
     lines = [
         "hover LQR synthesis",
         f"params: {args.params}",
         f"states: {', '.join(SIGMA_LABELS)}",
         f"inputs: {', '.join(INPUT_LABELS)}",
-        f"care residual (relative): {sol.care_residual:.3e}",
+        f"synthesized and certified at {sol.rate:g} Hz (discrete Riccati, zero-order hold)",
+        residual,
         rho,
-        "closed-loop eigenvalues:",
+        "sampled closed-loop eigenvalues (z-plane), with |z|:",
     ]
-    lines += [f"  {z.real:+.6e} {z.imag:+.6e}j" for z in eigs]
+    lines += [f"  {z.real:+.6e} {z.imag:+.6e}j  |z| {abs(z):.6f}"
+              for z in sorted(sol.closed_loop_eigs, key=abs, reverse=True)]
     atomic_write_text(os.path.join(out, "gains_report.txt"), "\n".join(lines) + "\n")
     if not args.quiet:
         print(f"gain written to {gain_path}")
-        print(f"care residual: {sol.care_residual:.3e}")
+        print(residual)
         print(rho)
-        print(f"slowest closed-loop pole: {max(z.real for z in eigs):+.4f}")
     return 0
 
 
@@ -202,7 +204,7 @@ def _cmd_simulate(args) -> int:
         sc = dataclasses.replace(
             sc, noise=dataclasses.replace(sc.noise, enabled=(args.noise == "on"))
         )
-    K = read_gain_csv(args.gains) if args.gains else lqr_gain(p).K
+    K = read_gain_csv(args.gains) if args.gains else lqr_gain(p, rate=sc.control_rate).K
     out = _ensure_outdir(args.out)
     try:
         log = run_scenario(sc, p, K)

@@ -19,13 +19,10 @@ class SchemaError(ConfigError):
 
 class SynthesisError(FlapsimError, RuntimeError):
     """Gain synthesis failed: weights that are not symmetric, Q not positive
-    semidefinite or R not positive definite; a PBH rank defect ((A, B) not
-    stabilizable or (A, Q^1/2) not detectable); a Hamiltonian eigenvalue
-    within 1e-6 relative of the imaginary axis or a singular stable-subspace
-    basis ("CARE solve failed"); a singular Lyapunov refinement step; a
-    relative CARE residual above the 1e-8
-    certificate; a closed loop that is not Hurwitz; or a gain whose
-    zero-order-hold sampled loop has spectral radius >= 1."""
+    semidefinite or R not positive definite; a PBH rank defect of the
+    sampled model at an eigenvalue |z| >= 1 ((A_d, B_d) not stabilizable or
+    (A_d, Q^1/2) not detectable); a relative DARE residual above the 1e-8
+    certificate; or a sampled closed loop with spectral radius >= 1."""
 
 
 class DivergenceError(FlapsimError, RuntimeError):

@@ -1,4 +1,4 @@
-"""Hover linearization and infinite-horizon continuous LQR synthesis.
+"""Hover linearization and infinite-horizon LQR for the sampled loop.
 
 The reduced design model has 10 states
 
@@ -13,31 +13,28 @@ coincide), and 3 inputs: wrench deviations from hover
 Yaw and yaw rate are excluded: the vehicle has no yaw actuation and the
 remaining dynamics are yaw-symmetric.
 
-``solve_care`` computes the stabilizing solution of
+The controller applies its input once per sample and holds it, so the
+gain is designed for that loop: the model is discretized with a
+zero-order hold at the loop's rate (Franklin, Powell & Workman, *Digital
+Control of Dynamic Systems*), and ``solve_dare`` computes the stabilizing
+solution of the discrete algebraic Riccati equation
 
-    A'P + PA - P B R^-1 B' P + Q = 0
+    P = A_d'P A_d - A_d'P B_d (R + B_d'P B_d)^-1 B_d'P A_d + Q
 
-from the stable invariant subspace [U1; U2] of the Hamiltonian
-[[A, -G], [-Q, -A']], G = B R^-1 B', as P = U2 U1^-1 (MacFarlane 1963,
-Potter 1966), then polishes P by Newton/Lyapunov refinement (Kleinman,
-IEEE TAC 1968) until the relative residual stops falling, and raises
-unless it is at most 1e-8. Everything is numpy: ``np.linalg.eig`` for
-the subspace, and for each Lyapunov step the eigendecomposition of the
-closed loop, which makes the step O(n^3). The gain is stored positive,
+by the doubling iteration (Anderson, Int. J. Control 1978), which doubles
+the horizon of the Riccati recursion at each step, then polishes it by
+Newton steps (Hewer, IEEE TAC 1971). It raises unless the pair passes
+the PBH tests at every eigenvalue of A_d with |z| >= 1, the relative
+residual is at most 1e-8 and the sampled closed loop A_d - B_d K has
+spectral radius below one. Everything is numpy. The gain is stored positive,
 
-    K = R^-1 B' P,   u = K (sigma_des - sigma).
-
-``lqr_gain`` then certifies the gain for the loop that runs it: the model
-is discretized with a zero-order hold at ``CONTROL_RATE`` (Franklin,
-Powell & Workman, *Digital Control of Dynamic Systems*) and the sampled
-closed loop A_d - B_d K must have spectral radius below one; the radius
-is returned with the solution.
+    K = (R + B_d'P B_d)^-1 B_d'P A_d,   u = K (sigma_des - sigma).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +51,7 @@ __all__ = [
     "LqrSolution",
     "linearize_hover",
     "default_weights",
-    "solve_care",
+    "solve_dare",
     "lqr_gain",
     "write_gain_csv",
     "read_gain_csv",
@@ -66,7 +63,7 @@ INPUT_LABELS = ("dGamma", "tau_r", "tau_p")
 NSIGMA = 10
 NINPUT = 3
 
-CONTROL_RATE = 240.0    # [Hz] default control rate; lqr_gain certifies for it
+CONTROL_RATE = 240.0    # [Hz] default control rate, and the rate lqr_gain designs for
 
 
 @dataclass(frozen=True)
@@ -153,20 +150,20 @@ def default_weights(p: VehicleParams) -> LqrWeights:
 
 @dataclass(frozen=True)
 class LqrSolution:
-    """Riccati solution P, gain K = R^-1 B'P, and diagnostics.
+    """Riccati solution P, gain K, and the certificates of the sampled loop.
 
-    ``care_residual`` is the Frobenius norm of A'P + PA - PBR^-1B'P + Q
-    divided by the sum of the norms of its four terms (the usual relative
-    residual for algebraic Riccati equations). ``zoh_spectral_radius`` is
-    that of the closed loop sampled at ``CONTROL_RATE``; :func:`lqr_gain`
-    sets it, :func:`solve_care` leaves it None.
+    ``dare_residual`` is the relative residual of the DARE (see
+    :func:`solve_dare`). ``closed_loop_eigs`` are the z-plane eigenvalues of
+    A_d - B_d K at ``rate`` Hz, and ``zoh_spectral_radius`` their largest
+    modulus.
     """
 
     K: np.ndarray
     P: np.ndarray
     closed_loop_eigs: np.ndarray
-    care_residual: float
-    zoh_spectral_radius: float | None = None
+    dare_residual: float
+    zoh_spectral_radius: float
+    rate: float
 
 
 def linearize_hover(p: VehicleParams) -> LinearModel:
@@ -185,137 +182,8 @@ def linearize_hover(p: VehicleParams) -> LinearModel:
 
 
 # ---------------------------------------------------------------------------
-# CARE solver
+# DARE solver
 # ---------------------------------------------------------------------------
-
-def _pbh_full_rank(M: np.ndarray, n: int) -> bool:
-    """Rank test with column normalization (robust to wildly scaled columns)."""
-    M = M.copy()
-    norms = np.linalg.norm(M, axis=0)
-    nz = norms > 0.0
-    M[:, nz] /= norms[nz]
-    return np.linalg.matrix_rank(M) >= n
-
-
-def _check_stabilizable_detectable(A, B, Q):
-    n = A.shape[0]
-    eigs = np.linalg.eigvals(A)
-    # symmetric square-root factor of Q for the detectability test
-    q_eigs, q_vecs = np.linalg.eigh(Q)
-    keep = q_eigs > 1e-12 * max(1.0, float(q_eigs.max(initial=0.0)))
-    C = (np.sqrt(q_eigs[keep])[:, None] * q_vecs[:, keep].T)
-    I = np.eye(n)
-    for lam in dict.fromkeys(eigs):  # a repeated eigenvalue is tested once
-        if lam.real < -1e-12 * max(1.0, abs(lam)):
-            continue
-        if not _pbh_full_rank(np.hstack([A - lam * I, B]).astype(complex), n):
-            raise SynthesisError(
-                f"(A, B) is not stabilizable: PBH rank defect at eigenvalue {lam:.6g}"
-            )
-        if C.size and not _pbh_full_rank(
-            np.vstack([A - lam * I, C.astype(complex)]).T.conj(), n
-        ):
-            raise SynthesisError(
-                f"(A, Q^1/2) is not detectable: PBH rank defect at eigenvalue {lam:.6g}"
-            )
-        if not C.size:
-            raise SynthesisError("(A, Q^1/2) is not detectable: Q has no range")
-
-
-def _care(A, B, Q, R):
-    """Stabilizing CARE solution: the Hamiltonian's stable subspace, then Newton polish.
-
-    ``R`` is positive definite: ``solve_care``, the one caller, passes
-    ``LqrWeights.R`` (which refuses any other) over its largest diagonal entry.
-    """
-    G = B @ np.linalg.solve(R, B.T)
-    G = 0.5 * (G + G.T)
-    n = A.shape[0]
-    lam, V = np.linalg.eig(np.block([[A, -G], [-Q, -A.T]]))
-    # scale-free test: eigenvalues near the axis leave the stable subspace undefined
-    if np.any(np.abs(lam.real) <= 1e-6 * np.abs(lam)):
-        raise SynthesisError(
-            "CARE solve failed: the Hamiltonian has eigenvalues on the imaginary axis"
-        )
-    U = V[:, lam.real < 0.0]
-    if U.shape[1] != n or np.linalg.cond(U[:n]) > 1.0 / np.finfo(float).eps:
-        raise SynthesisError("CARE solve failed: the stable subspace has singular U1")
-    P = np.linalg.solve(U[:n].T, U[n:].T).real  # (U2 U1^-1)' = U1'^-1 U2'; P is symmetric
-    P = 0.5 * (P + P.T)
-
-    # Newton/Lyapunov refinement; also serves as the convergence certificate.
-    # The relative residual normalizes by the sum of the term norms rather
-    # than ||Q|| alone: when ||P|| >> ||Q|| the residual has a floating-point
-    # floor near eps*||P G P|| that no solution method can beat, so a
-    # Q-relative measure would reject solutions that are accurate to working
-    # precision. ||P A|| = ||A^T P|| for symmetric P, hence the factor 2.
-    def _residual(Pc):
-        r = A.T @ Pc + Pc @ A - Pc @ G @ Pc + Q
-        denom = (
-            2.0 * float(np.linalg.norm(A.T @ Pc))
-            + float(np.linalg.norm(Pc @ G @ Pc))
-            + float(np.linalg.norm(Q))
-        )
-        return float(np.linalg.norm(r)) / max(denom, np.finfo(float).tiny), r
-
-    rel, res = _residual(P)
-    best_P, best_rel = P, rel
-    for _ in range(20):
-        if best_rel <= 1e-13:
-            break
-        try:
-            X = _lyapunov(A - G @ P, -res)
-        except np.linalg.LinAlgError as exc:
-            raise SynthesisError(f"Lyapunov refinement failed: {exc}") from exc
-        P = P + X
-        P = 0.5 * (P + P.T)
-        rel, res = _residual(P)
-        if rel < best_rel:
-            best_P, best_rel = P, rel
-        else:
-            break  # no further improvement: at the attainable floor
-    P, rel = best_P, best_rel
-    if rel > 1e-8:
-        raise SynthesisError(
-            f"CARE residual {rel:.3e} exceeds 1e-8 after refinement"
-        )
-
-    K = np.linalg.solve(R, B.T @ P)
-    cl_eigs = np.sort_complex(np.linalg.eigvals(A - B @ K))
-    if np.any(cl_eigs.real >= 0.0):
-        raise SynthesisError("closed loop is not Hurwitz")
-    return P, K, cl_eigs, rel
-
-
-def _lyapunov(A, C):
-    """X with A'X + XA = C, for A = V diag(lam) V^-1 whose eigenvalues sum
-    pairwise to no zero (a Hurwitz closed loop): X = V^-T Y V^-1 with
-    Y_ij = (V' C V)_ij / (lam_i + lam_j)."""
-    lam, V = np.linalg.eig(A)
-    W = np.linalg.inv(V)
-    Y = (V.T @ C @ V) / (lam[:, None] + lam[None, :])
-    return (W.T @ Y @ W).real
-
-
-def solve_care(model: LinearModel, weights: LqrWeights) -> LqrSolution:
-    """Solve the CARE for the given model/weights and package the gain.
-
-    Weights are jointly normalized by max(diag(R)) before solving (a
-    mathematical no-op for K that conditions the Riccati solve); P is scaled
-    back. A joint Q/R rescaling by a power of two is therefore an exact
-    no-op numerically; any other factor changes K only by rounding.
-    """
-    A, B = model.A, model.B
-    Q, R = weights.Q, weights.R
-    if Q.shape != A.shape or R.shape != (B.shape[1], B.shape[1]):
-        raise ValueError(
-            f"weight shapes {Q.shape}/{R.shape} do not match model {A.shape}/{B.shape}"
-        )
-    _check_stabilizable_detectable(A, B, Q)
-    s = float(np.max(np.diag(R)))  # > 0: LqrWeights holds R positive definite
-    P_n, K, cl_eigs, rel = _care(A, B, Q / s, R / s)
-    return LqrSolution(K=K, P=s * P_n, closed_loop_eigs=cl_eigs, care_residual=rel)
-
 
 def _zoh(A: np.ndarray, B: np.ndarray, rate: float):
     """Exact zero-order-hold (A_d, B_d) at ``rate`` Hz: both blocks of one
@@ -342,30 +210,145 @@ def _zoh(A: np.ndarray, B: np.ndarray, rate: float):
     return E[:n, :n], E[:n, n:]
 
 
-def _zoh_spectral_radius(model: LinearModel, K: np.ndarray, rate: float) -> float:
-    """Spectral radius of the closed loop A_d - B_d K sampled at ``rate`` Hz."""
-    Ad, Bd = _zoh(model.A, model.B, rate)
-    return float(np.max(np.abs(np.linalg.eigvals(Ad - Bd @ K))))
+def _pbh_full_rank(M: np.ndarray, n: int) -> bool:
+    """Rank test with column normalization (robust to wildly scaled columns)."""
+    M = M.copy()
+    norms = np.linalg.norm(M, axis=0)
+    nz = norms > 0.0
+    M[:, nz] /= norms[nz]
+    return np.linalg.matrix_rank(M) >= n
 
 
-def lqr_gain(p: VehicleParams, weights: LqrWeights | None = None) -> LqrSolution:
-    """Hover gain for a vehicle, certified for the sampled loop.
+def _check_stabilizable_detectable(Ad, Bd, Q):
+    n = Ad.shape[0]
+    eigs = np.linalg.eigvals(Ad)
+    # symmetric square-root factor of Q for the detectability test
+    q_eigs, q_vecs = np.linalg.eigh(Q)
+    keep = q_eigs > 1e-12 * max(1.0, float(q_eigs.max(initial=0.0)))
+    C = (np.sqrt(q_eigs[keep])[:, None] * q_vecs[:, keep].T)
+    I = np.eye(n)
+    for lam in dict.fromkeys(eigs):  # a repeated eigenvalue is tested once
+        if abs(lam) < 1.0 - 1e-12:
+            continue
+        if not _pbh_full_rank(np.hstack([Ad - lam * I, Bd]).astype(complex), n):
+            raise SynthesisError(
+                f"(A_d, B_d) is not stabilizable: PBH rank defect at eigenvalue {lam:.6g}"
+            )
+        if C.size and not _pbh_full_rank(
+            np.vstack([Ad - lam * I, C.astype(complex)]).T.conj(), n
+        ):
+            raise SynthesisError(
+                f"(A_d, Q^1/2) is not detectable: PBH rank defect at eigenvalue {lam:.6g}"
+            )
+        if not C.size:
+            raise SynthesisError("(A_d, Q^1/2) is not detectable: Q has no range")
 
-    Analytic linearization + CARE solve; raises :class:`SynthesisError`
-    unless the gain also stabilizes the model under a zero-order hold at
-    ``CONTROL_RATE`` (spectral radius of A_d - B_d K below one), which the
-    solution carries as ``zoh_spectral_radius``. Weights default to
-    :func:`default_weights` of ``p``.
+
+def _doubling(A, G, H):
+    """Limit of the doubling iteration from (A, G, H) (Anderson 1978).
+
+    For symmetric PSD G and H it is the stabilizing solution of
+    X = H + A'X (I + GX)^-1 A, after k steps the cost over 2^k samples;
+    with G = 0 it is Smith's iteration for the Stein equation X = H + A'XA.
+    It stops when a step no longer changes X at working precision.
     """
-    model = linearize_hover(p)
-    sol = solve_care(model, weights or default_weights(p))
-    rho = _zoh_spectral_radius(model, sol.K, CONTROL_RATE)
+    I = np.eye(A.shape[0])
+    for _ in range(64):  # a horizon of 2^64 samples
+        # (I + G H)^-1 [A, G], one factorization for both blocks
+        WA, WG = np.hsplit(np.linalg.solve(I + G @ H, np.hstack([A, G])), 2)
+        H_next = H + A.T @ H @ WA
+        H_next = 0.5 * (H_next + H_next.T)
+        G = G + A @ WG @ A.T
+        G = 0.5 * (G + G.T)
+        A = A @ WA
+        # max-abs, not Frobenius: its squares would overflow for entries past 1e154
+        step = float(np.max(np.abs(H_next - H)))
+        H = H_next
+        if step <= 1e-15 * float(np.max(np.abs(H))):
+            break
+    return H
+
+
+def _residual(Ad, Bd, Q, R, X):
+    """Gain of X, and the DARE residual A'XA - X - A'XB S^-1 B'XA + Q
+    (S = R + B'XB) with its norm over the sum of its four terms' norms (the
+    usual relative residual for algebraic Riccati equations)."""
+    BtXA = Bd.T @ X @ Ad
+    K = np.linalg.solve(R + Bd.T @ X @ Bd, BtXA)
+    AtXA = Ad.T @ X @ Ad
+    F = BtXA.T @ K
+    res = AtXA - X - F + Q
+    res = 0.5 * (res + res.T)
+    denom = sum(float(np.linalg.norm(M)) for M in (AtXA, X, F, Q))
+    return K, res, float(np.linalg.norm(res)) / max(denom, np.finfo(float).tiny)
+
+
+def _dare(Ad, Bd, Q, R):
+    """Stabilizing DARE solution by doubling, then Newton polish, and its certificates.
+
+    ``R`` is positive definite: ``solve_dare``, the one caller, passes
+    ``LqrWeights.R`` (which refuses any other) over its largest diagonal entry.
+    """
+    G = Bd @ np.linalg.solve(R, Bd.T)
+    X = _doubling(Ad, 0.5 * (G + G.T), Q)
+    K, res, rel = _residual(Ad, Bd, Q, R, X)
+    # Newton refinement (Hewer, IEEE TAC 1971): the correction E solves the
+    # Stein equation E = res + Acl'E Acl. It stops when the residual stops
+    # falling; this is what certifies ill-conditioned weights, whose doubled
+    # P can sit at a residual of 1e-6.
+    for _ in range(20):
+        if rel <= 1e-13:
+            break
+        X_next = X + _doubling(Ad - Bd @ K, np.zeros_like(X), res)
+        K_next, res_next, rel_next = _residual(Ad, Bd, Q, R, X_next)
+        if not rel_next < rel:
+            break
+        X, K, res, rel = X_next, K_next, res_next, rel_next
+    if not rel <= 1e-8:
+        raise SynthesisError(f"DARE residual {rel:.3e} exceeds 1e-8")
+    cl_eigs = np.sort_complex(np.linalg.eigvals(Ad - Bd @ K))
+    rho = float(np.max(np.abs(cl_eigs)))
     if not rho < 1.0:
-        raise SynthesisError(
-            f"gain is unstable when sampled: ZOH spectral radius {rho:.4g} >= 1 "
-            f"at {CONTROL_RATE:g} Hz"
+        raise SynthesisError(f"sampled closed loop is not stable: spectral radius {rho:.6g}")
+    return X, K, cl_eigs, rel, rho
+
+
+def solve_dare(model: LinearModel, weights: LqrWeights, rate: float) -> LqrSolution:
+    """The LQR gain of ``model`` sampled with a zero-order hold at ``rate`` Hz.
+
+    Solves the DARE on the ZOH pair (A_d, B_d) with the per-sample cost
+    sum x'Qx + u'Ru, Q and R as given: a factor common to both, such as the
+    sample period T that turns Q dt into Q T, leaves K unchanged. Weights
+    are jointly normalized by max(diag(R)) before solving (a mathematical
+    no-op for K that conditions the iteration); P is scaled back. A joint
+    Q/R rescaling by a power of two is therefore an exact no-op
+    numerically; any other factor changes K only by rounding.
+    """
+    A, B = model.A, model.B
+    Q, R = weights.Q, weights.R
+    if Q.shape != A.shape or R.shape != (B.shape[1], B.shape[1]):
+        raise ValueError(
+            f"weight shapes {Q.shape}/{R.shape} do not match model {A.shape}/{B.shape}"
         )
-    return replace(sol, zoh_spectral_radius=rho)
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ValueError(f"rate must be positive and finite, got {rate!r}")
+    Ad, Bd = _zoh(A, B, rate)
+    _check_stabilizable_detectable(Ad, Bd, Q)
+    s = float(np.max(np.diag(R)))  # > 0: LqrWeights holds R positive definite
+    P_n, K, cl_eigs, rel, rho = _dare(Ad, Bd, Q / s, R / s)
+    return LqrSolution(K=K, P=s * P_n, closed_loop_eigs=cl_eigs, dare_residual=rel,
+                       zoh_spectral_radius=rho, rate=rate)
+
+
+def lqr_gain(
+    p: VehicleParams, weights: LqrWeights | None = None, rate: float = CONTROL_RATE
+) -> LqrSolution:
+    """Hover gain for a vehicle, synthesized for the loop sampled at ``rate``.
+
+    Analytic linearization, then :func:`solve_dare` at ``rate`` Hz; weights
+    default to :func:`default_weights` of ``p``.
+    """
+    return solve_dare(linearize_hover(p), weights or default_weights(p), rate)
 
 
 # ---------------------------------------------------------------------------

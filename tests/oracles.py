@@ -1,9 +1,9 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written in a different style from the
-package code (matrix algebra instead of expanded scalars, doubling
-iterations instead of invariant subspaces) so that agreement between the
-two is meaningful. Nothing in this module imports from ``flapsim``, but
+package code (matrix algebra instead of expanded scalars, one scipy
+matrix exponential instead of a scaled and squared Taylor series) so that
+agreement between the two is meaningful. Nothing in this module imports from ``flapsim``, but
 for the last section: the control tick as it reads on the ``kinematics``
 cores, which the tick writes out on locals and must equal bit for bit.
 """
@@ -199,7 +199,7 @@ def reduced_dynamics(f, hover_thrust: float, sigma, delta) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampled-data LQR oracle (independent route to the continuous Riccati P)
+# zero-order hold
 # ---------------------------------------------------------------------------
 
 
@@ -213,95 +213,6 @@ def zoh_discretize(A, B, dt: float):
     M[:n, n:] = B * dt
     E = expm(M)
     return E[:n, :n], E[:n, n:]
-
-
-def sampled_cost(A, B, Q, R, dt: float):
-    """Exact per-interval cost matrices of the ZOH sampled-data problem.
-
-    Returns (Q1, N, R1) with
-        Q1 = int Phi' Q Phi,  N = int Phi' Q Gamma,  R1 = int (Gamma' Q Gamma + R)
-    over one sampling interval (Van Loan block-exponential construction).
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    n, m = B.shape
-    Ac = np.zeros((n + m, n + m))
-    Ac[:n, :n] = A
-    Ac[:n, n:] = B
-    Qh = np.zeros((n + m, n + m))
-    Qh[:n, :n] = Q
-    Qh[n:, n:] = R
-    big = np.zeros((2 * (n + m), 2 * (n + m)))
-    big[: n + m, : n + m] = -Ac.T * dt
-    big[: n + m, n + m :] = Qh * dt
-    big[n + m :, n + m :] = Ac * dt
-    E = expm(big)
-    F3 = E[n + m :, n + m :]
-    G2 = E[: n + m, n + m :]
-    W = F3.T @ G2
-    W = 0.5 * (W + W.T)
-    return W[:n, :n], W[:n, n:], W[n:, n:]
-
-
-def dare_doubling(Ad, G, H, tol=1e-14, max_iter=120):
-    """Structured doubling iteration for X = H + Ad' X (I + G X)^-1 Ad."""
-    A = np.asarray(Ad, dtype=float).copy()
-    G = np.asarray(G, dtype=float).copy()
-    H = np.asarray(H, dtype=float).copy()
-    n = A.shape[0]
-    I = np.eye(n)
-    for _ in range(max_iter):
-        M = np.linalg.solve(I + G @ H, A)          # (I + GH)^-1 A
-        A_next = A @ M
-        G_next = G + A @ np.linalg.solve(I + G @ H, G @ A.T)
-        H_next = H + A.T @ H @ M
-        G_next = 0.5 * (G_next + G_next.T)
-        H_next = 0.5 * (H_next + H_next.T)
-        step = np.linalg.norm(H_next - H) / max(1.0, np.linalg.norm(H_next))
-        A, G, H = A_next, G_next, H_next
-        if step < tol:
-            break
-    return H
-
-
-def dare_plain(Ad, G, H, steps: int):
-    """Truncated backward Riccati recursion (anchor for the doubling form)."""
-    X = np.asarray(H, dtype=float).copy()
-    A = np.asarray(Ad, dtype=float)
-    n = A.shape[0]
-    I = np.eye(n)
-    for _ in range(steps):
-        X = H + A.T @ X @ np.linalg.solve(I + G @ X, A)
-        X = 0.5 * (X + X.T)
-    return X
-
-
-def care_oracle(A, B, Q, R, dt=1e-6, plain_check=False):
-    """Continuous-Riccati P via the exactly sampled discrete problem.
-
-    The ZOH-sampled problem with Van Loan cost integrals is solved by a
-    doubling iteration; its fixed point converges to the continuous
-    stabilizing P as dt -> 0. Completely independent of Hamiltonian /
-    Schur machinery.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
-    Ad, Bd = zoh_discretize(A, B, dt)
-    Q1, N, R1 = sampled_cost(A, B, Q, R, dt)
-    R1_inv_Nt = np.linalg.solve(R1, N.T)
-    At = Ad - Bd @ R1_inv_Nt
-    Qt = Q1 - N @ R1_inv_Nt
-    Qt = 0.5 * (Qt + Qt.T)
-    G = Bd @ np.linalg.solve(R1, Bd.T)
-    G = 0.5 * (G + G.T)
-    P = dare_doubling(At, G, Qt)
-    if plain_check:
-        P_plain = dare_plain(At, G, Qt, steps=30000)
-        agree = np.linalg.norm(P - P_plain) / max(1.0, np.linalg.norm(P))
-        return P, agree
-    return P
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ import pytest
 
 from conftest import UNSTABLE_WEIGHTS, src_env, write_mocap_csv
 from flapsim.cli import main
+from flapsim.harness import load_scenario, run_scenario
 from flapsim.ioutil import fmt
-from flapsim.lqr import default_weights, read_gain_csv, write_gain_csv
+from flapsim.lqr import default_weights, lqr_gain, read_gain_csv, write_gain_csv
 from flapsim.pipeline import trajectory_from_runlog
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -44,15 +45,20 @@ def test_gains_writes_artifacts(tmp_path, capsys, gain, gain_solution):
     np.testing.assert_array_equal(K, gain)
     P = read_gain_csv(tmp_path / "gains_P.csv")
     assert P.shape == (10, 10)
-    report = (tmp_path / "gains_report.txt").read_text()
-    assert "care residual" in report
-    assert report.count("j") >= 10  # one eigenvalue line per state
+    report = (tmp_path / "gains_report.txt").read_text().splitlines()
+    assert "synthesized and certified at 240 Hz (discrete Riccati, zero-order hold)" in report
+    residual = f"dare residual (relative): {gain_solution.dare_residual:.3e}"
     rho = f"ZOH spectral radius at 240 Hz: {gain_solution.zoh_spectral_radius:.6f}"
-    assert rho in report.splitlines()
-    out = capsys.readouterr().out
-    assert "gain written to" in out
-    assert "slowest closed-loop pole" in out
-    assert rho in out.splitlines()
+    assert residual in report and rho in report
+    # one z-plane eigenvalue a line, largest modulus first, which is rho
+    eigs = report[report.index("sampled closed-loop eigenvalues (z-plane), with |z|:") + 1:]
+    assert len(eigs) == 10
+    moduli = [float(line.split("|z| ")[1]) for line in eigs]
+    assert moduli == sorted(moduli, reverse=True)
+    assert f"{moduli[0]:.6f}" == f"{gain_solution.zoh_spectral_radius:.6f}"
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("gain written to")
+    assert residual in out and rho in out
 
 
 def test_gains_quiet_suppresses_stdout(tmp_path, capsys):
@@ -106,12 +112,17 @@ def test_gains_degenerate_weights_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_gains_unstable_when_sampled_exit_2(tmp_path, capsys):
+def test_gains_old_stock_weights_certified_near_unit_radius(tmp_path, capsys, params):
+    # the weights whose continuous gain the 240 Hz loop could not realize: the
+    # DARE gain is certified just inside the unit circle and barely acts
     q = _diag_arg(np.diag(UNSTABLE_WEIGHTS.Q))
     r = _diag_arg(np.diag(UNSTABLE_WEIGHTS.R))
-    assert main(["gains", "--out", str(tmp_path), "--q", q, "--r", r]) == 2
-    assert "spectral radius" in capsys.readouterr().err
-    assert not (tmp_path / "gains.csv").exists()
+    assert main(["gains", "--out", str(tmp_path), "--q", q, "--r", r]) == 0
+    assert "ZOH spectral radius at 240 Hz: 0.998683" in capsys.readouterr().out.splitlines()
+    K = read_gain_csv(tmp_path / "gains.csv")
+    roll_per_cm = 0.01 * abs(K[1, 1]) / (abs(params.roll_slope) * params.dA_limit)
+    pitch_per_cm = 0.01 * abs(K[2, 0]) / (abs(params.pitch_slope) * params.Vo_limit)
+    assert roll_per_cm < 1e-4 and pitch_per_cm < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +138,23 @@ def test_simulate_bundled_hover(tmp_path, capsys):
     assert "480 ticks" in out and "rms position error" in out
 
 
+def test_simulate_synthesizes_at_the_scenario_rate(tmp_path, params):
+    scn = write_offset_scenario(tmp_path / "slow.scenario", name="slow",
+                                extra="control_rate: 120.0\n")
+    assert main(["simulate", str(scn), "--quiet", "--out", str(tmp_path)]) == 0
+    sc = load_scenario(str(scn))
+    for rate, same in ((120.0, True), (240.0, False)):
+        ref = tmp_path / f"ref{rate:g}.csv"
+        run_scenario(sc, params, lqr_gain(params, rate=rate).K).write_csv(ref)
+        assert (ref.read_bytes() == (tmp_path / "slow_runlog.csv").read_bytes()) is same
+
+
 # SHA-256 of each bundled scenario's run log as `flapsim simulate` writes it; a
 # change that moves one changes a float operation on the tick path, or its order
 RUNLOG_SHA256 = {
-    "hover": "8d2c6790701e3fa4d3da3f559a60a7aeb89c737c89f7697b16b2df0d307fcc03",
-    "circle": "4057e9e8c7345b52639a1903a6b9ebf2c5893564413180a233fb69f9db3eb14d",
-    "disturbance": "1309d0e5692afaa52b33a30c1cdb51a18270e512f7babecffad0dd35df9c0076",
+    "hover": "a746b842bc06240ed86c50dad190f098cf193302e9c1da5af8c22792a792aa92",
+    "circle": "9817b0c6337893b6999ce5b56f6198e3c869d10f3de721c62d8a344089ed2972",
+    "disturbance": "209b59d180c3b95a29d866dda0a603c43c39a1c3c846bcb97b738b509798bd79",
 }
 
 
@@ -145,7 +167,7 @@ def test_simulate_bundled_run_logs_are_the_recorded_bytes(tmp_path, name):
 
 # the same for hover with sensor noise on, the one bundled run through the
 # noise branch of the tick's sensing
-NOISY_HOVER_SHA256 = "a57ffd0d2f3e9aed3ddb7ec441d150632b5f8c30aed8ee519db5811801ca1335"
+NOISY_HOVER_SHA256 = "9de59f860d7eb45ab1da8da46c390366172a0952f97e76102cc58d392f778357"
 
 
 def test_simulate_noisy_hover_run_log_is_the_recorded_bytes(tmp_path):
@@ -433,8 +455,8 @@ def test_validate_scalar_last_mocap_header_exits_1(tmp_path, capsys):
 def test_simulate_divergence_exits_2_with_partial_log(tmp_path, capsys, unstable_gain):
     gains = tmp_path / "unstable.csv"
     write_gain_csv(str(gains), unstable_gain)
-    scn = write_offset_scenario(tmp_path / "d.scenario", duration=12.0,
-                                offset=0.05, name="blowup")
+    scn = write_offset_scenario(tmp_path / "d.scenario", duration=12.0, name="blowup",
+                                extra="initial:\n  pos: [0.0, 0.0, 0.05]\n")
     assert main(["simulate", str(scn), "--out", str(tmp_path),
                  "--gains", str(gains)]) == 2
     err = capsys.readouterr().err

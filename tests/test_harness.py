@@ -948,10 +948,10 @@ def test_each_logged_tick_integrates_to_the_next_row(params, gain, extra):
 
 
 def test_offset_hover_diverges_with_partial_log(params, unstable_gain):
-    # a gain that is unstable in the 240 Hz sampled loop: a 5 cm offset
-    # grows until the 10 m position guard trips
+    # a gain that feeds height errors back with the wrong sign: a 5 cm height
+    # offset grows until the 10 m position guard trips
     sc = Scenario(name="offset", duration=12.0,
-                  initial=hover_state(pos=(0.05, 0.0, 0.0)), schedule=HOLD_ORIGIN)
+                  initial=hover_state(pos=(0.0, 0.0, 0.05)), schedule=HOLD_ORIGIN)
     with pytest.raises(DivergenceError) as info:
         run_scenario(sc, params, unstable_gain)
     partial = info.value.partial_log

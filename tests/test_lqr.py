@@ -1,11 +1,11 @@
-"""Linearization and continuous-Riccati synthesis checks.
+"""Linearization and discrete-Riccati synthesis checks.
 
-The synthesized P is cross-checked against a sampled-data route (exact
-zero-order-hold discretization + Van Loan cost integrals + doubling
-iteration) that shares no machinery with the solver (the Hamiltonian's
-stable eigenvector subspace from numpy, followed by Newton/Lyapunov
-polish). scipy's ordered-QZ Riccati solve and ``expm`` are kept here as
-test-only references for the residual, the gain and the ZOH blocks.
+The synthesized gain is checked against scipy's ordered-QZ
+``solve_discrete_are`` and its Stein solve, and the ZOH blocks against
+``expm``: test-only references that share no machinery with the solver
+(structured doubling, then Newton polish). The hand cases have closed
+forms: the scalar DARE's golden ratio, and the double integrator's CARE,
+which the DARE with weights Q T and R T approaches as T -> 0.
 """
 
 import math
@@ -31,7 +31,7 @@ from flapsim.lqr import (
     linearize_hover,
     lqr_gain,
     read_gain_csv,
-    solve_care,
+    solve_dare,
     write_gain_csv,
 )
 
@@ -39,18 +39,32 @@ THRUST_IDX = (2, 5)            # d_z, w
 ROLL_IDX = (1, 4, 6, 8)        # d_y, v, phi, p
 PITCH_IDX = (0, 3, 7, 9)       # d_x, u, theta, q
 
+# the rate of the random suites: ten samples a second on models whose
+# fastest open-loop modes are a few rad/s
+RANDOM_RATE = 10.0
 
-def care_residual(A, B, Q, R, P):
-    # relative residual: ||A'P + PA - PGP + Q|| over the sum of term norms
-    PGP = P @ B @ np.linalg.solve(R, B.T) @ P
-    res = A.T @ P + P @ A - PGP + Q
+
+def dare_residual(Ad, Bd, Q, R, P):
+    # relative residual: ||A'PA - P - A'PB (R + B'PB)^-1 B'PA + Q|| over the
+    # sum of the four term norms
+    AtPA = Ad.T @ P @ Ad
+    F = Ad.T @ P @ Bd @ np.linalg.solve(R + Bd.T @ P @ Bd, Bd.T @ P @ Ad)
+    res = AtPA - P - F + Q
     denom = (
-        np.linalg.norm(A.T @ P)
-        + np.linalg.norm(P @ A)
-        + np.linalg.norm(PGP)
+        np.linalg.norm(AtPA)
+        + np.linalg.norm(P)
+        + np.linalg.norm(F)
         + np.linalg.norm(Q)
     )
     return np.linalg.norm(res) / denom
+
+
+def scipy_gain(A, B, Q, R, rate):
+    """scipy's DARE gain on the same ZOH model and jointly normalized weights."""
+    Ad, Bd = oracles.zoh_discretize(A, B, 1.0 / rate)
+    s = np.max(np.diag(R))
+    P = linalg.solve_discrete_are(Ad, Bd, Q / s, R / s)
+    return np.linalg.solve(R / s + Bd.T @ P @ Bd, Bd.T @ P @ Ad)
 
 
 def test_linearize_hover_structure(params):
@@ -95,25 +109,31 @@ def test_reduced_dynamics_matches_full_model_at_samples(params):
         np.testing.assert_allclose(nl, lin, atol=1e-8)
 
 
-def test_care_scalar_hand_case():
-    sol = solve_care(LinearModel([[0.0]], [[1.0]]), LqrWeights([[1.0]], [[1.0]]))
-    assert abs(sol.P[0, 0] - 1.0) <= 1e-10
-    assert abs(sol.K[0, 0] - 1.0) <= 1e-10
-    assert sol.closed_loop_eigs[0].real == pytest.approx(-1.0, abs=1e-10)
+def test_dare_scalar_hand_case():
+    # A = 0, B = 1 at 1 Hz samples to a = b = 1: p^2 = p + 1, the golden ratio
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    sol = solve_dare(LinearModel([[0.0]], [[1.0]]), LqrWeights([[1.0]], [[1.0]]), 1.0)
+    assert abs(sol.P[0, 0] - phi) <= 1e-10
+    assert abs(sol.K[0, 0] - 1.0 / phi) <= 1e-10
+    assert abs(sol.closed_loop_eigs[0] - 1.0 / phi**2) <= 1e-10
+    assert sol.zoh_spectral_radius == abs(sol.closed_loop_eigs[0])
+    assert sol.rate == 1.0
 
 
-def test_care_double_integrator_hand_case():
+@pytest.mark.parametrize("rate", [1e2, 1e3, 1e4])
+def test_dare_double_integrator_tends_to_the_care(rate):
+    # weights Q T and R T: the sampled problem's cost tends to the continuous
+    # one, whose P = [[sqrt 3, 1], [1, sqrt 3]] and K = [1, sqrt 3]; the error
+    # falls as T (measured: 0.50 T in P and 1.00 T in K)
     s3 = math.sqrt(3.0)
-    sol = solve_care(
+    T = 1.0 / rate
+    sol = solve_dare(
         LinearModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]]),
-        LqrWeights(np.eye(2), [[1.0]]),
+        LqrWeights(T * np.eye(2), [[T]]),
+        rate,
     )
-    np.testing.assert_allclose(sol.P, [[s3, 1.0], [1.0, s3]], atol=1e-10)
-    np.testing.assert_allclose(sol.K, [[1.0, s3]], atol=1e-10)
-    eigs = np.sort_complex(sol.closed_loop_eigs)
-    np.testing.assert_allclose(
-        eigs, [(-s3 - 1j) / 2.0, (-s3 + 1j) / 2.0], atol=1e-10
-    )
+    assert np.max(np.abs(sol.P - [[s3, 1.0], [1.0, s3]])) <= 2.0 * T
+    assert np.max(np.abs(sol.K - [[1.0, s3]])) <= 2.0 * T
 
 
 # the two 100-system random suites: Q from a square factor, R diagonal up to
@@ -137,52 +157,48 @@ def random_systems(seed):
         yield A, B, Q, R
 
 
-def test_care_random_stabilizable_systems():
+def test_dare_random_stabilizable_systems():
     for A, B, Q, R in random_systems(52):
-        sol = solve_care(LinearModel(A, B), LqrWeights(Q, R))
+        sol = solve_dare(LinearModel(A, B), LqrWeights(Q, R), RANDOM_RATE)
         # independent recomputation of the certificate quantities
-        assert care_residual(A, B, Q, R, sol.P) <= 1e-8
-        assert np.max(np.linalg.eigvals(A - B @ sol.K).real) < 0.0
+        Ad, Bd = oracles.zoh_discretize(A, B, 1.0 / RANDOM_RATE)
+        assert dare_residual(Ad, Bd, Q, R, sol.P) <= 1e-8
+        assert np.max(np.abs(np.linalg.eigvals(Ad - Bd @ sol.K))) < 1.0
         assert np.max(np.abs(sol.P - sol.P.T)) <= 1e-10 * np.linalg.norm(sol.P)
         assert np.min(np.linalg.eigvalsh(sol.P)) >= -1e-10 * np.linalg.norm(sol.P)
 
 
 @pytest.mark.parametrize("seed", sorted(RANDOM_SUITES))
-def test_care_residual_no_worse_than_scipys(seed):
+def test_dare_residual_no_worse_than_scipys(seed):
     for A, B, Q, R in random_systems(seed):
-        res = care_residual(A, B, Q, R, solve_care(LinearModel(A, B), LqrWeights(Q, R)).P)
-        ref = care_residual(A, B, Q, R, linalg.solve_continuous_are(A, B, Q, R))
+        Ad, Bd = _zoh(A, B, RANDOM_RATE)
+        res = dare_residual(Ad, Bd, Q, R, solve_dare(LinearModel(A, B), LqrWeights(Q, R),
+                                                     RANDOM_RATE).P)
+        ref = dare_residual(Ad, Bd, Q, R, linalg.solve_discrete_are(Ad, Bd, Q, R))
         assert res <= 1e-8
         assert res <= max(10.0 * ref, 1e-12)
 
 
-def test_lyapunov_step_matches_scipys():
-    # the Newton step's solve, A'X + XA = C by the eigendecomposition of A, against
-    # scipy's Schur-form solve: on random Hurwitz matrices up to n = 40, and on the
-    # closed loops of both random suites, whose eigenvector bases have condition
-    # numbers up to 2e7 (the worst of those agrees to 4.3e-9)
+def test_stein_doubling_matches_scipys():
+    # the Newton step's solve, X = H + A'XA by doubling with G = 0, against
+    # scipy's Schur-form solve on random Schur-stable matrices up to n = 40
     rng = np.random.default_rng(53)
-    loops = []
     for n in (1, 2, 10, 20, 40):
         A = rng.normal(size=(n, n))
-        loops.append((A - (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n), 1e-13))
-    for seed in sorted(RANDOM_SUITES):
-        for A, B, Q, R in random_systems(seed):
-            loops.append((A - B @ solve_care(LinearModel(A, B), LqrWeights(Q, R)).K, 1e-8))
-    for A, tol in loops:
-        C = rng.normal(size=A.shape)
-        C += C.T
-        ref = linalg.solve_continuous_lyapunov(A.T, C)
-        assert np.linalg.norm(lqr._lyapunov(A, C) - ref) <= tol * np.linalg.norm(ref)
+        A *= 0.95 / np.max(np.abs(np.linalg.eigvals(A)))
+        H = rng.normal(size=(n, n))
+        H += H.T
+        ref = linalg.solve_discrete_lyapunov(A.T, H)
+        X = lqr._doubling(A, np.zeros((n, n)), H)
+        assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def test_default_gain_matches_scipys(params, gain):
-    # scipy's ordered-QZ solve on the same jointly normalized weights
+@pytest.mark.parametrize("rate", [60.0, 120.0, 240.0, 480.0, 960.0])
+def test_hover_gain_matches_scipys(params, rate):
     m = linearize_hover(params)
     w = default_weights(params)
-    s = np.max(np.diag(w.R))
-    P = linalg.solve_continuous_are(m.A, m.B, w.Q / s, w.R / s)
-    K = np.linalg.solve(w.R / s, m.B.T @ P)
+    K = scipy_gain(m.A, m.B, w.Q, w.R, rate)
+    gain = lqr_gain(params, rate=rate).K
     rel = np.max(np.abs(gain - K), axis=1) / np.max(np.abs(K), axis=1)
     assert np.all(rel <= 1e-12)
 
@@ -200,29 +216,20 @@ def test_zoh_matches_scipy_expm(params, rate):
         assert np.all(np.max(np.abs(ours - ref), axis=0) <= 1e-12 * np.max(np.abs(ref), axis=0))
 
 
-def test_care_robofly_matches_sampled_data_oracle(params, gain_solution):
-    m = linearize_hover(params)
-    w = default_weights(params)
-    P_oracle = oracles.care_oracle(m.A, m.B, w.Q, w.R, dt=1e-6)
-    rel = np.linalg.norm(P_oracle - gain_solution.P) / np.linalg.norm(gain_solution.P)
-    assert rel <= 1e-4
-    # the oracle's doubling iteration agrees with a truncated plain
-    # backward recursion at a coarser step (independent anchor)
-    P_coarse, agree = oracles.care_oracle(m.A, m.B, w.Q, w.R, dt=1e-3, plain_check=True)
-    assert agree <= 1e-8
-    assert np.linalg.norm(P_coarse - P_oracle) / np.linalg.norm(P_oracle) <= 1e-2
-
-
 def test_robofly_solution_invariants(params, gain_solution):
     sol = gain_solution
     assert sol.K.shape == (3, 10)
-    assert sol.care_residual <= 1e-8
-    assert np.all(sol.closed_loop_eigs.real < 0.0)
+    assert sol.rate == CONTROL_RATE
+    assert sol.dare_residual <= 1e-8
+    assert sol.zoh_spectral_radius == np.max(np.abs(sol.closed_loop_eigs)) < 1.0
     assert np.max(np.abs(sol.P - sol.P.T)) <= 1e-10 * np.linalg.norm(sol.P)
     assert np.min(np.linalg.eigvalsh(sol.P)) >= -1e-10 * np.linalg.norm(sol.P)
     m = linearize_hover(params)
     w = default_weights(params)
-    assert care_residual(m.A, m.B, w.Q, w.R, sol.P) <= 1e-8
+    Ad, Bd = oracles.zoh_discretize(m.A, m.B, 1.0 / CONTROL_RATE)
+    assert dare_residual(Ad, Bd, w.Q, w.R, sol.P) <= 1e-8
+    np.testing.assert_allclose(np.sort(np.abs(sol.closed_loop_eigs)),
+                               np.sort(np.abs(np.linalg.eigvals(Ad - Bd @ sol.K))), rtol=1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -230,22 +237,23 @@ def test_robofly_solution_invariants(params, gain_solution):
     q_exp=st.lists(st.floats(-3.0, 3.0), min_size=10, max_size=10),
     r_exp=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
 )
-def test_care_hover_model_with_scaled_default_weights(params, q_exp, r_exp):
+def test_dare_hover_model_with_scaled_default_weights(params, q_exp, r_exp):
     # each diagonal entry of the default weights scaled by 10^U(-3, 3)
     m = linearize_hover(params)
     w = default_weights(params)
     Q = np.diag(np.diag(w.Q) * 10.0 ** np.asarray(q_exp))
     R = np.diag(np.diag(w.R) * 10.0 ** np.asarray(r_exp))
-    sol = solve_care(m, LqrWeights(Q, R))
-    assert care_residual(m.A, m.B, Q, R, sol.P) <= 1e-8
-    assert np.max(np.linalg.eigvals(m.A - m.B @ sol.K).real) < 0.0
+    sol = solve_dare(m, LqrWeights(Q, R), CONTROL_RATE)
+    Ad, Bd = oracles.zoh_discretize(m.A, m.B, 1.0 / CONTROL_RATE)
+    assert dare_residual(Ad, Bd, Q, R, sol.P) <= 1e-8
+    assert np.max(np.abs(np.linalg.eigvals(Ad - Bd @ sol.K))) < 1.0
 
 
 def test_gain_decoupling_sparsity(gain):
     for row, idx in ((0, THRUST_IDX), (1, ROLL_IDX), (2, PITCH_IDX)):
         mask = np.ones(10, dtype=bool)
         mask[list(idx)] = False
-        assert np.all(np.abs(gain[row, mask]) <= 1e-10)
+        assert np.all(gain[row, mask] == 0.0)
         assert np.all(np.abs(gain[row, ~mask]) > 0.0)
 
 
@@ -301,16 +309,39 @@ def test_default_gain_is_stable_when_sampled(params, gain):
     assert rho < 1.0
 
 
-def test_lqr_gain_rejects_gain_unstable_when_sampled(params, unstable_gain):
-    with pytest.raises(SynthesisError, match="spectral radius") as info:
-        lqr_gain(params, UNSTABLE_WEIGHTS)
-    msg = str(info.value)
-    rho = float(msg.split("spectral radius ")[1].split()[0])
-    assert rho > 1.0
-    assert f"{CONTROL_RATE:g} Hz" in msg
-    # the continuous closed loop is Hurwitz: only the sampled check refuses it
+@pytest.mark.parametrize("rate", [60.0, 120.0, 480.0])
+def test_lqr_gain_follows_the_rate(params, gain, rate):
+    sol = lqr_gain(params, rate=rate)
+    assert sol.rate == rate
     m = linearize_hover(params)
-    assert np.all(np.linalg.eigvals(m.A - m.B @ unstable_gain).real < 0.0)
+    Ad, Bd = oracles.zoh_discretize(m.A, m.B, 1.0 / rate)
+    assert np.max(np.abs(np.linalg.eigvals(Ad - Bd @ sol.K))) < 1.0
+    assert not np.allclose(sol.K, gain, rtol=1e-3)
+
+
+def test_lqr_gain_certifies_the_old_stock_weights(params):
+    # unit R on torques in N m, a million times their scale: the gain barely
+    # acts, so the sampled loop is certified just inside the unit circle
+    sol = lqr_gain(params, UNSTABLE_WEIGHTS)
+    assert sol.dare_residual <= 1e-8
+    assert sol.zoh_spectral_radius == pytest.approx(0.998683, abs=1e-6)
+    # the torque asked per cm of position error, against the torque limits
+    per_cm = 0.01 * np.abs(np.array([sol.K[1, 1], sol.K[2, 0]]))
+    limits = np.array([abs(params.roll_slope) * params.dA_limit,
+                       abs(params.pitch_slope) * params.Vo_limit])
+    assert np.all(per_cm / limits < 1e-4)
+
+
+def test_newton_polish_certifies_what_doubling_alone_cannot(params):
+    # on the old stock weights the doubled P sits at a relative residual near
+    # 1e-6; the Newton steps bring it under the 1e-8 certificate
+    m = linearize_hover(params)
+    Ad, Bd = _zoh(m.A, m.B, CONTROL_RATE)
+    s = np.max(np.diag(UNSTABLE_WEIGHTS.R))
+    Q, R = UNSTABLE_WEIGHTS.Q / s, UNSTABLE_WEIGHTS.R / s
+    doubled = lqr._doubling(Ad, Bd @ np.linalg.solve(R, Bd.T), Q)
+    assert dare_residual(Ad, Bd, Q, R, doubled) > 1e-7
+    assert dare_residual(Ad, Bd, Q, R, lqr._dare(Ad, Bd, Q, R)[0]) <= 1e-8
 
 
 def test_weights_validation():
@@ -332,18 +363,18 @@ def test_unstabilizable_pair_rejected():
     A = np.diag([1.0, 2.0])
     B = np.array([[1.0], [0.0]])   # unstable mode 2 unreachable
     with pytest.raises(SynthesisError, match="stabilizable"):
-        solve_care(LinearModel(A, B), LqrWeights(np.eye(2), [[1.0]]))
+        solve_dare(LinearModel(A, B), LqrWeights(np.eye(2), [[1.0]]), 10.0)
 
 
 def test_undetectable_cost_rejected():
     A = np.diag([1.0, -1.0])
     with pytest.raises(SynthesisError, match="detectable"):
-        solve_care(LinearModel(A, np.eye(2)), LqrWeights(np.zeros((2, 2)), np.eye(2)))
+        solve_dare(LinearModel(A, np.eye(2)), LqrWeights(np.zeros((2, 2)), np.eye(2)), 10.0)
 
 
 def test_pbh_runs_once_per_distinct_eigenvalue(params, monkeypatch):
-    # the hover A has ten exact-zero eigenvalues: one stabilizability and one
-    # detectability rank test decide them all
+    # the hover A_d is unit upper triangular, ten eigenvalues exactly 1: one
+    # stabilizability and one detectability rank test decide them all
     calls = []
 
     def counted(M, n):
@@ -353,25 +384,31 @@ def test_pbh_runs_once_per_distinct_eigenvalue(params, monkeypatch):
     full_rank = lqr._pbh_full_rank
     monkeypatch.setattr(lqr, "_pbh_full_rank", counted)
     m = linearize_hover(params)
-    assert np.linalg.eigvals(m.A).tolist() == [0.0] * 10
-    solve_care(m, default_weights(params))
+    assert np.linalg.eigvals(_zoh(m.A, m.B, CONTROL_RATE)[0]).tolist() == [1.0] * 10
+    solve_dare(m, default_weights(params), CONTROL_RATE)
     assert len(calls) == 2
 
 
-def test_hamiltonian_near_imaginary_axis_rejected():
-    # an undamped oscillator barely reached by the input passes the PBH
-    # tests, but its Hamiltonian has eigenvalues next to the imaginary axis
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(SynthesisError, match="CARE solve failed"):
-        solve_care(LinearModel(A, [[0.0], [1e-12]]), LqrWeights(np.eye(2), [[1.0]]))
+def test_barely_reached_integrator_refused_by_spectral_radius():
+    # an integrator reached with b = 1e-17 is stabilizable, but its closed
+    # loop 1 - 1e-17 rounds to 1: the sampled loop is not certified
+    with pytest.raises(SynthesisError, match="spectral radius 1$"):
+        solve_dare(LinearModel([[0.0]], [[1e-17]]), LqrWeights([[1.0]], [[1.0]]), 1.0)
 
 
 def test_mismatched_weight_shapes_rejected():
     with pytest.raises(ValueError, match="do not match"):
-        solve_care(
+        solve_dare(
             LinearModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]]),
             LqrWeights(np.eye(3), [[1.0]]),
+            10.0,
         )
+
+
+@pytest.mark.parametrize("rate", [0.0, -240.0, math.inf, math.nan])
+def test_bad_rates_rejected(rate):
+    with pytest.raises(ValueError, match="rate must be positive and finite"):
+        solve_dare(LinearModel([[0.0]], [[1.0]]), LqrWeights([[1.0]], [[1.0]]), rate)
 
 
 def test_gain_csv_round_trip(tmp_path, gain):
