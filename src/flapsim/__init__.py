@@ -60,6 +60,7 @@ from .harness import (
     Scenario,
     disturbance_pulse,
     load_scenario,
+    loop_jacobian,
     metrics,
     run_scenario,
     scenario_from_dict,

@@ -20,8 +20,9 @@ edge test.
 Timing convention: the state is sampled (and logged) at the start of each
 tick; the command computed from that sample is held through the tick.
 The controller sees the state only through the mocap-style estimator
-(``controller._sense``), lag included. Runs are deterministic for a
-fixed seed; the log records one row per tick.
+(``controller._sense``), lag included, and :func:`loop_jacobian` certifies
+that loop by differencing its ticks. Runs are deterministic for a fixed
+seed; the log records one row per tick.
 
 A tick runs on plain floats: the state is a list of 12, the schedule
 returns the setpoint as two 3-tuples of floats, and the controller's
@@ -49,7 +50,7 @@ from .controller import _decide as control_step  # bench/spans.py times this nam
 from .controller import _sense_truth as assemble_ctrl_state  # bench/spans.py times this name
 from .dynamics import MAX_DT, SimState, _forcing, _plant
 from .dynamics import rk4_packed as _rk4_packed  # bench/spans.py times this name
-from .errors import ConfigError, DivergenceError, GimbalLockError, SchemaError
+from .errors import ConfigError, DivergenceError, GimbalLockError, SchemaError, SynthesisError
 from .ioutil import atomic_write_text, read_yaml, table_text
 from .kinematics import GIMBAL_GUARD, EulerAngles321, _rows, _vec3
 from .kinematics import (  # noqa: F401  bench/spans.py times these names
@@ -73,6 +74,7 @@ __all__ = [
     "PHYSICS_STEP",
     "default_substeps",
     "step_error",
+    "loop_jacobian",
     "RunMetrics",
     "metrics",
 ]
@@ -472,6 +474,14 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     position beyond 10 m, body rates beyond 1e4 rad/s, pitch at the gimbal
     guard, or a non-finite integrator result.
     """
+    rows, y, _ = _run(sc, p, K, sc.initial.as_vector().tolist(), None)
+    return RunLog.from_rows(rows, final_state=SimState.from_vector(y))
+
+
+def _run(sc: Scenario, p: VehicleParams, K, y: list, carry: tuple | None) -> tuple:
+    """The control loop of ``sc`` from the packed state ``y`` and the estimator's
+    ``carry`` (None: no previous sample): ``(rows, y, carry)`` after its last
+    tick, ``rows`` laid out as RUNLOG_FIELDS. The one statement of a tick."""
     K = np.asarray(K, dtype=float)
     if K.shape != (3, 10):
         raise ValueError(f"gain must be 3x10, got {K.shape}")
@@ -514,9 +524,6 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
     edge_free, last_start = dt - 1e-9 * dt, (substeps - 1) * dt
 
     rows = np.empty((n_ticks, len(RUNLOG_COLUMNS)))  # laid out as RUNLOG_FIELDS
-
-    y = sc.initial.as_vector().tolist()
-    carry = None  # the previous sample, as controller._sense carries it
 
     for k in range(n_ticks):
         t_k = k * T
@@ -570,7 +577,7 @@ def run_scenario(sc: Scenario, p: VehicleParams, K) -> RunLog:
             raise DivergenceError(f"{sc.name}: {tripped}",
                                   partial_log=RunLog.from_rows(rows[:k + 1]))
 
-    return RunLog.from_rows(rows, final_state=SimState.from_vector(y))
+    return rows, y, carry
 
 
 def step_error(sc: Scenario, p: VehicleParams, K, coarse: RunLog | None = None) -> tuple:
@@ -591,6 +598,41 @@ def step_error(sc: Scenario, p: VehicleParams, K, coarse: RunLog | None = None) 
     d_pos = np.linalg.norm(coarse.pos_w - fine.pos_w, axis=1)
     d_att = np.remainder(coarse.euler - fine.euler + math.pi, 2.0 * math.pi) - math.pi
     return float(np.max(d_pos)), float(np.max(np.abs(d_att)))
+
+
+def loop_jacobian(p: VehicleParams, K, rate: float = CONTROL_RATE) -> tuple:
+    """``(J, rho)``: the Jacobian of one control tick about hover at ``rate`` Hz and its
+    spectral radius; hover is locally exponentially stable if rho < 1 (Lyapunov).
+
+    The tick maps the 12 states and ``_sense``'s 10-number carry less yaw and yaw
+    rate, which nothing actuates: 20 numbers. Each column is a central difference
+    of two one-tick :func:`_run` calls, the estimator's lag included. Raises
+    SynthesisError unless hover is a fixed point of the tick within 1e-12 and
+    steps of 1e-6 and 1e-7 agree on rho within 1e-8."""
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate!r}")
+    sc = Scenario("hover", 1 / rate, SimState.at_rest(), ConstantSchedule(_ZERO), control_rate=rate)
+    keep = [i for i in range(22) if i not in (8, 11)]
+    x0 = np.array([0.0] * 18 + [1.0, 0.0, 0.0, 0.0])  # hover; the carry's quaternion is 1
+
+    def tick(x):
+        _, y, carry = _run(sc, p, K, x[:12].tolist(), tuple(x[12:].tolist()))
+        return np.array([*y, *carry])[keep]
+
+    def jacobian(h):
+        cols = [tick(x0 + e) - tick(x0 - e) for e in h * np.eye(22)[keep]]
+        J = np.column_stack(cols) / (2.0 * h)
+        return J, float(np.max(np.abs(np.linalg.eigvals(J))))
+
+    drift = float(np.max(np.abs(tick(x0) - x0[keep])))
+    if not drift <= 1e-12:
+        raise SynthesisError(f"hover is not a fixed point of the tick at {rate:g} Hz: "
+                             f"one tick moves it by {drift:.3e}")
+    (J, rho), (_, rho_fine) = jacobian(1e-6), jacobian(1e-7)
+    if not abs(rho - rho_fine) <= 1e-8:
+        raise SynthesisError(f"tick spectral radius at {rate:g} Hz is not resolved: "
+                             f"{rho:.10f} at step 1e-6, {rho_fine:.10f} at 1e-7")
+    return J, rho
 
 
 # ---------------------------------------------------------------------------

@@ -290,20 +290,22 @@ def _dare(Ad, Bd, Q, R):
     ``LqrWeights.R`` (which refuses any other) over its largest diagonal entry.
     """
     G = Bd @ np.linalg.solve(R, Bd.T)
-    X = _doubling(Ad, 0.5 * (G + G.T), Q)
-    K, res, rel = _residual(Ad, Bd, Q, R, X)
-    # Newton refinement (Hewer, IEEE TAC 1971): the correction E solves the
-    # Stein equation E = res + Acl'E Acl. It stops when the residual stops
-    # falling; this is what certifies ill-conditioned weights, whose doubled
-    # P can sit at a residual of 1e-6.
-    for _ in range(20):
-        if rel <= 1e-13:
-            break
-        X_next = X + _doubling(Ad - Bd @ K, np.zeros_like(X), res)
-        K_next, res_next, rel_next = _residual(Ad, Bd, Q, R, X_next)
-        if not rel_next < rel:
-            break
-        X, K, res, rel = X_next, K_next, res_next, rel_next
+    # sampled far slower than its modes, a model overflows; the residual refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _doubling(Ad, 0.5 * (G + G.T), Q)
+        K, res, rel = _residual(Ad, Bd, Q, R, X)
+        # Newton refinement (Hewer, IEEE TAC 1971): the correction E solves the
+        # Stein equation E = res + Acl'E Acl. It stops when the residual stops
+        # falling; this is what certifies ill-conditioned weights, whose doubled
+        # P can sit at a residual of 1e-6.
+        for _ in range(20):
+            if rel <= 1e-13:
+                break
+            X_next = X + _doubling(Ad - Bd @ K, np.zeros_like(X), res)
+            K_next, res_next, rel_next = _residual(Ad, Bd, Q, R, X_next)
+            if not rel_next < rel:
+                break
+            X, K, res, rel = X_next, K_next, res_next, rel_next
     if not rel <= 1e-8:
         raise SynthesisError(f"DARE residual {rel:.3e} exceeds 1e-8")
     cl_eigs = np.sort_complex(np.linalg.eigvals(Ad - Bd @ K))

@@ -215,6 +215,33 @@ def zoh_discretize(A, B, dt: float):
     return E[:n, :n], E[:n, n:]
 
 
+def estimator_loop(A, B, K, dt: float) -> np.ndarray:
+    """The 18-state linear loop of plant, estimator and gain about hover.
+
+    The state is x_k (the 10-state design model of ``A``, ``B``), d_{k-1},
+    d_{k-2}, and roll and pitch at k-1. The plant is ``zoh_discretize``'s.
+    ``_sense``'s difference equations read, to first order at hover, d_k;
+    the velocity as the mean of two first differences, (d_k - d_{k-2}) / 2dt;
+    roll and pitch at k; and the roll and pitch rates as their first
+    differences. The gain acts on minus that estimate.
+    """
+    Ad, Bd = zoh_discretize(A, B, dt)
+    I3 = np.eye(3)
+    C = np.zeros((10, 18))  # the estimate of x_k
+    C[0:3, 0:3] = I3
+    C[3:6, 0:3], C[3:6, 13:16] = I3 / (2.0 * dt), -I3 / (2.0 * dt)
+    C[6, 6] = C[7, 7] = 1.0
+    C[8, 6], C[8, 16] = 1.0 / dt, -1.0 / dt
+    C[9, 7], C[9, 17] = 1.0 / dt, -1.0 / dt
+    M = np.zeros((18, 18))
+    M[:10, :10] = Ad
+    M[:10] -= Bd @ np.asarray(K, dtype=float) @ C
+    M[10:13, 0:3] = I3    # d_k becomes d_{k-1}
+    M[13:16, 10:13] = I3  # d_{k-1} becomes d_{k-2}
+    M[16, 6] = M[17, 7] = 1.0
+    return M
+
+
 # ---------------------------------------------------------------------------
 # zero-phase filter (per-sample direct recursion)
 # ---------------------------------------------------------------------------

@@ -48,17 +48,21 @@ def test_gains_writes_artifacts(tmp_path, capsys, gain, gain_solution):
     report = (tmp_path / "gains_report.txt").read_text().splitlines()
     assert "synthesized and certified at 240 Hz (discrete Riccati, zero-order hold)" in report
     residual = f"dare residual (relative): {gain_solution.dare_residual:.3e}"
-    rho = f"ZOH spectral radius at 240 Hz: {gain_solution.zoh_spectral_radius:.6f}"
-    assert residual in report and rho in report
-    # one z-plane eigenvalue a line, largest modulus first, which is rho
-    eigs = report[report.index("sampled closed-loop eigenvalues (z-plane), with |z|:") + 1:]
-    assert len(eigs) == 10
-    moduli = [float(line.split("|z| ")[1]) for line in eigs]
-    assert moduli == sorted(moduli, reverse=True)
-    assert f"{moduli[0]:.6f}" == f"{gain_solution.zoh_spectral_radius:.6f}"
+    rho = f"exact-state spectral radius at 240 Hz: {gain_solution.zoh_spectral_radius:.6f}"
+    tick = "tick spectral radius with the estimator at 240 Hz: 0.963911"
+    assert residual in report and rho in report and tick in report
+    # one z-plane eigenvalue a line, largest modulus first, which is that block's radius:
+    # the exact-state loop's ten, then the tick Jacobian's sixteen nonzero
+    exact = report.index("exact-state closed-loop eigenvalues (z-plane), with |z|:")
+    jac = report.index("tick Jacobian's nonzero eigenvalues (z-plane), with |z|:")
+    for eigs, count, radius in ((report[exact + 1:jac], 10, rho), (report[jac + 1:], 16, tick)):
+        assert len(eigs) == count
+        moduli = [line.split("|z| ")[1] for line in eigs]
+        assert [float(m) for m in moduli] == sorted(map(float, moduli), reverse=True)
+        assert radius.endswith(f": {moduli[0]}")
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("gain written to")
-    assert residual in out and rho in out
+    assert out[1:] == [residual, rho, tick]
 
 
 def test_gains_quiet_suppresses_stdout(tmp_path, capsys):
@@ -118,7 +122,9 @@ def test_gains_old_stock_weights_certified_near_unit_radius(tmp_path, capsys, pa
     q = _diag_arg(np.diag(UNSTABLE_WEIGHTS.Q))
     r = _diag_arg(np.diag(UNSTABLE_WEIGHTS.R))
     assert main(["gains", "--out", str(tmp_path), "--q", q, "--r", r]) == 0
-    assert "ZOH spectral radius at 240 Hz: 0.998683" in capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out.splitlines()
+    assert "exact-state spectral radius at 240 Hz: 0.998683" in out
+    assert "tick spectral radius with the estimator at 240 Hz: 0.998685" in out
     K = read_gain_csv(tmp_path / "gains.csv")
     roll_per_cm = 0.01 * abs(K[1, 1]) / (abs(params.roll_slope) * params.dA_limit)
     pitch_per_cm = 0.01 * abs(K[2, 0]) / (abs(params.pitch_slope) * params.Vo_limit)

@@ -15,7 +15,7 @@ import oracles
 from flapsim import harness
 from flapsim.controller import CircleSchedule, ConstantSchedule, _decide, _sense
 from flapsim.dynamics import SimState, _eom, _forcing, _plant
-from flapsim.errors import ConfigError, DivergenceError, SchemaError
+from flapsim.errors import ConfigError, DivergenceError, SchemaError, SynthesisError
 from flapsim.harness import (
     PHYSICS_STEP,
     DisturbancePulse,
@@ -29,6 +29,7 @@ from flapsim.harness import (
     default_substeps,
     disturbance_pulse,
     load_scenario,
+    loop_jacobian,
     metrics,
     run_scenario,
     scenario_from_dict,
@@ -41,6 +42,7 @@ from flapsim.kinematics import (
     quat_from_rotvec,
     quat_multiply,
 )
+from flapsim.lqr import linearize_hover, lqr_gain
 from flapsim.pipeline import load_runlog_csv
 from flapsim.vehicle import Wrench, _actuator, hover_thrust, wrench_to_cmd
 
@@ -1061,6 +1063,77 @@ def test_duration_shorter_than_tick_rejected(params, gain):
     sc = Scenario(name="x", duration=1e-3, initial=hover_state(), schedule=HOLD_ORIGIN)
     with pytest.raises(ConfigError, match="control period"):
         run_scenario(sc, params, gain)
+
+
+# ---------------------------------------------------------------------------
+# the tick's certificate
+# ---------------------------------------------------------------------------
+
+
+def test_a_run_resumes_from_its_state_and_carry(params, gain):
+    # a loop with nothing tied to the clock, run in two halves from the first
+    # half's state and estimator carry, logs the bits of one whole run
+    whole = Scenario("offset", 1.0, hover_state((0.05, -0.02, 0.01)), HOLD_ORIGIN)
+    half = dataclasses.replace(whole, duration=0.5)
+    rows, y, carry = harness._run(whole, params, gain, whole.initial.as_vector().tolist(), None)
+    first, y_half, carry_half = harness._run(half, params, gain,
+                                             whole.initial.as_vector().tolist(), None)
+    second, y_end, carry_end = harness._run(half, params, gain, y_half, carry_half)
+    np.testing.assert_array_equal(np.vstack([first, second])[:, 1:], rows[:, 1:])
+    assert (y_end, carry_end) == (y, carry)
+
+
+@pytest.mark.parametrize("rate", [240.0, 120.0, 80.0, 60.0])
+def test_loop_jacobian_is_the_hand_built_estimator_loop(params, rate):
+    K = lqr_gain(params, rate=rate).K
+    J, rho = loop_jacobian(params, K, rate)
+    assert J.shape == (20, 20)
+    m = linearize_hover(params)
+    ref = np.linalg.eigvals(oracles.estimator_loop(m.A, m.B, K, 1.0 / rate))
+    assert abs(rho - np.max(np.abs(ref))) <= 1e-6
+    # the nonzero eigenvalues match one to one; the tick's four zeros are its
+    # two extra carry entries (the quaternion's w and z) and the oracle's two
+    eigs = np.linalg.eigvals(J)
+    left = list(eigs[np.abs(eigs) > 1e-8])
+    for z in ref[np.abs(ref) > 1e-8]:
+        i = int(np.argmin(np.abs(np.array(left) - z)))
+        assert abs(left.pop(i) - z) <= 1e-8
+    assert not left
+
+
+def test_loop_jacobian_of_the_240_hz_gain(params, gain):
+    assert abs(loop_jacobian(params, gain)[1] - 0.96391) <= 1e-5
+    # flown slower than it was designed for, the gain is not certified
+    assert round(loop_jacobian(params, gain, 120.0)[1], 4) == 1.0356
+    assert round(loop_jacobian(params, gain, 80.0)[1], 4) == 1.3586
+
+
+def test_offset_hover_follows_the_tick_jacobian(params, gain):
+    # with noise off, a 0.1 mm offset stays where the linearization holds; the
+    # carry of a vehicle at rest gives the first tick's zero velocity and rates
+    off = 1e-4
+    log = run_scenario(Scenario("offset", 2.0, hover_state((off, 0.0, 0.0)), HOLD_ORIGIN),
+                       params, gain)
+    J, _ = loop_jacobian(params, gain)
+    z, lin = np.zeros(20), []
+    z[0] = z[10] = off  # the state's x and the carry's sampled x
+    for _ in range(len(log)):
+        lin.append(z[0:3])
+        z = J @ z
+    assert np.max(np.abs(log.pos_w - lin)) <= 0.01 * off
+
+
+def test_loop_jacobian_refuses_what_it_cannot_resolve(params, gain):
+    # the hover amplitude outside the command box: the trim tick saturates thrust
+    low_box = dataclasses.replace(params, A_limits=(0.0, 100.0))
+    with pytest.raises(SynthesisError, match="hover is not a fixed point of the tick at 240 Hz"):
+        loop_jacobian(low_box, gain)
+    # a gain so large that a 1e-6 step saturates the command
+    with pytest.raises(SynthesisError, match="tick spectral radius at 240 Hz is not resolved"):
+        loop_jacobian(params, 1e5 * gain)
+    for rate in (0.0, -240.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            loop_jacobian(params, gain, rate)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ which the DARE with weights Q T and R T approaches as T -> 0.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -177,6 +178,17 @@ def test_dare_residual_no_worse_than_scipys(seed):
         ref = dare_residual(Ad, Bd, Q, R, linalg.solve_discrete_are(Ad, Bd, Q, R))
         assert res <= 1e-8
         assert res <= max(10.0 * ref, 1e-12)
+
+
+def test_slowly_sampled_model_is_refused_without_numpy_warnings():
+    # system 72 of a01's suite sampled at 1 Hz, far slower than its modes
+    # (A_d has eigenvalues near 300): the doubled iterates overflow, and the
+    # residual certificate refuses what they leave with no RuntimeWarning
+    A, B, Q, R = list(random_systems(7))[72]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SynthesisError, match=r"^DARE residual \S+ exceeds 1e-8$"):
+            solve_dare(LinearModel(A, B), LqrWeights(Q, R), 1.0)
 
 
 def test_stein_doubling_matches_scipys():
