@@ -604,23 +604,25 @@ def loop_jacobian(p: VehicleParams, K, rate: float = CONTROL_RATE) -> tuple:
     """``(J, rho)``: the Jacobian of one control tick about hover at ``rate`` Hz and its
     spectral radius; hover is locally exponentially stable if rho < 1 (Lyapunov).
 
-    The tick maps the 12 states and ``_sense``'s 10-number carry less yaw and yaw
-    rate, which nothing actuates: 20 numbers. Each column is a central difference
-    of two one-tick :func:`_run` calls, the estimator's lag included. Raises
+    The tick maps the 12 states and the carry that the loop's sense function gives
+    at hover with no previous sample, less yaw and yaw rate, which nothing actuates.
+    Each column is a central difference of two one-tick :func:`_run` calls, the
+    estimator's lag included. Raises
     SynthesisError unless hover is a fixed point of the tick within 1e-12 and
     steps of 1e-6 and 1e-7 agree on rho within 1e-8."""
     if not 0.0 < rate < math.inf:
         raise ValueError(f"rate must be positive and finite, got {rate!r}")
     sc = Scenario("hover", 1 / rate, SimState.at_rest(), ConstantSchedule(_ZERO), control_rate=rate)
-    keep = [i for i in range(22) if i not in (8, 11)]
-    x0 = np.array([0.0] * 18 + [1.0, 0.0, 0.0, 0.0])  # hover; the carry's quaternion is 1
+    hover = [0.0] * 12
+    x0 = np.array(hover + list(assemble_ctrl_state(hover, None, 1 / rate, None)[1]))
+    keep = [i for i in range(len(x0)) if i not in (8, 11)]
 
     def tick(x):
         _, y, carry = _run(sc, p, K, x[:12].tolist(), tuple(x[12:].tolist()))
         return np.array([*y, *carry])[keep]
 
     def jacobian(h):
-        cols = [tick(x0 + e) - tick(x0 - e) for e in h * np.eye(22)[keep]]
+        cols = [tick(x0 + e) - tick(x0 - e) for e in h * np.eye(len(x0))[keep]]
         J = np.column_stack(cols) / (2.0 * h)
         return J, float(np.max(np.abs(np.linalg.eigvals(J))))
 

@@ -1,8 +1,8 @@
 """The CSV table format (README "File formats"), atomic file writes and the
 YAML reader of scenario and parameter files.
 
-The gain CSV, a headerless matrix, is not such a table (``lqr.read_gain_csv``),
-but :func:`rows_text` writes its rows as it writes a table's.
+The gain CSV is a table with no header and no time column: ``lqr.read_gain_csv``
+reads its rows with the table's row reader, and :func:`rows_text` writes them.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ def read_table(path, columns, *, min_rows=1, binary=()) -> np.ndarray:
     skipped. Values in the ``binary`` columns must be 0 or 1. Failures
     raise SchemaError ``path:line: ...``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _lines(path)
     if not lines:
         raise SchemaError(f"{path}: empty file")
     header = _header(lines[0])
@@ -52,70 +51,77 @@ def read_table(path, columns, *, min_rows=1, binary=()) -> np.ndarray:
         raise SchemaError(
             f"{path}:1: header {','.join(header)!r} does not match {','.join(columns)!r}"
         )
-    width = len(header)
     body = lines[1:]
-    rows = None
-    if any(body):  # loadtxt warns on a body with no data
-        # numpy's C reader rounds as float() does and accepts no token that
-        # float() refuses; comments=None keeps a '#' line an error
-        try:
-            rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if rows is None or rows.shape[1] != width:
-        # the reference reader: it names the failing line, and it accepts the
-        # few forms float() takes and loadtxt refuses (whitespace-only lines,
-        # '1_000', non-ASCII digits)
-        rows = _rows_by_line(path, body, width)
+    rows = _read_rows(path, body, 2, header)
     if len(rows) < min_rows:
         what = "no data rows" if not len(rows) else f"needs at least {min_rows} data rows"
         raise SchemaError(f"{path}: {what}")
-    rows = np.asarray(rows, dtype=float)
-    finite = np.isfinite(rows)
-    if not finite.all():
-        k, j = (int(i[0]) for i in np.nonzero(~finite))
-        raise SchemaError(
-            f"{path}:{_row_lineno(body, k)}: {header[j]} is not finite ({fmt(rows[k, j])})"
-        )
     late = np.nonzero(np.diff(rows[:, 0]) <= 0.0)[0]
     if len(late):
         k = int(late[0]) + 1
-        raise SchemaError(f"{path}:{_row_lineno(body, k)}: timestamps not strictly increasing")
+        raise SchemaError(f"{path}:{_row_lineno(body, 2, k)}: timestamps not strictly increasing")
     for name in binary:
         j = header.index(name)
         bad = np.nonzero((rows[:, j] != 0.0) & (rows[:, j] != 1.0))[0]
         if len(bad):
             k = int(bad[0])
             raise SchemaError(
-                f"{path}:{_row_lineno(body, k)}: {name} must be 0 or 1 ({fmt(rows[k, j])})"
+                f"{path}:{_row_lineno(body, 2, k)}: {name} must be 0 or 1 ({fmt(rows[k, j])})"
             )
     return rows
 
 
-def _rows_by_line(path, body, width) -> list:
-    """Data rows of ``body`` parsed line by line with ``float()``."""
-    rows = []
-    for lineno, line in enumerate(body, start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise SchemaError(f"{path}:{lineno}: expected {width} columns, got {len(parts)}")
+def _lines(path) -> list:
+    """The lines of a text file, without their line ends."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def _read_rows(path, lines, first, names) -> np.ndarray:
+    """The rows of ``lines``, file line ``first`` on, one float column per name:
+    each value read as ``float()`` reads it, blank lines skipped. Failures raise
+    SchemaError ``path:line: ...``, a value that is not finite named by its column."""
+    width = len(names)
+    rows = None
+    if any(lines):  # loadtxt warns on a body with no data
+        # numpy's C reader rounds as float() does and accepts no token that
+        # float() refuses; comments=None keeps a '#' line an error
         try:
-            rows.append(list(map(float, parts)))
-        except ValueError as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if rows is None or rows.shape[1] != width:
+        # the reference reader: it names the failing line, and it accepts the
+        # few forms float() takes and loadtxt refuses (whitespace-only lines,
+        # '1_000', non-ASCII digits)
+        rows = []
+        for lineno, line in enumerate(lines, start=first):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != width:
+                raise SchemaError(f"{path}:{lineno}: expected {width} columns, got {len(parts)}")
+            try:
+                rows.append(list(map(float, parts)))
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+    rows = np.asarray(rows, dtype=float)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        k, j = (int(i[0]) for i in np.nonzero(~finite))
+        raise SchemaError(f"{path}:{_row_lineno(lines, first, k)}: {names[j]} is not finite "
+                          f"({fmt(rows[k, j])})")
     return rows
 
 
-def _row_lineno(body, k: int) -> int:
-    """File line number of data row ``k``.
+def _row_lineno(lines, first, k: int) -> int:
+    """File line number of data row ``k`` of ``lines``, which start at line ``first``.
 
     Either reader keeps exactly the lines that are not blank: loadtxt skips
-    empty lines and refuses whitespace-only ones, which sends the body to
+    empty lines and refuses whitespace-only ones, which sends the lines to
     the line-by-line reader.
     """
-    return [i for i, line in enumerate(body, start=2) if line.strip()][k]
+    return [i for i, line in enumerate(lines, start=first) if line.strip()][k]
 
 
 def table_text(columns, *blocks) -> str:

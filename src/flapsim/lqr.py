@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SynthesisError
-from .ioutil import atomic_write_text, rows_text
-from .vehicle import VehicleParams, hover_thrust
+from .errors import ConfigError, SchemaError, SynthesisError
+from .ioutil import _header, _lines, _read_rows, atomic_write_text, rows_text
+from .vehicle import VehicleParams, _actuator, _cmd_to_wrench
 
 __all__ = [
     "SIGMA_LABELS",
@@ -93,7 +93,7 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class LqrWeights:
-    """Quadratic state/input weights; Q sym PSD, R sym PD (checked)."""
+    """Quadratic state/input weights; finite, Q sym PSD, R sym PD (checked)."""
 
     Q: np.ndarray
     R: np.ndarray
@@ -104,6 +104,8 @@ class LqrWeights:
         if Q.shape[0] != Q.shape[1] or R.shape[0] != R.shape[1]:
             raise ValueError("Q and R must be square")
         for name, M in (("Q", Q), ("R", R)):
+            if not np.all(np.isfinite(M)):
+                raise ValueError(f"{name} must be finite")
             scale = max(1.0, float(np.max(np.abs(M))))
             if np.max(np.abs(M - M.T)) > 1e-12 * scale:
                 raise SynthesisError(f"{name} must be symmetric")
@@ -135,11 +137,9 @@ def default_weights(p: VehicleParams) -> LqrWeights:
     weight is in the units of its channel and the gain asks for a fraction
     of what the actuators can give.
     """
-    u_max = (
-        p.thrust_slope * p.A_limits[1] + p.thrust_intercept - hover_thrust(p),
-        abs(p.roll_slope) * p.dA_limit,
-        abs(p.pitch_slope) * p.Vo_limit,
-    )
+    act = _actuator(p)
+    thrust, tau_r, tau_p = _cmd_to_wrench(act, p.A_limits[1], p.dA_limit, p.Vo_limit)
+    u_max = (thrust - act[0], abs(tau_r), abs(tau_p))
     if not u_max[0] > 0.0:
         raise ConfigError("hover thrust is outside the actuator envelope")
     x_max = (0.02,) * 3 + (0.2,) * 3 + (math.radians(10.0),) * 2 + (10.0,) * 2
@@ -354,7 +354,7 @@ def lqr_gain(
 
 
 # ---------------------------------------------------------------------------
-# gain file I/O (plain CSV, row-major, full-precision decimal)
+# gain file I/O (the table format with no header: row-major, full-precision decimal)
 # ---------------------------------------------------------------------------
 
 def write_gain_csv(path: str, K: np.ndarray) -> None:
@@ -362,19 +362,11 @@ def write_gain_csv(path: str, K: np.ndarray) -> None:
 
 
 def read_gain_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: bad gain entry ({exc})") from exc
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError(f"{path}: ragged or empty gain matrix")
-    K = np.array(rows)
-    if not np.all(np.isfinite(K)):
-        raise ValueError(f"{path}: non-finite gain entry")
-    return K
+    """The matrix :func:`write_gain_csv` writes, read as a table's rows are:
+    as many columns as the first line that is not blank, named ``column 1``
+    on. Failures raise SchemaError ``path:line: ...``."""
+    lines = _lines(path)
+    top = next((line for line in lines if line.strip()), None)
+    if top is None:
+        raise SchemaError(f"{path}: no data rows")
+    return _read_rows(path, lines, 1, [f"column {j}" for j in range(1, len(_header(top)) + 1)])

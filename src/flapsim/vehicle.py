@@ -65,7 +65,7 @@ class VehicleParams:
                     raise ConfigError(f"{f.name} must hold only finite numbers, got {v!r}")
         if self.m <= 0 or self.m_M < 0:
             raise ConfigError("masses must be positive (m) / non-negative (m_M)")
-        J = tuple(float(j) for j in self.J)
+        J = tuple(float(j) for j in np.atleast_1d(self.J))
         if len(J) != 3 or any(j <= 0 for j in J):
             raise ConfigError("J must be three positive principal inertias")
         object.__setattr__(self, "J", J)
@@ -73,7 +73,7 @@ class VehicleParams:
             raise ConfigError("thrust_slope must be positive")
         if self.roll_slope == 0 or self.pitch_slope == 0:
             raise ConfigError("torque slopes must be nonzero")
-        A_limits = tuple(float(a) for a in self.A_limits)
+        A_limits = tuple(float(a) for a in np.atleast_1d(self.A_limits))
         if len(A_limits) != 2 or not A_limits[0] < A_limits[1]:
             raise ConfigError("A_limits must be an increasing (lo, hi) pair")
         object.__setattr__(self, "A_limits", A_limits)

@@ -203,6 +203,13 @@ def test_simulate_unknown_scenario_exits_1(tmp_path, capsys):
     assert "neither a file nor one of the bundled" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_ragged_gain_file_by_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0.5," * 9 + "0.5\n" + "0.5," * 8 + "0.5\n")
+    assert main(["simulate", "hover", "--gains", str(bad), "--out", str(tmp_path)]) == 1
+    assert "bad.csv:2: expected 10 columns, got 9" in capsys.readouterr().err
+
+
 def test_simulate_is_deterministic(tmp_path):
     scn = write_offset_scenario(tmp_path / "o.scenario")
     a, b = tmp_path / "a", tmp_path / "b"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from flapsim import harness
+from flapsim import controller, harness
 from flapsim.controller import CircleSchedule, ConstantSchedule, _decide, _sense
 from flapsim.dynamics import SimState, _eom, _forcing, _plant
 from flapsim.errors import ConfigError, DivergenceError, SchemaError, SynthesisError
@@ -1106,6 +1106,22 @@ def test_loop_jacobian_of_the_240_hz_gain(params, gain):
     # flown slower than it was designed for, the gain is not certified
     assert round(loop_jacobian(params, gain, 120.0)[1], 4) == 1.0356
     assert round(loop_jacobian(params, gain, 80.0)[1], 4) == 1.3586
+
+
+def test_loop_jacobian_follows_the_sense_carry(params, gain, monkeypatch):
+    # a carry one entry longer, the entry halved each tick: the Jacobian grows
+    # by that entry, which adds the eigenvalue 0.5 and leaves rho as it was
+    sense = controller._sense
+
+    def longer(pos, quat, prev, dt):
+        est, carry = sense(pos, quat, None if prev is None else prev[:-1], dt)
+        return est, (*carry, 0.0 if prev is None else 0.5 * prev[-1])
+
+    monkeypatch.setattr(controller, "_sense", longer)
+    J, rho = loop_jacobian(params, gain)
+    assert J.shape == (21, 21)
+    assert rho == 0.963911105853449
+    assert np.min(np.abs(np.linalg.eigvals(J) - 0.5)) <= 1e-9
 
 
 def test_offset_hover_follows_the_tick_jacobian(params, gain):

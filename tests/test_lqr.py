@@ -9,6 +9,7 @@ which the DARE with weights Q T and R T approaches as T -> 0.
 """
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -371,6 +372,16 @@ def test_weights_validation():
         LqrWeights.from_diagonals([1.0, 2.0], [])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["Q", "R"])
+def test_weights_refuse_non_finite_entries_by_name(which, bad):
+    # refused before the symmetry test, whose subtraction would warn on nan
+    q, r = [1.0] * 10, [1.0] * 3
+    (q if which == "Q" else r)[1] = bad
+    with pytest.raises(ValueError, match=f"^{which} must be finite$"):
+        LqrWeights.from_diagonals(q, r)
+
+
 def test_unstabilizable_pair_rejected():
     A = np.diag([1.0, 2.0])
     B = np.array([[1.0], [0.0]])   # unstable mode 2 unreachable
@@ -437,7 +448,7 @@ def test_gain_csv_round_trip(tmp_path, gain):
 def test_gain_csv_rejects_bad_files(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(ValueError, match="ragged"):
+    with pytest.raises(ValueError, match="ragged.csv:2: expected 2 columns, got 1"):
         read_gain_csv(str(ragged))
     garbage = tmp_path / "garbage.csv"
     garbage.write_text("1.0,spam\n")
@@ -445,5 +456,21 @@ def test_gain_csv_rejects_bad_files(tmp_path):
         read_gain_csv(str(garbage))
     nonfinite = tmp_path / "inf.csv"
     nonfinite.write_text("1.0,inf\n")
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=re.escape("inf.csv:1: column 2 is not finite (inf)")):
         read_gain_csv(str(nonfinite))
+    # blank lines count for the line number and hold no row
+    late = tmp_path / "late.csv"
+    late.write_text("\n1.0,2.0\n\n3.0,nan\n")
+    with pytest.raises(ValueError, match=re.escape("late.csv:4: column 2 is not finite (nan)")):
+        read_gain_csv(str(late))
+    for text in ("", "\n  \n"):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        with pytest.raises(ValueError, match="empty.csv: no data rows"):
+            read_gain_csv(str(empty))
+
+
+def test_gain_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "gains.csv"
+    path.write_text("\n1.0,2.0\n\n3.0,4.5\n\n")
+    np.testing.assert_array_equal(read_gain_csv(str(path)), [[1.0, 2.0], [3.0, 4.5]])

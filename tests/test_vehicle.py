@@ -170,6 +170,19 @@ def test_params_refuse_non_finite_and_boolean_values(field, value):
         VehicleParams(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("J", 5e-9, "J must be three positive principal inertias"),
+    ("A_limits", 250.0, "A_limits must be an increasing (lo, hi) pair"),
+])
+def test_params_refuse_a_scalar_for_a_vector(tmp_path, field, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        VehicleParams(**{field: value})
+    path = tmp_path / "veh.yaml"
+    path.write_text(f"{field}: {value!r}\n")
+    with pytest.raises(ConfigError, match=f"bad parameter value .*: {re.escape(message)}$"):
+        load_params(str(path))
+
+
 def test_params_sign_rules_unchanged():
     p = VehicleParams(thrust_intercept=-0.0024, roll_slope=-0.48e-6, pitch_slope=-0.11e-6)
     assert p.roll_slope < 0 and p.pitch_slope < 0
